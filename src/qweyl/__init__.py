@@ -9,7 +9,6 @@ growth lower bound for torsionfree modules.
 from .dimension import (
     BernsteinReport,
     DimensionReport,
-    ExponentPairing,
     Witness,
     bernstein_bound,
     integer_rank,
@@ -49,15 +48,10 @@ from .presentation import (
 )
 from .scalars import LaurentPoly, ParameterLattice, Scalar, parse_monomial
 from .torus import (
-    CommutationMatrix,
-    TorusElement,
+    ExponentPairing,
     check_torus_isomorphism,
-    cocycle,
     localized_torus,
     standard_torus,
-    torus_monomial,
-    torus_mul,
-    torus_one,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

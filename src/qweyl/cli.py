@@ -67,13 +67,6 @@ class Report:
         return "\n".join(lines)
 
 
-def _check_dicts(checks: list[Check]) -> list[dict]:
-    return sorted(
-        ({"name": c.name, "status": c.status, "detail": c.detail} for c in checks),
-        key=lambda c: c["name"],
-    )
-
-
 def _skip(name: str, reason: str) -> dict:
     return {"name": name, "status": "skipped", "detail": reason}
 
@@ -202,9 +195,7 @@ def _cmd_growth(spec, args, height):
 def _cmd_dim(spec, args, height):
     rep = dimension.torus_dimension(spec, height=height)
     values = dict(rep.to_json())
-    ok = dimension.verify_witness(
-        dimension.pairing_from_matrix(torus.standard_torus(spec)), rep.witness
-    )
+    ok = dimension.verify_witness(torus.standard_torus(spec), rep.witness)
     checks = [Check("dimension-witness", ok, "witness is independent and commuting")]
     return checks, values
 

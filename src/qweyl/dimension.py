@@ -1,11 +1,11 @@
 """Dimension of the torus localization and the resulting growth bound.
 
-The commutation matrix of the rank-2n torus has monomial entries, so the
-commutator pairing lives in the free abelian group on the parameter
-symbols: it is an alternating m x m matrix of integer exponent vectors.
-Because no parameter is a root of unity, a sublattice spans a commutative
-subalgebra exactly when the pairing vanishes on it, and the torus dimension
-is the maximal rank of such an isotropic sublattice.
+The rank-2n torus is its commutator pairing (qweyl.torus.ExponentPairing):
+an alternating m x m matrix of integer exponent vectors in the free abelian
+group on the parameter symbols.  Because no parameter is a root of unity,
+a sublattice of exponent vectors spans a commutative subalgebra exactly
+when the pairing vanishes on it, and the torus dimension is the maximal
+rank of such an isotropic sublattice.
 
 Exact integer linear algebra only: rank by division-free elimination with
 a Smith-normal-form cross-check, explicit isotropic witnesses from a
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .presentation import AlgebraSpec
-from .torus import CommutationMatrix, standard_torus
+from .torus import ExponentPairing, standard_torus
 
 IntVector = tuple[int, ...]
 
@@ -111,56 +111,15 @@ def integer_rank(A) -> int:
 
 # -- the exponent pairing -----------------------------------------------------
 
-class ExponentPairing:
-    """Alternating m x m matrix of length-k integer exponent vectors."""
+def pairing_from_matrix(E: ExponentPairing) -> ExponentPairing:
+    """Identity: standard_torus already returns the exponent pairing.
 
-    __slots__ = ("m", "k", "entries")
-
-    def __init__(self, m: int, k: int, entries):
-        self.m = m
-        self.k = k
-        self.entries = tuple(tuple(tuple(v) for v in row) for row in entries)
-        zero = (0,) * k
-        for i in range(m):
-            if self.entries[i][i] != zero:
-                raise ValueError(f"diagonal entry ({i},{i}) must vanish")
-            for j in range(m):
-                if len(self.entries[i][j]) != k:
-                    raise ValueError(f"entry ({i},{j}) has wrong length")
-                if any(a + b for a, b in zip(self.entries[i][j], self.entries[j][i])):
-                    raise ValueError(f"entries ({i},{j})/({j},{i}) not alternating")
-
-    def component(self, c: int) -> list[list[int]]:
-        return [[self.entries[i][j][c] for j in range(self.m)] for i in range(self.m)]
-
-    def pair(self, u, v) -> IntVector:
-        """Pairing of two integer vectors; zero vector means they commute."""
-        out = [0] * self.k
-        for i, ui in enumerate(u):
-            if not ui:
-                continue
-            row = self.entries[i]
-            for j, vj in enumerate(v):
-                if not vj:
-                    continue
-                f = ui * vj
-                e = row[j]
-                for c in range(self.k):
-                    out[c] += f * e[c]
-        return tuple(out)
-
-
-def pairing_from_matrix(M: CommutationMatrix) -> ExponentPairing:
-    rows = []
-    for i, row in enumerate(M.entries):
-        vecs = []
-        for j, s in enumerate(row):
-            v = s.as_monomial()
-            if v is None:
-                raise ValueError(f"entry ({i},{j}) is not a monomial scalar")
-            vecs.append(v)
-        rows.append(tuple(vecs))
-    return ExponentPairing(m=M.m, k=M.lattice.k, entries=rows)
+    Kept only because the benchmark's bound oracle (perfbench/session.py)
+    and tests/test_acceptance.py still call
+    pairing_from_matrix(standard_torus(spec)); remove it once they call
+    standard_torus directly.
+    """
+    return E
 
 
 # -- witnesses ----------------------------------------------------------------
@@ -460,7 +419,7 @@ def torus_dimension(spec: AlgebraSpec, height: int = 3) -> DimensionReport:
     bounded search against the certified upper bound, reported as an
     interval when the two disagree.
     """
-    E = pairing_from_matrix(standard_torus(spec))
+    E = standard_torus(spec)
     n = spec.n
 
     def unit(i: int) -> IntVector:

@@ -147,13 +147,6 @@ def multiply(spec: AlgebraSpec, f: PBWElement, g: PBWElement) -> PBWElement:
     return out
 
 
-def power(spec: AlgebraSpec, f: PBWElement, k: int) -> PBWElement:
-    out = unit(spec)
-    for _ in range(k):
-        out = multiply(spec, out, f)
-    return out
-
-
 # -- identity verification ---------------------------------------------------
 
 def verify_relations(spec: AlgebraSpec) -> list[Check]:

@@ -161,8 +161,6 @@ def build_spec(n: int, kind: str, q=None, custom: Mapping | None = None) -> Alge
                 q_value = Fraction(q)
             except (ValueError, ZeroDivisionError) as exc:
                 raise ConfigError("q", f"not a rational: {q!r}") from exc
-            if abs(q_value) in (0, 1):
-                raise ConfigError("q", f"value {q_value} risks a root of unity")
         lat = ParameterLattice(["q"])
         s = {"symplectic": (0, -2, 1), "euclidean": (-2, 0, -1), "heisenberg": (2, 0, 1)}
         p_pow, q_pow, g_pow = s[kind]

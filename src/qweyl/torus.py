@@ -1,169 +1,90 @@
-"""Quantum-torus arithmetic for the Casimir/generator localizations.
+"""Commutation pairings of the Casimir/generator torus localizations.
 
-A rank-m torus is given by a multiplicatively antisymmetric matrix of
-monomial scalars; elements are finite scalar combinations of Laurent
-monomials X^u.  The basis monomial X^u means X_1^{u_1} ... X_m^{u_m} in
-that order, which fixes the product cocycle
+A rank-m quantum torus with monomial commutation factors is determined by
+its commutator pairing: X_a X_b = lambda_ab X_b X_a with lambda_ab a
+monomial in the parameter symbols, recorded as the integer exponent vector
+of lambda_ab.  These vectors form an alternating m x m matrix, and on
+Laurent monomials the relation extends bilinearly,
 
-    X^u * X^v = ( prod_{i > j} lambda_ij^{u_i v_j} ) * X^{u+v}.
+    X^u X^v = lambda(u, v) X^v X^u,   lambda(u, v) = sum_ab u_a v_b lambda_ab,
+
+written additively in the free abelian group on the parameter symbols.
 
 Two tori are built from an algebra spec, both of rank 2n on the Casimir
 elements z_1..z_n followed by one invertible generator per index: the
 standard torus inverts every y_i; a localized torus inverts the per-index
-choice of x_i or y_i.  The map sending z_i to z_i and y_i to either y_i or
-z_i x_i^{-1} identifies the two, which check_torus_isomorphism verifies
-relation by relation.
+choice of x_i or y_i.  The map theta sending z_i to z_i and y_i to either
+y_i or z_i x_i^{-1} is an integer map on exponent vectors, and
+check_torus_isomorphism verifies relation by relation that it carries the
+standard pairing onto the localized one.
 """
 
 from __future__ import annotations
 
 from .presentation import AlgebraSpec, rule_table
 from .reporting import Check
-from .scalars import ParameterLattice, Scalar, render_exponents
 
 IntVector = tuple[int, ...]
 
 
-class CommutationMatrix:
-    """Multiplicatively antisymmetric matrix of monomial scalars."""
+def _neg(v: IntVector) -> IntVector:
+    return tuple(-x for x in v)
 
-    __slots__ = ("m", "lattice", "entries")
 
-    def __init__(self, lattice: ParameterLattice, entries):
-        rows = tuple(tuple(row) for row in entries)
-        m = len(rows)
-        if any(len(row) != m for row in rows):
-            raise ValueError("commutation matrix must be square")
-        one = lattice.one()
+class ExponentPairing:
+    """Alternating m x m matrix of length-k integer exponent vectors."""
+
+    __slots__ = ("m", "k", "entries")
+
+    def __init__(self, m: int, k: int, entries):
+        self.m = m
+        self.k = k
+        self.entries = tuple(tuple(tuple(v) for v in row) for row in entries)
+        if len(self.entries) != m or any(len(row) != m for row in self.entries):
+            raise ValueError(f"pairing must be a {m} x {m} matrix")
+        zero = (0,) * k
         for i in range(m):
-            if rows[i][i] != one:
-                raise ValueError(f"diagonal entry ({i},{i}) must be 1")
-            for j in range(m):
-                if rows[i][j].as_monomial() is None:
-                    raise ValueError(f"entry ({i},{j}) is not a monomial")
-                if rows[i][j] * rows[j][i] != one:
-                    raise ValueError(f"entries ({i},{j})/({j},{i}) not antisymmetric")
-        self.m = m
-        self.lattice = lattice
-        self.entries = rows
+            if self.entries[i][i] != zero:
+                raise ValueError(f"diagonal entry ({i},{i}) must vanish")
+            for j in range(i + 1, m):
+                if len(self.entries[i][j]) != k:
+                    raise ValueError(f"entry ({i},{j}) has wrong length")
+                if self.entries[j][i] != _neg(self.entries[i][j]):
+                    raise ValueError(f"entries ({i},{j})/({j},{i}) not alternating")
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, CommutationMatrix)
-            and self.m == other.m
-            and self.lattice == other.lattice
-            and all(
-                self.entries[i][j] == other.entries[i][j]
-                for i in range(self.m)
-                for j in range(self.m)
-            )
-        )
-
-    __hash__ = None
-
-    def to_json(self) -> dict:
-        return {
-            "m": self.m,
-            "entries": [
-                [render_exponents(self.lattice, s.as_monomial()) for s in row]
-                for row in self.entries
-            ],
-        }
-
-
-class TorusElement:
-    """Finite scalar combination of Laurent monomials X^u."""
-
-    __slots__ = ("m", "terms")
-
-    def __init__(self, m: int, terms: dict[IntVector, Scalar]):
-        self.m = m
-        self.terms = {u: c for u, c in terms.items() if not c.is_zero()}
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __add__(self, other: "TorusElement") -> "TorusElement":
-        out = dict(self.terms)
-        for u, c in other.terms.items():
-            out[u] = out[u] + c if u in out else c
-        return TorusElement(self.m, out)
-
-    def __neg__(self) -> "TorusElement":
-        return TorusElement(self.m, {u: -c for u, c in self.terms.items()})
-
-    def __sub__(self, other: "TorusElement") -> "TorusElement":
-        return self + (-other)
-
-    def scale(self, c: Scalar) -> "TorusElement":
-        if c.is_zero():
-            return TorusElement(self.m, {})
-        return TorusElement(self.m, {u: c * v for u, v in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TorusElement):
+        if not isinstance(other, ExponentPairing):
             return NotImplemented
-        return (self - other).is_zero()
+        return self.k == other.k and self.entries == other.entries
 
-    __hash__ = None
+    def component(self, c: int) -> list[list[int]]:
+        return [[self.entries[i][j][c] for j in range(self.m)] for i in range(self.m)]
 
-    def __repr__(self) -> str:
-        return f"TorusElement({len(self.terms)} terms, m={self.m})"
-
-
-def torus_one(M: CommutationMatrix) -> TorusElement:
-    return TorusElement(M.m, {(0,) * M.m: M.lattice.one()})
-
-
-def torus_monomial(M: CommutationMatrix, u, coeff: Scalar | None = None) -> TorusElement:
-    u = tuple(u)
-    if len(u) != M.m:
-        raise ValueError(f"exponent vector has length {len(u)}, expected {M.m}")
-    return TorusElement(M.m, {u: coeff if coeff is not None else M.lattice.one()})
-
-
-def cocycle(M: CommutationMatrix, u: IntVector, v: IntVector) -> Scalar:
-    """Reordering factor of X^u * X^v relative to X^{u+v}."""
-    c = M.lattice.one()
-    for i in range(M.m):
-        if not u[i]:
-            continue
-        for j in range(i):
-            if v[j]:
-                c = c * M.entries[i][j] ** (u[i] * v[j])
-    return c
-
-
-def torus_mul(M: CommutationMatrix, a: TorusElement, b: TorusElement) -> TorusElement:
-    if a.m != M.m or b.m != M.m:
-        raise ValueError("rank mismatch between elements and commutation matrix")
-    out = TorusElement(M.m, {})
-    for u, cu in a.terms.items():
-        for v, cv in b.terms.items():
-            w = tuple(x + y for x, y in zip(u, v))
-            term = TorusElement(M.m, {w: cu * cv * cocycle(M, u, v)})
-            out = out + term
-    return out
+    def pair(self, u, v) -> IntVector:
+        """Pairing of two integer vectors; zero vector means they commute."""
+        out = [0] * self.k
+        for i, ui in enumerate(u):
+            if not ui:
+                continue
+            row = self.entries[i]
+            for j, vj in enumerate(v):
+                if not vj:
+                    continue
+                f = ui * vj
+                e = row[j]
+                for c in range(self.k):
+                    out[c] += f * e[c]
+        return tuple(out)
 
 
 # -- tori attached to an algebra spec ----------------------------------------
 
-def _z_gen_factor(spec: AlgebraSpec, i: int, j: int, invert: bool) -> Scalar:
-    """Commutation factor of z_i past y_j (invert=False) or x_j (invert=True)."""
-    lam = spec.q[j - 1] if i >= j else spec.p[j - 1]
-    return lam.inverse() if invert else lam
-
-
-def _gen_factor(spec: AlgebraSpec, g: int, h: int) -> Scalar:
-    """Factor lam with G*H = lam * H*G for single generators of distinct index."""
-    if g == h:
-        return spec.lattice.one()
-    if g > h:
-        rules = rule_table(spec)[(g, h)]
-        if len(rules) != 1:
-            raise ValueError("generators do not swap by a scalar")
-        return rules[0][0]
-    return _gen_factor(spec, h, g).inverse()
+def _swap_exponents(table, g: int, h: int) -> IntVector:
+    """Exponents of lam with G*H = lam * H*G, read from the rewrite rule (g > h)."""
+    rules = table[(g, h)]
+    if len(rules) != 1:
+        raise ValueError("generators do not swap by a scalar")
+    return rules[0][0].as_monomial()
 
 
 def validate_choice(spec: AlgebraSpec, choice) -> tuple[str, ...]:
@@ -173,28 +94,35 @@ def validate_choice(spec: AlgebraSpec, choice) -> tuple[str, ...]:
     return ch
 
 
-def standard_torus(spec: AlgebraSpec) -> CommutationMatrix:
-    """Rank-2n commutation matrix on z_1..z_n, y_1..y_n."""
+def standard_torus(spec: AlgebraSpec) -> ExponentPairing:
+    """Rank-2n pairing on z_1..z_n, y_1..y_n."""
     return localized_torus(spec, ("y",) * spec.n)
 
 
-def localized_torus(spec: AlgebraSpec, choice) -> CommutationMatrix:
-    """Rank-2n commutation matrix on z_1..z_n, v_1..v_n with v_i = x_i or y_i."""
+def localized_torus(spec: AlgebraSpec, choice) -> ExponentPairing:
+    """Rank-2n pairing on z_1..z_n, v_1..v_n with v_i = x_i or y_i."""
     ch = validate_choice(spec, choice)
     n = spec.n
-    one = spec.lattice.one()
-    slots = [
-        spec.x_index(i) if ch[i - 1] == "x" else spec.y_index(i) for i in range(1, n + 1)
-    ]
-    entries = [[one for _ in range(2 * n)] for _ in range(2 * n)]
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            lam = _z_gen_factor(spec, i, j, invert=(ch[j - 1] == "x"))
-            entries[i - 1][n + j - 1] = lam
-            entries[n + j - 1][i - 1] = lam.inverse()
-            if i != j:
-                entries[n + i - 1][n + j - 1] = _gen_factor(spec, slots[i - 1], slots[j - 1])
-    return CommutationMatrix(spec.lattice, entries)
+    zero = (0,) * spec.lattice.k
+    slots = [spec.x_index(i) if ch[i - 1] == "x" else spec.y_index(i) for i in range(1, n + 1)]
+    table = rule_table(spec)
+    q = [s.as_monomial() for s in spec.q]
+    p = [s.as_monomial() for s in spec.p]
+    entries = [[zero] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        for j in range(n):
+            # z_i past y_j scales by q_j when i >= j and by p_j otherwise;
+            # past x_j by the inverse
+            lam = q[j] if i >= j else p[j]
+            if ch[j] == "x":
+                lam = _neg(lam)
+            entries[i][n + j] = lam
+            entries[n + j][i] = _neg(lam)
+            if i > j:
+                lam = _swap_exponents(table, slots[i], slots[j])
+                entries[n + i][n + j] = lam
+                entries[n + j][n + i] = _neg(lam)
+    return ExponentPairing(2 * n, spec.lattice.k, entries)
 
 
 def torus_generator_labels(spec: AlgebraSpec, choice=None) -> list[str]:
@@ -205,24 +133,26 @@ def torus_generator_labels(spec: AlgebraSpec, choice=None) -> list[str]:
 
 
 def check_torus_isomorphism(spec: AlgebraSpec, choice) -> list[Check]:
-    """Verify the standard-torus relations under z_i -> z_i, y_i -> y_i or z_i x_i^{-1}."""
+    """Verify the standard-torus relations under z_i -> z_i, y_i -> y_i or z_i x_i^{-1}.
+
+    Every theta-image is a coefficient-1 monomial X^u of the localized torus,
+    so the relation X_a X_b = lambda_ab X_b X_a of the standard torus holds
+    for the images exactly when the localized pairing of their exponent
+    vectors equals the standard entry (a, b).
+    """
     ch = validate_choice(spec, choice)
     n = spec.n
     std = standard_torus(spec)
     loc = localized_torus(spec, ch)
 
-    def image(a: int) -> TorusElement:
+    def image(a: int) -> IntVector:
         # a indexes the standard basis: z_1..z_n then y_1..y_n
-        if a < n or ch[a - n] == "y":
-            e = [0] * (2 * n)
-            e[a] = 1
-            return torus_monomial(loc, e)
-        i = a - n
-        zi = [0] * (2 * n)
-        zi[i] = 1
-        xi_inv = [0] * (2 * n)
-        xi_inv[n + i] = -1
-        return torus_mul(loc, torus_monomial(loc, zi), torus_monomial(loc, xi_inv))
+        e = [0] * (2 * n)
+        e[a] = 1
+        if a >= n and ch[a - n] == "x":
+            e[a - n] = 1
+            e[a] = -1
+        return tuple(e)
 
     labels = torus_generator_labels(spec)
     tag = "".join(ch)
@@ -230,12 +160,10 @@ def check_torus_isomorphism(spec: AlgebraSpec, choice) -> list[Check]:
     checks = []
     for a in range(2 * n):
         for b in range(a + 1, 2 * n):
-            lhs = torus_mul(loc, images[a], images[b])
-            rhs = torus_mul(loc, images[b], images[a]).scale(std.entries[a][b])
             checks.append(
                 Check(
                     f"theta[{tag}]({labels[a]},{labels[b]})",
-                    (lhs - rhs).is_zero(),
+                    loc.pair(images[a], images[b]) == std.entries[a][b],
                     "standard-torus relation preserved in the localized torus",
                 )
             )

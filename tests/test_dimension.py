@@ -7,20 +7,18 @@ import pytest
 
 from qweyl import dimension as dim
 from qweyl.dimension import (
-    ExponentPairing,
     Witness,
     bernstein_bound,
     integer_rank,
     isotropic_witness_search,
     max_isotropic_rank_single,
-    pairing_from_matrix,
     rank_upper_bound,
     smith_normal_form,
     torus_dimension,
     verify_witness,
 )
 from qweyl.presentation import build_spec
-from qweyl.torus import standard_torus
+from qweyl.torus import ExponentPairing, standard_torus
 
 
 def _fraction_rank(A):
@@ -83,12 +81,12 @@ def test_alternating_rank_is_even():
 
 
 def test_pairing_examples():
-    E = pairing_from_matrix(standard_torus(build_spec(1, "generic-p1")))
+    E = standard_torus(build_spec(1, "generic-p1"))
     assert E.k == 1 and E.entries[0][1] == (1,)
-    E = pairing_from_matrix(standard_torus(build_spec(1, "symplectic")))
+    E = standard_torus(build_spec(1, "symplectic"))
     assert E.entries[0][1] == (-2,)
     spec = build_spec(1, "heisenberg")
-    E = pairing_from_matrix(standard_torus(spec))
+    E = standard_torus(spec)
     assert E.entries[0][1] == (0,)  # q_1 = 1 kills the slot
 
 
@@ -97,6 +95,14 @@ def test_pairing_validation():
         ExponentPairing(2, 1, [[(1,), (1,)], [(-1,), (0,)]])  # nonzero diagonal
     with pytest.raises(ValueError):
         ExponentPairing(2, 1, [[(0,), (1,)], [(1,), (0,)]])  # not alternating
+    with pytest.raises(ValueError):
+        ExponentPairing(2, 1, [[(0,), (1,)]])  # not square
+    with pytest.raises(ValueError):
+        ExponentPairing(2, 1, [[(0,), (1, 0)], [(-1, 0), (0,)]])  # wrong entry length
+    E = ExponentPairing(2, 1, [[(0,), (1,)], [(-1,), (0,)]])
+    assert E == ExponentPairing(2, 1, [[(0,), (1,)], [(-1,), (0,)]])
+    assert E != ExponentPairing(2, 1, [[(0,), (-1,)], [(1,), (0,)]])
+    assert E != ExponentPairing(2, 2, [[(0, 0), (1, 0)], [(-1, 0), (0, 0)]])
 
 
 def test_max_isotropic_zero_form():
@@ -114,7 +120,7 @@ def test_max_isotropic_symplectic_plane():
 
 def test_max_isotropic_symplectic_preset():
     spec = build_spec(2, "symplectic")
-    E = pairing_from_matrix(standard_torus(spec))
+    E = standard_torus(spec)
     S = E.component(0)
     assert len(smith_normal_form(S)) == 4  # nondegenerate pairing
     rank, witness = max_isotropic_rank_single(S)
@@ -144,13 +150,13 @@ def test_witness_formula_on_random_alternating():
 
 
 def test_search_finds_theorem_witnesses():
-    E = pairing_from_matrix(standard_torus(build_spec(3, "generic-p1")))
+    E = standard_torus(build_spec(3, "generic-p1"))
     w = isotropic_witness_search(E, 3)
     assert w is not None and w.rank == 3
     assert list(w.vectors) == [
         (1, 0, 0, 0, 0, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 0, 0),
     ]
-    E = pairing_from_matrix(standard_torus(build_spec(2, "generic-q1")))
+    E = standard_torus(build_spec(2, "generic-q1"))
     w = isotropic_witness_search(E, 3)
     assert w is not None
     assert list(w.vectors) == [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0)]
@@ -165,7 +171,7 @@ def test_search_full_basis_on_trivial_pairing():
 
 def test_search_respects_certified_bound():
     # a nondegenerate symplectic pairing caps witnesses at m/2
-    E = pairing_from_matrix(standard_torus(build_spec(2, "symplectic")))
+    E = standard_torus(build_spec(2, "symplectic"))
     assert rank_upper_bound(E) == 2
     assert isotropic_witness_search(E, 3, height=3) is None
 
@@ -182,7 +188,7 @@ def test_search_on_synthetic_degenerate_pairing():
 
 def test_search_monotone_in_height():
     pairings = [
-        pairing_from_matrix(standard_torus(build_spec(n, kind)))
+        standard_torus(build_spec(n, kind))
         for n, kind in ((2, "euclidean"), (3, "heisenberg"), (2, "generic"))
     ]
     for E in pairings:
@@ -199,7 +205,7 @@ def test_search_monotone_in_height():
 
 
 def test_search_argument_validation():
-    E = pairing_from_matrix(standard_torus(build_spec(1, "generic")))
+    E = standard_torus(build_spec(1, "generic"))
     assert isotropic_witness_search(E, 0).rank == 0
     assert isotropic_witness_search(E, 5) is None
     with pytest.raises(ValueError):
@@ -220,21 +226,21 @@ def test_dimension_dispatch():
         rep = torus_dimension(build_spec(n, kind))
         assert rep.is_point and rep.d == want, (kind, n, rep)
         assert rep.method == method
-        E = pairing_from_matrix(standard_torus(build_spec(n, kind)))
+        E = standard_torus(build_spec(n, kind))
         assert verify_witness(E, rep.witness)
 
 
 def test_heisenberg_n1_by_direct_formula():
     # independent recomputation: full pairing matrix, then m - rank/2
     spec = build_spec(1, "heisenberg")
-    E = pairing_from_matrix(standard_torus(spec))
+    E = standard_torus(spec)
     S = E.component(0)
     assert S == [[0, 0], [0, 0]]
     assert torus_dimension(spec).d == 2 - integer_rank(S) // 2 == 2
 
 
 def test_euclidean_n2_rank_via_snf():
-    E = pairing_from_matrix(standard_torus(build_spec(2, "euclidean")))
+    E = standard_torus(build_spec(2, "euclidean"))
     S = E.component(0)
     rank = len(smith_normal_form(S))
     assert rank == 2
@@ -246,7 +252,7 @@ def test_search_height_bounded_by_invariant_factor():
     for kind in ("symplectic", "euclidean", "heisenberg"):
         for n in (1, 2, 3):
             spec = build_spec(n, kind)
-            E = pairing_from_matrix(standard_torus(spec))
+            E = standard_torus(spec)
             S = E.component(0)
             exact = E.m - integer_rank(S) // 2
             invariants = smith_normal_form(S)

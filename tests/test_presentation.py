@@ -75,8 +75,9 @@ def test_build_errors():
     with pytest.raises(ConfigError):
         build_spec(2, "generic", q="2")  # no single parameter to specialize
     for bad in ("1", "-1", "0"):
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError) as err:
             build_spec(2, "symplectic", q=bad)
+        assert err.value.field == "q"
     assert build_spec(2, "symplectic", q="2").q_value == Fraction(2)
     assert build_spec(2, "symplectic", q="-2/3").q_value == Fraction(-2, 3)
 

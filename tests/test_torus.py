@@ -1,116 +1,102 @@
-"""Torus arithmetic: cocycle products, commutation matrices, localization map."""
+"""Torus pairings: commutator oracle, spec tori, localization map."""
 
+import itertools
 import random
 
 import pytest
 
+from qweyl import torus
 from qweyl.presentation import build_spec
 from qweyl.reporting import all_ok
-from qweyl.scalars import ParameterLattice, render_exponents
+from qweyl.scalars import render_exponents
 from qweyl.torus import (
-    CommutationMatrix,
-    TorusElement,
+    ExponentPairing,
     check_torus_isomorphism,
-    cocycle,
     localized_torus,
     standard_torus,
     torus_generator_labels,
-    torus_monomial,
-    torus_mul,
-    torus_one,
 )
 
-AB = ParameterLattice(["a", "b"])
 
-
-def _random_matrix(rng, m):
-    entries = [[AB.one() for _ in range(m)] for _ in range(m)]
+def _random_pairing(rng, m, k=2):
+    entries = [[(0,) * k for _ in range(m)] for _ in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
-            mono = AB.monomial({"a": rng.randint(-2, 2), "b": rng.randint(-2, 2)})
-            entries[i][j] = mono
-            entries[j][i] = mono.inverse()
-    return CommutationMatrix(AB, entries)
+            v = tuple(rng.randint(-2, 2) for _ in range(k))
+            entries[i][j] = v
+            entries[j][i] = tuple(-x for x in v)
+    return ExponentPairing(m, k, entries)
 
 
-def _naive_product(M, u, v):
-    """Independent oracle: expand X^u X^v into signed letters and bubble-sort."""
+def _naive_product(E, u, v):
+    """Independent oracle: expand X^u X^v into signed letters and bubble-sort.
+
+    Returns the exponent vector of the reordering factor and of X^{u+v}.
+    """
     letters = []
     for vec in (u, v):
         for i, e in enumerate(vec):
             letters.extend([(i, 1 if e > 0 else -1)] * abs(e))
-    coeff = M.lattice.one()
+    coeff = [0] * E.k
     changed = True
     while changed:
         changed = False
         for t in range(len(letters) - 1):
             (i, s), (j, r) = letters[t], letters[t + 1]
             if i > j:
-                coeff = coeff * M.entries[i][j] ** (s * r)
+                # X_i^s X_j^r = lam_ij^{s r} X_j^r X_i^s
+                coeff = [c + s * r * e for c, e in zip(coeff, E.entries[i][j])]
                 letters[t], letters[t + 1] = letters[t + 1], letters[t]
                 changed = True
-    return coeff, tuple(x + y for x, y in zip(u, v))
+    return tuple(coeff), tuple(x + y for x, y in zip(u, v))
+
+
+def _rendered(spec, E):
+    return [[render_exponents(spec.lattice, v) for v in row] for row in E.entries]
+
+
+def _unit(m, i):
+    e = [0] * m
+    e[i] = 1
+    return tuple(e)
 
 
 def test_generator_swap_factor():
-    M = _random_matrix(random.Random(1), 3)
-    x1 = torus_monomial(M, (1, 0, 0))
-    x2 = torus_monomial(M, (0, 1, 0))
-    lhs = torus_mul(M, x1, x2)
-    rhs = torus_mul(M, x2, x1).scale(M.entries[0][1])
-    assert (lhs - rhs).is_zero()
-
-
-def test_inverse_monomials_cancel():
-    M = _random_matrix(random.Random(2), 3)
-    a = torus_monomial(M, (1, 0, 0))
-    b = torus_monomial(M, (-1, 0, 0))
-    assert torus_mul(M, a, b) == torus_one(M)
-    assert torus_mul(M, b, a) == torus_one(M)
+    E = _random_pairing(random.Random(1), 3)
+    for i in range(3):
+        for j in range(3):
+            assert E.pair(_unit(3, i), _unit(3, j)) == E.entries[i][j]
 
 
 def test_product_against_naive_oracle():
+    # X^u X^v = c(u,v) X^{u+v}, so [X^u, X^v] = c(u,v)/c(v,u) must be E.pair(u, v)
     rng = random.Random(3)
-    for _ in range(40):
-        M = _random_matrix(rng, 3)
-        u = tuple(rng.randint(-2, 2) for _ in range(3))
-        v = tuple(rng.randint(-2, 2) for _ in range(3))
-        coeff, w = _naive_product(M, u, v)
-        assert torus_mul(M, torus_monomial(M, u), torus_monomial(M, v)) == TorusElement(
-            3, {w: coeff}
-        )
-
-
-def test_associativity_on_random_triples():
-    rng = random.Random(4)
-    for _ in range(30):
-        M = _random_matrix(rng, 3)
-        xs = [
-            torus_monomial(M, tuple(rng.randint(-1, 1) for _ in range(3)))
-            for _ in range(3)
-        ]
-        lhs = torus_mul(M, torus_mul(M, xs[0], xs[1]), xs[2])
-        rhs = torus_mul(M, xs[0], torus_mul(M, xs[1], xs[2]))
-        assert (lhs - rhs).is_zero()
+    for _ in range(60):
+        m = rng.randint(2, 4)
+        E = _random_pairing(rng, m)
+        u = tuple(rng.randint(-2, 2) for _ in range(m))
+        v = tuple(rng.randint(-2, 2) for _ in range(m))
+        cuv, w = _naive_product(E, u, v)
+        cvu, w2 = _naive_product(E, v, u)
+        assert w == w2
+        assert E.pair(u, v) == tuple(a - b for a, b in zip(cuv, cvu))
 
 
 def test_commutator_value_is_bilinear():
-    # [X^u, X^v] = c(u,v)/c(v,u) must be multiplicative in each slot
+    # [X^u, X^v] must be additive in each slot and alternating
     rng = random.Random(5)
     for _ in range(25):
-        M = _random_matrix(rng, 4)
+        E = _random_pairing(rng, 4)
         u, v, w = (tuple(rng.randint(-2, 2) for _ in range(4)) for _ in range(3))
-        lam = lambda a, b: cocycle(M, a, b) / cocycle(M, b, a)
         vw = tuple(x + y for x, y in zip(v, w))
-        assert lam(u, vw) == lam(u, v) * lam(u, w)
-        assert lam(v, u) == lam(u, v).inverse()
+        assert E.pair(u, vw) == tuple(a + b for a, b in zip(E.pair(u, v), E.pair(u, w)))
+        assert E.pair(v, u) == tuple(-x for x in E.pair(u, v))
+        assert not any(E.pair(u, u))
 
 
 def test_standard_torus_generic_n2():
     spec = build_spec(2, "generic")
-    M = standard_torus(spec)
-    rows = [[render_exponents(spec.lattice, s.as_monomial()) for s in row] for row in M.entries]
-    assert rows == [
+    assert _rendered(spec, standard_torus(spec)) == [
         ["1", "1", "q1", "p2"],
         ["1", "1", "q1", "q2"],
         ["q1^-1", "q1^-1", "1", "g12"],
@@ -120,53 +106,34 @@ def test_standard_torus_generic_n2():
 
 
 def test_standard_torus_generic_p1_n2():
-    M = standard_torus(build_spec(2, "generic-p1"))
-    lat = M.lattice
-    assert M.entries[0][3] == lat.one()  # the p_2 slot collapses to 1
-    assert M.entries[3][0] == lat.one()
-    assert M.entries[1][3] == lat.symbol("q2")
+    spec = build_spec(2, "generic-p1")
+    rows = _rendered(spec, standard_torus(spec))
+    assert rows[0][3] == "1"  # the p_2 slot collapses to 1
+    assert rows[3][0] == "1"
+    assert rows[1][3] == "q2"
 
 
 def test_standard_torus_symplectic_n1():
     spec = build_spec(1, "symplectic")
-    M = standard_torus(spec)
-    assert M.entries[0][1] == spec.lattice.monomial({"q": -2})
+    assert _rendered(spec, standard_torus(spec))[0][1] == "q^-2"
 
 
 def test_all_y_choice_is_standard():
     spec = build_spec(2, "generic")
     assert localized_torus(spec, ("y", "y")) == standard_torus(spec)
+    assert localized_torus(spec, ("x", "y")) != standard_torus(spec)
 
 
 def test_all_x_choice_n1():
     spec = build_spec(1, "generic")
-    M = localized_torus(spec, ("x",))
-    assert M.entries[0][1] == spec.lattice.monomial({"q1": -1})
+    assert _rendered(spec, localized_torus(spec, ("x",)))[0][1] == "q1^-1"
 
 
 def test_mixed_choice_entry():
     # v1 = x1, v2 = y2: the (v1, v2) entry comes from x1 y2 = p2 g12^-1 y2 x1
     spec = build_spec(2, "generic")
-    M = localized_torus(spec, ("x", "y"))
-    assert M.entries[2][3] == spec.lattice.monomial({"p2": 1, "g12": -1})
+    assert _rendered(spec, localized_torus(spec, ("x", "y")))[2][3] == "p2*g12^-1"
     assert torus_generator_labels(spec, ("x", "y")) == ["z1", "z2", "x1", "y2"]
-
-
-def test_matrix_validation():
-    lat = ParameterLattice(["a"])
-    a = lat.symbol("a")
-    with pytest.raises(ValueError):
-        CommutationMatrix(lat, [[lat.one(), a], [a, lat.one()]])  # not antisymmetric
-    with pytest.raises(ValueError):
-        CommutationMatrix(lat, [[a]])  # diagonal != 1
-    with pytest.raises(ValueError):
-        CommutationMatrix(lat, [[lat.one(), a + a], [(a + a).inverse(), lat.one()]])
-
-
-def test_matrix_json():
-    spec = build_spec(1, "generic")
-    data = standard_torus(spec).to_json()
-    assert data == {"m": 2, "entries": [["1", "q1"], ["q1^-1", "1"]]}
 
 
 def test_choice_validation():
@@ -193,3 +160,43 @@ def test_theta_check_counts_relations():
     checks = check_torus_isomorphism(spec, ("x", "y"))
     assert len(checks) == 6  # C(4, 2) generator pairs
     assert all_ok(checks)
+
+
+def test_theta_fails_on_corrupted_pairing(monkeypatch):
+    # negate one nonzero pair of the localized torus; exactly the checks whose
+    # theta-images meet that pair must fail
+    spec = build_spec(2, "generic")
+    choice = ("x", "y")
+    # theta on z1, z2, y1, y2 in the basis z1, z2, x1, y2: y1 -> z1 x1^-1
+    images = {
+        "z1": (1, 0, 0, 0),
+        "z2": (0, 1, 0, 0),
+        "y1": (1, 0, -1, 0),
+        "y2": (0, 0, 0, 1),
+    }
+    real = torus.localized_torus
+    original = real(spec, choice)
+    pairs = [
+        (a, b)
+        for a, b in itertools.combinations(range(original.m), 2)
+        if any(original.entries[a][b])
+    ]
+    assert len(pairs) >= 4
+    for a, b in pairs:
+        entries = [list(row) for row in original.entries]
+        entries[a][b], entries[b][a] = entries[b][a], entries[a][b]
+        corrupted = ExponentPairing(original.m, original.k, entries)
+        monkeypatch.setattr(
+            torus,
+            "localized_torus",
+            lambda s, ch, bad=corrupted: bad if tuple(ch) == choice else real(s, ch),
+        )
+        failed = {c.name for c in check_torus_isomorphism(spec, choice) if not c.ok}
+        monkeypatch.undo()
+        expected = {
+            f"theta[xy]({s},{t})"
+            for s, t in itertools.combinations(images, 2)
+            if images[s][a] * images[t][b] - images[s][b] * images[t][a]
+        }
+        assert expected
+        assert failed == expected, (a, b)
