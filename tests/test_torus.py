@@ -55,6 +55,10 @@ def _rendered(spec, E):
     return [[render_exponents(spec.lattice, v) for v in row] for row in E.entries]
 
 
+def _neg(v):
+    return tuple(-x for x in v)
+
+
 def _unit(m, i):
     e = [0] * m
     e[i] = 1
@@ -134,6 +138,21 @@ def test_mixed_choice_entry():
     spec = build_spec(2, "generic")
     assert _rendered(spec, localized_torus(spec, ("x", "y")))[2][3] == "p2*g12^-1"
     assert torus_generator_labels(spec, ("x", "y")) == ["z1", "z2", "x1", "y2"]
+
+
+def test_matrix_validation():
+    E = standard_torus(build_spec(1, "generic"))
+    a = E.entries[0][1]
+    zero = E.entries[0][0]
+    assert a != zero
+    with pytest.raises(ValueError):
+        ExponentPairing(2, E.k, [[zero, a], [a, zero]])  # not alternating
+    with pytest.raises(ValueError):
+        ExponentPairing(1, E.k, [[a]])  # diagonal entry must vanish
+    double = tuple(2 * x for x in a)
+    with pytest.raises(ValueError):
+        ExponentPairing(2, E.k, [[zero, double], [_neg(a), zero]])
+    assert ExponentPairing(2, E.k, [[zero, a], [_neg(a), zero]]) == E
 
 
 def test_choice_validation():
