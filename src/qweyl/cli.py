@@ -183,7 +183,10 @@ def _cmd_growth(spec, args, height):
         n_steps = int(args[0])
     except ValueError as exc:
         raise UsageError(f"growth argument must be an integer: {args[0]!r}") from exc
-    rep = pbw.growth_count(spec, n_steps)
+    try:
+        rep = pbw.growth_count(spec, n_steps)
+    except ValueError as exc:  # N < 1, or a BudgetError past the size gate
+        raise UsageError(str(exc)) from exc
     values = {
         "growth_counts": rep.counts,
         "growth_exponent": rep.exponent,
@@ -229,15 +232,17 @@ def _cmd_report(spec, args, height, budget=None, started=None):
         checks.append(_skip("skew-suite", "budget exhausted"))
     else:
         checks.extend(_skew_suite(spec, max_k=3))
-    if spec.n > 2:
-        checks.append(_skip("growth", f"(2n)^N enumeration out of budget for n={spec.n}"))
-    elif over_budget():
+    if over_budget():
         checks.append(_skip("growth", "budget exhausted"))
     else:
-        rep = pbw.growth_count(spec, 4)
-        values["growth_counts"] = rep.counts
-        values["growth_exponent"] = rep.exponent
-        values["growth_window"] = list(rep.window)
+        try:
+            rep = pbw.growth_count(spec, 4)
+        except pbw.BudgetError as exc:
+            checks.append(_skip("growth", str(exc)))
+        else:
+            values["growth_counts"] = rep.counts
+            values["growth_exponent"] = rep.exponent
+            values["growth_window"] = list(rep.window)
     dim_checks, dim_values = _cmd_bound(spec, [], height)
     checks.extend(dim_checks)
     values.update(dim_values)
@@ -265,6 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(config: dict, command: str, args=(), height: int = 3, budget=None) -> Report:
     """Execute one command against a parsed config; raises ConfigError/UsageError."""
+    if height < 1:
+        raise UsageError(f"--height must be at least 1, got {height}")
     spec = spec_from_config(config)
     started = time.perf_counter()
     handlers = {

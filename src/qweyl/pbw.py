@@ -1,20 +1,36 @@
 """Normal-form engine on the ordered-monomial basis.
 
 Elements are finite maps from exponent tuples (a1, b1, ..., an, bn) to
-nonzero scalars, a_i on y_i and b_i on x_i.  Words multiply by repeatedly
-rewriting the leftmost adjacent out-of-order generator pair with the rule
-table from qweyl.presentation; pure swaps strictly decrease the inversion
-count, and the inhomogeneous (x_i, y_i) rule swaps the pair while adding
-terms in strictly lower generators only, so rewriting terminates.
+nonzero scalars, a_i on y_i and b_i on x_i.  A word is brought to normal
+form by a left fold: starting from the unit, the running element is
+multiplied by one generator at a time and like terms are merged after every
+step, so the work follows the size of the answer rather than the number of
+rewrite paths.  The product m*g of an ordered monomial and a generator is an
+append when g is not below the last occupied slot h of m; otherwise
+m = m'*h, and m*g is the sum of c*((m'*a)*b) over the rule h*g -> sum c*a*b
+of the table in qweyl.presentation.  These products are memoized in a dict
+that lives for one call of normal_form, multiply or growth_count, and unit
+coefficients are carried as None so that appends cost no scalar product.
+
+The recursion terminates.  Order words by length, then by their multiset
+of generators (compared largest first), then by inversion count.
+Pure swaps keep the multiset and remove one inversion, and the
+inhomogeneous (x_i, y_i) rule adds terms in strictly lower generators only,
+so every rule lowers a word, and the order is compatible with
+concatenation.  The word of each recursive product m'*a is shorter than
+that of m*g, and the word of each (r, b) with r a term of m'*a is at most
+m'*a*b, which is below m*g = m'*h*g.  Words of one length are finitely many,
+so every chain of products ends.
 
 Confluence is not proved from critical pairs; it is validated by the
-associativity fuzz in the test suite and by the growth counts matching the
-full binomial dimension of the degree filtration.
+associativity fuzz in the test suite, by the comparison of the fold with a
+word rewriter in the tests and by the growth counts matching the full
+binomial dimension of the degree filtration.
 """
 
 from __future__ import annotations
 
-import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -26,8 +42,13 @@ Monomial = tuple[int, ...]
 Word = tuple[int, ...]
 
 
+# Largest span binom(N + 2n, 2n) that growth_count will build; the largest
+# admitted inputs take about 2 s on a 2-vCPU VM.
+GROWTH_MAX_MONOMIALS = 10_000
+
+
 class BudgetError(ValueError):
-    """Raised when an enumeration would exceed the desk-scale budget."""
+    """Raised when a computation would exceed the desk-scale budget."""
 
 
 class PBWElement:
@@ -109,42 +130,114 @@ def parse_word(spec: AlgebraSpec, text: str) -> Word:
 
 
 def normal_form(spec: AlgebraSpec, word) -> PBWElement:
-    """Rewrite a word (tuple of slots, or a string) to the ordered basis."""
+    """Fold a word (tuple of slots, or a string) into the ordered basis."""
     if isinstance(word, str):
         word = parse_word(spec, word)
-    table = rule_table(spec)
-    out: dict[Monomial, Scalar] = {}
-    stack: list[tuple[Scalar, Word]] = [(spec.lattice.one(), tuple(word))]
-    while stack:
-        coeff, w = stack.pop()
-        for idx in range(len(w) - 1):
-            if w[idx] > w[idx + 1]:
-                head, tail = w[:idx], w[idx + 2:]
-                for c, repl in table[(w[idx], w[idx + 1])]:
-                    stack.append((coeff * c, head + repl + tail))
-                break
-        else:
-            mono = word_monomial(spec, w)
-            acc = out.get(mono)
-            out[mono] = coeff if acc is None else acc + coeff
-    return PBWElement(spec.n, out)
-
-
-def _mono_product(spec: AlgebraSpec, a: Monomial, b: Monomial) -> PBWElement:
-    cached = spec._mono_cache.get((a, b))
-    if cached is None:
-        cached = normal_form(spec, monomial_word(a) + monomial_word(b))
-        spec._mono_cache[(a, b)] = cached
-    return cached
+    products = _Products(spec)
+    acc: _Terms = {(0,) * (2 * spec.n): None}
+    for g in word:
+        acc = products.fold(acc, g)
+    return products.element(acc)
 
 
 def multiply(spec: AlgebraSpec, f: PBWElement, g: PBWElement) -> PBWElement:
     """Bilinear extension of word concatenation + normal form."""
-    out = PBWElement(spec.n, {})
-    for ma, ca in f.terms.items():
-        for mb, cb in g.terms.items():
-            out = out + _mono_product(spec, ma, mb).scale(ca * cb)
-    return out
+    products = _Products(spec)
+    left = {m: _unit_or(c) for m, c in f.terms.items()}
+    out: _Terms = {}
+    for mono, coeff in g.terms.items():
+        acc = left
+        for gen in monomial_word(mono):
+            acc = products.fold(acc, gen)
+        coeff = _unit_or(coeff)
+        for m, c in acc.items():
+            products.add(out, m, _mul(c, coeff))
+    return products.element(out)
+
+
+# Coefficients inside the fold: None stands for the unit, so appends and unit
+# factors never reach Scalar.__mul__.
+_Coeff = Scalar | None
+_Terms = dict[Monomial, _Coeff]
+
+
+def _unit_or(c: Scalar) -> _Coeff:
+    """None when c is visibly 1 (equal numerator and denominator), else c."""
+    return None if c.num.terms == c.den.terms else c
+
+
+def _mul(a: _Coeff, b: _Coeff) -> _Coeff:
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return a * b
+
+
+class _Products:
+    """Products m*g of ordered monomials by one generator, memoized for one call."""
+
+    def __init__(self, spec: AlgebraSpec):
+        self.n = spec.n
+        self.one = spec.lattice.one()
+        self.table = rule_table(spec)
+        self.memo: dict[tuple[Monomial, int], _Terms] = {}
+
+    def add(self, out: _Terms, m: Monomial, c: _Coeff) -> None:
+        """out[m] += c, dropping the entry if it cancels."""
+        if m not in out:
+            out[m] = c
+            return
+        total = (self.one if out[m] is None else out[m]) + (self.one if c is None else c)
+        if total.is_zero():
+            del out[m]
+        else:
+            out[m] = total
+
+    def fold(self, acc: _Terms, g: int) -> _Terms:
+        """The element acc*g, merging like terms."""
+        out: _Terms = {}
+        for m, c in acc.items():
+            for r, cr in self.times(m, g).items():
+                self.add(out, r, _mul(c, cr))
+        return out
+
+    def times(self, m: Monomial, g: int) -> _Terms:
+        """m*g: an append when g is not below the last occupied slot h of m,
+        otherwise sum c*((m'*a)*b) over the rule h*g -> sum c*a*b, m = m'*h.
+
+        The first term of every rule is c*g*h, so m'*g recurses down m one
+        letter at a time.  That chain runs as a loop, down to an append or a
+        memo hit and back up; only the other terms of the (x_i, y_i) rules
+        recurse, so the call depth grows with n, not with the word length.
+        """
+        chain = []
+        while True:
+            h = len(m) - 1
+            while h >= 0 and not m[h]:
+                h -= 1
+            if h <= g:
+                out = {m[:g] + (m[g] + 1,) + m[g + 1:]: None}
+                break
+            out = self.memo.get((m, g))
+            if out is not None:
+                break
+            chain.append((m, h))
+            m = m[:h] + (m[h] - 1,) + m[h + 1:]
+        for upper, h in reversed(chain):
+            below, out = out, {}
+            for c, (a, b) in self.table[(h, g)]:
+                c = _unit_or(c)
+                for r, cr in (below if a == g else self.times(m, a)).items():
+                    cr = _mul(c, cr)
+                    for s, cs in self.times(r, b).items():
+                        self.add(out, s, _mul(cr, cs))
+            self.memo[(upper, g)] = out
+            m = upper
+        return out
+
+    def element(self, terms: _Terms) -> PBWElement:
+        return PBWElement(self.n, {m: self.one if c is None else c for m, c in terms.items()})
 
 
 # -- identity verification ---------------------------------------------------
@@ -279,22 +372,39 @@ def growth_count(spec: AlgebraSpec, N: int) -> GrowthReport:
     """Dimension of the span of normal forms of all words of length <= m.
 
     Every ordered word is its own normal form, so collecting the monomial
-    supports of all normal forms gives the span dimension exactly.  The
-    fitted exponent is the discrete log-derivative m*(c_m - c_{m-1})/c_{m-1}
-    averaged over the top window, which recovers the polynomial degree of
-    binomial-type counts exactly.
+    supports of all normal forms gives the span dimension exactly.  They are
+    collected by frontier: F_m = F_{m-1} + supp(D_{m-1} * V) with D_{m-1} =
+    F_{m-1} - F_{m-2} and V the generators, because the rest of F_{m-1} was
+    multiplied by V one step earlier.  Raises BudgetError when the span
+    binom(N + 2n, 2n) exceeds GROWTH_MAX_MONOMIALS.
+
+    The fitted exponent is the discrete log-derivative
+    m*(c_m - c_{m-1})/c_{m-1} averaged over the top window, which recovers
+    the polynomial degree of binomial-type counts exactly.
     """
     if N < 1:
         raise ValueError("N must be positive")
-    if spec.n > 2 or N > 8:
-        raise BudgetError(f"(2n)^N enumeration out of budget for n={spec.n}, N={N}")
-    alphabet = range(2 * spec.n)
-    supports: set[Monomial] = {(0,) * (2 * spec.n)}
+    size = 2 * spec.n
+    span = math.comb(N + size, size)
+    if span > GROWTH_MAX_MONOMIALS:
+        raise BudgetError(
+            f"growth to N={N} at n={spec.n} spans {span} monomials, "
+            f"over the limit of {GROWTH_MAX_MONOMIALS}"
+        )
+    products = _Products(spec)
+    frontier: list[Monomial] = [(0,) * size]
+    supports = set(frontier)
     counts = [1]
-    for m in range(1, N + 1):
-        for word in itertools.product(alphabet, repeat=m):
-            supports.update(normal_form(spec, word).terms.keys())
+    for _ in range(N):
+        fresh = []
+        for m in frontier:
+            for g in range(size):
+                for r in products.times(m, g):
+                    if r not in supports:
+                        supports.add(r)
+                        fresh.append(r)
         counts.append(len(supports))
+        frontier = fresh
     lo = max(1, N - 2)
     estimates = [
         Fraction(m * (counts[m] - counts[m - 1]), counts[m - 1]) for m in range(lo, N + 1)

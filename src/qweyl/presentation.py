@@ -67,9 +67,7 @@ class AlgebraSpec:
         self.gamma = tuple(tuple(row) for row in gamma)
         self.q_value = q_value
         _validate(self)
-        # engine caches, populated lazily by qweyl.pbw
         self._rule_table: dict | None = None
-        self._mono_cache: dict = {}
 
     # -- generator bookkeeping ---------------------------------------------
 

@@ -1,9 +1,11 @@
 """Command-line driver: commands, exit codes, report schema round-trip."""
 
 import json
+import math
 
 import pytest
 
+from qweyl import pbw
 from qweyl.cli import Report, main, run, verify_ambiskew
 from qweyl.presentation import build_spec
 from qweyl.reporting import all_ok
@@ -71,11 +73,25 @@ def test_report_round_trip():
     assert recovered == rep
 
 
-def test_report_skips_growth_for_large_n():
+def test_report_skips_growth_for_large_n(monkeypatch):
+    # n is large when binom(4 + 2n, 2n) passes the growth gate; lower the
+    # gate below binom(10, 6) = 210 so that n = 3 counts as large
+    monkeypatch.setattr(pbw, "GROWTH_MAX_MONOMIALS", 209)
     rep = run({"n": 3, "kind": "generic"}, "report")
     assert rep.ok
     skipped = [c for c in rep.checks if c["status"] == "skipped"]
-    assert any(c["name"] == "growth" for c in skipped)
+    assert [c["name"] for c in skipped] == ["growth"]
+    assert "210 monomials" in skipped[0]["detail"]
+    assert "growth_counts" not in rep.values
+
+
+def test_report_includes_growth_past_n2():
+    for n in (3, 4):
+        rep = run({"n": n, "kind": "generic"}, "report")
+        assert rep.ok
+        assert not [c for c in rep.checks if c["status"] == "skipped"]
+        assert rep.values["growth_counts"] == [math.comb(m + 2 * n, 2 * n) for m in range(5)]
+        assert rep.values["growth_window"] == [2, 4]
 
 
 def test_main_exit_codes(tmp_path, capsys):
@@ -106,8 +122,17 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["--config", ok_cfg, "--command", "nf"]) == 2  # missing word arg
     assert "usage error" in capsys.readouterr().err
 
-    assert main(["--config", ok_cfg, "--command", "growth", "--args", "99"]) == 1
-    capsys.readouterr()
+    assert main(["--config", ok_cfg, "--command", "growth", "--args", "99"]) == 2
+    assert "usage error" in capsys.readouterr().err
+    n4_cfg = _write(tmp_path, {"n": 4, "kind": "generic-p1"}, "n4.json")
+    assert main(["--config", n4_cfg, "--command", "growth", "--args", "9"]) == 2
+    assert "over the limit" in capsys.readouterr().err
+    assert main(["--config", ok_cfg, "--command", "growth", "--args", "0"]) == 2
+    assert "N must be positive" in capsys.readouterr().err
+
+    for command in ("dim", "bound", "report"):
+        assert main(["--config", ok_cfg, "--command", command, "--height", "0"]) == 2
+        assert "--height" in capsys.readouterr().err
 
 
 def test_main_rejects_unknown_command(tmp_path, capsys):

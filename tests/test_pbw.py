@@ -5,8 +5,11 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qweyl.pbw import (
+    GROWTH_MAX_MONOMIALS,
     BudgetError,
     PBWElement,
     generator,
@@ -19,11 +22,108 @@ from qweyl.pbw import (
     unit,
     verify_normality,
     verify_relations,
+    word_monomial,
 )
-from qweyl.presentation import build_spec, casimir
+from qweyl.presentation import build_spec, casimir, rule_table
 from qweyl.reporting import all_ok
 
 GEN2 = build_spec(2, "generic")
+PRESET_KINDS = ("generic", "generic-p1", "generic-q1", "symplectic", "euclidean",
+                "heisenberg", "graded-weyl")
+
+
+def _rewrite_word(spec, word):
+    """Oracle: rewrite the leftmost out-of-order pair, one stack entry per path.
+
+    Slow (exponential in the x_i..y_i pairs) but independent of the fold,
+    the product memo and the unit short-cut.
+    """
+    table = rule_table(spec)
+    out = {}
+    stack = [(spec.lattice.one(), tuple(word))]
+    while stack:
+        coeff, w = stack.pop()
+        for idx in range(len(w) - 1):
+            if w[idx] > w[idx + 1]:
+                head, tail = w[:idx], w[idx + 2:]
+                for c, repl in table[(w[idx], w[idx + 1])]:
+                    stack.append((coeff * c, head + repl + tail))
+                break
+        else:
+            mono = word_monomial(spec, w)
+            acc = out.get(mono)
+            out[mono] = coeff if acc is None else acc + coeff
+    return PBWElement(spec.n, out)
+
+
+@pytest.mark.parametrize("kind", PRESET_KINDS)
+def test_normal_form_matches_rewriter_on_all_short_words(kind):
+    for n, max_length in ((2, 5), (3, 4)):
+        spec = build_spec(n, kind)
+        for length in range(max_length + 1):
+            for word in itertools.product(range(2 * n), repeat=length):
+                assert normal_form(spec, word) == _rewrite_word(spec, word), (n, word)
+
+
+@pytest.mark.parametrize("kind", PRESET_KINDS)
+def test_normal_form_matches_rewriter_on_powers(kind):
+    spec = build_spec(3, kind)
+    for i in range(1, 4):
+        for a in range(4):
+            for b in range(4):
+                word = (spec.x_index(i),) * a + (spec.y_index(i),) * b
+                assert normal_form(spec, word) == _rewrite_word(spec, word), (i, a, b)
+
+
+def test_long_words_keep_a_shallow_stack():
+    # the fold's call depth must not grow with the word: 1500 letters is
+    # past the interpreter's default recursion limit
+    x2, y1 = GEN2.x_index(2), GEN2.y_index(1)
+    (c, _), = rule_table(GEN2)[(x2, y1)]
+    f = normal_form(GEN2, (x2,) * 1500 + (y1,))
+    assert f == PBWElement(2, {(1, 0, 0, 1500): c**1500})
+
+
+@st.composite
+def _custom_spec_and_words(draw):
+    """A random valid custom spec and two words whose concatenation has length <= 6."""
+    n = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 3))
+    exps = st.lists(st.integers(-2, 2), min_size=k, max_size=k)
+
+    def mono(e):
+        return "*".join(f"s{c}^{v}" for c, v in enumerate(e) if v) or "1"
+
+    q = [draw(exps) for _ in range(n)]
+    # p_i / q_i must be a nontrivial monomial
+    delta = [draw(exps) for _ in range(n)]
+    for d in delta:
+        if not any(d):
+            d[0] = 1
+    gamma = [["1"] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            g = draw(exps)
+            gamma[i][j], gamma[j][i] = mono(g), mono([-v for v in g])
+    custom = {
+        "symbols": [f"s{c}" for c in range(k)],
+        "q": [mono(e) for e in q],
+        "p": [mono([a + b for a, b in zip(e, d)]) for e, d in zip(q, delta)],
+        "gamma": gamma,
+    }
+    word = draw(st.lists(st.integers(0, 2 * n - 1), max_size=6))
+    cut = draw(st.integers(0, len(word)))
+    return build_spec(n, "custom", custom=custom), tuple(word), cut
+
+
+@settings(max_examples=60, deadline=None)
+@given(_custom_spec_and_words())
+def test_fold_matches_rewriter_on_random_custom_specs(case):
+    spec, word, cut = case
+    expected = _rewrite_word(spec, word)
+    assert normal_form(spec, word) == expected
+    left, right = normal_form(spec, word[:cut]), normal_form(spec, word[cut:])
+    assert multiply(spec, left, right) == expected
 
 
 def test_normal_form_examples():
@@ -180,10 +280,13 @@ def test_growth_n2_snapshot():
 
 
 def test_growth_budget_errors():
+    # the gate bounds the span binom(N + 2n, 2n), not n or N on their own
+    rep = growth_count(build_spec(3, "generic"), 6)
+    assert rep.counts == [math.comb(m + 6, 6) for m in range(7)]
+    assert growth_count(GEN2, 9).counts[9] == math.comb(13, 4)
+    assert math.comb(9 + 8, 8) > GROWTH_MAX_MONOMIALS
     with pytest.raises(BudgetError):
-        growth_count(build_spec(3, "generic"), 2)
-    with pytest.raises(BudgetError):
-        growth_count(GEN2, 9)
+        growth_count(build_spec(4, "generic"), 9)
     with pytest.raises(ValueError):
         growth_count(GEN2, 0)
 
