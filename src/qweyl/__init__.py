@@ -46,7 +46,7 @@ from .presentation import (
     spec_from_config,
     spec_to_config,
 )
-from .scalars import LaurentPoly, ParameterLattice, Scalar, parse_monomial
+from .scalars import ParameterLattice, Scalar, parse_monomial
 from .torus import (
     ExponentPairing,
     check_torus_isomorphism,

@@ -1,16 +1,21 @@
 """Normal-form engine on the ordered-monomial basis.
 
 Elements are finite maps from exponent tuples (a1, b1, ..., an, bn) to
-nonzero scalars, a_i on y_i and b_i on x_i.  A word is brought to normal
-form by a left fold: starting from the unit, the running element is
-multiplied by one generator at a time and like terms are merged after every
-step, so the work follows the size of the answer rather than the number of
-rewrite paths.  The product m*g of an ordered monomial and a generator is an
-append when g is not below the last occupied slot h of m; otherwise
-m = m'*h, and m*g is the sum of c*((m'*a)*b) over the rule h*g -> sum c*a*b
-of the table in qweyl.presentation.  These products are memoized in a dict
-that lives for one call of normal_form, multiply or growth_count, and unit
-coefficients are carried as None so that appends cost no scalar product.
+nonzero scalars, a_i on y_i and b_i on x_i.  The scalars are integer
+Laurent polynomials in the parameters (qweyl.scalars), and nothing here
+divides by a non-unit: the skew power formulas write their coefficient
+(q^k - p^k)/(q - p) as the geometric sum of q^j p^(k-1-j) over j < k.
+
+A word is brought to normal form by a left fold: starting from the unit,
+the running element is multiplied by one generator at a time and like
+terms are merged after every step, so the work follows the size of the
+answer rather than the number of rewrite paths.  The product m*g of an
+ordered monomial and a generator is an append when g is not below the last
+occupied slot h of m; otherwise m = m'*h, and m*g is the sum of
+c*((m'*a)*b) over the rule h*g -> sum c*a*b of the table in
+qweyl.presentation.  These products are memoized in a dict that lives for
+one call of normal_form, multiply or growth_count, and unit coefficients
+are carried as None so that appends cost no scalar product.
 
 The recursion terminates.  Order words by length, then by their multiset
 of generators (compared largest first), then by inversion count.
@@ -162,8 +167,8 @@ _Terms = dict[Monomial, _Coeff]
 
 
 def _unit_or(c: Scalar) -> _Coeff:
-    """None when c is visibly 1 (equal numerator and denominator), else c."""
-    return None if c.num.terms == c.den.terms else c
+    """None when c is 1, else c."""
+    return None if c.is_one() else c
 
 
 def _mul(a: _Coeff, b: _Coeff) -> _Coeff:
@@ -344,7 +349,8 @@ def skew_power_identity(spec: AlgebraSpec, i: int, k: int, form: str) -> Check:
         return Check(f"skew-base(k={k})", ok, "x1 y1^k and x1^k y1 pure q-powers")
 
     pi = spec.p[i - 1]
-    coeff = (qi**k - pi**k) / (qi - pi)
+    # (q^k - p^k)/(q - p) as the geometric sum, which stays in the ring
+    coeff = sum((qi**j * pi ** (k - 1 - j) for j in range(k)), spec.lattice.zero())
     zprev = casimir(spec, i - 1)
     if form == "xk_y":
         lhs = normal_form(spec, (xi,) * k + (yi,))

@@ -101,10 +101,6 @@ class AlgebraSpec:
 
 def _validate(spec: AlgebraSpec) -> None:
     n = spec.n
-    if n < 1:
-        raise ConfigError("n", f"must be a positive integer, got {n}")
-    if spec.kind not in KINDS:
-        raise ConfigError("kind", f"unknown kind {spec.kind!r}")
     if len(spec.q) != n or len(spec.p) != n:
         raise ConfigError("q/p", "need exactly n entries")
     if len(spec.gamma) != n or any(len(row) != n for row in spec.gamma):
@@ -311,13 +307,16 @@ class AmbiskewStep:
 
     alpha/beta multipliers are indexed by generator slot 0..2m-1; beta is
     derived multiplierwise as (conjugation by the normal element) * alpha^{-1}.
+    The normal element u = z_m / c with c = p_{m+1} - q_{m+1} is not a unit of
+    the coefficient ring, so it is carried as the pair (z, c).
     """
 
     m: int
     rho: Scalar
     alpha: tuple[Scalar, ...]
     beta: tuple[Scalar, ...]
-    u: "object"  # PBWElement, scaled Casimir z_m / (p_{m+1} - q_{m+1})
+    z: "object"  # PBWElement, the Casimir element z_m
+    c: Scalar
 
     def alpha_on_x(self, i: int) -> Scalar:
         return self.alpha[2 * (i - 1) + 1]
@@ -346,8 +345,8 @@ def ambiskew_step(spec: AlgebraSpec, m: int) -> AmbiskewStep:
         # conjugation by z_m scales y_i by q_i and x_i by q_i^{-1} (i <= m)
         alpha += [a_y, a_x]
         beta += [q[i - 1] / a_y, q[i - 1].inverse() / a_x]
-    u = casimir(spec, m).scale((p[m] - q[m]).inverse())
-    return AmbiskewStep(m=m, rho=rho, alpha=tuple(alpha), beta=tuple(beta), u=u)
+    return AmbiskewStep(m=m, rho=rho, alpha=tuple(alpha), beta=tuple(beta),
+                        z=casimir(spec, m), c=p[m] - q[m])
 
 
 # -- config (de)serialization ------------------------------------------------

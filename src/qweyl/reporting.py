@@ -7,13 +7,20 @@ from dataclasses import dataclass
 
 @dataclass
 class Check:
+    """One named check; ok is None when it was skipped."""
+
     name: str
-    ok: bool
+    ok: bool | None
     detail: str = ""
 
     @property
     def status(self) -> str:
+        if self.ok is None:
+            return "skipped"
         return "pass" if self.ok else "fail"
+
+    def to_json(self) -> dict:
+        return {"name": self.name, "status": self.status, "detail": self.detail}
 
 
 def all_ok(checks) -> bool:

@@ -1,27 +1,26 @@
-"""Exact scalar arithmetic for the coefficient field.
+"""Exact scalar arithmetic for the coefficient ring.
 
-Coefficients live in the field of rational functions over Q in a fixed
-tuple of parameter symbols, with every symbol invertible (Laurent).  A
-sparse Laurent polynomial maps integer exponent vectors to nonzero
-Fractions; a Scalar is a pair of such polynomials num/den.
+Coefficients live in the ring Z[s^±1] of Laurent polynomials with integer
+coefficients in a fixed tuple of parameter symbols s.  Every rewrite
+coefficient of the algebras is a parameter monomial or a difference
+q_l - p_l, so normal forms never leave this ring.  A Scalar maps integer
+exponent vectors to nonzero ints; the dict is canonical, so equality is
+dict equality.
 
 Generic parameters are a free abelian group on the symbols: a monomial is
 just its exponent vector, so multiplicative independence (no parameter a
-root of unity, no hidden relations) is encoded exactly.  Fractions are not
-reduced by multivariate GCD; normalization extracts monomial content from
-the denominator and scales it monic, and equality is decided by
-cross-multiplication of the (canonical, zero-free) term dicts.
+root of unity, no hidden relations) is encoded exactly.  The units of the
+ring are the monomials with coefficient ±1, and only they can be inverted
+or divided by.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 Exponents = tuple[int, ...]
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 class LatticeMismatchError(ValueError):
@@ -29,7 +28,7 @@ class LatticeMismatchError(ValueError):
 
 
 class SpecializationError(ValueError):
-    """Raised when a substitution makes a denominator vanish."""
+    """Raised when a substitution lacks a symbol or sends one to zero."""
 
 
 class ParameterLattice:
@@ -63,18 +62,14 @@ class ParameterLattice:
         return (0,) * self.k
 
     def zero(self) -> "Scalar":
-        return Scalar(LaurentPoly(self, {}), self.poly_one(), _normalized=True)
+        return Scalar(self, {})
 
     def one(self) -> "Scalar":
-        return self.monomial({})
+        return Scalar(self, {self.zero_exponents(): 1})
 
-    def rational(self, value) -> "Scalar":
-        c = Fraction(value)
-        num = LaurentPoly(self, {self.zero_exponents(): c} if c else {})
-        return Scalar(num, self.poly_one(), _normalized=True)
-
-    def poly_one(self) -> "LaurentPoly":
-        return LaurentPoly(self, {self.zero_exponents(): _ONE})
+    def rational(self, value: int) -> "Scalar":
+        """The constant `value`, which must be an integer (TypeError otherwise)."""
+        return Scalar(self, {self.zero_exponents(): operator.index(value)})
 
     def symbol(self, name: str) -> "Scalar":
         return self.monomial({name: 1})
@@ -86,174 +81,66 @@ class ParameterLattice:
             if name not in self.index:
                 raise KeyError(f"unknown parameter symbol {name!r}")
             exps[self.index[name]] = e
-        num = LaurentPoly(self, {tuple(exps): _ONE})
-        return Scalar(num, self.poly_one(), _normalized=True)
+        return Scalar(self, {tuple(exps): 1})
 
     def from_exponents(self, exps: Iterable[int]) -> "Scalar":
         v = tuple(exps)
         if len(v) != self.k:
             raise LatticeMismatchError(f"exponent vector length {len(v)} != {self.k}")
-        return Scalar(LaurentPoly(self, {v: _ONE}), self.poly_one(), _normalized=True)
+        return Scalar(self, {v: 1})
 
 
-class LaurentPoly:
-    """Sparse Laurent polynomial: exponent vector -> nonzero Fraction."""
+class Scalar:
+    """Sparse Laurent polynomial over Z: exponent vector -> nonzero int."""
 
     __slots__ = ("lattice", "terms")
 
-    def __init__(self, lattice: ParameterLattice, terms: Mapping[Exponents, Fraction]):
+    def __init__(self, lattice: ParameterLattice, terms: Mapping[Exponents, int]):
         self.lattice = lattice
         self.terms = {e: c for e, c in terms.items() if c}
 
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, LaurentPoly)
-            and self.lattice == other.lattice
-            and self.terms == other.terms
-        )
-
-    __hash__ = None
-
-    def __repr__(self) -> str:
-        return f"LaurentPoly({render_poly(self)})"
-
-    def _check(self, other: "LaurentPoly") -> None:
-        if self.lattice != other.lattice:
-            raise LatticeMismatchError("operands use different parameter lattices")
-
-    def add(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, _ZERO) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return LaurentPoly(self.lattice, out)
-
-    def neg(self) -> "LaurentPoly":
-        return LaurentPoly(self.lattice, {e: -c for e, c in self.terms.items()})
-
-    def sub(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self.add(other.neg())
-
-    def mul(self, other: "LaurentPoly") -> "LaurentPoly":
-        self._check(other)
-        out: dict[Exponents, Fraction] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
-                s = out.get(e, _ZERO) + ca * cb
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return LaurentPoly(self.lattice, out)
-
-    def scale(self, c: Fraction) -> "LaurentPoly":
-        if not c:
-            return LaurentPoly(self.lattice, {})
-        return LaurentPoly(self.lattice, {e: c * v for e, v in self.terms.items()})
-
-    def shift(self, delta: Exponents) -> "LaurentPoly":
-        """Multiply by the monomial with exponent vector delta."""
-        return LaurentPoly(
-            self.lattice,
-            {tuple(x + d for x, d in zip(e, delta)): c for e, c in self.terms.items()},
-        )
-
-    def content_exponents(self) -> Exponents:
-        """Componentwise minimum exponent over all terms (zero poly: zeros)."""
-        if not self.terms:
-            return self.lattice.zero_exponents()
-        mins = None
-        for e in self.terms:
-            mins = e if mins is None else tuple(map(min, mins, e))
-        return mins
-
-    def substitute(self, values: Mapping[str, Fraction]) -> Fraction:
-        """Evaluate at exact rational parameter values (all symbols required)."""
-        lat = self.lattice
-        vals = []
-        for s in lat.symbols:
-            if s not in values:
-                raise SpecializationError(f"no value supplied for symbol {s!r}")
-            v = Fraction(values[s])
-            if v == 0:
-                raise SpecializationError(f"symbol {s!r} specialized to zero")
-            vals.append(v)
-        total = _ZERO
-        for e, c in self.terms.items():
-            term = c
-            for v, p in zip(vals, e):
-                term *= v**p
-            total += term
-        return total
-
-
-class Scalar:
-    """Element of the fraction field: num / den with den != 0.
-
-    Equality is cross-multiplication; no multivariate GCD is performed.
-    """
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: LaurentPoly, den: LaurentPoly, _normalized: bool = False):
-        if num.lattice != den.lattice:
-            raise LatticeMismatchError("num/den use different parameter lattices")
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if not _normalized:
-            num, den = _normalize(num, den)
-        self.num = num
-        self.den = den
-
-    @property
-    def lattice(self) -> ParameterLattice:
-        return self.num.lattice
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
     def is_one(self) -> bool:
-        return self == self.lattice.one()
+        return len(self.terms) == 1 and self.terms.get(self.lattice.zero_exponents()) == 1
 
     def _check(self, other: "Scalar") -> None:
-        if self.lattice != other.lattice:
+        if self.lattice is not other.lattice and self.lattice != other.lattice:
             raise LatticeMismatchError("operands use different parameter lattices")
 
     def __add__(self, other: "Scalar") -> "Scalar":
         self._check(other)
-        if self.den == other.den:
-            return Scalar(self.num.add(other.num), self.den)
-        num = self.num.mul(other.den).add(other.num.mul(self.den))
-        return Scalar(num, self.den.mul(other.den))
+        out = dict(self.terms)
+        for e, c in other.terms.items():
+            out[e] = out.get(e, 0) + c
+        return Scalar(self.lattice, out)
 
     def __neg__(self) -> "Scalar":
-        return Scalar(self.num.neg(), self.den, _normalized=True)
+        return Scalar(self.lattice, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-other)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         self._check(other)
-        return Scalar(self.num.mul(other.num), self.den.mul(other.den))
-
-    def __truediv__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero scalar")
-        return Scalar(self.num.mul(other.den), self.den.mul(other.num))
+        out: dict[Exponents, int] = {}
+        for ea, ca in self.terms.items():
+            for eb, cb in other.terms.items():
+                e = tuple(x + y for x, y in zip(ea, eb))
+                out[e] = out.get(e, 0) + ca * cb
+        return Scalar(self.lattice, out)
 
     def inverse(self) -> "Scalar":
-        if self.is_zero():
-            raise ZeroDivisionError("inverse of the zero scalar")
-        return Scalar(self.den, self.num)
+        """Inverse of a unit (a monomial with coefficient ±1)."""
+        if len(self.terms) == 1:
+            (e, c), = self.terms.items()
+            if c in (1, -1):
+                return Scalar(self.lattice, {tuple(-x for x in e): c})
+        raise ZeroDivisionError(f"{render_scalar(self)} is not a unit of the ring")
+
+    def __truediv__(self, other: "Scalar") -> "Scalar":
+        return self * other.inverse()
 
     def __pow__(self, e: int) -> "Scalar":
         if e == 0:
@@ -268,7 +155,7 @@ class Scalar:
         if not isinstance(other, Scalar):
             return NotImplemented
         self._check(other)
-        return self.num.mul(other.den) == other.num.mul(self.den)
+        return self.terms == other.terms
 
     __hash__ = None
 
@@ -277,36 +164,28 @@ class Scalar:
 
     def as_monomial(self) -> Exponents | None:
         """Exponent vector if this is exactly 1 * monomial, else None."""
-        if len(self.num.terms) != 1 or len(self.den.terms) != 1:
+        if len(self.terms) != 1:
             return None
-        (en, cn), = self.num.terms.items()
-        (ed, cd), = self.den.terms.items()
-        if cn != cd:
-            return None
-        return tuple(a - b for a, b in zip(en, ed))
+        (e, c), = self.terms.items()
+        return e if c == 1 else None
 
     def substitute(self, values: Mapping[str, Fraction]) -> Fraction:
-        den = self.den.substitute(values)
-        if den == 0:
-            raise SpecializationError("denominator vanishes under this substitution")
-        return self.num.substitute(values) / den
-
-
-def _normalize(num: LaurentPoly, den: LaurentPoly) -> tuple[LaurentPoly, LaurentPoly]:
-    """Canonicalize: zero -> 0/1; strip den's monomial content; make den monic."""
-    if num.is_zero():
-        return num, num.lattice.poly_one()
-    content = den.content_exponents()
-    if any(content):
-        delta = tuple(-x for x in content)
-        num = num.shift(delta)
-        den = den.shift(delta)
-    lead = den.terms[max(den.terms)]
-    if lead != _ONE:
-        inv = 1 / lead
-        num = num.scale(inv)
-        den = den.scale(inv)
-    return num, den
+        """Evaluate at exact nonzero rational parameter values (all symbols required)."""
+        vals = []
+        for s in self.lattice.symbols:
+            if s not in values:
+                raise SpecializationError(f"no value supplied for symbol {s!r}")
+            v = Fraction(values[s])
+            if v == 0:
+                raise SpecializationError(f"symbol {s!r} specialized to zero")
+            vals.append(v)
+        total = Fraction(0)
+        for e, c in self.terms.items():
+            term = Fraction(c)
+            for v, p in zip(vals, e):
+                term *= v**p
+            total += term
+        return total
 
 
 # -- rendering and parsing of the external monomial-string format ----------
@@ -341,13 +220,13 @@ def parse_monomial(lattice: ParameterLattice, text: str) -> Scalar:
     return lattice.monomial(powers)
 
 
-def render_poly(p: LaurentPoly) -> str:
-    if not p.terms:
+def render_poly(s: Scalar) -> str:
+    if not s.terms:
         return "0"
     parts = []
-    for e in sorted(p.terms, reverse=True):
-        c = p.terms[e]
-        mono = render_exponents(p.lattice, e)
+    for e in sorted(s.terms, reverse=True):
+        c = s.terms[e]
+        mono = render_exponents(s.lattice, e)
         if mono == "1":
             body = str(abs(c))
         elif abs(c) == 1:
@@ -362,4 +241,5 @@ def render_poly(p: LaurentPoly) -> str:
 
 
 def render_scalar(s: Scalar) -> str:
-    return f"({render_poly(s.num)})/({render_poly(s.den)})"
+    """The "(poly)/(1)" shape of the report format; the denominator is always 1."""
+    return f"({render_poly(s)})/(1)"

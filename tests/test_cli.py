@@ -1,11 +1,12 @@
 """Command-line driver: commands, exit codes, report schema round-trip."""
 
+import dataclasses
 import json
 import math
 
 import pytest
 
-from qweyl import pbw
+from qweyl import cli, pbw
 from qweyl.cli import Report, main, run, verify_ambiskew
 from qweyl.presentation import build_spec
 from qweyl.reporting import all_ok
@@ -64,6 +65,51 @@ def test_verify_ambiskew_presets():
         spec = build_spec(3, kind)
         for m in (1, 2):
             assert all_ok(verify_ambiskew(spec, m))
+
+
+@pytest.mark.parametrize(
+    "field, failing",
+    [
+        ("alpha", {"ambiskew-alpha-u", "ambiskew-delta"}),
+        ("c", {"ambiskew-delta", "ambiskew-casimir"}),
+        ("rho", {"ambiskew-delta"}),
+        ("beta", {"ambiskew-beta"}),
+    ],
+)
+def test_ambiskew_checks_fail_on_corrupted_step(monkeypatch, field, failing):
+    # scale one entry of the step data by a parameter symbol; the checks that
+    # use it must fail and the others still pass
+    spec = build_spec(3, "generic")
+    original = cli.ambiskew_step
+
+    def corrupted(spec, m):
+        step = original(spec, m)
+        g = spec.lattice.symbol("g12")
+        value = getattr(step, field)
+        if isinstance(value, tuple):
+            value = (value[0] * g,) + value[1:]
+        else:
+            value = value * g
+        return dataclasses.replace(step, **{field: value})
+
+    monkeypatch.setattr(cli, "ambiskew_step", corrupted)
+    for m in (1, 2):
+        checks = verify_ambiskew(spec, m)
+        assert {c.name for c in checks if not c.ok} == {f"{name}({m})" for name in failing}
+
+
+def test_report_budget_cuts_the_torus_loop():
+    # with no time left, report skips all 2^n torus choices in one entry
+    rep = run({"n": 8, "kind": "generic"}, "report", budget=0)
+    skipped = {c["name"]: c["detail"] for c in rep.checks if c["status"] == "skipped"}
+    assert skipped["torus-isomorphism"] == "budget exhausted after 0 of 256 choices"
+    assert not [c for c in rep.checks if c["name"].startswith("theta[")]
+    assert rep.ok
+    # a budget that is never reached changes nothing
+    a = run({"n": 2, "kind": "generic"}, "report", budget=1e9).to_json()
+    b = run({"n": 2, "kind": "generic"}, "report").to_json()
+    a.pop("elapsed_ms"), b.pop("elapsed_ms")
+    assert a == b
 
 
 def test_report_round_trip():

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -232,13 +233,18 @@ def test_skew_base_case():
 
 
 def test_skew_coefficient_is_polynomial_quotient():
-    # oracle: (q^2 - p^2)/(q - p) equals q + p by cross multiplication
+    # oracle: the geometric sum times (q - p) is q^k - p^k, and it evaluates
+    # to the rational quotient (q^k - p^k)/(q - p)
     lat = GEN2.lattice
     q2, p2 = lat.symbol("q2"), lat.symbol("p2")
-    coeff = (q2**2 - p2**2) / (q2 - p2)
-    assert coeff == q2 + p2
-    assert skew_power_identity(GEN2, 2, 2, "xk_y").ok
-    assert skew_power_identity(GEN2, 2, 2, "x_yk").ok
+    values = {s: Fraction(2 + i, 3) for i, s in enumerate(lat.symbols)}
+    qv, pv = values["q2"], values["p2"]
+    for k in range(1, 5):
+        coeff = sum((q2**j * p2 ** (k - 1 - j) for j in range(k)), lat.zero())
+        assert coeff * (q2 - p2) == q2**k - p2**k
+        assert coeff.substitute(values) == (qv**k - pv**k) / (qv - pv)
+        assert skew_power_identity(GEN2, 2, k, "xk_y").ok
+        assert skew_power_identity(GEN2, 2, k, "x_yk").ok
 
 
 def test_skew_k1_reduces_to_defining_relation():

@@ -68,10 +68,12 @@ def test_gamma_antisymmetric_on_all_presets():
 
 
 def test_build_errors():
-    with pytest.raises(ConfigError):
-        build_spec(0, "generic")
-    with pytest.raises(ConfigError):
-        build_spec(2, "nonsense")
+    # n and kind are validated once, in build_spec, before any custom data
+    for n, kind, field in ((0, "generic", "n"), (2, "nonsense", "kind"), (0, "custom", "n")):
+        with pytest.raises(ConfigError) as err:
+            build_spec(n, kind)
+        assert err.value.field == field
+    assert err.value.message == "must be a positive integer, got 0"
     with pytest.raises(ConfigError):
         build_spec(2, "generic", q="2")  # no single parameter to specialize
     for bad in ("1", "-1", "0"):
@@ -163,9 +165,9 @@ def test_ambiskew_step_data():
     assert step.rho == lat.monomial({"q2": -1})
     assert step.alpha_on_x(1) == lat.monomial({"q1": -1, "p2": 1, "g12": -1})
     assert step.alpha_on_y(1) == lat.monomial({"q1": 1, "g12": 1})
-    # u is z_1 scaled by (p_2 - q_2)^{-1}
-    u_coeff = (lat.symbol("q1") - lat.symbol("p1")) / (lat.symbol("p2") - lat.symbol("q2"))
-    assert step.u == PBWElement(2, {(1, 1, 0, 0): u_coeff})
+    # u = z_1 / c is carried as z_1 = (q_1 - p_1) y_1 x_1 and c = p_2 - q_2
+    assert step.z == PBWElement(2, {(1, 1, 0, 0): lat.symbol("q1") - lat.symbol("p1")})
+    assert step.c == lat.symbol("p2") - lat.symbol("q2")
     with pytest.raises(ValueError):
         ambiskew_step(spec, 2)
 
@@ -195,17 +197,18 @@ def test_ambiskew_alpha_scales_casimir():
 
 
 def test_delta_is_scaled_casimir():
-    # u - rho*alpha(u) computed from step data equals -q_{m+1}^{-1} z_m,
-    # and equals the engine commutator of the new generators
+    # c*(u - rho*alpha(u)) = z_m - rho*alpha(z_m), computed from step data,
+    # equals -q_{m+1}^{-1} c z_m and c times the engine commutator of the new
+    # generators
     spec = build_spec(2, "generic")
     step = ambiskew_step(spec, 1)
-    alpha_u = step.u.scale(spec.p[1])
-    delta = step.u - alpha_u.scale(step.rho)
-    assert delta == casimir(spec, 1).scale(-spec.q[1].inverse())
+    alpha_z = step.z.scale(spec.p[1])
+    delta = step.z - alpha_z.scale(step.rho)
+    assert delta == casimir(spec, 1).scale(-spec.q[1].inverse() * step.c)
     y2 = normal_form(spec, "y2")
     x2 = normal_form(spec, "x2")
     comm = multiply(spec, y2, x2) - multiply(spec, x2, y2).scale(step.rho)
-    assert comm == delta
+    assert comm.scale(step.c) == delta
 
 
 def test_rational_specialization_evaluates_exactly():
@@ -213,10 +216,12 @@ def test_rational_specialization_evaluates_exactly():
     values = {"q": Fraction(2)}
     (coeff,) = casimir(spec, 1).terms.values()
     assert coeff.substitute(values) == Fraction(1, 4) - 1
-    # the q-binomial coefficient from the power formula, evaluated at q = 2
+    # the q-integer coefficient of the power formula as a geometric sum,
+    # evaluated at q = 2 against the rational quotient
     qi, pi = spec.q[0], spec.p[0]
-    ratio = (qi**3 - pi**3) / (qi - pi)
-    assert ratio.substitute(values) == (Fraction(1, 64) - 1) / (Fraction(1, 4) - 1)
+    geometric = qi**2 + qi * pi + pi**2
+    assert geometric * (qi - pi) == qi**3 - pi**3
+    assert geometric.substitute(values) == (Fraction(1, 64) - 1) / (Fraction(1, 4) - 1)
 
 
 def test_custom_spec_and_validation():

@@ -1,13 +1,13 @@
-"""Exact-field arithmetic: worked examples, oracles, and randomized axioms."""
+"""Ring arithmetic in Z[s^±1]: worked examples, a sympy oracle, and randomized axioms."""
 
 import random
 from fractions import Fraction
 
 import pytest
+import sympy
 
 from qweyl.scalars import (
     LatticeMismatchError,
-    LaurentPoly,
     ParameterLattice,
     Scalar,
     SpecializationError,
@@ -27,7 +27,8 @@ def test_lattice_rejects_duplicates():
 
 
 def test_self_quotient_is_one():
-    assert (Q - P) / (Q - P) == QP.one()
+    for u in (Q, -P, QP.monomial({"q": 2, "p": -3})):
+        assert u / u == QP.one()
 
 
 def test_monomial_inverse_cancels():
@@ -36,19 +37,20 @@ def test_monomial_inverse_cancels():
 
 def test_difference_of_squares_quotient():
     # oracle: expand (q + p)(q - p) and compare raw term dicts with q^2 - p^2
-    lhs = (Q + P).num.mul((Q - P).num)
-    rhs = (Q * Q - P * P).num
-    assert lhs == rhs
-    assert (Q * Q - P * P) / (Q - P) == Q + P
+    assert ((Q + P) * (Q - P)).terms == {(2, 0): 1, (0, 2): -1}
+    assert (Q + P) * (Q - P) == Q * Q - P * P
+    # q - p is not a unit, so the quotient is refused rather than computed
+    with pytest.raises(ZeroDivisionError):
+        (Q * Q - P * P) / (Q - P)
 
 
 def test_equality_by_substitution_oracle():
-    # same rational function evaluated at exact sample points
-    a = (Q * Q - P * P) / (Q - P)
-    b = Q + P
+    # same polynomial evaluated at exact sample points
+    a = (Q + P) * (Q - P)
+    b = Q * Q - P * P
     for qv, pv in [(Fraction(7, 3), Fraction(2, 5)), (Fraction(-4), Fraction(3, 2))]:
         vals = {"q": qv, "p": pv}
-        assert a.substitute(vals) == b.substitute(vals)
+        assert a.substitute(vals) == b.substitute(vals) == qv**2 - pv**2
     assert a == b
 
 
@@ -57,7 +59,8 @@ def test_distinct_symbols_differ():
 
 
 def test_zero_representations_agree():
-    assert QP.zero() == Scalar(LaurentPoly(QP, {}), (Q - P).num)
+    assert QP.zero() == Scalar(QP, {(1, 0): 0}) == Q - Q == QP.rational(0)
+    assert (Q - Q).terms == {}
 
 
 def test_division_by_zero_raises():
@@ -65,6 +68,36 @@ def test_division_by_zero_raises():
         Q / QP.zero()
     with pytest.raises(ZeroDivisionError):
         QP.zero().inverse()
+
+
+def test_unit_inverses():
+    for u in (QP.one(), -QP.one(), Q, -Q, QP.monomial({"q": -2, "p": 5})):
+        inv = u.inverse()
+        assert u * inv == QP.one()
+        assert (Q + P) / u * u == Q + P
+        assert inv.inverse() == u
+
+
+@pytest.mark.parametrize(
+    "non_unit",
+    [QP.rational(2), QP.rational(-3), Q + P, Q - P, Q + Q, QP.one() + Q * P],
+    ids=["2", "-3", "q+p", "q-p", "2q", "1+qp"],
+)
+def test_non_unit_inverse_raises(non_unit):
+    with pytest.raises(ZeroDivisionError):
+        non_unit.inverse()
+    with pytest.raises(ZeroDivisionError):
+        Q / non_unit
+    with pytest.raises(ZeroDivisionError):
+        non_unit**-1
+
+
+def test_rational_accepts_integers_only():
+    assert QP.rational(3) == QP.one() + QP.one() + QP.one()
+    assert QP.rational(-1) == -QP.one()
+    for bad in (Fraction(1, 2), Fraction(2), 0.5, "2"):
+        with pytest.raises(TypeError):
+            QP.rational(bad)
 
 
 def test_lattice_mismatch_raises():
@@ -79,9 +112,10 @@ def test_as_monomial():
     assert m.as_monomial() == (1, -1)
     assert (Q + P).as_monomial() is None
     assert QP.one().as_monomial() == (0, 0)
-    # coefficient must reduce to exactly one
+    # coefficient must be exactly one
     assert (Q + Q).as_monomial() is None
-    assert ((Q + Q) / QP.rational(2)).as_monomial() == (1, 0)
+    assert (-Q).as_monomial() is None
+    assert ((Q + Q) - Q).as_monomial() == (1, 0)
 
 
 def test_monomial_product_adds_exponents():
@@ -98,27 +132,17 @@ def test_powers():
     assert ((Q - P) ** 2) == (Q - P) * (Q - P)
 
 
-def _random_poly(rng, lat, max_terms=4):
+def _random_scalar(rng, lat, max_terms=4):
     terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        e = tuple(rng.randint(-2, 2) for _ in range(lat.k))
-        c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-        if c:
-            terms[e] = c
-    return LaurentPoly(lat, terms)
+    for _ in range(rng.randint(0, max_terms)):
+        terms[tuple(rng.randint(-2, 2) for _ in range(lat.k))] = rng.randint(-3, 3)
+    return Scalar(lat, terms)
 
 
-def _random_scalar(rng, lat):
-    num = _random_poly(rng, lat)
-    den = _random_poly(rng, lat)
-    while den.is_zero():
-        den = _random_poly(rng, lat)
-    return Scalar(num, den)
-
-
-def test_field_axioms_randomized():
+def test_ring_axioms_randomized():
     rng = random.Random(20240901)
-    for _ in range(60):
+    one, zero = QP.one(), QP.zero()
+    for _ in range(100):
         a = _random_scalar(rng, QP)
         b = _random_scalar(rng, QP)
         c = _random_scalar(rng, QP)
@@ -127,18 +151,56 @@ def test_field_axioms_randomized():
         assert a + b == b + a
         assert a * b == b * a
         assert a * (b + c) == a * b + a * c
-        if not a.is_zero():
-            assert a * (QP.one() / a) == QP.one()
-            assert a * a.inverse() == QP.one()
+        assert a + zero == a and a * one == a and (a * zero).is_zero()
+        assert (a - a).is_zero() and a - b == -(b - a)
+        # a domain: nonzero times nonzero is nonzero
+        assert (a * b).is_zero() == (a.is_zero() or b.is_zero())
+        assert all(v for v in (a * b).terms.values())
+
+
+_SYMPY = sympy.symbols("q p")
+
+
+def _to_sympy(s: Scalar):
+    return sum(
+        (c * sympy.Mul(*(x**e for x, e in zip(_SYMPY, exps))) for exps, c in s.terms.items()),
+        sympy.Integer(0),
+    )
+
+
+def _from_sympy(expr) -> Scalar:
+    # multiply by a monomial to clear negative powers, read the polynomial, shift back
+    shift = 4
+    poly = sympy.Poly(sympy.expand(expr * sympy.Mul(*(x**shift for x in _SYMPY))), *_SYMPY)
+    return Scalar(QP, {tuple(e - shift for e in m): int(c) for m, c in poly.terms()})
+
+
+def test_arithmetic_matches_sympy_oracle():
+    rng = random.Random(7)
+    for _ in range(60):
+        a = _random_scalar(rng, QP, max_terms=3)
+        b = _random_scalar(rng, QP, max_terms=3)
+        assert a + b == _from_sympy(_to_sympy(a) + _to_sympy(b))
+        assert a * b == _from_sympy(_to_sympy(a) * _to_sympy(b))
+        assert a - b == _from_sympy(_to_sympy(a) - _to_sympy(b))
+        vals = {
+            "q": Fraction(rng.choice([-5, -2, 1, 3, 7]), rng.randint(1, 4)),
+            "p": Fraction(rng.choice([-3, -1, 2, 5]), rng.randint(1, 4)),
+        }
+        subs = {x: sympy.Rational(vals[str(x)].numerator, vals[str(x)].denominator)
+                for x in _SYMPY}
+        expect = sympy.Rational(_to_sympy(a * b).subs(subs))
+        assert (a * b).substitute(vals) == Fraction(int(expect.p), int(expect.q))
 
 
 def test_substitution_checks_denominator():
-    s = Q / (Q - P)
-    assert s.substitute({"q": Fraction(2), "p": Fraction(3)}) == Fraction(-2)
+    # a negative power is a denominator: q^-1 (q - p)
+    s = Q**-1 * (Q - P)
+    assert s.substitute({"q": Fraction(2), "p": Fraction(3)}) == Fraction(-1, 2)
     with pytest.raises(SpecializationError):
-        s.substitute({"q": Fraction(2), "p": Fraction(2)})
+        s.substitute({"q": Fraction(0), "p": Fraction(1)})
     with pytest.raises(SpecializationError):
-        Q.substitute({"q": Fraction(0), "p": Fraction(1)})
+        s.substitute({"q": Fraction(2)})
 
 
 def test_monomial_string_round_trip():
@@ -151,5 +213,7 @@ def test_monomial_string_round_trip():
 
 
 def test_render_scalar_shape():
+    # the report format keeps the "(numerator)/(1)" shape
     assert render_scalar((Q - P) / QP.one()) == "(q - p)/(1)"
     assert render_scalar(QP.zero()) == "(0)/(1)"
+    assert render_scalar(QP.rational(-2) * Q * Q + QP.rational(3)) == "(-2*q^2 + 3)/(1)"
