@@ -145,6 +145,10 @@ def _apply_diagonal(spec, multipliers, f):
 def _cmd_verify(spec, args, height, over_budget=lambda: False):
     checks = list(pbw.verify_relations(spec))
     for i in range(1, spec.n + 1):
+        if over_budget():
+            checks.append(_skip("normality",
+                                f"budget exhausted after {i - 1} of {spec.n} indices"))
+            break
         checks.extend(pbw.verify_normality(spec, i))
     for m in range(1, spec.n):
         checks.extend(verify_ambiskew(spec, m))
@@ -226,7 +230,7 @@ def _cmd_bound(spec, args, height):
             )
         ]
         return checks, values
-    rep = dimension.bernstein_bound(spec, height=height)
+    rep = dimension.bernstein_report(spec, dim_rep)
     values.update(rep.to_json())
     checks = [Check("bound-determinate", True, f"module growth bound {rep.bound}")]
     return checks, values
@@ -252,9 +256,12 @@ def _cmd_report(spec, args, height, budget=None, started=None):
             values["growth_counts"] = rep.counts
             values["growth_exponent"] = rep.exponent
             values["growth_window"] = list(rep.window)
-    dim_checks, dim_values = _cmd_bound(spec, [], height)
-    checks.extend(dim_checks)
-    values.update(dim_values)
+    if over_budget():
+        checks.append(_skip("bound", "budget exhausted"))
+    else:
+        dim_checks, dim_values = _cmd_bound(spec, [], height)
+        checks.extend(dim_checks)
+        values.update(dim_values)
     return checks, values
 
 

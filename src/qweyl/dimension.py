@@ -11,6 +11,13 @@ Exact integer linear algebra only: rank by division-free elimination with
 a Smith-normal-form cross-check, explicit isotropic witnesses from a
 rational symplectic reduction (single-parameter case) or from a bounded
 deterministic backtracking search (multi-parameter case).
+
+Work is done once where it can be: the reduction computes the row u^T S
+once per pivot u, so each pairing B(u, w) is a dot product; the weighted
+matrices of the certified rank bound are filled from the nonzero exponents
+of the upper triangle; torus_dimension computes that bound once and hands
+it to every search, and bernstein_report turns a dimension report already
+in hand into the bound 2n - d.
 """
 
 from __future__ import annotations
@@ -176,9 +183,29 @@ def _clear_denominators(v) -> IntVector:
     return tuple(ints)
 
 
+def _row_times(u, S) -> list:
+    """The row vector u^T S."""
+    out = [0] * len(S)
+    for i, ui in enumerate(u):
+        if ui:
+            for j, s in enumerate(S[i]):
+                if s:
+                    out[j] += ui * s
+    return out
+
+
+def _dot(a, b):
+    return sum(x * y for x, y in zip(a, b) if y)
+
+
 def max_isotropic_rank_single(S) -> tuple[int, Witness]:
     """Maximal isotropic-sublattice rank m - rank(S)/2 of one alternating form,
-    with an explicit witness from rational symplectic reduction."""
+    with an explicit witness from rational symplectic reduction.
+
+    Each pivot u is paired through its row u^T S, computed once, so every
+    B(u, w) = u^T S w is one dot product and each remaining w is updated by
+    the two scalars B(v, w) and B(u, w).
+    """
     _check_alternating(S)
     m = len(S)
     r2 = integer_rank(S)
@@ -186,28 +213,23 @@ def max_isotropic_rank_single(S) -> tuple[int, Witness]:
         raise ArithmeticError("alternating matrix with odd rank")
     rank = m - r2 // 2
 
-    def B(u, v) -> Fraction:
-        total = Fraction(0)
-        for i, ui in enumerate(u):
-            if ui:
-                row = S[i]
-                total += ui * sum(row[j] * v[j] for j in range(m) if v[j])
-        return total
-
     remaining = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
     picked: list[list[Fraction]] = []
     while remaining:
         u = remaining.pop(0)
-        vidx = next((t for t, w in enumerate(remaining) if B(u, w) != 0), None)
+        uS = _row_times(u, S)
+        vidx = next((t for t, w in enumerate(remaining) if _dot(uS, w)), None)
         picked.append(u)
         if vidx is None:
             continue
         v = remaining.pop(vidx)
-        c = B(u, v)
+        c = _dot(uS, v)
         v = [x / c for x in v]
-        remaining = [
-            [w[t] + B(v, w) * u[t] - B(u, w) * v[t] for t in range(m)] for w in remaining
-        ]
+        vS = _row_times(v, S)
+        for idx, w in enumerate(remaining):
+            a, b = _dot(vS, w), _dot(uS, w)
+            if a or b:
+                remaining[idx] = [wt + a * ut - b * vt for wt, ut, vt in zip(w, u, v)]
     witness = Witness(_clear_denominators(u) for u in picked)
     if witness.rank != rank:
         raise ArithmeticError("symplectic reduction produced wrong witness size")
@@ -231,25 +253,38 @@ def _weight_schedule(k: int):
         yield tuple((-2) ** i for i in range(k))
 
 
+def _sparse_rows(E: ExponentPairing) -> list[list[tuple[int, list[tuple[int, int]]]]]:
+    """Per row i, the entries (j, [(c, e), ...]) of E with their nonzero exponents."""
+    return [
+        [(j, nz) for j, v in enumerate(row) if (nz := [(c, e) for c, e in enumerate(v) if e])]
+        for row in E.entries
+    ]
+
+
 def rank_upper_bound(E: ExponentPairing) -> int:
     """Certified bound: any isotropic sublattice is isotropic for every integer
-    combination S_c of the pairing components, hence has rank <= m - rank(S_c)/2."""
+    combination S_c of the pairing components, hence has rank <= m - rank(S_c)/2.
+
+    Each S_c is built from the nonzero exponents of the upper triangle only
+    and negated into the lower one.
+    """
     if E.k == 0:
         return E.m
+    m = E.m
+    upper = [
+        (i, j, nz) for i, row in enumerate(_sparse_rows(E)) for j, nz in row if j > i
+    ]
     best = 0
-    cap = E.m - (E.m % 2)
+    cap = m - (m % 2)
     for weights in _weight_schedule(E.k):
-        S = [
-            [
-                sum(w * e for w, e in zip(weights, E.entries[i][j]))
-                for j in range(E.m)
-            ]
-            for i in range(E.m)
-        ]
+        S = [[0] * m for _ in range(m)]
+        for i, j, nz in upper:
+            s = sum(weights[c] * e for c, e in nz)
+            S[i][j], S[j][i] = s, -s
         best = max(best, integer_rank(S))
         if best == cap:
             break
-    return E.m - best // 2
+    return m - best // 2
 
 
 def _candidate_vectors(m: int, height: int):
@@ -288,7 +323,7 @@ class _Candidates:
 
 
 def isotropic_witness_search(
-    E: ExponentPairing, target: int, height: int = 3
+    E: ExponentPairing, target: int, height: int = 3, *, upper: int | None = None
 ) -> Witness | None:
     """Backtracking search for `target` independent pairwise-commuting vectors
     with entries bounded by `height`; None when the bounded search exhausts.
@@ -297,25 +332,33 @@ def isotropic_witness_search(
     canonical primitive representative per line, and chains are extended in
     enumeration order, so the result is deterministic.  Chains are pruned by
     the certified rank bound, by isotropy against all chosen vectors, and by
-    integer independence.
+    integer independence.  `upper` is rank_upper_bound(E) when the caller
+    already has it; by default it is computed here.
     """
     if target < 0 or height < 1:
         raise ValueError(f"invalid target/height ({target}, {height})")
     if target == 0:
         return Witness(())
-    if target > E.m or target > rank_upper_bound(E):
+    if target > E.m:
+        return None
+    if upper is None:
+        upper = rank_upper_bound(E)
+    if target > upper:
         return None
     cands = _Candidates(E.m, height)
     chosen: list[IntVector] = []
     pairing_rows: list[list[list[int]]] = []  # per chosen u, per component: u^T S_c
     echelon: list[tuple[int, list[Fraction]]] = []
-    components = [E.component(c) for c in range(E.k)]
+    sparse = _sparse_rows(E)
 
     def rows_for(u: IntVector) -> list[list[int]]:
-        return [
-            [sum(u[i] * S[i][j] for i in range(E.m) if u[i]) for j in range(E.m)]
-            for S in components
-        ]
+        rows = [[0] * E.m for _ in range(E.k)]
+        for i, ui in enumerate(u):
+            if ui:
+                for j, nz in sparse[i]:
+                    for c, e in nz:
+                        rows[c][j] += ui * e
+        return rows
 
     def commutes_with_all(v: IntVector) -> bool:
         for rows in pairing_rows:
@@ -446,19 +489,23 @@ def torus_dimension(spec: AlgebraSpec, height: int = 3) -> DimensionReport:
     hi = rank_upper_bound(E)
     lo, witness = 0, Witness(())
     for t in range(hi, 0, -1):
-        found = isotropic_witness_search(E, t, height)
+        found = isotropic_witness_search(E, t, height, upper=hi)
         if found is not None:
             lo, witness = t, found
             break
     return DimensionReport(lo=lo, hi=hi, witness=witness, method="search")
 
 
-def bernstein_bound(spec: AlgebraSpec, height: int = 3) -> BernsteinReport:
-    """Growth lower bound 2n - d for torsionfree modules, d the torus dimension."""
-    rep = torus_dimension(spec, height=height)
+def bernstein_report(spec: AlgebraSpec, rep: DimensionReport) -> BernsteinReport:
+    """The bound 2n - d from a dimension report that is a point value."""
     if not rep.is_point:
         raise ValueError(
             f"torus dimension only bracketed in [{rep.lo}, {rep.hi}]; "
             "raise the search height to close the gap"
         )
     return BernsteinReport(gkdim_algebra=2 * spec.n, d=rep.d, bound=2 * spec.n - rep.d)
+
+
+def bernstein_bound(spec: AlgebraSpec, height: int = 3) -> BernsteinReport:
+    """Growth lower bound 2n - d for torsionfree modules, d the torus dimension."""
+    return bernstein_report(spec, torus_dimension(spec, height=height))

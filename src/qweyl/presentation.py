@@ -197,9 +197,14 @@ def _antisymmetric(lat, n, upper) -> list[list[Scalar]]:
 
 
 def _build_custom(n: int, custom: Mapping) -> AlgebraSpec:
+    if not isinstance(custom, Mapping):
+        raise ConfigError("custom", f"expected an object, got {custom!r}")
     for key in ("symbols", "q", "p", "gamma"):
         if key not in custom:
             raise ConfigError(f"custom.{key}", "missing")
+        # a string would otherwise be read one character at a time
+        if not isinstance(custom[key], list):
+            raise ConfigError(f"custom.{key}", f"expected a list, got {custom[key]!r}")
     try:
         lat = ParameterLattice(custom["symbols"])
     except ValueError as exc:
@@ -218,6 +223,9 @@ def _build_custom(n: int, custom: Mapping) -> AlgebraSpec:
     qs = [mono(f"custom.q[{i}]", custom["q"][i]) for i in range(n)]
     ps = [mono(f"custom.p[{i}]", custom["p"][i]) for i in range(n)]
     g = custom["gamma"]
+    for i, row in enumerate(g):
+        if not isinstance(row, list):
+            raise ConfigError(f"custom.gamma[{i}]", f"expected a list, got {row!r}")
     if len(g) != n or any(len(row) != n for row in g):
         raise ConfigError("custom.gamma", "need a full n x n matrix of monomial strings")
     gamma = [[mono(f"custom.gamma[{i}][{j}]", g[i][j]) for j in range(n)] for i in range(n)]

@@ -99,11 +99,17 @@ def test_ambiskew_checks_fail_on_corrupted_step(monkeypatch, field, failing):
 
 
 def test_report_budget_cuts_the_torus_loop():
-    # with no time left, report skips all 2^n torus choices in one entry
+    # with no time left, report skips all 2^n torus choices in one entry,
+    # and likewise the n normality indices and the bound section
     rep = run({"n": 8, "kind": "generic"}, "report", budget=0)
     skipped = {c["name"]: c["detail"] for c in rep.checks if c["status"] == "skipped"}
     assert skipped["torus-isomorphism"] == "budget exhausted after 0 of 256 choices"
-    assert not [c for c in rep.checks if c["name"].startswith("theta[")]
+    assert skipped["normality"] == "budget exhausted after 0 of 8 indices"
+    assert skipped["bound"] == "budget exhausted"
+    names = {c["name"] for c in rep.checks}
+    assert not [name for name in names if name.startswith("theta[")]
+    assert "z1*y1" not in names and "bound-determinate" not in names
+    assert "dim" not in rep.values and "bound" not in rep.values
     assert rep.ok
     # a budget that is never reached changes nothing
     a = run({"n": 2, "kind": "generic"}, "report", budget=1e9).to_json()
@@ -219,6 +225,17 @@ def test_custom_spec_through_cli(tmp_path, capsys):
     )
     assert main(["--config", bad, "--command", "verify"]) == 2
     assert "field 'p[0]'" in capsys.readouterr().err
+    strings = _write(
+        tmp_path,
+        {
+            "n": 2,
+            "kind": "custom",
+            "custom": {"symbols": "ab", "q": "ab", "p": ["1", "1"], "gamma": ["11", "11"]},
+        },
+        "string_custom.json",
+    )
+    assert main(["--config", strings, "--command", "dim"]) == 2
+    assert "field 'custom.symbols'" in capsys.readouterr().err
 
 
 def test_skew_usage_errors_exit_2(tmp_path, capsys):

@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qweyl import cli
 from qweyl import dimension as dim
 from qweyl.dimension import (
     Witness,
@@ -17,7 +20,7 @@ from qweyl.dimension import (
     torus_dimension,
     verify_witness,
 )
-from qweyl.presentation import build_spec
+from qweyl.presentation import KINDS, build_spec
 from qweyl.torus import ExponentPairing, standard_torus
 
 
@@ -320,3 +323,201 @@ def test_report_serialization():
     fake = dim.DimensionReport(lo=1, hi=2, witness=Witness(()), method="search")
     assert fake.to_json()["d"] == [1, 2]
     assert fake.d is None and not fake.is_point
+
+
+# -- differential tests against the straightforward kernels -------------------
+
+def _reduction_oracle(S):
+    """The symplectic reduction written directly: B(u, w) = u^T S w is
+    recomputed in full for every coordinate of every update."""
+    m = len(S)
+
+    def B(u, v):
+        total = Fraction(0)
+        for i, ui in enumerate(u):
+            if ui:
+                row = S[i]
+                total += ui * sum(row[j] * v[j] for j in range(m) if v[j])
+        return total
+
+    remaining = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
+    picked = []
+    while remaining:
+        u = remaining.pop(0)
+        vidx = next((t for t, w in enumerate(remaining) if B(u, w) != 0), None)
+        picked.append(u)
+        if vidx is None:
+            continue
+        v = remaining.pop(vidx)
+        c = B(u, v)
+        v = [x / c for x in v]
+        remaining = [
+            [w[t] + B(v, w) * u[t] - B(u, w) * v[t] for t in range(m)] for w in remaining
+        ]
+    return len(picked), [dim._clear_denominators(u) for u in picked]
+
+
+def _dense_rank_upper_bound(E):
+    """rank_upper_bound with every weighted matrix built entry by entry."""
+    if E.k == 0:
+        return E.m
+    best = 0
+    cap = E.m - (E.m % 2)
+    for weights in dim._weight_schedule(E.k):
+        S = [
+            [sum(w * e for w, e in zip(weights, E.entries[i][j])) for j in range(E.m)]
+            for i in range(E.m)
+        ]
+        best = max(best, integer_rank(S))
+        if best == cap:
+            break
+    return E.m - best // 2
+
+
+def _assert_kernels_match(E):
+    assert rank_upper_bound(E) == _dense_rank_upper_bound(E)
+    for c in range(E.k):
+        S = E.component(c)
+        rank, witness = max_isotropic_rank_single(S)
+        assert (rank, list(witness.vectors)) == _reduction_oracle(S)
+
+
+@st.composite
+def _pairings(draw, max_m=10, max_k=3):
+    m = draw(st.integers(1, max_m))
+    k = draw(st.integers(1, max_k))
+    entry = st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, -3)), min_size=k, max_size=k)
+    entries = [[(0,) * k] * m for _ in range(m)]
+    for i in range(m):
+        for j in range(i + 1, m):
+            v = tuple(draw(entry))
+            entries[i][j], entries[j][i] = v, tuple(-x for x in v)
+    return ExponentPairing(m, k, entries)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_pairings(max_k=1))
+def test_kernels_match_oracles_on_alternating_matrices(E):
+    _assert_kernels_match(E)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_pairings(max_m=8))
+def test_rank_bound_matches_dense_oracle_on_multiparameter_pairings(E):
+    _assert_kernels_match(E)
+
+
+@st.composite
+def _custom_specs(draw):
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 3))
+    exps = st.lists(st.integers(-2, 2), min_size=k, max_size=k)
+
+    def mono(e):
+        return "*".join(f"s{c}^{v}" for c, v in enumerate(e) if v) or "1"
+
+    q = [draw(exps) for _ in range(n)]
+    delta = [draw(exps) for _ in range(n)]
+    for d in delta:
+        if not any(d):
+            d[0] = 1
+    gamma = [["1"] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            g = draw(exps)
+            gamma[i][j], gamma[j][i] = mono(g), mono([-v for v in g])
+    custom = {
+        "symbols": [f"s{c}" for c in range(k)],
+        "q": [mono(e) for e in q],
+        "p": [mono([a + b for a, b in zip(e, d)]) for e, d in zip(q, delta)],
+        "gamma": gamma,
+    }
+    return build_spec(n, "custom", custom=custom)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_custom_specs())
+def test_kernels_match_oracles_on_custom_specs(spec):
+    _assert_kernels_match(standard_torus(spec))
+
+
+@pytest.mark.parametrize("kind", [k for k in KINDS if k != "custom"])
+def test_kernels_match_oracles_on_presets(kind):
+    for n in range(1, 7):
+        _assert_kernels_match(standard_torus(build_spec(n, kind)))
+
+
+def _search_oracle(E, target, height):
+    """The first chain of the search's enumeration order, found by plain
+    depth-first search with isotropy from E.pair and independence by rank."""
+    cands = list(dim._candidate_vectors(E.m, height))
+    zero = (0,) * E.k
+
+    def dfs(chain, start):
+        if len(chain) == target:
+            return chain
+        for idx in range(start, len(cands)):
+            v = cands[idx]
+            if all(E.pair(u, v) == zero for u in chain) and (
+                integer_rank(chain + [v]) == len(chain) + 1
+            ):
+                found = dfs(chain + [v], idx + 1)
+                if found is not None:
+                    return found
+        return None
+
+    return dfs([], 0)
+
+
+def _assert_search_matches(E, height):
+    hi = rank_upper_bound(E)
+    for t in range(hi, 0, -1):
+        expected = _search_oracle(E, t, height)
+        found = isotropic_witness_search(E, t, height, upper=hi)
+        assert found == isotropic_witness_search(E, t, height)
+        assert (found.vectors if found else None) == (tuple(expected) if expected else None)
+        if found is not None:
+            break
+
+
+@settings(max_examples=30, deadline=None)
+@given(_pairings(max_m=4))
+def test_search_matches_oracle_on_random_pairings(E):
+    _assert_search_matches(E, height=2)
+
+
+@pytest.mark.parametrize("kind", [k for k in KINDS if k != "custom"])
+def test_search_matches_oracle_on_presets(kind):
+    for n in (1, 2):
+        _assert_search_matches(standard_torus(build_spec(n, kind)), height=2)
+
+
+# -- work done per call --------------------------------------------------------
+
+@pytest.mark.parametrize(
+    "config, method",
+    [({"n": 3, "kind": "generic"}, "search"), ({"n": 3, "kind": "generic-p1"}, "theorem-p1")],
+)
+def test_bound_computes_the_dimension_once(monkeypatch, config, method):
+    calls = {"torus_dimension": 0, "rank_upper_bound": 0}
+    bounds_per_dimension = []
+    original_dimension = dim.torus_dimension
+    original_bound = dim.rank_upper_bound
+
+    def counted_dimension(*args, **kwargs):
+        calls["torus_dimension"] += 1
+        before = calls["rank_upper_bound"]
+        rep = original_dimension(*args, **kwargs)
+        bounds_per_dimension.append(calls["rank_upper_bound"] - before)
+        return rep
+
+    def counted_bound(*args, **kwargs):
+        calls["rank_upper_bound"] += 1
+        return original_bound(*args, **kwargs)
+
+    monkeypatch.setattr(dim, "torus_dimension", counted_dimension)
+    monkeypatch.setattr(dim, "rank_upper_bound", counted_bound)
+    rep = cli.run(config, "bound")
+    assert rep.ok and rep.values["dim"]["method"] == method
+    assert calls["torus_dimension"] == 1
+    assert bounds_per_dimension == [1]

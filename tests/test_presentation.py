@@ -246,6 +246,34 @@ def test_custom_spec_and_validation():
         build_spec(2, "custom", custom=bad)
 
 
+def test_custom_fields_must_be_lists():
+    # a string has a length and can be indexed, so it used to be read one
+    # character at a time: "ab" as ["a", "b"] and "11" as ["1", "1"]
+    custom = {
+        "symbols": ["a", "b"],
+        "q": ["a", "b"],
+        "p": ["1", "1"],
+        "gamma": [["1", "1"], ["1", "1"]],
+    }
+    assert build_spec(2, "custom", custom=custom).lattice.symbols == ("a", "b")
+    for key, value, field in (
+        ("symbols", "ab", "custom.symbols"),
+        ("q", "ab", "custom.q"),
+        ("p", "11", "custom.p"),
+        ("gamma", "1111", "custom.gamma"),
+        ("gamma", ["11", "11"], "custom.gamma[0]"),
+        ("gamma", [["1", "1"], "11"], "custom.gamma[1]"),
+        ("q", {"0": "a", "1": "b"}, "custom.q"),
+        ("symbols", None, "custom.symbols"),
+    ):
+        with pytest.raises(ConfigError) as err:
+            build_spec(2, "custom", custom=dict(custom, **{key: value}))
+        assert err.value.field == field, (key, value)
+    with pytest.raises(ConfigError) as err:
+        build_spec(2, "custom", custom="symbols q p gamma")
+    assert err.value.field == "custom"
+
+
 def test_config_round_trip():
     for cfg in (
         {"n": 2, "kind": "generic"},
