@@ -89,15 +89,16 @@ def _cmd_mul(spec, args, height):
     return [], {"factors": list(args), "product": pbw.render_element(spec, prod)}
 
 
-def verify_ambiskew(spec, m: int) -> list[Check]:
+def verify_ambiskew(spec, m: int, *, products=None) -> list[Check]:
     """Engine checks of the extension-step data at step m.
 
     u = z_m / c with c = p_{m+1} - q_{m+1} is not in the coefficient ring, so
     each identity in u is checked multiplied through by c.  The ring is a
     domain and c != 0, so each check is as strong as the identity its detail
-    states.
+    states.  `products` is passed on to every pbw.multiply.
     """
     step = ambiskew_step(spec, m)
+    mul = lambda f, g: pbw.multiply(spec, f, g, products=products)
     q, p, gamma = spec.q, spec.p, spec.gamma
     checks = []
     # the twist alpha scales u by p_{m+1}
@@ -112,11 +113,11 @@ def verify_ambiskew(spec, m: int) -> list[Check]:
     ok = (delta - zm.scale(-q[m].inverse() * step.c)).is_zero()
     y_new = pbw.generator(spec, spec.y_index(m + 1))
     x_new = pbw.generator(spec, spec.x_index(m + 1))
-    comm = pbw.multiply(spec, y_new, x_new) - pbw.multiply(spec, x_new, y_new).scale(step.rho)
+    comm = mul(y_new, x_new) - mul(x_new, y_new).scale(step.rho)
     ok = ok and (comm.scale(step.c) - delta).is_zero()
     checks.append(Check(f"ambiskew-delta({m})", ok, "u - rho*alpha(u) = -q_{m+1}^{-1} z_m"))
     # the next Casimir element; q_{m+1} - p_{m+1} = -c
-    lhs = step.z - pbw.multiply(spec, y_new, x_new).scale(step.c)
+    lhs = step.z - mul(y_new, x_new).scale(step.c)
     checks.append(
         Check(f"ambiskew-casimir({m})", (lhs - casimir(spec, m + 1)).is_zero(),
               "z_{m+1} = (q_{m+1} - p_{m+1})(y_{m+1} x_{m+1} - u)")
@@ -142,16 +143,18 @@ def _apply_diagonal(spec, multipliers, f):
     return pbw.PBWElement(spec.n, out)
 
 
-def _cmd_verify(spec, args, height, over_budget=lambda: False):
-    checks = list(pbw.verify_relations(spec))
+def _cmd_verify(spec, args, height, over_budget):
+    # one product memo for every relation, normality and extension-step check
+    products = pbw._Products(spec)
+    checks = pbw.verify_relations(spec, products=products)
     for i in range(1, spec.n + 1):
         if over_budget():
             checks.append(_skip("normality",
                                 f"budget exhausted after {i - 1} of {spec.n} indices"))
             break
-        checks.extend(pbw.verify_normality(spec, i))
+        checks.extend(pbw.verify_normality(spec, i, products=products))
     for m in range(1, spec.n):
-        checks.extend(verify_ambiskew(spec, m))
+        checks.extend(verify_ambiskew(spec, m, products=products))
     choices = 2**spec.n
     for bits in range(choices):
         if over_budget():
@@ -236,10 +239,7 @@ def _cmd_bound(spec, args, height):
     return checks, values
 
 
-def _cmd_report(spec, args, height, budget=None, started=None):
-    def over_budget() -> bool:
-        return budget is not None and (time.perf_counter() - started) > budget
-
+def _cmd_report(spec, args, height, over_budget):
     checks, values = _cmd_verify(spec, [], height, over_budget)
     if over_budget():
         checks.append(_skip("skew-suite", "budget exhausted"))
@@ -290,17 +290,21 @@ def run(config: dict, command: str, args=(), height: int = 3, budget=None) -> Re
         raise UsageError(f"--height must be at least 1, got {height}")
     spec = spec_from_config(config)
     started = time.perf_counter()
+
+    def over_budget() -> bool:
+        return budget is not None and (time.perf_counter() - started) > budget
+
     handlers = {
         "nf": _cmd_nf,
         "mul": _cmd_mul,
-        "verify": _cmd_verify,
         "skew": _cmd_skew,
         "growth": _cmd_growth,
         "dim": _cmd_dim,
         "bound": _cmd_bound,
     }
-    if command == "report":
-        checks, values = _cmd_report(spec, list(args), height, budget=budget, started=started)
+    budgeted = {"verify": _cmd_verify, "report": _cmd_report}
+    if command in budgeted:
+        checks, values = budgeted[command](spec, list(args), height, over_budget)
     elif command in handlers:
         checks, values = handlers[command](spec, list(args), height)
     else:

@@ -15,7 +15,12 @@ occupied slot h of m; otherwise m = m'*h, and m*g is the sum of
 c*((m'*a)*b) over the rule h*g -> sum c*a*b of the table in
 qweyl.presentation.  These products are memoized in a dict that lives for
 one call of normal_form, multiply or growth_count, and unit coefficients
-are carried as None so that appends cost no scalar product.
+are carried as None so that appends cost no scalar product.  A caller that
+makes many products on one spec can instead pass one _Products memo as
+`products` to multiply and the verifiers; the command-line `verify` shares
+one memo across all of its relation, normality and extension-step checks,
+and drops it when it returns.  Each memo entry m*g is fixed by m, g and
+the rule table, so sharing changes no result.
 
 The recursion terminates.  Order words by length, then by their multiset
 of generators (compared largest first), then by inversion count.
@@ -145,9 +150,15 @@ def normal_form(spec: AlgebraSpec, word) -> PBWElement:
     return products.element(acc)
 
 
-def multiply(spec: AlgebraSpec, f: PBWElement, g: PBWElement) -> PBWElement:
-    """Bilinear extension of word concatenation + normal form."""
-    products = _Products(spec)
+def multiply(spec: AlgebraSpec, f: PBWElement, g: PBWElement, *,
+             products: _Products | None = None) -> PBWElement:
+    """Bilinear extension of word concatenation + normal form.
+
+    `products` is a memo to share with other calls on the same spec; by
+    default the call makes its own.
+    """
+    if products is None:
+        products = _Products(spec)
     left = {m: _unit_or(c) for m, c in f.terms.items()}
     out: _Terms = {}
     for mono, coeff in g.terms.items():
@@ -180,7 +191,11 @@ def _mul(a: _Coeff, b: _Coeff) -> _Coeff:
 
 
 class _Products:
-    """Products m*g of ordered monomials by one generator, memoized for one call."""
+    """Products m*g of ordered monomials by one generator, memoized.
+
+    One instance serves one spec; it lives for one call unless the caller
+    passes it on as `products`.
+    """
 
     def __init__(self, spec: AlgebraSpec):
         self.n = spec.n
@@ -247,18 +262,19 @@ class _Products:
 
 # -- identity verification ---------------------------------------------------
 
-def verify_relations(spec: AlgebraSpec) -> list[Check]:
+def verify_relations(spec: AlgebraSpec, *, products: _Products | None = None) -> list[Check]:
     """Check the defining relations and the antisymmetry of gamma.
 
     One entry per relation instance: xx/yy/xy for each index pair, the
     inhomogeneous x_i y_i relation for each i, and gamma_ij * gamma_ji = 1
-    for each unordered pair.
+    for each unordered pair.  `products` is passed on to every multiply.
     """
     checks = []
     n = spec.n
     one = spec.lattice.one()
     x = lambda i: generator(spec, spec.x_index(i))
     y = lambda i: generator(spec, spec.y_index(i))
+    mul = lambda f, g: multiply(spec, f, g, products=products)
     q, p, gamma = spec.q, spec.p, spec.gamma
 
     for i in range(1, n + 1):
@@ -268,20 +284,20 @@ def verify_relations(spec: AlgebraSpec) -> list[Check]:
             checks.append(
                 Check(f"gamma({i},{j})", (gij * gji) == one, "gamma_ij*gamma_ji = 1")
             )
-            lhs = multiply(spec, x(i), x(j))
-            rhs = multiply(spec, x(j), x(i)).scale(q[i - 1] * p[j - 1].inverse() * gij)
+            lhs = mul(x(i), x(j))
+            rhs = mul(x(j), x(i)).scale(q[i - 1] * p[j - 1].inverse() * gij)
             checks.append(Check(f"xx({i},{j})", (lhs - rhs).is_zero(), "x_i x_j relation"))
-            lhs = multiply(spec, y(i), y(j))
-            rhs = multiply(spec, y(j), y(i)).scale(gij)
+            lhs = mul(y(i), y(j))
+            rhs = mul(y(j), y(i)).scale(gij)
             checks.append(Check(f"yy({i},{j})", (lhs - rhs).is_zero(), "y_i y_j relation"))
-            lhs = multiply(spec, x(i), y(j))
-            rhs = multiply(spec, y(j), x(i)).scale(p[j - 1] * gij.inverse())
+            lhs = mul(x(i), y(j))
+            rhs = mul(y(j), x(i)).scale(p[j - 1] * gij.inverse())
             checks.append(Check(f"xy({i},{j})", (lhs - rhs).is_zero(), "x_i y_j, i < j"))
-            lhs = multiply(spec, x(j), y(i))
-            rhs = multiply(spec, y(i), x(j)).scale(q[i - 1] * gji.inverse())
+            lhs = mul(x(j), y(i))
+            rhs = mul(y(i), x(j)).scale(q[i - 1] * gji.inverse())
             checks.append(Check(f"xy({j},{i})", (lhs - rhs).is_zero(), "x_i y_j, i > j"))
     for i in range(1, n + 1):
-        lhs = multiply(spec, x(i), y(i)) - multiply(spec, y(i), x(i)).scale(q[i - 1])
+        lhs = mul(x(i), y(i)) - mul(y(i), x(i)).scale(q[i - 1])
         zprev = casimir(spec, i - 1) if i > 1 else PBWElement(n, {})
         checks.append(
             Check(f"weyl({i})", (lhs - zprev).is_zero(), "x_i y_i - q_i y_i x_i = z_{i-1}")
@@ -289,29 +305,34 @@ def verify_relations(spec: AlgebraSpec) -> list[Check]:
     return checks
 
 
-def verify_normality(spec: AlgebraSpec, i: int) -> list[Check]:
-    """Check the commutation laws of z_i and the simpler Casimir formula."""
+def verify_normality(spec: AlgebraSpec, i: int, *,
+                     products: _Products | None = None) -> list[Check]:
+    """Check the commutation laws of z_i and the simpler Casimir formula.
+
+    `products` is passed on to every multiply.
+    """
     if not 1 <= i <= spec.n:
         raise ValueError(f"index {i} out of range 1..{spec.n}")
     checks = []
     n = spec.n
     q, p = spec.q, spec.p
+    mul = lambda f, g: multiply(spec, f, g, products=products)
     z = casimir(spec, i)
     for j in range(1, n + 1):
         yj = generator(spec, spec.y_index(j))
         lam = p[j - 1] if i < j else q[j - 1]
-        ok = (multiply(spec, z, yj) - multiply(spec, yj, z).scale(lam)).is_zero()
+        ok = (mul(z, yj) - mul(yj, z).scale(lam)).is_zero()
         checks.append(Check(f"z{i}*y{j}", ok, "z_i y_j = (p_j or q_j) y_j z_i"))
         xj = generator(spec, spec.x_index(j))
         lam = p[j - 1].inverse() if i < j else q[j - 1].inverse()
-        ok = (multiply(spec, z, xj) - multiply(spec, xj, z).scale(lam)).is_zero()
+        ok = (mul(z, xj) - mul(xj, z).scale(lam)).is_zero()
         checks.append(Check(f"z{i}*x{j}", ok, "z_i x_j = (p_j or q_j)^-1 x_j z_i"))
         zj = casimir(spec, j)
-        ok = (multiply(spec, z, zj) - multiply(spec, zj, z)).is_zero()
+        ok = (mul(z, zj) - mul(zj, z)).is_zero()
         checks.append(Check(f"z{i}*z{j}", ok, "Casimir elements commute"))
     xi = generator(spec, spec.x_index(i))
     yi = generator(spec, spec.y_index(i))
-    lhs = multiply(spec, xi, yi) - multiply(spec, yi, xi).scale(p[i - 1])
+    lhs = mul(xi, yi) - mul(yi, xi).scale(p[i - 1])
     checks.append(Check(f"casimir-p({i})", (lhs - z).is_zero(), "x_i y_i - p_i y_i x_i = z_i"))
     return checks
 

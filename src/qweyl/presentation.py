@@ -67,7 +67,9 @@ class AlgebraSpec:
         self.gamma = tuple(tuple(row) for row in gamma)
         self.q_value = q_value
         _validate(self)
+        # built on first use by rule_table and torus.standard_torus
         self._rule_table: dict | None = None
+        self._standard_torus = None
 
     # -- generator bookkeeping ---------------------------------------------
 

@@ -17,18 +17,27 @@ choice of x_i or y_i.  The map theta sending z_i to z_i and y_i to either
 y_i or z_i x_i^{-1} is an integer map on exponent vectors, and
 check_torus_isomorphism verifies relation by relation that it carries the
 standard pairing onto the localized one.
+
+Every entry is read straight from the exponent vectors of q, p and gamma:
+z_i past a generator of index j scales by q_j or p_j (inverted for x_j),
+and two generators of different indices swap by the scalar of their
+rewrite rule in qweyl.presentation, a product of q, p and gamma entries.
+The standard torus is built once per spec and cached on it, like the rule
+table; a pairing is immutable, so every caller may share it.
 """
 
 from __future__ import annotations
 
-from .presentation import AlgebraSpec, rule_table
+import operator
+
+from .presentation import AlgebraSpec
 from .reporting import Check
 
 IntVector = tuple[int, ...]
 
 
 def _neg(v: IntVector) -> IntVector:
-    return tuple(-x for x in v)
+    return tuple(map(operator.neg, v))
 
 
 class ExponentPairing:
@@ -79,12 +88,20 @@ class ExponentPairing:
 
 # -- tori attached to an algebra spec ----------------------------------------
 
-def _swap_exponents(table, g: int, h: int) -> IntVector:
-    """Exponents of lam with G*H = lam * H*G, read from the rewrite rule (g > h)."""
-    rules = table[(g, h)]
-    if len(rules) != 1:
-        raise ValueError("generators do not swap by a scalar")
-    return rules[0][0].as_monomial()
+def _swap_exponents(q, p, gamma, ch, i: int, j: int) -> IntVector:
+    """Exponents of lam with V_i V_j = lam V_j V_i for 0-based indices i > j.
+
+    V_i is x_i or y_i as ch says; lam is the scalar of the rewrite rule of
+    the pair: y_i y_j -> g_ij, x_i y_j -> q_j g_ij^-1, y_i x_j -> p_i^-1 g_ji
+    and x_i x_j -> q_j^-1 p_i g_ij.
+    """
+    if ch[i] == "y":
+        factors = (gamma[i][j],) if ch[j] == "y" else (_neg(p[i]), gamma[j][i])
+    elif ch[j] == "y":
+        factors = (q[j], _neg(gamma[i][j]))
+    else:
+        factors = (_neg(q[j]), p[i], gamma[i][j])
+    return tuple(map(sum, zip(*factors)))
 
 
 def validate_choice(spec: AlgebraSpec, choice) -> tuple[str, ...]:
@@ -95,8 +112,10 @@ def validate_choice(spec: AlgebraSpec, choice) -> tuple[str, ...]:
 
 
 def standard_torus(spec: AlgebraSpec) -> ExponentPairing:
-    """Rank-2n pairing on z_1..z_n, y_1..y_n."""
-    return localized_torus(spec, ("y",) * spec.n)
+    """Rank-2n pairing on z_1..z_n, y_1..y_n.  Cached on the spec."""
+    if spec._standard_torus is None:
+        spec._standard_torus = localized_torus(spec, ("y",) * spec.n)
+    return spec._standard_torus
 
 
 def localized_torus(spec: AlgebraSpec, choice) -> ExponentPairing:
@@ -104,10 +123,9 @@ def localized_torus(spec: AlgebraSpec, choice) -> ExponentPairing:
     ch = validate_choice(spec, choice)
     n = spec.n
     zero = (0,) * spec.lattice.k
-    slots = [spec.x_index(i) if ch[i - 1] == "x" else spec.y_index(i) for i in range(1, n + 1)]
-    table = rule_table(spec)
     q = [s.as_monomial() for s in spec.q]
     p = [s.as_monomial() for s in spec.p]
+    gamma = [[s.as_monomial() for s in row] for row in spec.gamma]
     entries = [[zero] * (2 * n) for _ in range(2 * n)]
     for i in range(n):
         for j in range(n):
@@ -119,7 +137,7 @@ def localized_torus(spec: AlgebraSpec, choice) -> ExponentPairing:
             entries[i][n + j] = lam
             entries[n + j][i] = _neg(lam)
             if i > j:
-                lam = _swap_exponents(table, slots[i], slots[j])
+                lam = _swap_exponents(q, p, gamma, ch, i, j)
                 entries[n + i][n + j] = lam
                 entries[n + j][n + i] = _neg(lam)
     return ExponentPairing(2 * n, spec.lattice.k, entries)

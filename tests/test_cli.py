@@ -1,14 +1,16 @@
 """Command-line driver: commands, exit codes, report schema round-trip."""
 
 import dataclasses
+import itertools
 import json
 import math
+import random
 
 import pytest
 
-from qweyl import cli, pbw
+from qweyl import cli, pbw, torus
 from qweyl.cli import Report, main, run, verify_ambiskew
-from qweyl.presentation import build_spec
+from qweyl.presentation import KINDS, build_spec, rule_table, spec_from_config
 from qweyl.reporting import all_ok
 
 
@@ -114,6 +116,24 @@ def test_report_budget_cuts_the_torus_loop():
     # a budget that is never reached changes nothing
     a = run({"n": 2, "kind": "generic"}, "report", budget=1e9).to_json()
     b = run({"n": 2, "kind": "generic"}, "report").to_json()
+    a.pop("elapsed_ms"), b.pop("elapsed_ms")
+    assert a == b
+
+
+def test_verify_budget_cuts_normality_and_the_torus_loop():
+    rep = run({"n": 8, "kind": "generic"}, "verify", budget=0)
+    skipped = {c["name"]: c["detail"] for c in rep.checks if c["status"] == "skipped"}
+    assert skipped == {
+        "normality": "budget exhausted after 0 of 8 indices",
+        "torus-isomorphism": "budget exhausted after 0 of 256 choices",
+    }
+    names = {c["name"] for c in rep.checks}
+    assert "z1*y1" not in names and not [n for n in names if n.startswith("theta[")]
+    assert "xx(1,2)" in names and "ambiskew-beta(7)" in names
+    assert rep.ok
+    # a budget that is never reached changes nothing
+    a = run({"n": 3, "kind": "generic"}, "verify", budget=1e9).to_json()
+    b = run({"n": 3, "kind": "generic"}, "verify").to_json()
     a.pop("elapsed_ms"), b.pop("elapsed_ms")
     assert a == b
 
@@ -267,3 +287,81 @@ def test_report_text_rendering():
     text = rep.render_text()
     assert "status: ok" in text
     assert "dimension-witness" in text
+
+
+# -- one product memo and one standard torus per verify -------------------------
+
+def _never():
+    return False
+
+
+def _fresh_memo_checks(spec):
+    """verify's checks from the library functions, each with its own memo."""
+    checks = pbw.verify_relations(spec)
+    for i in range(1, spec.n + 1):
+        checks += pbw.verify_normality(spec, i)
+    for m in range(1, spec.n):
+        checks += verify_ambiskew(spec, m)
+    for choice in itertools.product("yx", repeat=spec.n):
+        checks += torus.check_torus_isomorphism(spec, choice[::-1])
+    return checks
+
+
+def test_verify_shares_one_memo_and_one_standard_torus(monkeypatch):
+    memos, loc_builds = [], []
+    original_products = pbw._Products
+    original_localized = torus.localized_torus
+
+    class Counted(original_products):
+        def __init__(self, spec):
+            memos.append(spec)
+            super().__init__(spec)
+
+    def counted_localized(spec, choice):
+        loc_builds.append(tuple(choice))
+        return original_localized(spec, choice)
+
+    monkeypatch.setattr(pbw, "_Products", Counted)
+    monkeypatch.setattr(torus, "localized_torus", counted_localized)
+    for n in (1, 3):
+        for command in ("verify", "report"):
+            memos.clear(), loc_builds.clear()
+            cli.run({"n": n, "kind": "generic"}, command)
+            assert len(loc_builds) == 2**n + 1  # every choice, and the standard torus once
+            if command == "verify":
+                assert len(memos) == 1
+    loc_builds.clear()
+    cli.run({"n": 3, "kind": "generic"}, "dim")
+    assert loc_builds == [("y",) * 3]
+    spec = build_spec(2, "generic")
+    assert torus.standard_torus(spec) is torus.standard_torus(spec)
+    # library calls keep a memo per call
+    memos.clear()
+    x1, y1 = pbw.generator(spec, "x1"), pbw.generator(spec, "y1")
+    pbw.multiply(spec, x1, y1), pbw.multiply(spec, x1, y1), pbw.normal_form(spec, "x1 y1")
+    assert len(memos) == 3
+
+
+def test_shared_memo_checks_match_fresh_memo_checks(custom_config):
+    specs = [build_spec(n, kind) for kind in KINDS if kind != "custom" for n in (1, 2, 3, 4)]
+    rng = random.Random(7)
+    specs += [spec_from_config(custom_config(rng, n, k)) for n in (2, 3, 4) for k in (2, 3)]
+    for spec in specs:
+        shared, _ = cli._cmd_verify(spec, [], 3, _never)
+        assert shared == _fresh_memo_checks(spec), spec
+        assert all_ok(shared)
+
+
+def test_shared_memo_fails_where_fresh_memos_fail():
+    # scale the x3*x1 swap by g12 in a copy of the rule table: the same
+    # relation and normality checks must fail with and without the shared memo
+    spec = build_spec(3, "generic")
+    table = dict(rule_table(spec))
+    key = (spec.x_index(3), spec.x_index(1))
+    (c, word), = table[key]
+    table[key] = [(c * spec.lattice.symbol("g12"), word)]
+    spec._rule_table = table
+    shared, _ = cli._cmd_verify(spec, [], 3, _never)
+    failed = {c.name for c in shared if not c.ok}
+    assert "xx(1,3)" in failed
+    assert failed == {c.name for c in _fresh_memo_checks(spec) if not c.ok}

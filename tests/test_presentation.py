@@ -3,6 +3,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qweyl.pbw import PBWElement, multiply, normal_form
 from qweyl.presentation import (
@@ -293,6 +295,53 @@ def test_config_round_trip():
         again = spec_from_config(spec_to_config(spec))
         assert spec_to_config(again) == spec_to_config(spec)
         assert again.q == spec.q and again.p == spec.p and again.gamma == spec.gamma
+
+
+@st.composite
+def _custom_configs(draw):
+    """A valid random `custom` config, its monomials spelled in random ways:
+    factors in any order, a symbol split over several factors, explicit ^1."""
+    n = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 3))
+    names = st.from_regex(r"[a-z][a-z0-9_]{0,3}", fullmatch=True)
+    symbols = draw(st.lists(names, min_size=k, max_size=k, unique=True))
+    exps = st.lists(st.integers(-3, 3), min_size=k, max_size=k)
+
+    def spell(e):
+        factors = []
+        for s, v in zip(symbols, e):
+            if v and draw(st.booleans()):
+                factors += [f"{s}^{v - 1}", s]  # s^(v-1) * s, with an explicit ^0 or ^1
+            elif v:
+                factors.append(f"{s}^{v}")
+        return "*".join(draw(st.permutations(factors))) or "1"
+
+    q = [draw(exps) for _ in range(n)]
+    delta = [draw(exps.filter(any)) for _ in range(n)]
+    gamma = [["1"] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            g = draw(exps)
+            gamma[i][j], gamma[j][i] = spell(g), spell([-v for v in g])
+    custom = {
+        "symbols": symbols,
+        "q": [spell(e) for e in q],
+        "p": [spell([a + b for a, b in zip(e, d)]) for e, d in zip(q, delta)],
+        "gamma": gamma,
+    }
+    return {"n": n, "kind": "custom", "custom": custom}
+
+
+@settings(max_examples=60, deadline=None)
+@given(_custom_configs())
+def test_config_round_trip_on_random_custom_specs(cfg):
+    spec = spec_from_config(cfg)
+    canonical = spec_to_config(spec)
+    again = spec_from_config(canonical)
+    assert spec_to_config(again) == canonical
+    assert again.lattice == spec.lattice
+    assert again.q == spec.q and again.p == spec.p and again.gamma == spec.gamma
+    assert canonical["custom"]["symbols"] == cfg["custom"]["symbols"]
 
 
 def test_config_field_errors():

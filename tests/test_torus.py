@@ -6,7 +6,7 @@ import random
 import pytest
 
 from qweyl import torus
-from qweyl.presentation import build_spec
+from qweyl.presentation import KINDS, build_spec, rule_table, spec_from_config
 from qweyl.reporting import all_ok
 from qweyl.scalars import render_exponents
 from qweyl.torus import (
@@ -138,6 +138,34 @@ def test_mixed_choice_entry():
     spec = build_spec(2, "generic")
     assert _rendered(spec, localized_torus(spec, ("x", "y")))[2][3] == "p2*g12^-1"
     assert torus_generator_labels(spec, ("x", "y")) == ["z1", "z2", "x1", "y2"]
+
+
+def _assert_swaps_match_rule_table(spec):
+    # oracle: the scalar of the rewrite rule of each generator pair, read off
+    # the rule table that the normal-form engine uses
+    n = spec.n
+    table = rule_table(spec)
+    for choice in itertools.product("xy", repeat=n):
+        loc = localized_torus(spec, choice)
+        slots = [spec.x_index(i + 1) if ch == "x" else spec.y_index(i + 1)
+                 for i, ch in enumerate(choice)]
+        for i in range(n):
+            for j in range(i):
+                (c, _), = table[(slots[i], slots[j])]
+                assert loc.entries[n + i][n + j] == c.as_monomial(), (choice, i, j)
+
+
+@pytest.mark.parametrize("kind", [k for k in KINDS if k != "custom"])
+def test_swap_entries_match_the_rule_table_on_presets(kind):
+    for n in (1, 2, 3, 4):
+        _assert_swaps_match_rule_table(build_spec(n, kind))
+
+
+def test_swap_entries_match_the_rule_table_on_custom_specs(custom_config):
+    rng = random.Random(11)
+    for n in (2, 3, 4):
+        for k in (1, 2, 3):
+            _assert_swaps_match_rule_table(spec_from_config(custom_config(rng, n, k)))
 
 
 def test_matrix_validation():
