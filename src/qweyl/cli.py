@@ -155,14 +155,16 @@ def _cmd_verify(spec, args, height, over_budget):
         checks.extend(pbw.verify_normality(spec, i, products=products))
     for m in range(1, spec.n):
         checks.extend(verify_ambiskew(spec, m, products=products))
+    # the checks of torus.check_torus_isomorphism for every choice, each
+    # distinct verdict computed once
     choices = 2**spec.n
+    theta = torus.theta_sweep(spec)
     for bits in range(choices):
         if over_budget():
             checks.append(_skip("torus-isomorphism",
                                 f"budget exhausted after {bits} of {choices} choices"))
             break
-        choice = tuple("x" if bits >> i & 1 else "y" for i in range(spec.n))
-        checks.extend(torus.check_torus_isomorphism(spec, choice))
+        checks.extend(next(theta))
     return checks, {}
 
 

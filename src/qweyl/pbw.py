@@ -19,8 +19,10 @@ are carried as None so that appends cost no scalar product.  A caller that
 makes many products on one spec can instead pass one _Products memo as
 `products` to multiply and the verifiers; the command-line `verify` shares
 one memo across all of its relation, normality and extension-step checks,
-and drops it when it returns.  Each memo entry m*g is fixed by m, g and
-the rule table, so sharing changes no result.
+and drops it when it returns.  That memo also holds the Casimir elements
+z_i and their products z_a*z_b, so the normality checks build each z_i
+once and multiply each ordered pair once.  Each memo entry is fixed by its
+key, the spec and the rule table, so sharing changes no result.
 
 The recursion terminates.  Order words by length, then by their multiset
 of generators (compared largest first), then by inversion count.
@@ -40,6 +42,7 @@ binomial dimension of the degree filtration.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -198,6 +201,7 @@ class _Products:
     """
 
     def __init__(self, spec: AlgebraSpec):
+        self.spec = spec
         self.n = spec.n
         self.one = spec.lattice.one()
         self.table = rule_table(spec)
@@ -259,6 +263,27 @@ class _Products:
     def element(self, terms: _Terms) -> PBWElement:
         return PBWElement(self.n, {m: self.one if c is None else c for m, c in terms.items()})
 
+    @functools.cached_property
+    def casimirs(self) -> dict[tuple[int, ...], PBWElement]:
+        """z_i under (i,) and z_a*z_b under (a, b); made on first use, so a
+        memo that never meets a Casimir element costs nothing for it."""
+        return {}
+
+    def casimir(self, i: int) -> PBWElement:
+        """z_i, built once per memo."""
+        z = self.casimirs.get((i,))
+        if z is None:
+            z = self.casimirs[(i,)] = casimir(self.spec, i)
+        return z
+
+    def casimir_product(self, a: int, b: int) -> PBWElement:
+        """z_a * z_b, multiplied once per memo."""
+        zz = self.casimirs.get((a, b))
+        if zz is None:
+            zz = multiply(self.spec, self.casimir(a), self.casimir(b), products=self)
+            self.casimirs[(a, b)] = zz
+        return zz
+
 
 # -- identity verification ---------------------------------------------------
 
@@ -309,7 +334,10 @@ def verify_normality(spec: AlgebraSpec, i: int, *,
                      products: _Products | None = None) -> list[Check]:
     """Check the commutation laws of z_i and the simpler Casimir formula.
 
-    `products` is passed on to every multiply.
+    `products` is passed on to every multiply; given one, the Casimir
+    elements and their products z_i*z_j, z_j*z_i are also taken from it, so
+    the n calls of one `verify` build each z_j once and multiply each
+    ordered pair once.
     """
     if not 1 <= i <= spec.n:
         raise ValueError(f"index {i} out of range 1..{spec.n}")
@@ -317,7 +345,12 @@ def verify_normality(spec: AlgebraSpec, i: int, *,
     n = spec.n
     q, p = spec.q, spec.p
     mul = lambda f, g: multiply(spec, f, g, products=products)
-    z = casimir(spec, i)
+    if products is None:
+        z = casimir(spec, i)
+        commute = lambda j: mul(z, casimir(spec, j)) - mul(casimir(spec, j), z)
+    else:
+        z = products.casimir(i)
+        commute = lambda j: products.casimir_product(i, j) - products.casimir_product(j, i)
     for j in range(1, n + 1):
         yj = generator(spec, spec.y_index(j))
         lam = p[j - 1] if i < j else q[j - 1]
@@ -327,8 +360,7 @@ def verify_normality(spec: AlgebraSpec, i: int, *,
         lam = p[j - 1].inverse() if i < j else q[j - 1].inverse()
         ok = (mul(z, xj) - mul(xj, z).scale(lam)).is_zero()
         checks.append(Check(f"z{i}*x{j}", ok, "z_i x_j = (p_j or q_j)^-1 x_j z_i"))
-        zj = casimir(spec, j)
-        ok = (mul(z, zj) - mul(zj, z)).is_zero()
+        ok = commute(j).is_zero()
         checks.append(Check(f"z{i}*z{j}", ok, "Casimir elements commute"))
     xi = generator(spec, spec.x_index(i))
     yi = generator(spec, spec.y_index(i))

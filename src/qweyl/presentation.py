@@ -207,6 +207,11 @@ def _build_custom(n: int, custom: Mapping) -> AlgebraSpec:
         # a string would otherwise be read one character at a time
         if not isinstance(custom[key], list):
             raise ConfigError(f"custom.{key}", f"expected a list, got {custom[key]!r}")
+    # an ASCII identifier, [A-Za-z_][A-Za-z0-9_]*: a symbol such as "1", "a*b"
+    # or "q^2" would read back as another monomial
+    for sym in custom["symbols"]:
+        if not (isinstance(sym, str) and sym.isascii() and sym.isidentifier()):
+            raise ConfigError("custom.symbols", f"symbol {sym!r} is not an identifier")
     try:
         lat = ParameterLattice(custom["symbols"])
     except ValueError as exc:

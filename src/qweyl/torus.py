@@ -24,16 +24,31 @@ and two generators of different indices swap by the scalar of their
 rewrite rule in qweyl.presentation, a product of q, p and gamma entries.
 The standard torus is built once per spec and cached on it, like the rule
 table; a pairing is immutable, so every caller may share it.
+
+Locality of the theta checks.  The check of a standard pair (a, b) under a
+choice ch compares pair(theta(a), theta(b)) in the localized torus with the
+standard entry (a, b).  theta(z_i) = e_i reads no choice, and theta(y_i) is
+e_{n+i} or e_i - e_{n+i} as ch[i] is y or x.  A localized entry reads ch only
+at the indices of its own two generators: (z_i, z_j) vanishes, (z_i, v_j)
+reads ch[j], and (v_i, v_j) reads ch[i] and ch[j].  So the check of (a, b)
+reads ch only at the indices of the y's among a and b: none for (z_i, z_j),
+j for (z_i, y_j) and i, j for (y_i, y_j).  Its verdict under every one of
+the 2^n choices is one of at most 4 verdicts, one per assignment of x/y to
+those indices, and theta_sweep computes each of them once:
+C(n,2) + 2n^2 + 4 C(n,2) verdicts stand for the 2^n C(2n,2) checks.
 """
 
 from __future__ import annotations
 
 import operator
+from collections.abc import Iterator
 
 from .presentation import AlgebraSpec
 from .reporting import Check
 
 IntVector = tuple[int, ...]
+
+_THETA_DETAIL = "standard-torus relation preserved in the localized torus"
 
 
 def _neg(v: IntVector) -> IntVector:
@@ -104,6 +119,25 @@ def _swap_exponents(q, p, gamma, ch, i: int, j: int) -> IntVector:
     return tuple(map(sum, zip(*factors)))
 
 
+def _z_entries(q, p, ch, j: int) -> tuple[IntVector, IntVector]:
+    """Exponents of lam with z_i V_j = lam V_j z_i, for i < j and for i >= j.
+
+    Indices are 0-based.  z_i past y_j scales by p_j when i < j and by q_j
+    otherwise; past x_j by the inverse.
+    """
+    if ch[j] == "x":
+        return _neg(p[j]), _neg(q[j])
+    return p[j], q[j]
+
+
+def _exponents(spec: AlgebraSpec):
+    """Exponent vectors of q, p and gamma."""
+    q = [s.as_monomial() for s in spec.q]
+    p = [s.as_monomial() for s in spec.p]
+    gamma = [[s.as_monomial() for s in row] for row in spec.gamma]
+    return q, p, gamma
+
+
 def validate_choice(spec: AlgebraSpec, choice) -> tuple[str, ...]:
     ch = tuple(choice)
     if len(ch) != spec.n or any(v not in ("x", "y") for v in ch):
@@ -123,19 +157,14 @@ def localized_torus(spec: AlgebraSpec, choice) -> ExponentPairing:
     ch = validate_choice(spec, choice)
     n = spec.n
     zero = (0,) * spec.lattice.k
-    q = [s.as_monomial() for s in spec.q]
-    p = [s.as_monomial() for s in spec.p]
-    gamma = [[s.as_monomial() for s in row] for row in spec.gamma]
+    q, p, gamma = _exponents(spec)
     entries = [[zero] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        for j in range(n):
-            # z_i past y_j scales by q_j when i >= j and by p_j otherwise;
-            # past x_j by the inverse
-            lam = q[j] if i >= j else p[j]
-            if ch[j] == "x":
-                lam = _neg(lam)
-            entries[i][n + j] = lam
-            entries[n + j][i] = _neg(lam)
+    for j in range(n):
+        lams = _z_entries(q, p, ch, j)
+        negs = tuple(map(_neg, lams))
+        for i in range(n):
+            entries[i][n + j] = lams[i >= j]
+            entries[n + j][i] = negs[i >= j]
             if i > j:
                 lam = _swap_exponents(q, p, gamma, ch, i, j)
                 entries[n + i][n + j] = lam
@@ -182,7 +211,71 @@ def check_torus_isomorphism(spec: AlgebraSpec, choice) -> list[Check]:
                 Check(
                     f"theta[{tag}]({labels[a]},{labels[b]})",
                     loc.pair(images[a], images[b]) == std.entries[a][b],
-                    "standard-torus relation preserved in the localized torus",
+                    _THETA_DETAIL,
                 )
             )
     return checks
+
+
+def _choice(n: int, bits: int) -> tuple[str, ...]:
+    """The choice that inverts x_i exactly where bit i - 1 of bits is set."""
+    return tuple("x" if bits >> i & 1 else "y" for i in range(n))
+
+
+def _theta_image(n: int, ch, a: int) -> list[tuple[int, int]]:
+    """theta of standard generator a as (localized slot, exponent) pairs."""
+    if a >= n and ch[a - n] == "x":
+        return [(a - n, 1), (a, -1)]  # y_i -> z_i x_i^{-1}
+    return [(a, 1)]
+
+
+def theta_sweep(spec: AlgebraSpec) -> Iterator[list[Check]]:
+    """check_torus_isomorphism(spec, _choice(n, bits)) for bits = 0 .. 2^n - 1.
+
+    Yields one list per choice, equal to what check_torus_isomorphism
+    returns, but builds no localized torus: each verdict is computed once
+    per assignment of the indices its check reads (see the module
+    docstring) and is looked up by bits & mask, mask holding the bits of
+    those indices.
+    """
+    n = spec.n
+    k = spec.lattice.k
+    std = standard_torus(spec).entries
+    q, p, gamma = _exponents(spec)
+    zero = (0,) * k
+
+    def entry(ch, s: int, t: int) -> IntVector:
+        # entry (s, t) of localized_torus(spec, ch), reading ch at s and t only
+        if s > t:
+            return _neg(entry(ch, t, s))
+        if t < n:
+            return zero
+        if s < n:
+            return _z_entries(q, p, ch, t - n)[s >= t - n]
+        return _neg(_swap_exponents(q, p, gamma, ch, t - n, s - n))
+
+    def holds(ch, a: int, b: int) -> bool:
+        out = [0] * k
+        for s, es in _theta_image(n, ch, a):
+            for t, et in _theta_image(n, ch, b):
+                for c, e in enumerate(entry(ch, s, t)):
+                    out[c] += es * et * e
+        return tuple(out) == std[a][b]
+
+    labels = torus_generator_labels(spec)
+    pairs = []
+    for a in range(2 * n):
+        for b in range(a + 1, 2 * n):
+            mask = sum(1 << (c - n) for c in (a, b) if c >= n)
+            verdicts = {}
+            local = mask
+            while True:  # every submask of mask, down to 0
+                verdicts[local] = holds(_choice(n, local), a, b)
+                if not local:
+                    break
+                local = (local - 1) & mask
+            pairs.append((f"({labels[a]},{labels[b]})", mask, verdicts))
+    for bits in range(2**n):
+        prefix = f"theta[{''.join(_choice(n, bits))}]"
+        yield [Check(prefix + pair, verdicts[bits & mask], _THETA_DETAIL)
+               for pair, mask, verdicts in pairs]

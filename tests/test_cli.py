@@ -10,7 +10,7 @@ import pytest
 
 from qweyl import cli, pbw, torus
 from qweyl.cli import Report, main, run, verify_ambiskew
-from qweyl.presentation import KINDS, build_spec, rule_table, spec_from_config
+from qweyl.presentation import KINDS, build_spec, casimir, rule_table, spec_from_config
 from qweyl.reporting import all_ok
 
 
@@ -258,6 +258,20 @@ def test_custom_spec_through_cli(tmp_path, capsys):
     assert "field 'custom.symbols'" in capsys.readouterr().err
 
 
+def test_non_identifier_symbol_exits_2(tmp_path, capsys):
+    # the symbol "1" renders like the unit, so the config would not round-trip
+    cfg = _write(
+        tmp_path,
+        {
+            "n": 1,
+            "kind": "custom",
+            "custom": {"symbols": ["1", "b"], "q": ["b"], "p": ["1^1"], "gamma": [["1"]]},
+        },
+    )
+    assert main(["--config", cfg, "--command", "verify"]) == 2
+    assert "field 'custom.symbols'" in capsys.readouterr().err
+
+
 def test_skew_usage_errors_exit_2(tmp_path, capsys):
     cfg = _write(tmp_path, {"n": 2, "kind": "generic"})
     assert main(["--config", cfg, "--command", "skew", "--args", "1", "2", "xk_y"]) == 2
@@ -327,7 +341,7 @@ def test_verify_shares_one_memo_and_one_standard_torus(monkeypatch):
         for command in ("verify", "report"):
             memos.clear(), loc_builds.clear()
             cli.run({"n": n, "kind": "generic"}, command)
-            assert len(loc_builds) == 2**n + 1  # every choice, and the standard torus once
+            assert loc_builds == [("y",) * n]  # the standard torus, once
             if command == "verify":
                 assert len(memos) == 1
     loc_builds.clear()
@@ -365,3 +379,24 @@ def test_shared_memo_fails_where_fresh_memos_fail():
     failed = {c.name for c in shared if not c.ok}
     assert "xx(1,3)" in failed
     assert failed == {c.name for c in _fresh_memo_checks(spec) if not c.ok}
+
+
+def test_verify_multiplies_each_casimir_pair_once(monkeypatch):
+    # the normality checks of one verify take z_a*z_b from the shared memo:
+    # n^2 Casimir-by-Casimir products, one per ordered pair, instead of 2n^2
+    n = 3
+    spec = build_spec(n, "generic")
+    zs = [casimir(spec, j) for j in range(1, n + 1)]
+    pairs = []
+    original = pbw.multiply
+
+    def counted(spec_, f, g, **kwargs):
+        if f in zs and g in zs:
+            pairs.append((zs.index(f), zs.index(g)))
+        return original(spec_, f, g, **kwargs)
+
+    monkeypatch.setattr(pbw, "multiply", counted)
+    checks, _ = cli._cmd_verify(spec, [], 3, _never)
+    assert all_ok(checks)
+    assert sorted(pairs) == list(itertools.product(range(n), repeat=2))
+

@@ -6,6 +6,11 @@ preset kind or on the fixed custom specs below.  The digests were computed
 before the shared product memo and the cached standard torus went in, so a
 change that is meant to keep every output byte-identical must keep them.
 A deliberate change of output must recompute them and say so.
+
+VERIFY_PINS hold the same digest of `verify` alone at n = 5 and 6, where
+the 2^n torus-isomorphism choices make up most of the checks.  They were
+computed before the locality sweep of the theta checks and the shared
+Casimir products went in.
 """
 
 import hashlib
@@ -75,3 +80,20 @@ def _digest(configs):
 @pytest.mark.parametrize("name", sorted(PINS))
 def test_verify_and_report_outputs_are_pinned(name):
     assert _digest(_configs(name)) == PINS[name]
+
+
+VERIFY_PINS = {
+    ("generic", 5): "95803c935e2c9e016b771fd499f0eee719762fc9adfde2ba27e80ae6881e854b",
+    ("generic", 6): "efaa3a94628d03caabfcea45d732d1de9a5af7f832156e28e0c28556671e4ff1",
+    ("euclidean", 5): "053546ffb96d3bfe5f1c7d802ef7ec8d3346993db392d5a6f67949fe650f0e76",
+    ("euclidean", 6): "6db44fe8215bc4b2b4c375cf22a09540e6e8877bca69e435c4a49317dcdf8da3",
+}
+
+
+@pytest.mark.parametrize("kind, n", sorted(VERIFY_PINS))
+def test_verify_output_is_pinned_at_larger_n(kind, n):
+    rep = cli.run({"n": n, "kind": kind}, "verify").to_json()
+    rep.pop("elapsed_ms")
+    digest = hashlib.sha256(json.dumps(rep, sort_keys=True).encode()).hexdigest()
+    assert digest == VERIFY_PINS[(kind, n)]
+

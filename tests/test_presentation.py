@@ -276,6 +276,22 @@ def test_custom_fields_must_be_lists():
     assert err.value.field == "custom"
 
 
+@pytest.mark.parametrize("symbol", ["1", "a*b", "q^2"])
+def test_custom_symbols_must_be_identifiers(symbol):
+    # "1" used to be accepted: its monomial renders as "1", which the config
+    # round trip reads back as the unit
+    custom = {
+        "symbols": [symbol, "b"],
+        "q": ["b", "b"],
+        "p": ["b^2", "b^3"],
+        "gamma": [["1", "1"], ["1", "1"]],
+    }
+    with pytest.raises(ConfigError) as err:
+        build_spec(2, "custom", custom=custom)
+    assert err.value.field == "custom.symbols"
+    assert build_spec(2, "custom", custom=dict(custom, symbols=["a_1", "b"])).lattice.k == 2
+
+
 def test_config_round_trip():
     for cfg in (
         {"n": 2, "kind": "generic"},

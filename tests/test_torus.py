@@ -1,6 +1,7 @@
 """Torus pairings: commutator oracle, spec tori, localization map."""
 
 import itertools
+import math
 import random
 
 import pytest
@@ -247,3 +248,95 @@ def test_theta_fails_on_corrupted_pairing(monkeypatch):
         }
         assert expected
         assert failed == expected, (a, b)
+
+
+# -- the locality sweep against the all-choices loop ---------------------------
+
+def _full_loop(spec):
+    """check_torus_isomorphism over every choice, in the order of verify."""
+    checks = []
+    for bits in range(2**spec.n):
+        choice = tuple("x" if bits >> i & 1 else "y" for i in range(spec.n))
+        checks += check_torus_isomorphism(spec, choice)
+    return checks
+
+
+def _sweep(spec):
+    return [c for choice_checks in torus.theta_sweep(spec) for c in choice_checks]
+
+
+@pytest.mark.parametrize("kind", [k for k in KINDS if k != "custom"])
+def test_sweep_matches_the_full_loop_on_presets(kind):
+    for n in (1, 2, 3, 4, 5):
+        spec = build_spec(n, kind)
+        sweep = _sweep(spec)
+        assert len(sweep) == 2**n * math.comb(2 * n, 2)
+        assert sweep == _full_loop(spec), (kind, n)
+
+
+def test_sweep_matches_the_full_loop_on_custom_specs(custom_config):
+    rng = random.Random(13)
+    for n in (2, 3, 4, 5):
+        for k in (1, 2, 3):
+            spec = spec_from_config(custom_config(rng, n, k))
+            assert _sweep(spec) == _full_loop(spec), (n, k)
+
+
+def _failed(checks):
+    return {c.name for c in checks if not c.ok}
+
+
+@pytest.mark.parametrize("kind", ["generic", "euclidean"])
+def test_sweep_fails_where_the_full_loop_fails_on_a_corrupted_standard_torus(kind):
+    # swap one nonzero (a, b)/(b, a) pair of the cached standard torus
+    spec = build_spec(3, kind)
+    std = standard_torus(spec)
+    pairs = [(a, b) for a, b in itertools.combinations(range(std.m), 2) if any(std.entries[a][b])]
+    assert pairs
+    for a, b in pairs:
+        entries = [list(row) for row in std.entries]
+        entries[a][b], entries[b][a] = entries[b][a], entries[a][b]
+        spec._standard_torus = ExponentPairing(std.m, std.k, entries)
+        failed = _failed(_sweep(spec))
+        assert failed, (a, b)
+        assert failed == _failed(_full_loop(spec)), (a, b)
+    spec._standard_torus = std
+    assert all_ok(_sweep(spec))
+
+
+def test_sweep_fails_where_the_full_loop_fails_on_a_corrupted_entry(monkeypatch):
+    # shift one localized entry, for one assignment of its two indices, in the
+    # formula that the sweep and localized_torus share
+    spec = build_spec(3, "generic")
+    standard_torus(spec)  # cached before the corruption
+    bump = (1,) + (0,) * (spec.lattice.k - 1)
+    z_entries, swap = torus._z_entries, torus._swap_exponents
+
+    def shifted(v):
+        return tuple(x + y for x, y in zip(v, bump))
+
+    cases = []
+    for j in range(3):
+        # the z_i with i < j (none for j = 0), or those with i >= j
+        for below in ((True,) if j == 0 else (False, True)):
+            for cj in "xy":
+                def bad_z(q, p, ch, j_, j=j, below=below, cj=cj):
+                    lams = list(z_entries(q, p, ch, j_))
+                    if (j_, ch[j_]) == (j, cj):
+                        lams[below] = shifted(lams[below])
+                    return tuple(lams)
+                cases.append(("_z_entries", bad_z))
+    for i, j in itertools.combinations(range(3), 2):
+        j, i = i, j  # _swap_exponents takes i > j
+        for ci, cj in itertools.product("xy", repeat=2):
+            def bad_swap(q, p, gamma, ch, i_, j_, i=i, j=j, ci=ci, cj=cj):
+                v = swap(q, p, gamma, ch, i_, j_)
+                return shifted(v) if (i_, j_, ch[i_], ch[j_]) == (i, j, ci, cj) else v
+            cases.append(("_swap_exponents", bad_swap))
+    for name, bad in cases:
+        with monkeypatch.context() as m:
+            m.setattr(torus, name, bad)
+            failed = _failed(_sweep(spec))
+            assert failed
+            assert failed == _failed(_full_loop(spec))
+
