@@ -31,6 +31,7 @@ from .pbw import (
     render_element,
     skew_power_identity,
     unit,
+    verify_ambiskew,
     verify_normality,
     verify_relations,
 )

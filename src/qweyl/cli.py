@@ -1,9 +1,9 @@
 """Batch command-line front end.
 
 Loads an algebra spec from a JSON config ({"n": int, "kind": str,
-"q": str?, "custom": {...}?}), runs one command against it, and emits a
-report either as JSON ({"spec", "checks", "values", "elapsed_ms"}) or as a
-stable text table.  Exit codes: 0 all checks pass, 1 a check failed or the
+"custom": {...}?}), runs one command against it, and emits a report either
+as JSON ({"spec", "checks", "values", "elapsed_ms"}) or as a stable text
+table.  Exit codes: 0 all checks pass, 1 a check failed or the
 growth bound is indeterminate, 2 usage/config error.
 """
 
@@ -16,10 +16,8 @@ import time
 from dataclasses import dataclass
 
 from . import dimension, pbw, torus
-from .presentation import ConfigError, ambiskew_step, casimir, spec_from_config, spec_to_config
+from .presentation import ConfigError, spec_from_config, spec_to_config
 from .reporting import Check
-
-COMMANDS = ("nf", "mul", "verify", "skew", "growth", "dim", "bound", "report")
 
 
 class UsageError(ValueError):
@@ -73,74 +71,20 @@ def _skip(name: str, reason: str) -> Check:
 
 # -- command implementations ---------------------------------------------------
 
-def _cmd_nf(spec, args, height):
+def _cmd_nf(spec, args, height, over_budget):
     if len(args) != 1:
         raise UsageError("nf takes one word argument, e.g. --args 'x2 y1 x1'")
     element = pbw.normal_form(spec, args[0])
     return [], {"input": args[0], "normal_form": pbw.render_element(spec, element)}
 
 
-def _cmd_mul(spec, args, height):
+def _cmd_mul(spec, args, height, over_budget):
     if len(args) != 2:
         raise UsageError("mul takes two word arguments")
     f = pbw.normal_form(spec, args[0])
     g = pbw.normal_form(spec, args[1])
     prod = pbw.multiply(spec, f, g)
     return [], {"factors": list(args), "product": pbw.render_element(spec, prod)}
-
-
-def verify_ambiskew(spec, m: int, *, products=None) -> list[Check]:
-    """Engine checks of the extension-step data at step m.
-
-    u = z_m / c with c = p_{m+1} - q_{m+1} is not in the coefficient ring, so
-    each identity in u is checked multiplied through by c.  The ring is a
-    domain and c != 0, so each check is as strong as the identity its detail
-    states.  `products` is passed on to every pbw.multiply.
-    """
-    step = ambiskew_step(spec, m)
-    mul = lambda f, g: pbw.multiply(spec, f, g, products=products)
-    q, p, gamma = spec.q, spec.p, spec.gamma
-    checks = []
-    # the twist alpha scales u by p_{m+1}
-    az = _apply_diagonal(spec, step.alpha, step.z)
-    checks.append(
-        Check(f"ambiskew-alpha-u({m})", (az - step.z.scale(p[m])).is_zero(),
-              "alpha(u) = p_{m+1} u")
-    )
-    # u - rho*alpha(u) is -q_{m+1}^{-1} z_m, and matches the engine commutator
-    delta = step.z - az.scale(step.rho)
-    zm = casimir(spec, m)
-    ok = (delta - zm.scale(-q[m].inverse() * step.c)).is_zero()
-    y_new = pbw.generator(spec, spec.y_index(m + 1))
-    x_new = pbw.generator(spec, spec.x_index(m + 1))
-    comm = mul(y_new, x_new) - mul(x_new, y_new).scale(step.rho)
-    ok = ok and (comm.scale(step.c) - delta).is_zero()
-    checks.append(Check(f"ambiskew-delta({m})", ok, "u - rho*alpha(u) = -q_{m+1}^{-1} z_m"))
-    # the next Casimir element; q_{m+1} - p_{m+1} = -c
-    lhs = step.z - mul(y_new, x_new).scale(step.c)
-    checks.append(
-        Check(f"ambiskew-casimir({m})", (lhs - casimir(spec, m + 1)).is_zero(),
-              "z_{m+1} = (q_{m+1} - p_{m+1})(y_{m+1} x_{m+1} - u)")
-    )
-    # beta = (conjugation by u) * alpha^{-1} matches the closed multipliers
-    ok = all(
-        step.beta_on_x(i) == p[m].inverse() * gamma[i - 1][m]
-        and step.beta_on_y(i) == gamma[m][i - 1]
-        for i in range(1, m + 1)
-    )
-    checks.append(Check(f"ambiskew-beta({m})", ok, "beta multipliers match gamma*alpha^-1"))
-    return checks
-
-
-def _apply_diagonal(spec, multipliers, f):
-    out = {}
-    for mono, coeff in f.terms.items():
-        c = coeff
-        for g, e in enumerate(mono):
-            if e:
-                c = c * multipliers[g] ** e
-        out[mono] = c
-    return pbw.PBWElement(spec.n, out)
 
 
 def _cmd_verify(spec, args, height, over_budget):
@@ -154,7 +98,7 @@ def _cmd_verify(spec, args, height, over_budget):
             break
         checks.extend(pbw.verify_normality(spec, i, products=products))
     for m in range(1, spec.n):
-        checks.extend(verify_ambiskew(spec, m, products=products))
+        checks.extend(pbw.verify_ambiskew(spec, m, products=products))
     # the checks of torus.check_torus_isomorphism for every choice, each
     # distinct verdict computed once
     choices = 2**spec.n
@@ -178,7 +122,7 @@ def _skew_suite(spec, max_k: int) -> list[Check]:
     return checks
 
 
-def _cmd_skew(spec, args, height):
+def _cmd_skew(spec, args, height, over_budget):
     if not args:
         return _skew_suite(spec, max_k=4), {}
     if len(args) not in (2, 3):
@@ -196,7 +140,16 @@ def _cmd_skew(spec, args, height):
         raise UsageError(str(exc)) from exc
 
 
-def _cmd_growth(spec, args, height):
+def _growth_values(spec, n_steps: int) -> dict:
+    rep = pbw.growth_count(spec, n_steps)
+    return {
+        "growth_counts": rep.counts,
+        "growth_exponent": rep.exponent,
+        "growth_window": list(rep.window),
+    }
+
+
+def _cmd_growth(spec, args, height, over_budget):
     if len(args) != 1:
         raise UsageError("growth takes one argument N")
     try:
@@ -204,18 +157,12 @@ def _cmd_growth(spec, args, height):
     except ValueError as exc:
         raise UsageError(f"growth argument must be an integer: {args[0]!r}") from exc
     try:
-        rep = pbw.growth_count(spec, n_steps)
+        return [], _growth_values(spec, n_steps)
     except ValueError as exc:  # N < 1, or a BudgetError past the size gate
         raise UsageError(str(exc)) from exc
-    values = {
-        "growth_counts": rep.counts,
-        "growth_exponent": rep.exponent,
-        "growth_window": list(rep.window),
-    }
-    return [], values
 
 
-def _cmd_dim(spec, args, height):
+def _cmd_dim(spec, args, height, over_budget):
     rep = dimension.torus_dimension(spec, height=height)
     values = dict(rep.to_json())
     ok = dimension.verify_witness(torus.standard_torus(spec), rep.witness)
@@ -223,7 +170,7 @@ def _cmd_dim(spec, args, height):
     return checks, values
 
 
-def _cmd_bound(spec, args, height):
+def _cmd_bound(spec, args, height, over_budget):
     dim_rep = dimension.torus_dimension(spec, height=height)
     values = {"dim": dim_rep.to_json()}
     if not dim_rep.is_point:
@@ -251,20 +198,29 @@ def _cmd_report(spec, args, height, over_budget):
         checks.append(_skip("growth", "budget exhausted"))
     else:
         try:
-            rep = pbw.growth_count(spec, 4)
+            values.update(_growth_values(spec, 4))
         except pbw.BudgetError as exc:
             checks.append(_skip("growth", str(exc)))
-        else:
-            values["growth_counts"] = rep.counts
-            values["growth_exponent"] = rep.exponent
-            values["growth_window"] = list(rep.window)
     if over_budget():
         checks.append(_skip("bound", "budget exhausted"))
     else:
-        dim_checks, dim_values = _cmd_bound(spec, [], height)
+        dim_checks, dim_values = _cmd_bound(spec, [], height, over_budget)
         checks.extend(dim_checks)
         values.update(dim_values)
     return checks, values
+
+
+_HANDLERS = {
+    "nf": _cmd_nf,
+    "mul": _cmd_mul,
+    "verify": _cmd_verify,
+    "skew": _cmd_skew,
+    "growth": _cmd_growth,
+    "dim": _cmd_dim,
+    "bound": _cmd_bound,
+    "report": _cmd_report,
+}
+COMMANDS = tuple(_HANDLERS)
 
 
 # -- driver ---------------------------------------------------------------------
@@ -296,21 +252,9 @@ def run(config: dict, command: str, args=(), height: int = 3, budget=None) -> Re
     def over_budget() -> bool:
         return budget is not None and (time.perf_counter() - started) > budget
 
-    handlers = {
-        "nf": _cmd_nf,
-        "mul": _cmd_mul,
-        "skew": _cmd_skew,
-        "growth": _cmd_growth,
-        "dim": _cmd_dim,
-        "bound": _cmd_bound,
-    }
-    budgeted = {"verify": _cmd_verify, "report": _cmd_report}
-    if command in budgeted:
-        checks, values = budgeted[command](spec, list(args), height, over_budget)
-    elif command in handlers:
-        checks, values = handlers[command](spec, list(args), height)
-    else:
+    if command not in _HANDLERS:
         raise UsageError(f"unknown command {command!r}")
+    checks, values = _HANDLERS[command](spec, list(args), height, over_budget)
     normalized = [c.to_json() for c in checks]
     normalized.sort(key=lambda c: c["name"])
     elapsed_ms = int((time.perf_counter() - started) * 1000)

@@ -14,14 +14,15 @@ ordered monomial and a generator is an append when g is not below the last
 occupied slot h of m; otherwise m = m'*h, and m*g is the sum of
 c*((m'*a)*b) over the rule h*g -> sum c*a*b of the table in
 qweyl.presentation.  These products are memoized in a dict that lives for
-one call of normal_form, multiply or growth_count, and unit coefficients
-are carried as None so that appends cost no scalar product.  A caller that
-makes many products on one spec can instead pass one _Products memo as
-`products` to multiply and the verifiers; the command-line `verify` shares
-one memo across all of its relation, normality and extension-step checks,
-and drops it when it returns.  That memo also holds the Casimir elements
-z_i and their products z_a*z_b, so the normality checks build each z_i
-once and multiply each ordered pair once.  Each memo entry is fixed by its
+one call of normal_form, multiply, growth_count or a verifier, and unit
+coefficients are carried as None so that appends cost no scalar product.
+A caller that makes many products on one spec can instead pass one
+_Products memo as `products` to multiply and the verifiers; the
+command-line `verify` shares one memo across all of its relation,
+normality and extension-step checks, and drops it when it returns.  The
+memo also holds the Casimir elements z_i and their products z_a*z_b, and
+the verifiers take every z_i from it, so one `verify` builds each z_i once
+and multiplies each ordered pair once.  Each memo entry is fixed by its
 key, the spec and the rule table, so sharing changes no result.
 
 The recursion terminates.  Order words by length, then by their multiset
@@ -47,7 +48,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .presentation import AlgebraSpec, casimir, rule_table
+from .presentation import AlgebraSpec, ambiskew_step, casimir, rule_table
 from .reporting import Check
 from .scalars import Scalar, render_scalar
 
@@ -292,8 +293,11 @@ def verify_relations(spec: AlgebraSpec, *, products: _Products | None = None) ->
 
     One entry per relation instance: xx/yy/xy for each index pair, the
     inhomogeneous x_i y_i relation for each i, and gamma_ij * gamma_ji = 1
-    for each unordered pair.  `products` is passed on to every multiply.
+    for each unordered pair.  `products` is the memo of every multiply and
+    Casimir element; by default the call makes its own.
     """
+    if products is None:
+        products = _Products(spec)
     checks = []
     n = spec.n
     one = spec.lattice.one()
@@ -323,7 +327,7 @@ def verify_relations(spec: AlgebraSpec, *, products: _Products | None = None) ->
             checks.append(Check(f"xy({j},{i})", (lhs - rhs).is_zero(), "x_i y_j, i > j"))
     for i in range(1, n + 1):
         lhs = mul(x(i), y(i)) - mul(y(i), x(i)).scale(q[i - 1])
-        zprev = casimir(spec, i - 1) if i > 1 else PBWElement(n, {})
+        zprev = products.casimir(i - 1) if i > 1 else PBWElement(n, {})
         checks.append(
             Check(f"weyl({i})", (lhs - zprev).is_zero(), "x_i y_i - q_i y_i x_i = z_{i-1}")
         )
@@ -334,23 +338,19 @@ def verify_normality(spec: AlgebraSpec, i: int, *,
                      products: _Products | None = None) -> list[Check]:
     """Check the commutation laws of z_i and the simpler Casimir formula.
 
-    `products` is passed on to every multiply; given one, the Casimir
-    elements and their products z_i*z_j, z_j*z_i are also taken from it, so
-    the n calls of one `verify` build each z_j once and multiply each
-    ordered pair once.
+    `products` is the memo of every multiply, Casimir element and Casimir
+    product; by default the call makes its own.  Shared, it lets the n calls
+    of one `verify` build each z_j once and multiply each ordered pair once.
     """
     if not 1 <= i <= spec.n:
         raise ValueError(f"index {i} out of range 1..{spec.n}")
+    if products is None:
+        products = _Products(spec)
     checks = []
     n = spec.n
     q, p = spec.q, spec.p
     mul = lambda f, g: multiply(spec, f, g, products=products)
-    if products is None:
-        z = casimir(spec, i)
-        commute = lambda j: mul(z, casimir(spec, j)) - mul(casimir(spec, j), z)
-    else:
-        z = products.casimir(i)
-        commute = lambda j: products.casimir_product(i, j) - products.casimir_product(j, i)
+    z = products.casimir(i)
     for j in range(1, n + 1):
         yj = generator(spec, spec.y_index(j))
         lam = p[j - 1] if i < j else q[j - 1]
@@ -360,13 +360,71 @@ def verify_normality(spec: AlgebraSpec, i: int, *,
         lam = p[j - 1].inverse() if i < j else q[j - 1].inverse()
         ok = (mul(z, xj) - mul(xj, z).scale(lam)).is_zero()
         checks.append(Check(f"z{i}*x{j}", ok, "z_i x_j = (p_j or q_j)^-1 x_j z_i"))
-        ok = commute(j).is_zero()
+        ok = (products.casimir_product(i, j) - products.casimir_product(j, i)).is_zero()
         checks.append(Check(f"z{i}*z{j}", ok, "Casimir elements commute"))
     xi = generator(spec, spec.x_index(i))
     yi = generator(spec, spec.y_index(i))
     lhs = mul(xi, yi) - mul(yi, xi).scale(p[i - 1])
     checks.append(Check(f"casimir-p({i})", (lhs - z).is_zero(), "x_i y_i - p_i y_i x_i = z_i"))
     return checks
+
+
+def verify_ambiskew(spec: AlgebraSpec, m: int, *,
+                    products: _Products | None = None) -> list[Check]:
+    """Engine checks of the extension-step data at step m.
+
+    u = z_m / c with c = p_{m+1} - q_{m+1} is not in the coefficient ring, so
+    each identity in u is checked multiplied through by c.  The ring is a
+    domain and c != 0, so each check is as strong as the identity its detail
+    states.  `products` is the memo of every multiply and Casimir element;
+    by default the call makes its own.
+    """
+    if products is None:
+        products = _Products(spec)
+    step = ambiskew_step(spec, m)
+    mul = lambda f, g: multiply(spec, f, g, products=products)
+    q, p, gamma = spec.q, spec.p, spec.gamma
+    z = products.casimir(m)
+    checks = []
+    # the twist alpha scales u by p_{m+1}
+    az = _apply_diagonal(spec, step.alpha, z)
+    checks.append(
+        Check(f"ambiskew-alpha-u({m})", (az - z.scale(p[m])).is_zero(),
+              "alpha(u) = p_{m+1} u")
+    )
+    # u - rho*alpha(u) is -q_{m+1}^{-1} z_m, and matches the engine commutator
+    delta = z - az.scale(step.rho)
+    ok = (delta - z.scale(-q[m].inverse() * step.c)).is_zero()
+    y_new = generator(spec, spec.y_index(m + 1))
+    x_new = generator(spec, spec.x_index(m + 1))
+    comm = mul(y_new, x_new) - mul(x_new, y_new).scale(step.rho)
+    ok = ok and (comm.scale(step.c) - delta).is_zero()
+    checks.append(Check(f"ambiskew-delta({m})", ok, "u - rho*alpha(u) = -q_{m+1}^{-1} z_m"))
+    # the next Casimir element; q_{m+1} - p_{m+1} = -c
+    lhs = z - mul(y_new, x_new).scale(step.c)
+    checks.append(
+        Check(f"ambiskew-casimir({m})", (lhs - products.casimir(m + 1)).is_zero(),
+              "z_{m+1} = (q_{m+1} - p_{m+1})(y_{m+1} x_{m+1} - u)")
+    )
+    # beta = (conjugation by u) * alpha^{-1} matches the closed multipliers
+    ok = all(
+        step.beta_on_x(i) == p[m].inverse() * gamma[i - 1][m]
+        and step.beta_on_y(i) == gamma[m][i - 1]
+        for i in range(1, m + 1)
+    )
+    checks.append(Check(f"ambiskew-beta({m})", ok, "beta multipliers match gamma*alpha^-1"))
+    return checks
+
+
+def _apply_diagonal(spec: AlgebraSpec, multipliers, f: PBWElement) -> PBWElement:
+    out = {}
+    for mono, coeff in f.terms.items():
+        c = coeff
+        for g, e in enumerate(mono):
+            if e:
+                c = c * multipliers[g] ** e
+        out[mono] = c
+    return PBWElement(spec.n, out)
 
 
 SKEW_FORMS = ("k1_base", "xk_y", "x_yk")

@@ -18,7 +18,6 @@ extra term for i = 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .scalars import ParameterLattice, Scalar, parse_monomial, render_exponents
@@ -57,7 +56,6 @@ class AlgebraSpec:
         q: Sequence[Scalar],
         p: Sequence[Scalar],
         gamma: Sequence[Sequence[Scalar]],
-        q_value: Fraction | None = None,
     ):
         self.n = n
         self.kind = kind
@@ -65,17 +63,12 @@ class AlgebraSpec:
         self.q = tuple(q)
         self.p = tuple(p)
         self.gamma = tuple(tuple(row) for row in gamma)
-        self.q_value = q_value
         _validate(self)
         # built on first use by rule_table and torus.standard_torus
         self._rule_table: dict | None = None
         self._standard_torus = None
 
     # -- generator bookkeeping ---------------------------------------------
-
-    @property
-    def num_generators(self) -> int:
-        return 2 * self.n
 
     def y_index(self, i: int) -> int:
         """Generator slot of y_i (1-based i)."""
@@ -127,22 +120,14 @@ def _validate(spec: AlgebraSpec) -> None:
                 f"p[{i}]",
                 "p_i must differ from q_i by a non-torsion monomial",
             )
-    if spec.q_value is not None and abs(spec.q_value) in (0, 1):
-        raise ConfigError("q", f"rational value {spec.q_value} risks a root of unity")
 
 
-def build_spec(n: int, kind: str, q=None, custom: Mapping | None = None) -> AlgebraSpec:
-    """Construct a spec for one of the built-in kinds or a custom assignment.
-
-    `q` (a rational, for single-parameter kinds only) specializes the single
-    parameter; omitted means symbolic.  Values 0, 1, -1 are rejected.
-    """
+def build_spec(n: int, kind: str, custom: Mapping | None = None) -> AlgebraSpec:
+    """Construct a spec for one of the built-in kinds or a custom assignment."""
     if kind not in KINDS:
         raise ConfigError("kind", f"unknown kind {kind!r}; expected one of {KINDS}")
     if n < 1:
         raise ConfigError("n", f"must be a positive integer, got {n}")
-    if q is not None and kind not in SINGLE_PARAMETER_KINDS:
-        raise ConfigError("q", f"kind {kind!r} takes no single-parameter value")
     if kind == "custom":
         if custom is None:
             raise ConfigError("custom", "kind 'custom' needs a parameter assignment")
@@ -151,12 +136,6 @@ def build_spec(n: int, kind: str, q=None, custom: Mapping | None = None) -> Alge
         raise ConfigError("custom", f"kind {kind!r} takes no custom assignment")
 
     if kind in SINGLE_PARAMETER_KINDS:
-        q_value = None
-        if q is not None:
-            try:
-                q_value = Fraction(q)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ConfigError("q", f"not a rational: {q!r}") from exc
         lat = ParameterLattice(["q"])
         s = {"symplectic": (0, -2, 1), "euclidean": (-2, 0, -1), "heisenberg": (2, 0, 1)}
         p_pow, q_pow, g_pow = s[kind]
@@ -165,7 +144,7 @@ def build_spec(n: int, kind: str, q=None, custom: Mapping | None = None) -> Alge
         gamma = _antisymmetric(
             lat, n, lambda i, j: lat.monomial({"q": g_pow})
         )
-        return AlgebraSpec(n, kind, lat, qs, ps, gamma, q_value=q_value)
+        return AlgebraSpec(n, kind, lat, qs, ps, gamma)
 
     symbols = []
     if kind in ("generic", "generic-p1", "graded-weyl"):
@@ -322,15 +301,14 @@ class AmbiskewStep:
 
     alpha/beta multipliers are indexed by generator slot 0..2m-1; beta is
     derived multiplierwise as (conjugation by the normal element) * alpha^{-1}.
-    The normal element u = z_m / c with c = p_{m+1} - q_{m+1} is not a unit of
-    the coefficient ring, so it is carried as the pair (z, c).
+    The normal element u = z_m / c with c = p_{m+1} - q_{m+1} is not in the
+    coefficient ring, so only c is carried; z_m is casimir(spec, m).
     """
 
     m: int
     rho: Scalar
     alpha: tuple[Scalar, ...]
     beta: tuple[Scalar, ...]
-    z: "object"  # PBWElement, the Casimir element z_m
     c: Scalar
 
     def alpha_on_x(self, i: int) -> Scalar:
@@ -360,16 +338,13 @@ def ambiskew_step(spec: AlgebraSpec, m: int) -> AmbiskewStep:
         # conjugation by z_m scales y_i by q_i and x_i by q_i^{-1} (i <= m)
         alpha += [a_y, a_x]
         beta += [q[i - 1] / a_y, q[i - 1].inverse() / a_x]
-    return AmbiskewStep(m=m, rho=rho, alpha=tuple(alpha), beta=tuple(beta),
-                        z=casimir(spec, m), c=p[m] - q[m])
+    return AmbiskewStep(m=m, rho=rho, alpha=tuple(alpha), beta=tuple(beta), c=p[m] - q[m])
 
 
 # -- config (de)serialization ------------------------------------------------
 
 def spec_to_config(spec: AlgebraSpec) -> dict:
     cfg: dict = {"n": spec.n, "kind": spec.kind}
-    if spec.q_value is not None:
-        cfg["q"] = str(spec.q_value)
     if spec.kind == "custom":
         lat = spec.lattice
         cfg["custom"] = {
@@ -387,7 +362,7 @@ def spec_to_config(spec: AlgebraSpec) -> dict:
 def spec_from_config(cfg: Mapping) -> AlgebraSpec:
     if not isinstance(cfg, Mapping):
         raise ConfigError("config", "top-level JSON value must be an object")
-    unknown = set(cfg) - {"n", "kind", "q", "custom"}
+    unknown = set(cfg) - {"n", "kind", "custom"}
     if unknown:
         raise ConfigError(sorted(unknown)[0], "unknown config field")
     if "n" not in cfg:
@@ -397,8 +372,4 @@ def spec_from_config(cfg: Mapping) -> AlgebraSpec:
         raise ConfigError("n", f"must be an integer, got {n!r}")
     if "kind" not in cfg:
         raise ConfigError("kind", "missing")
-    kind = cfg["kind"]
-    q = cfg.get("q")
-    if q is not None and not isinstance(q, (str, int)):
-        raise ConfigError("q", f"must be a rational string, got {q!r}")
-    return build_spec(n, kind, q=q, custom=cfg.get("custom"))
+    return build_spec(n, cfg["kind"], custom=cfg.get("custom"))

@@ -10,7 +10,6 @@ import random
 import time
 from contextlib import contextmanager
 
-from qweyl.cli import verify_ambiskew
 from qweyl.dimension import (
     bernstein_bound,
     integer_rank,
@@ -21,7 +20,15 @@ from qweyl.dimension import (
     torus_dimension,
     verify_witness,
 )
-from qweyl.pbw import growth_count, multiply, normal_form, skew_power_identity, verify_normality, verify_relations
+from qweyl.pbw import (
+    growth_count,
+    multiply,
+    normal_form,
+    skew_power_identity,
+    verify_ambiskew,
+    verify_normality,
+    verify_relations,
+)
 from qweyl.presentation import build_spec
 from qweyl.reporting import all_ok
 from qweyl.torus import check_torus_isomorphism, standard_torus

@@ -8,8 +8,9 @@ import random
 
 import pytest
 
-from qweyl import cli, pbw, torus
-from qweyl.cli import Report, main, run, verify_ambiskew
+from qweyl import cli, pbw, presentation, torus
+from qweyl.cli import Report, main, run
+from qweyl.pbw import verify_ambiskew
 from qweyl.presentation import KINDS, build_spec, casimir, rule_table, spec_from_config
 from qweyl.reporting import all_ok
 
@@ -28,9 +29,9 @@ def test_bound_command_generic_p1():
 
 
 def test_dim_command_symplectic_rational():
-    rep = run({"n": 2, "kind": "symplectic", "q": "2"}, "dim")
+    rep = run({"n": 2, "kind": "symplectic"}, "dim")
     assert rep.ok and rep.values["d"] == 2
-    assert rep.spec == {"n": 2, "kind": "symplectic", "q": "2"}
+    assert rep.spec == {"n": 2, "kind": "symplectic"}
 
 
 def test_nf_and_mul_commands():
@@ -82,7 +83,7 @@ def test_ambiskew_checks_fail_on_corrupted_step(monkeypatch, field, failing):
     # scale one entry of the step data by a parameter symbol; the checks that
     # use it must fail and the others still pass
     spec = build_spec(3, "generic")
-    original = cli.ambiskew_step
+    original = pbw.ambiskew_step
 
     def corrupted(spec, m):
         step = original(spec, m)
@@ -94,7 +95,7 @@ def test_ambiskew_checks_fail_on_corrupted_step(monkeypatch, field, failing):
             value = value * g
         return dataclasses.replace(step, **{field: value})
 
-    monkeypatch.setattr(cli, "ambiskew_step", corrupted)
+    monkeypatch.setattr(pbw, "ambiskew_step", corrupted)
     for m in (1, 2):
         checks = verify_ambiskew(spec, m)
         assert {c.name for c in checks if not c.ok} == {f"{name}({m})" for name in failing}
@@ -258,6 +259,13 @@ def test_custom_spec_through_cli(tmp_path, capsys):
     assert "field 'custom.symbols'" in capsys.readouterr().err
 
 
+def test_q_config_field_exits_2(tmp_path, capsys):
+    # a top-level q once named a rational value that changed no output
+    cfg = _write(tmp_path, {"n": 2, "kind": "symplectic", "q": "2"})
+    assert main(["--config", cfg, "--command", "dim"]) == 2
+    assert "field 'q': unknown config field" in capsys.readouterr().err
+
+
 def test_non_identifier_symbol_exits_2(tmp_path, capsys):
     # the symbol "1" renders like the unit, so the config would not round-trip
     cfg = _write(
@@ -400,3 +408,22 @@ def test_verify_multiplies_each_casimir_pair_once(monkeypatch):
     assert all_ok(checks)
     assert sorted(pairs) == list(itertools.product(range(n), repeat=2))
 
+
+
+def test_verify_builds_each_casimir_once(monkeypatch):
+    # every z_i of one verify comes from the shared memo: n builds, where the
+    # relation and extension-step checks once built their own
+    calls = []
+    original = presentation.casimir
+
+    def counted(spec, i):
+        calls.append(i)
+        return original(spec, i)
+
+    monkeypatch.setattr(presentation, "casimir", counted)
+    monkeypatch.setattr(pbw, "casimir", counted)
+    for n in (3, 5, 7):
+        calls.clear()
+        rep = run({"n": n, "kind": "generic"}, "verify")
+        assert rep.ok
+        assert sorted(calls) == list(range(1, n + 1))

@@ -76,14 +76,15 @@ def test_build_errors():
             build_spec(n, kind)
         assert err.value.field == field
     assert err.value.message == "must be a positive integer, got 0"
-    with pytest.raises(ConfigError):
-        build_spec(2, "generic", q="2")  # no single parameter to specialize
-    for bad in ("1", "-1", "0"):
-        with pytest.raises(ConfigError) as err:
-            build_spec(2, "symplectic", q=bad)
-        assert err.value.field == "q"
-    assert build_spec(2, "symplectic", q="2").q_value == Fraction(2)
-    assert build_spec(2, "symplectic", q="-2/3").q_value == Fraction(-2, 3)
+    # a top-level q is no config field, for any kind or value
+    for kind in ("generic", "symplectic"):
+        for q in ("2", "-2/3", "1", "0"):
+            with pytest.raises(ConfigError) as err:
+                spec_from_config({"n": 2, "kind": kind, "q": q})
+            assert err.value.field == "q"
+            assert err.value.message == "unknown config field"
+    with pytest.raises(TypeError):
+        build_spec(2, "symplectic", q="2")
 
 
 def test_rule_count_and_examples():
@@ -167,8 +168,8 @@ def test_ambiskew_step_data():
     assert step.rho == lat.monomial({"q2": -1})
     assert step.alpha_on_x(1) == lat.monomial({"q1": -1, "p2": 1, "g12": -1})
     assert step.alpha_on_y(1) == lat.monomial({"q1": 1, "g12": 1})
-    # u = z_1 / c is carried as z_1 = (q_1 - p_1) y_1 x_1 and c = p_2 - q_2
-    assert step.z == PBWElement(2, {(1, 1, 0, 0): lat.symbol("q1") - lat.symbol("p1")})
+    # u = z_1 / c: the step carries c = p_2 - q_2, and z_1 = (q_1 - p_1) y_1 x_1
+    assert casimir(spec, 1) == PBWElement(2, {(1, 1, 0, 0): lat.symbol("q1") - lat.symbol("p1")})
     assert step.c == lat.symbol("p2") - lat.symbol("q2")
     with pytest.raises(ValueError):
         ambiskew_step(spec, 2)
@@ -204,8 +205,8 @@ def test_delta_is_scaled_casimir():
     # generators
     spec = build_spec(2, "generic")
     step = ambiskew_step(spec, 1)
-    alpha_z = step.z.scale(spec.p[1])
-    delta = step.z - alpha_z.scale(step.rho)
+    alpha_z = casimir(spec, 1).scale(spec.p[1])
+    delta = casimir(spec, 1) - alpha_z.scale(step.rho)
     assert delta == casimir(spec, 1).scale(-spec.q[1].inverse() * step.c)
     y2 = normal_form(spec, "y2")
     x2 = normal_form(spec, "x2")
@@ -214,7 +215,7 @@ def test_delta_is_scaled_casimir():
 
 
 def test_rational_specialization_evaluates_exactly():
-    spec = build_spec(1, "symplectic", q="2")
+    spec = build_spec(1, "symplectic")
     values = {"q": Fraction(2)}
     (coeff,) = casimir(spec, 1).terms.values()
     assert coeff.substitute(values) == Fraction(1, 4) - 1
@@ -295,7 +296,7 @@ def test_custom_symbols_must_be_identifiers(symbol):
 def test_config_round_trip():
     for cfg in (
         {"n": 2, "kind": "generic"},
-        {"n": 3, "kind": "symplectic", "q": "2"},
+        {"n": 3, "kind": "symplectic"},
         {
             "n": 2,
             "kind": "custom",
