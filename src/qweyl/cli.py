@@ -113,12 +113,15 @@ def _cmd_verify(spec, args, height, over_budget):
 
 
 def _skew_suite(spec, max_k: int) -> list[Check]:
+    # one product memo, so each z_{i-1} is built once
+    products = pbw._Products(spec)
+    skew = lambda i, k, form: pbw.skew_power_identity(spec, i, k, form, products=products)
     checks = []
     for k in range(1, max_k + 1):
-        checks.append(pbw.skew_power_identity(spec, 1, k, "k1_base"))
+        checks.append(skew(1, k, "k1_base"))
         for i in range(2, spec.n + 1):
-            checks.append(pbw.skew_power_identity(spec, i, k, "xk_y"))
-            checks.append(pbw.skew_power_identity(spec, i, k, "x_yk"))
+            checks.append(skew(i, k, "xk_y"))
+            checks.append(skew(i, k, "x_yk"))
     return checks
 
 
@@ -134,8 +137,9 @@ def _cmd_skew(spec, args, height, over_budget):
     forms = [args[2]] if len(args) == 3 else (
         ["k1_base"] if i == 1 else ["xk_y", "x_yk"]
     )
+    products = pbw._Products(spec)
     try:
-        return [pbw.skew_power_identity(spec, i, k, f) for f in forms], {}
+        return [pbw.skew_power_identity(spec, i, k, f, products=products) for f in forms], {}
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 

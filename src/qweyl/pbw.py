@@ -17,9 +17,10 @@ qweyl.presentation.  These products are memoized in a dict that lives for
 one call of normal_form, multiply, growth_count or a verifier, and unit
 coefficients are carried as None so that appends cost no scalar product.
 A caller that makes many products on one spec can instead pass one
-_Products memo as `products` to multiply and the verifiers; the
-command-line `verify` shares one memo across all of its relation,
-normality and extension-step checks, and drops it when it returns.  The
+_Products memo as `products` to normal_form, multiply, the verifiers and
+skew_power_identity; the command-line `verify` shares one memo across all
+of its relation, normality and extension-step checks, the skew suite one
+across its power identities, and each drops its memo when it returns.  The
 memo also holds the Casimir elements z_i and their products z_a*z_b, and
 the verifiers take every z_i from it, so one `verify` builds each z_i once
 and multiplies each ordered pair once.  Each memo entry is fixed by its
@@ -143,11 +144,17 @@ def parse_word(spec: AlgebraSpec, text: str) -> Word:
     return tuple(spec.gen_index(tok) for tok in text.split())
 
 
-def normal_form(spec: AlgebraSpec, word) -> PBWElement:
-    """Fold a word (tuple of slots, or a string) into the ordered basis."""
+def normal_form(spec: AlgebraSpec, word, *,
+                products: _Products | None = None) -> PBWElement:
+    """Fold a word (tuple of slots, or a string) into the ordered basis.
+
+    `products` is a memo to share with other calls on the same spec; by
+    default the call makes its own.
+    """
     if isinstance(word, str):
         word = parse_word(spec, word)
-    products = _Products(spec)
+    if products is None:
+        products = _Products(spec)
     acc: _Terms = {(0,) * (2 * spec.n): None}
     for g in word:
         acc = products.fold(acc, g)
@@ -430,8 +437,13 @@ def _apply_diagonal(spec: AlgebraSpec, multipliers, f: PBWElement) -> PBWElement
 SKEW_FORMS = ("k1_base", "xk_y", "x_yk")
 
 
-def skew_power_identity(spec: AlgebraSpec, i: int, k: int, form: str) -> Check:
-    """Compare the engine power products against the closed formulas."""
+def skew_power_identity(spec: AlgebraSpec, i: int, k: int, form: str, *,
+                        products: _Products | None = None) -> Check:
+    """Compare the engine power products against the closed formulas.
+
+    `products` is the memo of every normal form, multiply and Casimir
+    element; by default the call makes its own.
+    """
     if form not in SKEW_FORMS:
         raise ValueError(f"unknown form {form!r}; expected one of {SKEW_FORMS}")
     if k < 1 or not 1 <= i <= spec.n:
@@ -441,9 +453,12 @@ def skew_power_identity(spec: AlgebraSpec, i: int, k: int, form: str) -> Check:
     if form in ("xk_y", "x_yk") and i < 2:
         raise ValueError(f"form {form!r} requires i >= 2")
 
+    if products is None:
+        products = _Products(spec)
     n = spec.n
     qi = spec.q[i - 1]
     xi, yi = spec.x_index(i), spec.y_index(i)
+    nf = lambda word: normal_form(spec, word, products=products)
 
     def mono(**powers):
         exps = [0] * (2 * n)
@@ -452,9 +467,9 @@ def skew_power_identity(spec: AlgebraSpec, i: int, k: int, form: str) -> Check:
         return PBWElement(n, {tuple(exps): spec.lattice.one()})
 
     if form == "k1_base":
-        lhs1 = normal_form(spec, (xi,) + (yi,) * k)
+        lhs1 = nf((xi,) + (yi,) * k)
         rhs1 = mono(**{str(yi): k, str(xi): 1}).scale(qi**k)
-        lhs2 = normal_form(spec, (xi,) * k + (yi,))
+        lhs2 = nf((xi,) * k + (yi,))
         rhs2 = mono(**{str(yi): 1, str(xi): k}).scale(qi**k)
         ok = (lhs1 - rhs1).is_zero() and (lhs2 - rhs2).is_zero()
         return Check(f"skew-base(k={k})", ok, "x1 y1^k and x1^k y1 pure q-powers")
@@ -462,16 +477,18 @@ def skew_power_identity(spec: AlgebraSpec, i: int, k: int, form: str) -> Check:
     pi = spec.p[i - 1]
     # (q^k - p^k)/(q - p) as the geometric sum, which stays in the ring
     coeff = sum((qi**j * pi ** (k - 1 - j) for j in range(k)), spec.lattice.zero())
-    zprev = casimir(spec, i - 1)
+    zprev = products.casimir(i - 1)
     if form == "xk_y":
-        lhs = normal_form(spec, (xi,) * k + (yi,))
+        lhs = nf((xi,) * k + (yi,))
         rhs = mono(**{str(yi): 1, str(xi): k}).scale(qi**k)
-        rhs = rhs + multiply(spec, zprev, mono(**{str(xi): k - 1})).scale(coeff)
+        rhs = rhs + multiply(spec, zprev, mono(**{str(xi): k - 1}),
+                             products=products).scale(coeff)
         name = f"skew-xk_y(i={i},k={k})"
     else:
-        lhs = normal_form(spec, (xi,) + (yi,) * k)
+        lhs = nf((xi,) + (yi,) * k)
         rhs = mono(**{str(yi): k, str(xi): 1}).scale(qi**k)
-        rhs = rhs + multiply(spec, mono(**{str(yi): k - 1}), zprev).scale(coeff)
+        rhs = rhs + multiply(spec, mono(**{str(yi): k - 1}), zprev,
+                             products=products).scale(coeff)
         name = f"skew-x_yk(i={i},k={k})"
     return Check(name, (lhs - rhs).is_zero(), "power formula with (q^k-p^k)/(q-p) coefficient")
 

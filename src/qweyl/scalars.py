@@ -3,24 +3,55 @@
 Coefficients live in the ring Z[s^±1] of Laurent polynomials with integer
 coefficients in a fixed tuple of parameter symbols s.  Every rewrite
 coefficient of the algebras is a parameter monomial or a difference
-q_l - p_l, so normal forms never leave this ring.  A Scalar maps integer
-exponent vectors to nonzero ints; the dict is canonical, so equality is
-dict equality.
+q_l - p_l, so normal forms never leave this ring.  A Scalar maps exponent
+vectors to nonzero ints; the map is canonical, so equality is dict
+equality.
 
 Generic parameters are a free abelian group on the symbols: a monomial is
 just its exponent vector, so multiplicative independence (no parameter a
 root of unity, no hidden relations) is encoded exactly.  The units of the
 ring are the monomials with coefficient ±1, and only they can be inverted
 or divided by.
+
+Exponent vectors are stored packed, one Python int per vector (the packed
+monomials of M. Monagan and R. Pearce, "Polynomial division using dynamic
+arrays, heaps, and packed exponent vectors", CASC 2007).  Symbol i gets a
+32-bit field, symbol 0 the most significant one, holding e_i + 2^31.  The
+packed key of the zero vector is then the lattice's `bias` (2^31 in every
+field), and since no field is ever out of its range:
+
+- a monomial product is one integer addition, key(a + b) = key(a) +
+  key(b) - bias, and an inverse is key(-e) = 2*bias - key(e);
+- packed keys sort like the exponent tuples (lexicographically, symbol 0
+  first), so rendering orders terms as before.
+
+Python ints never overflow, but a field can carry into its neighbour.
+Every exponent is kept within ±MAX_EXPONENT, and every Scalar carries
+`degree`, an upper bound on the absolute value of its exponents.  A
+product whose bound stays within MAX_EXPONENT cannot carry, since each
+field then holds a value in [1, 2^32); any other product is recomputed
+on exponent tuples, and an exponent that really leaves the range raises
+ExponentOverflowError, an ArithmeticError.
+
+Tuples stay at the boundaries: the Scalar constructor, `monomial` and
+`from_exponents` pack them (and check their length and range), while
+`.terms`, `as_monomial`, `substitute` and rendering unpack.  The lattice
+keeps the tuples `as_monomial` hands out, since the spec's parameters are
+read again and again.  Results made inside the class skip the constructor.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
+import struct
 from fractions import Fraction
 from typing import Iterable, Mapping
 
 Exponents = tuple[int, ...]
+
+# Exponents are signed 32-bit fields, kept symmetric so that inverses fit.
+MAX_EXPONENT = 2**31 - 1
 
 
 class LatticeMismatchError(ValueError):
@@ -31,10 +62,24 @@ class SpecializationError(ValueError):
     """Raised when a substitution lacks a symbol or sends one to zero."""
 
 
-class ParameterLattice:
-    """Ordered set of parameter symbols; fixes exponent-vector layout."""
+class ExponentOverflowError(OverflowError, ValueError):
+    """Raised when an exponent leaves the range ±MAX_EXPONENT of its field."""
 
-    __slots__ = ("symbols", "index")
+
+@functools.cache
+def _layout(k: int) -> tuple[struct.Struct, int]:
+    """The k 32-bit fields and the bias, the packed key of the zero vector.
+
+    The bias 2^31 is the sign bit of each field, so a packed key is the
+    big-endian two's-complement fields with every sign bit flipped.
+    """
+    return struct.Struct(f">{k}i"), int.from_bytes(b"\x80\0\0\0" * k, "big")
+
+
+class ParameterLattice:
+    """Ordered set of parameter symbols; fixes the packed exponent layout."""
+
+    __slots__ = ("symbols", "index", "bias", "_fields", "_monomials", "_powers")
 
     def __init__(self, symbols: Iterable[str]):
         syms = tuple(symbols)
@@ -42,6 +87,10 @@ class ParameterLattice:
             raise ValueError(f"duplicate parameter symbols: {syms}")
         self.symbols = syms
         self.index = {s: i for i, s in enumerate(syms)}
+        self._fields, self.bias = _layout(len(syms))
+        # exponent tuples handed out by Scalar.as_monomial, by packed key
+        self._monomials: dict[int, Exponents] = {}
+        self._powers = tuple(_Powers({0: "", 1: s}) for s in syms)
 
     @property
     def k(self) -> int:
@@ -56,20 +105,37 @@ class ParameterLattice:
     def __repr__(self) -> str:
         return f"ParameterLattice({list(self.symbols)})"
 
+    # -- packed exponent vectors ---------------------------------------------
+
+    def pack(self, exps: Iterable[int]) -> int:
+        """Packed key of an exponent vector of length k."""
+        v = tuple(exps)
+        if len(v) != self.k:
+            raise LatticeMismatchError(f"exponent vector length {len(v)} != {self.k}")
+        if v and (max(v) > MAX_EXPONENT or min(v) < -MAX_EXPONENT):
+            raise ExponentOverflowError(f"exponent vector {v} leaves ±{MAX_EXPONENT}")
+        try:
+            raw = self._fields.pack(*v)
+        except struct.error as exc:
+            raise TypeError(f"exponents must be integers, got {v}") from exc
+        return int.from_bytes(raw, "big") ^ self.bias
+
+    def unpack(self, key: int) -> Exponents:
+        """Exponent vector of a packed key."""
+        return self._fields.unpack((key ^ self.bias).to_bytes(self._fields.size, "big"))
+
     # -- constructors ------------------------------------------------------
 
-    def zero_exponents(self) -> Exponents:
-        return (0,) * self.k
-
     def zero(self) -> "Scalar":
-        return Scalar(self, {})
+        return _scalar(self, {}, 0)
 
     def one(self) -> "Scalar":
-        return Scalar(self, {self.zero_exponents(): 1})
+        return _scalar(self, {self.bias: 1}, 0)
 
     def rational(self, value: int) -> "Scalar":
         """The constant `value`, which must be an integer (TypeError otherwise)."""
-        return Scalar(self, {self.zero_exponents(): operator.index(value)})
+        c = operator.index(value)
+        return _scalar(self, {self.bias: c} if c else {}, 0)
 
     def symbol(self, name: str) -> "Scalar":
         return self.monomial({name: 1})
@@ -81,29 +147,44 @@ class ParameterLattice:
             if name not in self.index:
                 raise KeyError(f"unknown parameter symbol {name!r}")
             exps[self.index[name]] = e
-        return Scalar(self, {tuple(exps): 1})
+        return self.from_exponents(exps)
 
     def from_exponents(self, exps: Iterable[int]) -> "Scalar":
         v = tuple(exps)
-        if len(v) != self.k:
-            raise LatticeMismatchError(f"exponent vector length {len(v)} != {self.k}")
-        return Scalar(self, {v: 1})
+        key = self.pack(v)
+        return _scalar(self, {key: 1}, max(map(abs, v), default=0))
 
 
 class Scalar:
-    """Sparse Laurent polynomial over Z: exponent vector -> nonzero int."""
+    """Sparse Laurent polynomial over Z: packed exponent vector -> nonzero int.
 
-    __slots__ = ("lattice", "terms")
+    `packed` maps packed keys to coefficients, `degree` bounds the absolute
+    value of every exponent; `.terms` is the same map keyed by tuples.
+    """
+
+    __slots__ = ("lattice", "packed", "degree")
 
     def __init__(self, lattice: ParameterLattice, terms: Mapping[Exponents, int]):
         self.lattice = lattice
-        self.terms = {e: c for e, c in terms.items() if c}
+        packed = {}
+        degree = 0
+        for e, c in terms.items():
+            if c:
+                packed[lattice.pack(e)] = c
+                degree = max(degree, max(map(abs, e), default=0))
+        self.packed = packed
+        self.degree = degree
+
+    @property
+    def terms(self) -> dict[Exponents, int]:
+        unpack = self.lattice.unpack
+        return {unpack(e): c for e, c in self.packed.items()}
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     def is_one(self) -> bool:
-        return len(self.terms) == 1 and self.terms.get(self.lattice.zero_exponents()) == 1
+        return len(self.packed) == 1 and self.packed.get(self.lattice.bias) == 1
 
     def _check(self, other: "Scalar") -> None:
         if self.lattice is not other.lattice and self.lattice != other.lattice:
@@ -111,19 +192,51 @@ class Scalar:
 
     def __add__(self, other: "Scalar") -> "Scalar":
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = out.get(e, 0) + c
-        return Scalar(self.lattice, out)
+        out = dict(self.packed)
+        for e, c in other.packed.items():
+            total = out.get(e, 0) + c
+            if total:
+                out[e] = total
+            else:
+                del out[e]
+        return _scalar(self.lattice, out, max(self.degree, other.degree))
 
     def __neg__(self) -> "Scalar":
-        return Scalar(self.lattice, {e: -c for e, c in self.terms.items()})
+        return _scalar(self.lattice, {e: -c for e, c in self.packed.items()}, self.degree)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
         return self + (-other)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        self._check(other)
+        lattice = self.lattice
+        if other.lattice is not lattice:
+            self._check(other)
+        degree = self.degree + other.degree
+        if degree > MAX_EXPONENT:
+            return self._mul_tuples(other)
+        a, b = self.packed, other.packed
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 1:
+            # a monomial times a polynomial: distinct keys, no cancellation
+            (eb, cb), = b.items()
+            shift = eb - lattice.bias
+            return _scalar(lattice, {e + shift: c * cb for e, c in a.items()}, degree)
+        bias = lattice.bias
+        out: dict[int, int] = {}
+        get = out.get
+        for eb, cb in b.items():
+            shift = eb - bias
+            for ea, ca in a.items():
+                e = ea + shift
+                out[e] = get(e, 0) + ca * cb
+        if len(out) < len(a) * len(b):  # like terms met, so some may cancel
+            out = {e: c for e, c in out.items() if c}
+        return _scalar(lattice, out, degree)
+
+    def _mul_tuples(self, other: "Scalar") -> "Scalar":
+        """The product on exponent tuples; the constructor raises
+        ExponentOverflowError if an exponent leaves its field."""
         out: dict[Exponents, int] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
@@ -133,10 +246,10 @@ class Scalar:
 
     def inverse(self) -> "Scalar":
         """Inverse of a unit (a monomial with coefficient ±1)."""
-        if len(self.terms) == 1:
-            (e, c), = self.terms.items()
+        if len(self.packed) == 1:
+            (e, c), = self.packed.items()
             if c in (1, -1):
-                return Scalar(self.lattice, {tuple(-x for x in e): c})
+                return _scalar(self.lattice, {2 * self.lattice.bias - e: c}, self.degree)
         raise ZeroDivisionError(f"{render_scalar(self)} is not a unit of the ring")
 
     def __truediv__(self, other: "Scalar") -> "Scalar":
@@ -155,7 +268,7 @@ class Scalar:
         if not isinstance(other, Scalar):
             return NotImplemented
         self._check(other)
-        return self.terms == other.terms
+        return self.packed == other.packed
 
     __hash__ = None
 
@@ -164,10 +277,16 @@ class Scalar:
 
     def as_monomial(self) -> Exponents | None:
         """Exponent vector if this is exactly 1 * monomial, else None."""
-        if len(self.terms) != 1:
+        if len(self.packed) != 1:
             return None
-        (e, c), = self.terms.items()
-        return e if c == 1 else None
+        (e, c), = self.packed.items()
+        if c != 1:
+            return None
+        monomials = self.lattice._monomials
+        exps = monomials.get(e)
+        if exps is None:
+            exps = monomials[e] = self.lattice.unpack(e)
+        return exps
 
     def substitute(self, values: Mapping[str, Fraction]) -> Fraction:
         """Evaluate at exact nonzero rational parameter values (all symbols required)."""
@@ -188,18 +307,41 @@ class Scalar:
         return total
 
 
+def _scalar(lattice: ParameterLattice, packed: dict[int, int], degree: int) -> Scalar:
+    """A Scalar from packed terms that are already nonzero and in range."""
+    s = object.__new__(Scalar)
+    s.lattice = lattice
+    s.packed = packed
+    s.degree = degree
+    return s
+
+
 # -- rendering and parsing of the external monomial-string format ----------
 #
 # Monomial strings look like "q1^2*g12^-1"; "1" is the empty monomial.
 
+class _Powers(dict):
+    """Text of one symbol's power by exponent: "" for 0, the symbol for 1,
+    "s^e" otherwise; made as {0: "", 1: symbol}.
+
+    Holds at most _POWERS_KEPT exponents, so that rendering a monomial maps
+    the exponents through these tables instead of formatting each field.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, e: int) -> str:
+        text = f"{self[1]}^{e}"
+        if len(self) < _POWERS_KEPT:
+            self[e] = text
+        return text
+
+
+_POWERS_KEPT = 256
+
+
 def render_exponents(lattice: ParameterLattice, exps: Exponents) -> str:
-    parts = []
-    for s, e in zip(lattice.symbols, exps):
-        if e == 1:
-            parts.append(s)
-        elif e != 0:
-            parts.append(f"{s}^{e}")
-    return "*".join(parts) if parts else "1"
+    return "*".join(filter(None, map(dict.__getitem__, lattice._powers, exps))) or "1"
 
 
 def parse_monomial(lattice: ParameterLattice, text: str) -> Scalar:
@@ -221,12 +363,14 @@ def parse_monomial(lattice: ParameterLattice, text: str) -> Scalar:
 
 
 def render_poly(s: Scalar) -> str:
-    if not s.terms:
+    if not s.packed:
         return "0"
+    lattice = s.lattice
     parts = []
-    for e in sorted(s.terms, reverse=True):
-        c = s.terms[e]
-        mono = render_exponents(s.lattice, e)
+    # packed keys sort like their exponent tuples
+    for key in sorted(s.packed, reverse=True):
+        c = s.packed[key]
+        mono = render_exponents(lattice, lattice.unpack(key))
         if mono == "1":
             body = str(abs(c))
         elif abs(c) == 1:

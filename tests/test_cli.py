@@ -280,6 +280,17 @@ def test_non_identifier_symbol_exits_2(tmp_path, capsys):
     assert "field 'custom.symbols'" in capsys.readouterr().err
 
 
+def test_exponent_past_the_field_exits_2(tmp_path, capsys):
+    custom = {"symbols": ["a", "b"], "q": ["a"], "p": ["b"], "gamma": [["1"]]}
+    cfg = _write(tmp_path, {"n": 1, "kind": "custom", "custom": custom})
+    assert main(["--config", cfg, "--command", "verify"]) == 0
+    capsys.readouterr()
+    cfg = _write(tmp_path, {"n": 1, "kind": "custom",
+                            "custom": dict(custom, p=[f"b^{2**31}"])})
+    assert main(["--config", cfg, "--command", "verify"]) == 2
+    assert "field 'custom.p[0]'" in capsys.readouterr().err
+
+
 def test_skew_usage_errors_exit_2(tmp_path, capsys):
     cfg = _write(tmp_path, {"n": 2, "kind": "generic"})
     assert main(["--config", cfg, "--command", "skew", "--args", "1", "2", "xk_y"]) == 2
@@ -427,3 +438,27 @@ def test_verify_builds_each_casimir_once(monkeypatch):
         rep = run({"n": n, "kind": "generic"}, "verify")
         assert rep.ok
         assert sorted(calls) == list(range(1, n + 1))
+
+
+def test_skew_builds_each_casimir_once(monkeypatch):
+    # the skew suite and a single skew command each share one memo, so every
+    # z_{i-1} is built once: n - 1 builds, where each identity built its own
+    calls = []
+    original = presentation.casimir
+
+    def counted(spec, i):
+        calls.append(i)
+        return original(spec, i)
+
+    monkeypatch.setattr(presentation, "casimir", counted)
+    monkeypatch.setattr(pbw, "casimir", counted)
+    for n in (3, 5):
+        calls.clear()
+        rep = run({"n": n, "kind": "generic"}, "skew")
+        assert rep.ok
+        assert sorted(calls) == list(range(1, n))
+    calls.clear()
+    rep = run({"n": 3, "kind": "generic"}, "skew", ["3", "2"])
+    assert rep.ok and [c["name"] for c in rep.checks] == ["skew-x_yk(i=3,k=2)",
+                                                          "skew-xk_y(i=3,k=2)"]
+    assert calls == [2]

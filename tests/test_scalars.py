@@ -1,12 +1,17 @@
-"""Ring arithmetic in Z[s^±1]: worked examples, a sympy oracle, and randomized axioms."""
+"""Ring arithmetic in Z[s^±1]: worked examples, a sympy oracle, randomized axioms,
+a tuple-keyed oracle for the packed exponent vectors, and the overflow guard."""
 
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qweyl.scalars import (
+    MAX_EXPONENT,
+    ExponentOverflowError,
     LatticeMismatchError,
     ParameterLattice,
     Scalar,
@@ -212,8 +217,176 @@ def test_monomial_string_round_trip():
         parse_monomial(lat, "bogus^2")
 
 
+def test_render_exponents_past_the_kept_powers():
+    lat = ParameterLattice(["q1", "g12"])
+    for e in list(range(-400, 400)) + [MAX_EXPONENT, -MAX_EXPONENT]:
+        expect = "*".join(t for t in ("" if e == 0 else "q1" if e == 1 else f"q1^{e}",
+                                      "g12^-1") if t)
+        assert render_exponents(lat, (e, -1)) == expect
+    assert render_exponents(lat, (0, 0)) == "1"
+
+
 def test_render_scalar_shape():
     # the report format keeps the "(numerator)/(1)" shape
     assert render_scalar((Q - P) / QP.one()) == "(q - p)/(1)"
     assert render_scalar(QP.zero()) == "(0)/(1)"
     assert render_scalar(QP.rational(-2) * Q * Q + QP.rational(3)) == "(-2*q^2 + 3)/(1)"
+
+
+def test_constructor_rejects_wrong_length_exponents():
+    # a short vector once lost the exponents past its end in every product
+    for bad in ((1,), (1, 0, 0), ()):
+        with pytest.raises(LatticeMismatchError):
+            Scalar(QP, {bad: 1})
+    with pytest.raises(LatticeMismatchError):
+        Scalar(QP, {(0, 0): 1, (1,): 2})
+    assert Scalar(QP, {(1,): 0}).is_zero()  # zero terms are dropped unread
+
+
+# -- the packed ring against the tuple-keyed product it replaced ---------------
+
+def _oracle_canon(terms):
+    return {e: c for e, c in terms.items() if c}
+
+
+def _oracle_add(a, b):
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + c
+    return _oracle_canon(out)
+
+
+def _oracle_neg(a):
+    return {e: -c for e, c in a.items()}
+
+
+def _oracle_mul(a, b):
+    out = {}
+    for ea, ca in a.items():
+        for eb, cb in b.items():
+            e = tuple(x + y for x, y in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return _oracle_canon(out)
+
+
+def _oracle_render(lat, terms):
+    parts = []
+    for e in sorted(terms, reverse=True):
+        c = terms[e]
+        mono = render_exponents(lat, e)
+        body = str(abs(c)) if mono == "1" else mono if abs(c) == 1 else f"{abs(c)}*{mono}"
+        sign = ("" if c > 0 else "-") if not parts else ("+ " if c > 0 else "- ")
+        parts.append(sign + body)
+    return f"({' '.join(parts) or '0'})/(1)"
+
+
+def _in_range(terms):
+    return all(abs(x) <= MAX_EXPONENT for e in terms for x in e)
+
+
+_HALF = MAX_EXPONENT // 2
+# small exponents, and exponents whose sums land on either side of the bound
+_EXPONENT = st.one_of(
+    st.integers(-3, 3),
+    st.integers(_HALF - 2, _HALF + 2),
+    st.integers(-_HALF - 2, -_HALF + 2),
+    st.integers(MAX_EXPONENT - 2, MAX_EXPONENT),
+    st.integers(-MAX_EXPONENT, -MAX_EXPONENT + 2),
+)
+
+
+def _terms(k):
+    return st.dictionaries(
+        st.tuples(*[_EXPONENT] * k), st.integers(-3, 3), max_size=4
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_packed_ring_matches_tuple_oracle(data):
+    k = data.draw(st.integers(1, 9), label="k")
+    lat = ParameterLattice([f"s{i}" for i in range(k)])
+    ta = data.draw(_terms(k), label="a")
+    tb = data.draw(st.one_of(_terms(k), st.just(ta)), label="b")
+    a, b = Scalar(lat, ta), Scalar(lat, tb)
+    oa, ob = _oracle_canon(ta), _oracle_canon(tb)
+    assert a.terms == oa and b.terms == ob
+    assert (a + b).terms == _oracle_add(oa, ob)
+    assert (a - b).terms == _oracle_add(oa, _oracle_neg(ob))
+    assert (-a).terms == _oracle_neg(oa)
+    assert (a == b) == (oa == ob)
+    assert render_scalar(a) == _oracle_render(lat, oa)
+    assert render_scalar(a + b) == _oracle_render(lat, _oracle_add(oa, ob))
+    product = _oracle_mul(oa, ob)
+    if _in_range(product):
+        assert (a * b).terms == product
+        assert render_scalar(a * b) == _oracle_render(lat, product)
+    else:
+        with pytest.raises(ArithmeticError):
+            a * b
+    units = {e: c for e, c in oa.items() if c in (1, -1)}
+    if len(oa) == 1 and units:
+        ((e, c),) = units.items()
+        assert a.inverse().terms == {tuple(-x for x in e): c}
+        assert (a * a.inverse()).is_one()
+        assert a.as_monomial() == (e if c == 1 else None)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            a.inverse()
+        assert a.as_monomial() is None
+
+
+# -- the overflow guard ------------------------------------------------------------
+
+QPR = ParameterLattice(["q", "p", "r"])
+
+
+def test_product_past_the_field_raises():
+    top = QPR.monomial({"p": MAX_EXPONENT})
+    for factor in (QPR.symbol("p"), QPR.symbol("p") + QPR.symbol("r"), top):
+        with pytest.raises(ArithmeticError):
+            top * factor
+        with pytest.raises(ArithmeticError):
+            factor * top
+    bottom = QPR.monomial({"q": 1, "p": -MAX_EXPONENT})
+    with pytest.raises(ExponentOverflowError):
+        bottom * QPR.monomial({"p": -1, "r": 5})
+    with pytest.raises(ArithmeticError):
+        bottom / QPR.symbol("p")
+
+
+def test_power_past_the_field_raises():
+    with pytest.raises(ArithmeticError):
+        QPR.monomial({"r": 2**30}) ** 2
+    with pytest.raises(ArithmeticError):
+        (QPR.monomial({"q": -(2**30)}) + QPR.one()) ** 2
+    with pytest.raises(ArithmeticError):
+        QPR.monomial({"p": 2**30}) ** -2
+
+
+def test_constructor_input_past_the_field_raises():
+    for bad in (MAX_EXPONENT + 1, -MAX_EXPONENT - 1, 2**40):
+        with pytest.raises(ArithmeticError):
+            Scalar(QPR, {(0, bad, 0): 1})
+        with pytest.raises(ArithmeticError):
+            QPR.monomial({"r": bad})
+        with pytest.raises(ArithmeticError):
+            QPR.from_exponents((bad, 0, 0))
+    # a config reports it as a bad value, not a crash
+    with pytest.raises(ValueError):
+        parse_monomial(QPR, f"q^{MAX_EXPONENT + 1}")
+
+
+def test_product_just_inside_the_field_unpacks_exactly():
+    lo, hi = 2**30 - 1, 2**30
+    for sign in (1, -1):
+        a = QPR.monomial({"q": sign * hi, "p": -sign * lo, "r": 1})
+        b = QPR.monomial({"q": sign * lo, "p": -sign * hi, "r": -1})
+        assert (a * b).as_monomial() == (sign * MAX_EXPONENT, -sign * MAX_EXPONENT, 0)
+        assert (a * b).inverse().as_monomial() == (-sign * MAX_EXPONENT, sign * MAX_EXPONENT, 0)
+    # bounds that add past the field, exponents that do not: no false alarm
+    top = QPR.monomial({"q": MAX_EXPONENT, "r": -3})
+    assert top * top.inverse() == QPR.one()
+    s = (top + QPR.symbol("p")) * top.inverse()
+    assert s.terms == {(0, 0, 0): 1, (-MAX_EXPONENT, 1, 3): 1}
+    assert render_scalar(s) == f"(1 + q^{-MAX_EXPONENT}*p*r^3)/(1)"
