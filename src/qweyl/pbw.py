@@ -1,30 +1,57 @@
 """Normal-form engine on the ordered-monomial basis.
 
-Elements are finite maps from exponent tuples (a1, b1, ..., an, bn) to
-nonzero scalars, a_i on y_i and b_i on x_i.  The scalars are integer
-Laurent polynomials in the parameters (qweyl.scalars), and nothing here
-divides by a non-unit: the skew power formulas write their coefficient
-(q^k - p^k)/(q - p) as the geometric sum of q^j p^(k-1-j) over j < k.
+Elements are finite maps from ordered monomials y1^a1 x1^b1 ... yn^an xn^bn
+to nonzero scalars.  The scalars are integer Laurent polynomials in the
+parameters (qweyl.scalars), and nothing here divides by a non-unit: the
+skew power formulas write their coefficient (q^k - p^k)/(q - p) as the
+geometric sum of q^j p^(k-1-j) over j < k.
+
+A monomial is one Python int, packed like the exponent vectors of the
+coefficient ring (M. Monagan and R. Pearce, "Polynomial division using
+dynamic arrays, heaps, and packed exponent vectors", CASC 2007).  Generator
+slot g (y_i at 2i-2, x_i at 2i-1) gets an unsigned 32-bit field, slot 0 the
+most significant one, so with unit[g] = 2^(32*(2n-1-g)):
+
+- the last occupied slot h of m is read from its lowest set bit,
+  h = 2n - 1 - ((m & -m).bit_length() - 1) // 32, and m*g is an append
+  exactly when m has no bit below unit[g];
+- an append is m + unit[g], and stepping down slot h is m - unit[h];
+- packed keys sort like the exponent tuples, so rendering keeps its order.
+
+A field would carry into its neighbour past MAX_DEGREE = 2^32 - 1.  Every
+rewrite rule keeps or lowers total degree, so no monomial met while
+folding passes the total degree of the input.  normal_form and multiply
+check that bound once per call (the word length, or f.degree() +
+g.degree()) and raise OverflowError past MAX_DEGREE.
+
+Tuples stay at the boundaries.  The PBWElement constructor packs exponent
+tuples and refuses a vector of the wrong length or an exponent outside
+0..MAX_DEGREE with ValueError; generator and unit make packed keys
+directly; `.terms`, `degree`, render_element and the extension-step twist
+unpack.  Both directions go through one struct.Struct per n.
 
 A word is brought to normal form by a left fold: starting from the unit,
 the running element is multiplied by one generator at a time and like
 terms are merged after every step, so the work follows the size of the
 answer rather than the number of rewrite paths.  The product m*g of an
-ordered monomial and a generator is an append when g is not below the last
-occupied slot h of m; otherwise m = m'*h, and m*g is the sum of
-c*((m'*a)*b) over the rule h*g -> sum c*a*b of the table in
-qweyl.presentation.  These products are memoized in a dict that lives for
-one call of normal_form, multiply, growth_count or a verifier, and unit
-coefficients are carried as None so that appends cost no scalar product.
-A caller that makes many products on one spec can instead pass one
-_Products memo as `products` to normal_form, multiply, the verifiers and
-skew_power_identity; the command-line `verify` shares one memo across all
-of its relation, normality and extension-step checks, the skew suite one
-across its power identities, and each drops its memo when it returns.  The
-memo also holds the Casimir elements z_i and their products z_a*z_b, and
-the verifiers take every z_i from it, so one `verify` builds each z_i once
-and multiplies each ordered pair once.  Each memo entry is fixed by its
-key, the spec and the rule table, so sharing changes no result.
+ordered monomial and a generator is an append when g is not below h;
+otherwise m = m'*h, and m*g is the sum of c*((m'*a)*b) over the rule
+h*g -> sum c*a*b of the table in qweyl.presentation.  The fold reads that
+table as (coefficient, a, b) entries with None for a unit coefficient,
+built on the first memo of a spec and cached on the spec beside the rule
+table.  These products are memoized by (packed monomial, generator) in a
+dict that lives for one call of normal_form, multiply, growth_count or a
+verifier, and unit coefficients are carried as None so that appends cost
+no scalar product.  A caller that makes many products on one spec can
+instead pass one _Products memo as `products` to normal_form, multiply,
+the verifiers and skew_power_identity; the command-line `verify` shares one
+memo across all of its relation, normality and extension-step checks, the
+skew suite one across its power identities, and each drops its memo when
+it returns.  The memo also holds the Casimir elements z_i and their
+products z_a*z_b, and the verifiers take every z_i from it, so one `verify`
+builds each z_i once and multiplies each ordered pair once.  Each memo
+entry is fixed by its key, the spec and the rule table, so sharing changes
+no result.
 
 The recursion terminates.  Order words by length, then by their multiset
 of generators (compared largest first), then by inversion count.
@@ -46,6 +73,7 @@ from __future__ import annotations
 
 import functools
 import math
+import struct
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -56,6 +84,9 @@ from .scalars import Scalar, render_scalar
 Monomial = tuple[int, ...]
 Word = tuple[int, ...]
 
+# Largest exponent of a packed field, and so the largest total degree that
+# normal_form and multiply accept.
+MAX_DEGREE = 2**32 - 1
 
 # Largest span binom(N + 2n, 2n) that growth_count will build; the largest
 # admitted inputs take about 2 s on a 2-vCPU VM.
@@ -66,62 +97,124 @@ class BudgetError(ValueError):
     """Raised when a computation would exceed the desk-scale budget."""
 
 
-class PBWElement:
-    """Finite scalar combination of ordered monomials."""
+class _Layout:
+    """Packed monomials of one n: 2n unsigned 32-bit fields, slot 0 first.
 
-    __slots__ = ("n", "terms")
+    unit[g] is the key of the generator in slot g, and after[g] = unit[g] - 1
+    covers the slots after g.
+    """
+
+    __slots__ = ("n", "fields", "unit", "after")
+
+    def __init__(self, n: int):
+        size = 2 * n
+        self.n = n
+        self.fields = struct.Struct(f">{size}I")
+        self.unit = tuple(1 << 32 * (size - 1 - g) for g in range(size))
+        self.after = tuple(u - 1 for u in self.unit)
+
+    def pack(self, mono: Monomial) -> int:
+        try:
+            return int.from_bytes(self.fields.pack(*mono), "big")
+        except struct.error as exc:
+            raise ValueError(
+                f"exponent vector {mono!r} is not {2 * self.n} integers in 0..{MAX_DEGREE}"
+            ) from exc
+
+    def unpack(self, m: int) -> Monomial:
+        return self.fields.unpack(m.to_bytes(self.fields.size, "big"))
+
+
+@functools.cache
+def _layout(n: int) -> _Layout:
+    return _Layout(n)
+
+
+def _check_degree(degree: int) -> None:
+    """Refuse an input whose total degree would carry past a packed field."""
+    if degree > MAX_DEGREE:
+        raise OverflowError(f"total degree {degree} passes the field limit {MAX_DEGREE}")
+
+
+class PBWElement:
+    """Finite scalar combination of ordered monomials.
+
+    `packed` maps packed monomials to nonzero scalars; `.terms` is the same
+    map keyed by exponent tuples (a1, b1, ..., an, bn).
+    """
+
+    __slots__ = ("n", "packed")
 
     def __init__(self, n: int, terms: dict[Monomial, Scalar]):
         self.n = n
-        self.terms = {m: c for m, c in terms.items() if not c.is_zero()}
+        pack = _layout(n).pack
+        self.packed = {pack(m): c for m, c in terms.items() if not c.is_zero()}
+
+    @property
+    def terms(self) -> dict[Monomial, Scalar]:
+        unpack = _layout(self.n).unpack
+        return {unpack(m): c for m, c in self.packed.items()}
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.packed
 
     def __add__(self, other: "PBWElement") -> "PBWElement":
-        out = dict(self.terms)
-        for m, c in other.terms.items():
+        if other.n != self.n:
+            raise ValueError(f"elements of n={self.n} and n={other.n} do not add")
+        out = dict(self.packed)
+        for m, c in other.packed.items():
             if m in out:
-                out[m] = out[m] + c
+                total = out[m] + c
+                if total.is_zero():
+                    del out[m]
+                else:
+                    out[m] = total
             else:
                 out[m] = c
-        return PBWElement(self.n, out)
+        return _element(self.n, out)
 
     def __neg__(self) -> "PBWElement":
-        return PBWElement(self.n, {m: -c for m, c in self.terms.items()})
+        return _element(self.n, {m: -c for m, c in self.packed.items()})
 
     def __sub__(self, other: "PBWElement") -> "PBWElement":
         return self + (-other)
 
     def scale(self, c: Scalar) -> "PBWElement":
         if c.is_zero():
-            return PBWElement(self.n, {})
-        return PBWElement(self.n, {m: c * v for m, v in self.terms.items()})
+            return _element(self.n, {})
+        return _element(self.n, {m: c * v for m, v in self.packed.items()})
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PBWElement):
             return NotImplemented
-        return (self - other).is_zero()
+        return self.n == other.n and self.packed == other.packed
 
     __hash__ = None
 
     def degree(self) -> int:
         """Maximum total degree of a monomial (zero element: -1)."""
-        return max((sum(m) for m in self.terms), default=-1)
+        unpack = _layout(self.n).unpack
+        return max((sum(unpack(m)) for m in self.packed), default=-1)
 
     def __repr__(self) -> str:
-        return f"PBWElement({len(self.terms)} terms, n={self.n})"
+        return f"PBWElement({len(self.packed)} terms, n={self.n})"
+
+
+def _element(n: int, packed: dict[int, Scalar]) -> PBWElement:
+    """A PBWElement from packed terms whose scalars are already nonzero."""
+    f = object.__new__(PBWElement)
+    f.n = n
+    f.packed = packed
+    return f
 
 
 def unit(spec: AlgebraSpec) -> PBWElement:
-    return PBWElement(spec.n, {(0,) * (2 * spec.n): spec.lattice.one()})
+    return _element(spec.n, {0: spec.lattice.one()})
 
 
 def generator(spec: AlgebraSpec, name_or_slot) -> PBWElement:
     g = name_or_slot if isinstance(name_or_slot, int) else spec.gen_index(name_or_slot)
-    exps = [0] * (2 * spec.n)
-    exps[g] = 1
-    return PBWElement(spec.n, {tuple(exps): spec.lattice.one()})
+    return _element(spec.n, {_layout(spec.n).unit[g]: spec.lattice.one()})
 
 
 def word_monomial(spec: AlgebraSpec, word: Word) -> Monomial:
@@ -130,13 +223,6 @@ def word_monomial(spec: AlgebraSpec, word: Word) -> Monomial:
     for g in word:
         exps[g] += 1
     return tuple(exps)
-
-
-def monomial_word(mono: Monomial) -> Word:
-    out = []
-    for g, e in enumerate(mono):
-        out.extend([g] * e)
-    return tuple(out)
 
 
 def parse_word(spec: AlgebraSpec, text: str) -> Word:
@@ -149,13 +235,15 @@ def normal_form(spec: AlgebraSpec, word, *,
     """Fold a word (tuple of slots, or a string) into the ordered basis.
 
     `products` is a memo to share with other calls on the same spec; by
-    default the call makes its own.
+    default the call makes its own.  Raises OverflowError for a word longer
+    than MAX_DEGREE.
     """
     if isinstance(word, str):
         word = parse_word(spec, word)
+    _check_degree(len(word))
     if products is None:
         products = _Products(spec)
-    acc: _Terms = {(0,) * (2 * spec.n): None}
+    acc: _Terms = {0: None}
     for g in word:
         acc = products.fold(acc, g)
     return products.element(acc)
@@ -166,16 +254,22 @@ def multiply(spec: AlgebraSpec, f: PBWElement, g: PBWElement, *,
     """Bilinear extension of word concatenation + normal form.
 
     `products` is a memo to share with other calls on the same spec; by
-    default the call makes its own.
+    default the call makes its own.  Raises OverflowError when f.degree() +
+    g.degree() passes MAX_DEGREE.
     """
+    if f.n != spec.n or g.n != spec.n:
+        raise ValueError(f"factors of n={f.n} and n={g.n} in a spec of n={spec.n}")
+    _check_degree(f.degree() + g.degree())
     if products is None:
         products = _Products(spec)
-    left = {m: _unit_or(c) for m, c in f.terms.items()}
+    unpack = _layout(spec.n).unpack
+    left = {m: _unit_or(c) for m, c in f.packed.items()}
     out: _Terms = {}
-    for mono, coeff in g.terms.items():
+    for mono, coeff in g.packed.items():
         acc = left
-        for gen in monomial_word(mono):
-            acc = products.fold(acc, gen)
+        for gen, e in enumerate(unpack(mono)):
+            for _ in range(e):
+                acc = products.fold(acc, gen)
         coeff = _unit_or(coeff)
         for m, c in acc.items():
             products.add(out, m, _mul(c, coeff))
@@ -185,7 +279,7 @@ def multiply(spec: AlgebraSpec, f: PBWElement, g: PBWElement, *,
 # Coefficients inside the fold: None stands for the unit, so appends and unit
 # factors never reach Scalar.__mul__.
 _Coeff = Scalar | None
-_Terms = dict[Monomial, _Coeff]
+_Terms = dict[int, _Coeff]
 
 
 def _unit_or(c: Scalar) -> _Coeff:
@@ -201,8 +295,21 @@ def _mul(a: _Coeff, b: _Coeff) -> _Coeff:
     return a * b
 
 
+def _packed_rules(spec: AlgebraSpec) -> list[list[tuple]]:
+    """The rule table as rules[h][g] = ((coeff or None, a, b), ...) for the
+    rewrite h*g -> sum coeff*a*b; built on first use, cached on the spec."""
+    rules = spec._packed_rules
+    if rules is None:
+        size = 2 * spec.n
+        rules = [[() for _ in range(size)] for _ in range(size)]
+        for (h, g), rhs in rule_table(spec).items():
+            rules[h][g] = tuple((_unit_or(c), a, b) for c, (a, b) in rhs)
+        spec._packed_rules = rules
+    return rules
+
+
 class _Products:
-    """Products m*g of ordered monomials by one generator, memoized.
+    """Products m*g of packed ordered monomials by one generator, memoized.
 
     One instance serves one spec; it lives for one call unless the caller
     passes it on as `products`.
@@ -211,11 +318,15 @@ class _Products:
     def __init__(self, spec: AlgebraSpec):
         self.spec = spec
         self.n = spec.n
+        self.top = 2 * spec.n - 1
         self.one = spec.lattice.one()
-        self.table = rule_table(spec)
-        self.memo: dict[tuple[Monomial, int], _Terms] = {}
+        layout = _layout(spec.n)
+        self.unit = layout.unit
+        self.after = layout.after
+        self.rules = _packed_rules(spec)
+        self.memo: dict[tuple[int, int], _Terms] = {}
 
-    def add(self, out: _Terms, m: Monomial, c: _Coeff) -> None:
+    def add(self, out: _Terms, m: int, c: _Coeff) -> None:
         """out[m] += c, dropping the entry if it cancels."""
         if m not in out:
             out[m] = c
@@ -228,13 +339,18 @@ class _Products:
 
     def fold(self, acc: _Terms, g: int) -> _Terms:
         """The element acc*g, merging like terms."""
+        add = self.add
+        unit, after = self.unit[g], self.after[g]
         out: _Terms = {}
         for m, c in acc.items():
-            for r, cr in self.times(m, g).items():
-                self.add(out, r, _mul(c, cr))
+            if not m & after:
+                add(out, m + unit, c)
+            else:
+                for r, cr in self.times(m, g).items():
+                    add(out, r, _mul(c, cr))
         return out
 
-    def times(self, m: Monomial, g: int) -> _Terms:
+    def times(self, m: int, g: int) -> _Terms:
         """m*g: an append when g is not below the last occupied slot h of m,
         otherwise sum c*((m'*a)*b) over the rule h*g -> sum c*a*b, m = m'*h.
 
@@ -243,33 +359,38 @@ class _Products:
         memo hit and back up; only the other terms of the (x_i, y_i) rules
         recurse, so the call depth grows with n, not with the word length.
         """
+        unit, after = self.unit, self.after
+        if not m & after[g]:
+            return {m + unit[g]: None}
+        memo, add = self.memo, self.add
         chain = []
         while True:
-            h = len(m) - 1
-            while h >= 0 and not m[h]:
-                h -= 1
-            if h <= g:
-                out = {m[:g] + (m[g] + 1,) + m[g + 1:]: None}
-                break
-            out = self.memo.get((m, g))
+            out = memo.get((m, g))
             if out is not None:
                 break
+            h = self.top - ((m & -m).bit_length() - 1) // 32
             chain.append((m, h))
-            m = m[:h] + (m[h] - 1,) + m[h + 1:]
+            m -= unit[h]
+            if not m & after[g]:
+                out = {m + unit[g]: None}
+                break
         for upper, h in reversed(chain):
             below, out = out, {}
-            for c, (a, b) in self.table[(h, g)]:
-                c = _unit_or(c)
+            for c, a, b in self.rules[h][g]:
                 for r, cr in (below if a == g else self.times(m, a)).items():
                     cr = _mul(c, cr)
-                    for s, cs in self.times(r, b).items():
-                        self.add(out, s, _mul(cr, cs))
-            self.memo[(upper, g)] = out
+                    if not r & after[b]:
+                        add(out, r + unit[b], cr)
+                    else:
+                        for s, cs in self.times(r, b).items():
+                            add(out, s, _mul(cr, cs))
+            memo[(upper, g)] = out
             m = upper
         return out
 
     def element(self, terms: _Terms) -> PBWElement:
-        return PBWElement(self.n, {m: self.one if c is None else c for m, c in terms.items()})
+        one = self.one
+        return _element(self.n, {m: one if c is None else c for m, c in terms.items()})
 
     @functools.cached_property
     def casimirs(self) -> dict[tuple[int, ...], PBWElement]:
@@ -424,14 +545,15 @@ def verify_ambiskew(spec: AlgebraSpec, m: int, *,
 
 
 def _apply_diagonal(spec: AlgebraSpec, multipliers, f: PBWElement) -> PBWElement:
+    unpack = _layout(spec.n).unpack
     out = {}
-    for mono, coeff in f.terms.items():
+    for m, coeff in f.packed.items():
         c = coeff
-        for g, e in enumerate(mono):
+        for g, e in enumerate(unpack(m)):
             if e:
                 c = c * multipliers[g] ** e
-        out[mono] = c
-    return PBWElement(spec.n, out)
+        out[m] = c
+    return _element(spec.n, out)
 
 
 SKEW_FORMS = ("k1_base", "xk_y", "x_yk")
@@ -526,7 +648,7 @@ def growth_count(spec: AlgebraSpec, N: int) -> GrowthReport:
             f"over the limit of {GROWTH_MAX_MONOMIALS}"
         )
     products = _Products(spec)
-    frontier: list[Monomial] = [(0,) * size]
+    frontier = [0]
     supports = set(frontier)
     counts = [1]
     for _ in range(N):
@@ -562,8 +684,9 @@ def render_monomial(spec: AlgebraSpec, mono: Monomial) -> str:
 def render_element(spec: AlgebraSpec, f: PBWElement) -> str:
     if f.is_zero():
         return "0"
+    unpack = _layout(f.n).unpack
     parts = [
-        f"{render_scalar(f.terms[m])}·{render_monomial(spec, m)}"
-        for m in sorted(f.terms)
+        f"{render_scalar(f.packed[m])}·{render_monomial(spec, unpack(m))}"
+        for m in sorted(f.packed)
     ]
     return " + ".join(parts)

@@ -64,8 +64,10 @@ class AlgebraSpec:
         self.p = tuple(p)
         self.gamma = tuple(tuple(row) for row in gamma)
         _validate(self)
-        # built on first use by rule_table and torus.standard_torus
+        # built on first use by rule_table, pbw._packed_rules and
+        # torus.standard_torus
         self._rule_table: dict | None = None
+        self._packed_rules: list | None = None
         self._standard_torus = None
 
     # -- generator bookkeeping ---------------------------------------------

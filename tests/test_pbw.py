@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from qweyl.pbw import (
     GROWTH_MAX_MONOMIALS,
+    MAX_DEGREE,
     BudgetError,
     PBWElement,
     generator,
@@ -24,6 +25,7 @@ from qweyl.pbw import (
     verify_normality,
     verify_relations,
     word_monomial,
+    _layout,
 )
 from qweyl.presentation import build_spec, casimir, rule_table
 from qweyl.reporting import all_ok
@@ -313,3 +315,87 @@ def test_render_element_canonical():
     assert render_element(spec, z) == "(q1 - p1)/(1)·y1 x1"
     assert render_element(spec, PBWElement(1, {})) == "0"
     assert render_element(spec, unit(spec)) == "(1)/(1)·1"
+
+
+# -- packed monomials: the constructor boundary and the degree guard ------------
+
+def test_constructor_refuses_a_vector_of_the_wrong_length():
+    # a 3-tuple at n=2 was read as y1 (so y1 times it gave y1^2), and a
+    # 5-tuple raised a bare IndexError deep inside multiply
+    one = GEN2.lattice.one()
+    for mono in ((1, 0, 0), (1, 0, 0, 0, 0), ()):
+        with pytest.raises(ValueError, match="not 4 integers"):
+            PBWElement(2, {mono: one})
+
+
+def test_constructor_refuses_a_negative_exponent():
+    # (0, -1, 0, 0) was read as y1, with degree() -1
+    with pytest.raises(ValueError, match="not 4 integers"):
+        PBWElement(2, {(0, -1, 0, 0): GEN2.lattice.one()})
+
+
+def test_constructor_refuses_an_exponent_past_the_field():
+    one = GEN2.lattice.one()
+    with pytest.raises(ValueError, match="4294967295"):
+        PBWElement(2, {(0, 0, MAX_DEGREE + 1, 0): one})
+    top = PBWElement(2, {(0, 0, MAX_DEGREE, 0): one})
+    assert list(top.terms) == [(0, 0, MAX_DEGREE, 0)]
+    assert top.degree() == MAX_DEGREE
+
+
+def test_multiply_past_the_degree_bound_raises():
+    # one append past the field would carry into the slot before it
+    one = GEN2.lattice.one()
+    y1 = generator(GEN2, "y1")
+    top = PBWElement(2, {(MAX_DEGREE, 0, 0, 0): one})
+    with pytest.raises(OverflowError):
+        multiply(GEN2, top, y1)
+    with pytest.raises(OverflowError):
+        multiply(GEN2, y1, top)
+    below = PBWElement(2, {(MAX_DEGREE - 1, 0, 0, 0): one})
+    product = multiply(GEN2, below, y1)
+    assert product == top
+    assert render_element(GEN2, product) == f"(1)/(1)·y1^{MAX_DEGREE}"
+
+
+def test_elements_of_different_n_do_not_mix():
+    # x1 at n=1 and x2 at n=2 have the same packed key and, for a single
+    # parameter kind, the same lattice, so mixing them would be silent
+    spec1, spec2 = build_spec(1, "symplectic"), build_spec(2, "symplectic")
+    x1, x2 = generator(spec1, "x1"), generator(spec2, "x2")
+    assert x1.packed == x2.packed
+    assert x1 != x2
+    with pytest.raises(ValueError, match="do not add"):
+        x1 + x2
+    with pytest.raises(ValueError, match="factors of n=1"):
+        multiply(spec2, x1, x2)
+    with pytest.raises(ValueError, match="factors of n=2 and n=1"):
+        multiply(spec2, x2, x1)
+
+
+_FIELD = st.one_of(st.sampled_from([0, 1, MAX_DEGREE]), st.integers(0, MAX_DEGREE))
+
+
+@st.composite
+def _elements(draw):
+    """A random element of generic n in 1..3, exponents up to the field edges."""
+    n = draw(st.integers(1, 3))
+    spec = build_spec(n, "generic")
+    monos = draw(st.lists(st.tuples(*[_FIELD] * (2 * n)), max_size=6, unique=True))
+    coeffs = draw(st.lists(st.integers(-3, 3).filter(bool), min_size=len(monos),
+                           max_size=len(monos)))
+    terms = {m: spec.lattice.rational(c) for m, c in zip(monos, coeffs)}
+    return spec, terms
+
+
+@settings(max_examples=80, deadline=None)
+@given(_elements())
+def test_packed_monomials_round_trip_and_sort_like_tuples(case):
+    spec, terms = case
+    f = PBWElement(spec.n, terms)
+    assert f.terms == terms
+    assert PBWElement(spec.n, f.terms).packed == f.packed
+    unpack = _layout(spec.n).unpack
+    assert [unpack(m) for m in sorted(f.packed)] == sorted(terms)
+    assert render_element(spec, f) == render_element(spec, PBWElement(spec.n, f.terms))
+    assert f.degree() == max((sum(m) for m in terms), default=-1)
