@@ -7,10 +7,12 @@ a sublattice of exponent vectors spans a commutative subalgebra exactly
 when the pairing vanishes on it, and the torus dimension is the maximal
 rank of such an isotropic sublattice.
 
-Exact integer linear algebra only: rank by division-free elimination with
-a Smith-normal-form cross-check, explicit isotropic witnesses from a
-rational symplectic reduction (single-parameter case) or from a bounded
-deterministic backtracking search (multi-parameter case).
+Exact integer linear algebra only, no fractions: rank by division-free
+elimination with a Smith-normal-form cross-check, explicit isotropic
+witnesses from a fraction-free symplectic reduction (single-parameter
+case) or from a bounded deterministic backtracking search on the packed
+pairing (multi-parameter case).  Each kernel makes the zero tests of the
+same computation over Q; the docstrings give the arguments.
 
 Work is done once where it can be: the reduction computes the row u^T S
 once per pivot u, so each pairing B(u, w) is a dot product; the weighted
@@ -25,7 +27,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .presentation import AlgebraSpec
 from .torus import ExponentPairing, standard_torus
@@ -171,16 +172,17 @@ def _check_alternating(S) -> None:
                 raise ValueError("matrix must be alternating")
 
 
-def _clear_denominators(v) -> IntVector:
-    den = math.lcm(*(x.denominator for x in v)) if v else 1
-    ints = [int(x * den) for x in v]
-    g = math.gcd(*ints) if any(ints) else 1
-    if g > 1:
-        ints = [x // g for x in ints]
-    first = next((x for x in ints if x), 0)
-    if first < 0:
-        ints = [-x for x in ints]
-    return tuple(ints)
+def _primitive(v) -> list[int]:
+    """v divided by the gcd of its entries; a zero v comes back as it is."""
+    g = math.gcd(*v)
+    return [x // g for x in v] if g > 1 else v
+
+
+def _canonical(v) -> IntVector:
+    """The primitive multiple of a nonzero integer vector whose first nonzero
+    entry is positive."""
+    v = _primitive(v)
+    return tuple(-x for x in v) if next(x for x in v if x) < 0 else tuple(v)
 
 
 def _row_times(u, S) -> list:
@@ -200,11 +202,16 @@ def _dot(a, b):
 
 def max_isotropic_rank_single(S) -> tuple[int, Witness]:
     """Maximal isotropic-sublattice rank m - rank(S)/2 of one alternating form,
-    with an explicit witness from rational symplectic reduction.
+    with an explicit witness from a fraction-free symplectic reduction.
 
-    Each pivot u is paired through its row u^T S, computed once, so every
-    B(u, w) = u^T S w is one dot product and each remaining w is updated by
-    the two scalars B(v, w) and B(u, w).
+    A pivot u with a partner v, c = B(u, v) != 0, moves every remaining w to
+    c*w + B(v, w)*u - B(u, w)*v, which is c times the rational update
+    w + B(v/c, w)*u - B(u, w)*v/c, and w is then made primitive.  The
+    rational reduction is unchanged when u, v or w is rescaled (each later
+    choice is a zero test of B), so the integer one makes the same picks and
+    its picked vectors have the same canonical primitive forms.  Each pivot
+    u is paired through its row u^T S, computed once, so every B(u, w) is
+    one dot product.
     """
     _check_alternating(S)
     m = len(S)
@@ -213,8 +220,8 @@ def max_isotropic_rank_single(S) -> tuple[int, Witness]:
         raise ArithmeticError("alternating matrix with odd rank")
     rank = m - r2 // 2
 
-    remaining = [[Fraction(int(i == j)) for j in range(m)] for i in range(m)]
-    picked: list[list[Fraction]] = []
+    remaining = [[int(i == j) for j in range(m)] for i in range(m)]
+    picked: list[list[int]] = []
     while remaining:
         u = remaining.pop(0)
         uS = _row_times(u, S)
@@ -224,13 +231,14 @@ def max_isotropic_rank_single(S) -> tuple[int, Witness]:
             continue
         v = remaining.pop(vidx)
         c = _dot(uS, v)
-        v = [x / c for x in v]
         vS = _row_times(v, S)
         for idx, w in enumerate(remaining):
             a, b = _dot(vS, w), _dot(uS, w)
             if a or b:
-                remaining[idx] = [wt + a * ut - b * vt for wt, ut, vt in zip(w, u, v)]
-    witness = Witness(_clear_denominators(u) for u in picked)
+                remaining[idx] = _primitive(
+                    [c * wt + a * ut - b * vt for wt, ut, vt in zip(w, u, v)]
+                )
+    witness = Witness(_canonical(u) for u in picked)
     if witness.rank != rank:
         raise ArithmeticError("symplectic reduction produced wrong witness size")
     E = ExponentPairing(m, 1, [[(S[i][j],) for j in range(m)] for i in range(m)])
@@ -242,15 +250,18 @@ def max_isotropic_rank_single(S) -> tuple[int, Witness]:
 # -- certified upper bound and bounded search ---------------------------------
 
 def _weight_schedule(k: int):
-    for c in range(k):
-        w = [0] * k
-        w[c] = 1
-        yield tuple(w)
+    """The combined weights first (the all-ones one usually reaches the cap),
+    then the unit weights.  rank_upper_bound takes the maximum over the whole
+    set and stops only at the cap, so the order changes no bound."""
     if k > 1:
         yield (1,) * k
         yield tuple(3**i for i in range(k))
         yield tuple((i + 1) ** 2 for i in range(k))
         yield tuple((-2) ** i for i in range(k))
+    for c in range(k):
+        w = [0] * k
+        w[c] = 1
+        yield tuple(w)
 
 
 def _sparse_rows(E: ExponentPairing) -> list[list[tuple[int, list[tuple[int, int]]]]]:
@@ -334,6 +345,15 @@ def isotropic_witness_search(
     the certified rank bound, by isotropy against all chosen vectors, and by
     integer independence.  `upper` is rank_upper_bound(E) when the caller
     already has it; by default it is computed here.
+
+    Isotropy reads the packed pairing P = sum_c S_c * 2^(shift*c) through one
+    row u^T P per chosen u.  With shift = bit_length((m*height)^2 * max|e|)
+    + 2, each component |u^T S_c v| <= (m*height)^2 * max|e| stays below
+    2^(shift-1), so the lowest nonzero component cannot be cancelled by the
+    higher ones and u^T P v == 0 exactly when u^T S_c v == 0 for every c.
+    Independence keeps an integer echelon: a candidate w is reduced by
+    w <- p*w - w[pos]*row, p = row[pos], and made primitive; it is a nonzero
+    multiple of the rational reduction, so it vanishes exactly when that does.
     """
     if target < 0 or height < 1:
         raise ValueError(f"invalid target/height ({target}, {height})")
@@ -346,37 +366,37 @@ def isotropic_witness_search(
     if target > upper:
         return None
     cands = _Candidates(E.m, height)
-    chosen: list[IntVector] = []
-    pairing_rows: list[list[list[int]]] = []  # per chosen u, per component: u^T S_c
-    echelon: list[tuple[int, list[Fraction]]] = []
     sparse = _sparse_rows(E)
+    top = max((abs(e) for row in sparse for _, nz in row for _, e in nz), default=0)
+    shift = ((E.m * height) ** 2 * top).bit_length() + 2
+    packed = [[(j, sum(e << (shift * c) for c, e in nz)) for j, nz in row] for row in sparse]
+    chosen: list[IntVector] = []
+    pairing_rows: list[list[tuple[int, int]]] = []  # per chosen u: nonzero (j, (u^T P)_j)
+    echelon: list[tuple[int, list[int]]] = []
 
-    def rows_for(u: IntVector) -> list[list[int]]:
-        rows = [[0] * E.m for _ in range(E.k)]
+    def row_for(u: IntVector) -> list[tuple[int, int]]:
+        row = [0] * E.m
         for i, ui in enumerate(u):
             if ui:
-                for j, nz in sparse[i]:
-                    for c, e in nz:
-                        rows[c][j] += ui * e
-        return rows
+                for j, p in packed[i]:
+                    row[j] += ui * p
+        return [(j, p) for j, p in enumerate(row) if p]
 
     def commutes_with_all(v: IntVector) -> bool:
-        for rows in pairing_rows:
-            for r in rows:
-                if sum(a * b for a, b in zip(r, v)):
-                    return False
+        for row in pairing_rows:
+            if sum(p * v[j] for j, p in row):
+                return False
         return True
 
     def reduce(v: IntVector):
-        w = [Fraction(x) for x in v]
+        w = v
         for pos, row in echelon:
             f = w[pos]
             if f:
-                w = [a - f * b for a, b in zip(w, row)]
-        for pos, val in enumerate(w):
-            if val:
-                return pos, [x / val for x in w]
-        return None
+                p = row[pos]
+                w = _primitive([p * a - f * b for a, b in zip(w, row)])
+        pos = next((t for t, x in enumerate(w) if x), None)
+        return None if pos is None else (pos, w)
 
     def dfs(start: int) -> bool:
         if len(chosen) == target:
@@ -393,7 +413,7 @@ def isotropic_witness_search(
             if red is None:
                 continue
             chosen.append(v)
-            pairing_rows.append(rows_for(v))
+            pairing_rows.append(row_for(v))
             echelon.append(red)
             if dfs(idx):
                 return True

@@ -212,8 +212,20 @@ def unit(spec: AlgebraSpec) -> PBWElement:
     return _element(spec.n, {0: spec.lattice.one()})
 
 
+def _check_slots(spec: AlgebraSpec, word) -> None:
+    """Refuse a slot outside 0..2n-1 (a negative one would index from the end)."""
+    if word and (min(word) < 0 or max(word) >= 2 * spec.n):
+        bad = next(g for g in word if not 0 <= g < 2 * spec.n)
+        raise ValueError(f"generator slot {bad} outside 0..{2 * spec.n - 1}")
+
+
 def generator(spec: AlgebraSpec, name_or_slot) -> PBWElement:
-    g = name_or_slot if isinstance(name_or_slot, int) else spec.gen_index(name_or_slot)
+    """The generator given by name ('x1') or by slot (0..2n-1)."""
+    g = name_or_slot
+    if not isinstance(g, int):
+        g = spec.gen_index(g)
+    elif not 0 <= g < 2 * spec.n:
+        _check_slots(spec, (g,))
     return _element(spec.n, {_layout(spec.n).unit[g]: spec.lattice.one()})
 
 
@@ -235,11 +247,13 @@ def normal_form(spec: AlgebraSpec, word, *,
     """Fold a word (tuple of slots, or a string) into the ordered basis.
 
     `products` is a memo to share with other calls on the same spec; by
-    default the call makes its own.  Raises OverflowError for a word longer
-    than MAX_DEGREE.
+    default the call makes its own.  Raises ValueError for a slot outside
+    0..2n-1 and OverflowError for a word longer than MAX_DEGREE.
     """
     if isinstance(word, str):
         word = parse_word(spec, word)
+    else:
+        _check_slots(spec, word)
     _check_degree(len(word))
     if products is None:
         products = _Products(spec)

@@ -1,5 +1,6 @@
 """Integer linear algebra, isotropic witnesses, dimension and bound reports."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -328,8 +329,9 @@ def test_report_serialization():
 # -- differential tests against the straightforward kernels -------------------
 
 def _reduction_oracle(S):
-    """The symplectic reduction written directly: B(u, w) = u^T S w is
-    recomputed in full for every coordinate of every update."""
+    """The symplectic reduction written directly over Fraction, with the
+    rational update: B(u, w) = u^T S w is recomputed in full for every
+    coordinate of every update."""
     m = len(S)
 
     def B(u, v):
@@ -354,23 +356,38 @@ def _reduction_oracle(S):
         remaining = [
             [w[t] + B(v, w) * u[t] - B(u, w) * v[t] for t in range(m)] for w in remaining
         ]
-    return len(picked), [dim._clear_denominators(u) for u in picked]
+
+    def canonical(v):
+        """Primitive integer multiple, first nonzero entry positive."""
+        den = math.lcm(*(x.denominator for x in v))
+        ints = [int(x * den) for x in v]
+        g = math.gcd(*ints)
+        sign = 1 if next(x for x in ints if x) > 0 else -1
+        return tuple(sign * x // g for x in ints)
+
+    return len(picked), [canonical(u) for u in picked]
 
 
 def _dense_rank_upper_bound(E):
-    """rank_upper_bound with every weighted matrix built entry by entry."""
+    """rank_upper_bound with every weighted matrix built entry by entry, over
+    its own list of weights (unit weights first) and with no early exit."""
     if E.k == 0:
         return E.m
+    weights = [tuple(int(c == t) for t in range(E.k)) for c in range(E.k)]
+    if E.k > 1:
+        weights += [
+            (1,) * E.k,
+            tuple(3**i for i in range(E.k)),
+            tuple((i + 1) ** 2 for i in range(E.k)),
+            tuple((-2) ** i for i in range(E.k)),
+        ]
     best = 0
-    cap = E.m - (E.m % 2)
-    for weights in dim._weight_schedule(E.k):
+    for ws in weights:
         S = [
-            [sum(w * e for w, e in zip(weights, E.entries[i][j])) for j in range(E.m)]
+            [sum(w * e for w, e in zip(ws, E.entries[i][j])) for j in range(E.m)]
             for i in range(E.m)
         ]
         best = max(best, integer_rank(S))
-        if best == cap:
-            break
     return E.m - best // 2
 
 
@@ -382,16 +399,26 @@ def _assert_kernels_match(E):
         assert (rank, list(witness.vectors)) == _reduction_oracle(S)
 
 
+WIDE = 2**40
+
+
 @st.composite
-def _pairings(draw, max_m=10, max_k=3):
+def _pairings(draw, max_m=10, max_k=3, wide=False):
+    """Random pairings with small exponents.  With `wide` they reach +-2^40:
+    per component, a wide scale times the small factor, or a wide value of
+    its own, so some vectors still pair to 0."""
     m = draw(st.integers(1, max_m))
     k = draw(st.integers(1, max_k))
-    entry = st.lists(st.sampled_from((0, 0, 0, 1, -1, 2, -3)), min_size=k, max_size=k)
+    scales = [draw(st.integers(1, WIDE // 3)) if wide else 1 for _ in range(k)]
+    factors = st.sampled_from((0, 0, 0, 1, -1, 2, -3) + (("wide",) if wide else ()))
     entries = [[(0,) * k] * m for _ in range(m)]
     for i in range(m):
         for j in range(i + 1, m):
-            v = tuple(draw(entry))
-            entries[i][j], entries[j][i] = v, tuple(-x for x in v)
+            v = []
+            for scale in scales:
+                x = draw(factors)
+                v.append(draw(st.integers(-WIDE, WIDE)) if x == "wide" else x * scale)
+            entries[i][j], entries[j][i] = tuple(v), tuple(-x for x in v)
     return ExponentPairing(m, k, entries)
 
 
@@ -490,6 +517,51 @@ def test_search_matches_oracle_on_random_pairings(E):
 def test_search_matches_oracle_on_presets(kind):
     for n in (1, 2):
         _assert_search_matches(standard_torus(build_spec(n, kind)), height=2)
+
+
+# -- wide exponents: the integer kernels and the packed pairing ----------------
+
+@settings(max_examples=40, deadline=None)
+@given(_pairings(max_m=8, wide=True))
+def test_kernels_match_oracles_on_wide_exponents(E):
+    _assert_kernels_match(E)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_search_matches_oracle_on_wide_exponents(data):
+    height = data.draw(st.integers(1, 3))
+    E = data.draw(_pairings(max_m=6 - height, wide=True))
+    _assert_search_matches(E, height)
+
+
+def test_search_reduces_against_pivots_other_than_one():
+    # a fixed case (found by a random scan) whose echelon rows do not all lead
+    # with 1, so the independence test must scale by the pivot; scaled by
+    # about 2^40 / 3, which changes no zero test
+    small = [[0, 2, 2, -3, 0], [-2, 0, 0, 2, 0], [-2, 0, 0, 2, 2],
+             [3, -2, -2, 0, -1], [0, 0, -2, 1, 0]]
+    E = ExponentPairing(5, 1, [[(x * (WIDE // 3),) for x in row] for row in small])
+    found = isotropic_witness_search(E, 3, height=1)
+    assert found.vectors == ((0, 1, 0, 0, 0), (0, 0, 1, 0, 0), (1, -1, -1, 1, 0))
+    assert list(found.vectors) == _search_oracle(E, 3, 1)
+
+
+def test_packed_pairing_does_not_cancel_across_components():
+    # m = 4, height 3, max|e| = 2^40.  For u = (2, -3, -3, -3) and
+    # v = (3, -3, 2, 3) the pairing is (2^46, -1).  A field one factor
+    # m*height too narrow is bit_length(12 * 2^40) + 2 = 46 bits wide, so the
+    # packed sum 2^46 + (-1) * 2^46 would cancel.  No two independent vectors
+    # of height <= 3 pair to zero, so the search must exhaust.
+    a, b = 2**40, [2, -84201150736, -243281036, -53047250347, -21900465605, 30550986998]
+    upper = {(0, 1): (0, b[0]), (0, 2): (a, b[1]), (0, 3): (a, b[2]),
+             (1, 2): (-a, b[3]), (1, 3): (-a, b[4]), (2, 3): (-a, b[5])}
+    entries = [[(0, 0)] * 4 for _ in range(4)]
+    for (i, j), e in upper.items():
+        entries[i][j], entries[j][i] = e, (-e[0], -e[1])
+    E = ExponentPairing(4, 2, entries)
+    assert E.pair((2, -3, -3, -3), (3, -3, 2, 3)) == (2**46, -1)
+    assert isotropic_witness_search(E, 2, height=3) is None
 
 
 # -- work done per call --------------------------------------------------------

@@ -399,3 +399,25 @@ def test_packed_monomials_round_trip_and_sort_like_tuples(case):
     assert [unpack(m) for m in sorted(f.packed)] == sorted(terms)
     assert render_element(spec, f) == render_element(spec, PBWElement(spec.n, f.terms))
     assert f.degree() == max((sum(m) for m in terms), default=-1)
+
+
+# -- slot numbers are range-checked ---------------------------------------------
+
+def test_normal_form_refuses_a_negative_slot():
+    # (-1,) was read from the end of the slot list, as x2
+    with pytest.raises(ValueError, match="slot -1 outside 0..3"):
+        normal_form(GEN2, (-1,))
+
+
+def test_generator_refuses_a_negative_slot():
+    # slot -4 was read from the end of the slot list, as y1
+    with pytest.raises(ValueError, match="slot -4 outside 0..3"):
+        generator(GEN2, -4)
+
+
+def test_slot_2n_is_a_value_error():
+    # slot 2n raised a bare IndexError
+    with pytest.raises(ValueError, match="slot 4 outside 0..3"):
+        normal_form(GEN2, (0, 4))
+    with pytest.raises(ValueError, match="slot 4 outside 0..3"):
+        generator(GEN2, 4)
