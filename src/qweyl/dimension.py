@@ -264,14 +264,6 @@ def _weight_schedule(k: int):
         yield tuple(w)
 
 
-def _sparse_rows(E: ExponentPairing) -> list[list[tuple[int, list[tuple[int, int]]]]]:
-    """Per row i, the entries (j, [(c, e), ...]) of E with their nonzero exponents."""
-    return [
-        [(j, nz) for j, v in enumerate(row) if (nz := [(c, e) for c, e in enumerate(v) if e])]
-        for row in E.entries
-    ]
-
-
 def rank_upper_bound(E: ExponentPairing) -> int:
     """Certified bound: any isotropic sublattice is isotropic for every integer
     combination S_c of the pairing components, hence has rank <= m - rank(S_c)/2.
@@ -283,7 +275,7 @@ def rank_upper_bound(E: ExponentPairing) -> int:
         return E.m
     m = E.m
     upper = [
-        (i, j, nz) for i, row in enumerate(_sparse_rows(E)) for j, nz in row if j > i
+        (i, j, nz) for i, row in enumerate(E.sparse_rows()) for j, nz in row if j > i
     ]
     best = 0
     cap = m - (m % 2)
@@ -366,7 +358,7 @@ def isotropic_witness_search(
     if target > upper:
         return None
     cands = _Candidates(E.m, height)
-    sparse = _sparse_rows(E)
+    sparse = E.sparse_rows()
     top = max((abs(e) for row in sparse for _, nz in row for _, e in nz), default=0)
     shift = ((E.m * height) ** 2 * top).bit_length() + 2
     packed = [[(j, sum(e << (shift * c) for c, e in nz)) for j, nz in row] for row in sparse]

@@ -22,7 +22,8 @@ A field would carry into its neighbour past MAX_DEGREE = 2^32 - 1.  Every
 rewrite rule keeps or lowers total degree, so no monomial met while
 folding passes the total degree of the input.  normal_form and multiply
 check that bound once per call (the word length, or f.degree() +
-g.degree()) and raise OverflowError past MAX_DEGREE.
+g.degree()), and the pair memo once per miss, and raise OverflowError past
+MAX_DEGREE.
 
 Tuples stay at the boundaries.  The PBWElement constructor packs exponent
 tuples and refuses a vector of the wrong length or an exponent outside
@@ -47,11 +48,13 @@ instead pass one _Products memo as `products` to normal_form, multiply,
 the verifiers and skew_power_identity; the command-line `verify` shares one
 memo across all of its relation, normality and extension-step checks, the
 skew suite one across its power identities, and each drops its memo when
-it returns.  The memo also holds the Casimir elements z_i and their
-products z_a*z_b, and the verifiers take every z_i from it, so one `verify`
-builds each z_i once and multiplies each ordered pair once.  Each memo
-entry is fixed by its key, the spec and the rule table, so sharing changes
-no result.
+it returns.  The memo also holds, made on first use, the products of two
+monomials, the Casimir elements z_i and the verdicts of [z_a, z_b].  The
+relation and normality verifiers sum each f*g - lam*g*f - h over pair
+products with no intermediate element (skew_zero), so one `verify` folds
+each monomial pair once, builds each z_i once and decides each unordered
+commutator once.  Each memo entry is fixed by its key, the spec and the
+rule table, so sharing changes no result.
 
 The recursion terminates.  Order words by length, then by their multiset
 of generators (compared largest first), then by inversion count.
@@ -407,25 +410,72 @@ class _Products:
         return _element(self.n, {m: one if c is None else c for m, c in terms.items()})
 
     @functools.cached_property
-    def casimirs(self) -> dict[tuple[int, ...], PBWElement]:
-        """z_i under (i,) and z_a*z_b under (a, b); made on first use, so a
-        memo that never meets a Casimir element costs nothing for it."""
+    def pairs(self) -> dict[tuple[int, int], _Terms]:
+        return {}
+
+    def pair(self, mf: int, mg: int) -> _Terms:
+        """mf*mg: {mf: 1} folded through the letters of mg, once per memo."""
+        out = self.pairs.get((mf, mg))
+        if out is None:
+            unpack = _layout(self.n).unpack
+            letters = unpack(mg)
+            _check_degree(sum(unpack(mf)) + sum(letters))
+            out = {mf: None}
+            for g, e in enumerate(letters):
+                for _ in range(e):
+                    out = self.fold(out, g)
+            self.pairs[(mf, mg)] = out
+        return out
+
+    def skew_zero(self, f: _Terms, g: _Terms, lam: Scalar,
+                  h: PBWElement | None = None) -> bool:
+        """Whether f*g - lam*g*f - h is zero, summed into one dict."""
+        pair, add = self.pair, self.add
+        out: _Terms = {}
+        for a, b, c in ((f, g, None), (g, f, -lam)):
+            for ma, ca in a.items():
+                ca = _mul(c, ca)
+                for mb, cb in b.items():
+                    cab = _mul(ca, cb)
+                    for r, cr in pair(ma, mb).items():
+                        add(out, r, _mul(cab, cr))
+        if h is not None:
+            for m, c in h.packed.items():
+                add(out, m, -c)
+        return not out
+
+    @functools.cached_property
+    def casimirs(self) -> dict[int, PBWElement]:
+        """z_i under i; made on first use, so a memo that never meets a
+        Casimir element costs nothing for it."""
         return {}
 
     def casimir(self, i: int) -> PBWElement:
         """z_i, built once per memo."""
-        z = self.casimirs.get((i,))
+        z = self.casimirs.get(i)
         if z is None:
-            z = self.casimirs[(i,)] = casimir(self.spec, i)
+            z = self.casimirs[i] = casimir(self.spec, i)
         return z
 
-    def casimir_product(self, a: int, b: int) -> PBWElement:
-        """z_a * z_b, multiplied once per memo."""
-        zz = self.casimirs.get((a, b))
-        if zz is None:
-            zz = multiply(self.spec, self.casimir(a), self.casimir(b), products=self)
-            self.casimirs[(a, b)] = zz
-        return zz
+    @functools.cached_property
+    def commutators(self) -> dict[tuple[int, int], bool]:
+        return {}
+
+    def casimirs_commute(self, a: int, b: int) -> bool:
+        """[z_a, z_b] = 0, decided once per pair a < b: [z_b, z_a] is its
+        negation, and [z_a, z_a] is zero in any ring."""
+        if a == b:
+            return True
+        key = (a, b) if a < b else (b, a)
+        ok = self.commutators.get(key)
+        if ok is None:
+            za, zb = (_terms(self.casimir(c)) for c in key)
+            ok = self.commutators[key] = self.skew_zero(za, zb, self.one)
+        return ok
+
+
+def _terms(f: PBWElement) -> _Terms:
+    return {m: _unit_or(c) for m, c in f.packed.items()}
 
 
 # -- identity verification ---------------------------------------------------
@@ -435,17 +485,17 @@ def verify_relations(spec: AlgebraSpec, *, products: _Products | None = None) ->
 
     One entry per relation instance: xx/yy/xy for each index pair, the
     inhomogeneous x_i y_i relation for each i, and gamma_ij * gamma_ji = 1
-    for each unordered pair.  `products` is the memo of every multiply and
-    Casimir element; by default the call makes its own.
+    for each unordered pair.  `products` is the memo of every pair product
+    and Casimir element; by default the call makes its own.
     """
     if products is None:
         products = _Products(spec)
     checks = []
     n = spec.n
     one = spec.lattice.one()
-    x = lambda i: generator(spec, spec.x_index(i))
-    y = lambda i: generator(spec, spec.y_index(i))
-    mul = lambda f, g: multiply(spec, f, g, products=products)
+    x = lambda i: {products.unit[spec.x_index(i)]: None}
+    y = lambda i: {products.unit[spec.y_index(i)]: None}
+    skew = products.skew_zero
     q, p, gamma = spec.q, spec.p, spec.gamma
 
     for i in range(1, n + 1):
@@ -455,23 +505,18 @@ def verify_relations(spec: AlgebraSpec, *, products: _Products | None = None) ->
             checks.append(
                 Check(f"gamma({i},{j})", (gij * gji) == one, "gamma_ij*gamma_ji = 1")
             )
-            lhs = mul(x(i), x(j))
-            rhs = mul(x(j), x(i)).scale(q[i - 1] * p[j - 1].inverse() * gij)
-            checks.append(Check(f"xx({i},{j})", (lhs - rhs).is_zero(), "x_i x_j relation"))
-            lhs = mul(y(i), y(j))
-            rhs = mul(y(j), y(i)).scale(gij)
-            checks.append(Check(f"yy({i},{j})", (lhs - rhs).is_zero(), "y_i y_j relation"))
-            lhs = mul(x(i), y(j))
-            rhs = mul(y(j), x(i)).scale(p[j - 1] * gij.inverse())
-            checks.append(Check(f"xy({i},{j})", (lhs - rhs).is_zero(), "x_i y_j, i < j"))
-            lhs = mul(x(j), y(i))
-            rhs = mul(y(i), x(j)).scale(q[i - 1] * gji.inverse())
-            checks.append(Check(f"xy({j},{i})", (lhs - rhs).is_zero(), "x_i y_j, i > j"))
+            ok = skew(x(i), x(j), q[i - 1] * p[j - 1].inverse() * gij)
+            checks.append(Check(f"xx({i},{j})", ok, "x_i x_j relation"))
+            checks.append(Check(f"yy({i},{j})", skew(y(i), y(j), gij), "y_i y_j relation"))
+            ok = skew(x(i), y(j), p[j - 1] * gij.inverse())
+            checks.append(Check(f"xy({i},{j})", ok, "x_i y_j, i < j"))
+            ok = skew(x(j), y(i), q[i - 1] * gji.inverse())
+            checks.append(Check(f"xy({j},{i})", ok, "x_i y_j, i > j"))
     for i in range(1, n + 1):
-        lhs = mul(x(i), y(i)) - mul(y(i), x(i)).scale(q[i - 1])
-        zprev = products.casimir(i - 1) if i > 1 else PBWElement(n, {})
+        zprev = products.casimir(i - 1) if i > 1 else None
         checks.append(
-            Check(f"weyl({i})", (lhs - zprev).is_zero(), "x_i y_i - q_i y_i x_i = z_{i-1}")
+            Check(f"weyl({i})", skew(x(i), y(i), q[i - 1], zprev),
+                  "x_i y_i - q_i y_i x_i = z_{i-1}")
         )
     return checks
 
@@ -480,9 +525,10 @@ def verify_normality(spec: AlgebraSpec, i: int, *,
                      products: _Products | None = None) -> list[Check]:
     """Check the commutation laws of z_i and the simpler Casimir formula.
 
-    `products` is the memo of every multiply, Casimir element and Casimir
-    product; by default the call makes its own.  Shared, it lets the n calls
-    of one `verify` build each z_j once and multiply each ordered pair once.
+    `products` is the memo of every pair product, Casimir element and
+    commutator verdict; by default the call makes its own.  Shared, it lets
+    the n calls of one `verify` build each z_j once and decide each
+    unordered commutator [z_a, z_b] once.
     """
     if not 1 <= i <= spec.n:
         raise ValueError(f"index {i} out of range 1..{spec.n}")
@@ -491,23 +537,21 @@ def verify_normality(spec: AlgebraSpec, i: int, *,
     checks = []
     n = spec.n
     q, p = spec.q, spec.p
-    mul = lambda f, g: multiply(spec, f, g, products=products)
+    unit, skew = products.unit, products.skew_zero
     z = products.casimir(i)
+    zt = _terms(z)
     for j in range(1, n + 1):
-        yj = generator(spec, spec.y_index(j))
+        yj = {unit[spec.y_index(j)]: None}
         lam = p[j - 1] if i < j else q[j - 1]
-        ok = (mul(z, yj) - mul(yj, z).scale(lam)).is_zero()
-        checks.append(Check(f"z{i}*y{j}", ok, "z_i y_j = (p_j or q_j) y_j z_i"))
-        xj = generator(spec, spec.x_index(j))
+        checks.append(Check(f"z{i}*y{j}", skew(zt, yj, lam), "z_i y_j = (p_j or q_j) y_j z_i"))
+        xj = {unit[spec.x_index(j)]: None}
         lam = p[j - 1].inverse() if i < j else q[j - 1].inverse()
-        ok = (mul(z, xj) - mul(xj, z).scale(lam)).is_zero()
-        checks.append(Check(f"z{i}*x{j}", ok, "z_i x_j = (p_j or q_j)^-1 x_j z_i"))
-        ok = (products.casimir_product(i, j) - products.casimir_product(j, i)).is_zero()
-        checks.append(Check(f"z{i}*z{j}", ok, "Casimir elements commute"))
-    xi = generator(spec, spec.x_index(i))
-    yi = generator(spec, spec.y_index(i))
-    lhs = mul(xi, yi) - mul(yi, xi).scale(p[i - 1])
-    checks.append(Check(f"casimir-p({i})", (lhs - z).is_zero(), "x_i y_i - p_i y_i x_i = z_i"))
+        checks.append(Check(f"z{i}*x{j}", skew(zt, xj, lam), "z_i x_j = (p_j or q_j)^-1 x_j z_i"))
+        checks.append(Check(f"z{i}*z{j}", products.casimirs_commute(i, j),
+                            "Casimir elements commute"))
+    xi = {unit[spec.x_index(i)]: None}
+    yi = {unit[spec.y_index(i)]: None}
+    checks.append(Check(f"casimir-p({i})", skew(xi, yi, p[i - 1], z), "x_i y_i - p_i y_i x_i = z_i"))
     return checks
 
 

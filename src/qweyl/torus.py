@@ -58,12 +58,13 @@ def _neg(v: IntVector) -> IntVector:
 class ExponentPairing:
     """Alternating m x m matrix of length-k integer exponent vectors."""
 
-    __slots__ = ("m", "k", "entries")
+    __slots__ = ("m", "k", "entries", "_sparse")
 
     def __init__(self, m: int, k: int, entries):
         self.m = m
         self.k = k
         self.entries = tuple(tuple(tuple(v) for v in row) for row in entries)
+        self._sparse = None
         if len(self.entries) != m or any(len(row) != m for row in self.entries):
             raise ValueError(f"pairing must be a {m} x {m} matrix")
         zero = (0,) * k
@@ -83,6 +84,17 @@ class ExponentPairing:
 
     def component(self, c: int) -> list[list[int]]:
         return [[self.entries[i][j][c] for j in range(self.m)] for i in range(self.m)]
+
+    def sparse_rows(self) -> tuple:
+        """Per row i, the entries (j, ((c, e), ...)) with their nonzero
+        exponents; built on first use and kept, as the pairing never changes."""
+        if self._sparse is None:
+            self._sparse = tuple(
+                tuple((j, nz) for j, v in enumerate(row)
+                      if (nz := tuple((c, e) for c, e in enumerate(v) if e)))
+                for row in self.entries
+            )
+        return self._sparse
 
     def pair(self, u, v) -> IntVector:
         """Pairing of two integer vectors; zero vector means they commute."""

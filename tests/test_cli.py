@@ -400,25 +400,37 @@ def test_shared_memo_fails_where_fresh_memos_fail():
     assert failed == {c.name for c in _fresh_memo_checks(spec) if not c.ok}
 
 
-def test_verify_multiplies_each_casimir_pair_once(monkeypatch):
-    # the normality checks of one verify take z_a*z_b from the shared memo:
-    # n^2 Casimir-by-Casimir products, one per ordered pair, instead of 2n^2
+def test_verify_folds_each_monomial_pair_and_casimir_commutator_once(monkeypatch):
+    # the relation and normality checks of one verify read every product of
+    # two monomials from the shared pair memo, folded on its first miss only,
+    # and decide [z_a, z_b] once per unordered pair {a, b}
     n = 3
     spec = build_spec(n, "generic")
-    zs = [casimir(spec, j) for j in range(1, n + 1)]
-    pairs = []
-    original = pbw.multiply
+    zs = [pbw._terms(casimir(spec, j)) for j in range(1, n + 1)]
+    memos, calls, misses, commutators = [], [], [], []
 
-    def counted(spec_, f, g, **kwargs):
-        if f in zs and g in zs:
-            pairs.append((zs.index(f), zs.index(g)))
-        return original(spec_, f, g, **kwargs)
+    class Counted(pbw._Products):
+        def __init__(self, spec_):
+            memos.append(self)
+            super().__init__(spec_)
 
-    monkeypatch.setattr(pbw, "multiply", counted)
-    checks, _ = cli._cmd_verify(spec, [], 3, _never)
-    assert all_ok(checks)
-    assert sorted(pairs) == list(itertools.product(range(n), repeat=2))
+        def pair(self, mf, mg):
+            calls.append((mf, mg))
+            if (mf, mg) not in self.pairs:
+                misses.append((mf, mg))
+            return super().pair(mf, mg)
 
+        def skew_zero(self, f, g, lam, h=None):
+            if f in zs and g in zs:
+                commutators.append((zs.index(f), zs.index(g)))
+            return super().skew_zero(f, g, lam, h)
+
+    monkeypatch.setattr(pbw, "_Products", Counted)
+    rep = run({"n": n, "kind": "generic"}, "verify")
+    assert rep.ok and len(memos) == 1
+    assert len(calls) > len(misses) == len(set(misses)) == len(set(calls))
+    assert set(memos[0].pairs) == set(misses)
+    assert sorted(commutators) == [(a, b) for a in range(n) for b in range(a + 1, n)]
 
 
 def test_verify_builds_each_casimir_once(monkeypatch):

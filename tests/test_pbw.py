@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qweyl import pbw
 from qweyl.pbw import (
     GROWTH_MAX_MONOMIALS,
     MAX_DEGREE,
@@ -26,8 +27,9 @@ from qweyl.pbw import (
     verify_relations,
     word_monomial,
     _layout,
+    _Products,
 )
-from qweyl.presentation import build_spec, casimir, rule_table
+from qweyl.presentation import build_spec, casimir, rule_table, spec_from_config
 from qweyl.reporting import all_ok
 
 GEN2 = build_spec(2, "generic")
@@ -214,6 +216,102 @@ def test_verify_normality_suite():
             assert all_ok(verify_normality(spec, i))
     with pytest.raises(ValueError):
         verify_normality(GEN2, 3)
+
+
+# -- fused skew-commutator checks against the multiply formula ----------------
+
+def _oracle_zero(spec, f, g, lam, h=None):
+    """(f*g - lam*g*f - h).is_zero() from two multiply calls, each with a fresh memo."""
+    out = multiply(spec, f, g) - multiply(spec, g, f).scale(lam)
+    return (out if h is None else out - h).is_zero()
+
+
+def _oracle_verdicts(spec):
+    """The relation and normality verdicts of verify by check name."""
+    n, q, p, gamma = spec.n, spec.q, spec.p, spec.gamma
+    x = lambda i: generator(spec, spec.x_index(i))
+    y = lambda i: generator(spec, spec.y_index(i))
+    z = lambda i: casimir(spec, i)
+    zero = lambda f, g, lam, h=None: _oracle_zero(spec, f, g, lam, h)
+    out = {}
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        gij, gji = gamma[i - 1][j - 1], gamma[j - 1][i - 1]
+        out[f"xx({i},{j})"] = zero(x(i), x(j), q[i - 1] * p[j - 1].inverse() * gij)
+        out[f"yy({i},{j})"] = zero(y(i), y(j), gij)
+        out[f"xy({i},{j})"] = zero(x(i), y(j), p[j - 1] * gij.inverse())
+        out[f"xy({j},{i})"] = zero(x(j), y(i), q[i - 1] * gji.inverse())
+    for i in range(1, n + 1):
+        out[f"weyl({i})"] = zero(x(i), y(i), q[i - 1], z(i - 1) if i > 1 else None)
+        out[f"casimir-p({i})"] = zero(x(i), y(i), p[i - 1], z(i))
+        for j in range(1, n + 1):
+            lam = p[j - 1] if i < j else q[j - 1]
+            out[f"z{i}*y{j}"] = zero(z(i), y(j), lam)
+            out[f"z{i}*x{j}"] = zero(z(i), x(j), lam.inverse())
+            out[f"z{i}*z{j}"] = zero(z(i), z(j), spec.lattice.one())
+    return out
+
+
+def _engine_verdicts(spec):
+    """The same verdicts from the verifiers, sharing one memo as verify does."""
+    products = _Products(spec)
+    checks = verify_relations(spec, products=products)
+    for i in range(1, spec.n + 1):
+        checks += verify_normality(spec, i, products=products)
+    return {c.name: c.ok for c in checks if not c.name.startswith("gamma(")}
+
+
+def test_fused_checks_match_the_multiply_formula(custom_config):
+    specs = [build_spec(n, kind) for kind in PRESET_KINDS for n in range(1, 6)]
+    rng = random.Random(11)
+    specs += [spec_from_config(custom_config(rng, n, k)) for n in (2, 3, 4) for k in (2, 3)
+              for _ in range(2)]
+    for spec in specs:
+        engine = _engine_verdicts(spec)
+        assert engine == _oracle_verdicts(spec), (spec.kind, spec.n)
+        assert all(engine.values())
+
+
+def _corrupted(key_of, scale_term):
+    """A generic n=3 spec whose rule table has the term scale_term of the
+    rule at key_of(spec) multiplied by g12."""
+    spec = build_spec(3, "generic")
+    table = dict(rule_table(spec))
+    key = key_of(spec)
+    rhs = list(table[key])
+    c, word = rhs[scale_term]
+    rhs[scale_term] = (c * spec.lattice.symbol("g12"), word)
+    table[key] = rhs
+    spec._rule_table = table
+    return spec
+
+
+@pytest.mark.parametrize("key_of, scale_term, must_fail", [
+    (lambda s: (s.x_index(3), s.x_index(1)), 0, "xx(1,3)"),
+    (lambda s: (s.x_index(3), s.y_index(3)), 1, "weyl(3)"),
+], ids=["x3*x1-swap", "x3*y3-rule-z1-term"])
+def test_fused_checks_fail_where_the_multiply_formula_fails(key_of, scale_term, must_fail):
+    failed = {name for name, ok in _engine_verdicts(_corrupted(key_of, scale_term)).items()
+              if not ok}
+    assert must_fail in failed
+    oracle = _oracle_verdicts(_corrupted(key_of, scale_term))
+    assert failed == {name for name, ok in oracle.items() if not ok}
+
+
+def test_pair_guards_the_degree_once_per_miss(monkeypatch):
+    layout = _layout(2)
+    products = _Products(GEN2)
+    top = layout.pack((MAX_DEGREE, 0, 0, 0))
+    with pytest.raises(OverflowError):
+        products.pair(top, layout.unit[0])
+    assert not products.pairs
+    guarded = []
+    original = pbw._check_degree
+    monkeypatch.setattr(pbw, "_check_degree", lambda d: (guarded.append(d), original(d)))
+    x1, y2 = layout.unit[1], layout.unit[2]
+    first = products.pair(x1 + y2, layout.unit[0])
+    assert products.pair(x1 + y2, layout.unit[0]) is first
+    assert guarded == [3]
+    assert products.element(first) == normal_form(GEN2, "x1 y2 y1")
 
 
 def test_degree_bound():
