@@ -11,7 +11,7 @@ Exact integer linear algebra only, no fractions: rank by division-free
 elimination with a Smith-normal-form cross-check, explicit isotropic
 witnesses from a fraction-free symplectic reduction (single-parameter
 case) or from a bounded deterministic backtracking search on the packed
-pairing (multi-parameter case).  Each kernel makes the zero tests of the
+pairing (multi-parameter case and the theorem kinds).  Each kernel makes the zero tests of the
 same computation over Q; the docstrings give the arguments.
 
 Work is done once where it can be: the reduction computes the row u^T S
@@ -467,34 +467,17 @@ class BernsteinReport:
 def torus_dimension(spec: AlgebraSpec, height: int = 3) -> DimensionReport:
     """Dimension of the rank-2n torus localization, with a verified witness.
 
-    Dispatch: the p_i = 1 kinds have dimension n with witness z_1..z_n and
-    the q_i = 1 kind has dimension n + 1 with witness z_1..z_n, y_1 (both
-    re-found independently by the bounded search); a single-parameter
-    lattice gets the exact formula m - rank(S)/2; anything else gets the
-    bounded search against the certified upper bound, reported as an
-    interval when the two disagree.
+    A single-parameter lattice gets the exact formula m - rank(S)/2; every
+    other spec gets the bounded search against the certified upper bound,
+    reported as an interval when the two disagree.  The theorem kinds take
+    the search path too: the p_i = 1 kinds have dimension n (witness
+    z_1..z_n) and the q_i = 1 kind n + 1 (witness z_1..z_n, y_1), so they
+    keep only their method label and raise ArithmeticError unless the bound
+    and the search both meet the theorem's value.
     """
     E = standard_torus(spec)
-    n = spec.n
-
-    def unit(i: int) -> IntVector:
-        e = [0] * E.m
-        e[i] = 1
-        return tuple(e)
-
-    if spec.kind in ("generic-p1", "graded-weyl", "generic-q1"):
-        if spec.kind == "generic-q1":
-            d, method = n + 1, "theorem-q1"
-        else:
-            d, method = n, "theorem-p1"
-        witness = Witness(unit(i) for i in range(d))
-        if not verify_witness(E, witness):
-            raise ArithmeticError("canonical witness failed verification")
-        if isotropic_witness_search(E, d, height) is None:
-            raise ArithmeticError("bounded search failed to re-find the theorem witness")
-        return DimensionReport(lo=d, hi=d, witness=witness, method=method)
-
-    if E.k == 1:
+    theorem = spec.kind in ("generic-p1", "graded-weyl", "generic-q1")
+    if E.k == 1 and not theorem:
         d, witness = max_isotropic_rank_single(E.component(0))
         return DimensionReport(lo=d, hi=d, witness=witness, method="exact-single-parameter")
 
@@ -505,7 +488,13 @@ def torus_dimension(spec: AlgebraSpec, height: int = 3) -> DimensionReport:
         if found is not None:
             lo, witness = t, found
             break
-    return DimensionReport(lo=lo, hi=hi, witness=witness, method="search")
+    method = "search"
+    if theorem:
+        q1 = spec.kind == "generic-q1"
+        d, method = (spec.n + 1, "theorem-q1") if q1 else (spec.n, "theorem-p1")
+        if not lo == hi == d:
+            raise ArithmeticError(f"{spec.kind}: bound and search give [{lo}, {hi}], not {d}")
+    return DimensionReport(lo=lo, hi=hi, witness=witness, method=method)
 
 
 def bernstein_report(spec: AlgebraSpec, rep: DimensionReport) -> BernsteinReport:

@@ -49,12 +49,14 @@ the verifiers and skew_power_identity; the command-line `verify` shares one
 memo across all of its relation, normality and extension-step checks, the
 skew suite one across its power identities, and each drops its memo when
 it returns.  The memo also holds, made on first use, the products of two
-monomials, the Casimir elements z_i and the verdicts of [z_a, z_b].  The
-relation and normality verifiers sum each f*g - lam*g*f - h over pair
-products with no intermediate element (skew_zero), so one `verify` folds
-each monomial pair once, builds each z_i once and decides each unordered
-commutator once.  Each memo entry is fixed by its key, the spec and the
-rule table, so sharing changes no result.
+monomials, the Casimir elements z_i as terms and the verdicts of
+[z_a, z_b].  Every identity in the algebra that the verifiers and
+skew_power_identity check is one sum sum c*f*g - h, decided by one kernel
+(_Products.vanishes): it reads each monomial product from the pair memo
+and adds every contribution into one dict, with no intermediate element,
+so one `verify` folds each monomial pair once, builds each z_i once and
+decides each unordered commutator once.  Each memo entry is fixed by its key, the spec and the rule table,
+so sharing changes no result.
 
 The recursion terminates.  Order words by length, then by their multiset
 of generators (compared largest first), then by inversion count.
@@ -94,6 +96,10 @@ MAX_DEGREE = 2**32 - 1
 # Largest span binom(N + 2n, 2n) that growth_count will build; the largest
 # admitted inputs take about 2 s on a 2-vCPU VM.
 GROWTH_MAX_MONOMIALS = 10_000
+
+# Largest power k that skew_power_identity will check; both forms at
+# i = n = 12, k = 128 take about 0.4 s on a 2-vCPU VM.
+SKEW_MAX_K = 128
 
 
 class BudgetError(ValueError):
@@ -297,6 +303,7 @@ def multiply(spec: AlgebraSpec, f: PBWElement, g: PBWElement, *,
 # factors never reach Scalar.__mul__.
 _Coeff = Scalar | None
 _Terms = dict[int, _Coeff]
+_ONE: _Terms = {0: None}  # the unit, the right factor of a term that is no product
 
 
 def _unit_or(c: Scalar) -> _Coeff:
@@ -427,34 +434,40 @@ class _Products:
             self.pairs[(mf, mg)] = out
         return out
 
-    def skew_zero(self, f: _Terms, g: _Terms, lam: Scalar,
-                  h: PBWElement | None = None) -> bool:
-        """Whether f*g - lam*g*f - h is zero, summed into one dict."""
-        pair, add = self.pair, self.add
+    def vanishes(self, terms, h: _Terms | None = None) -> bool:
+        """Whether the sum of c*f*g over terms (c, f, g), minus h, is zero.
+
+        c is a scalar or None for 1.  Every contribution goes into one dict:
+        a monomial product is read from the pair memo, or added directly when
+        its right factor is the unit, and h is subtracted by adding -c.
+        """
+        pair, add, one = self.pair, self.add, self.one
         out: _Terms = {}
-        for a, b, c in ((f, g, None), (g, f, -lam)):
-            for ma, ca in a.items():
-                ca = _mul(c, ca)
-                for mb, cb in b.items():
-                    cab = _mul(ca, cb)
-                    for r, cr in pair(ma, mb).items():
-                        add(out, r, _mul(cab, cr))
-        if h is not None:
-            for m, c in h.packed.items():
-                add(out, m, -c)
+        for c, f, g in terms:
+            for mf, cf in f.items():
+                cf = _mul(c, cf)
+                for mg, cg in g.items():
+                    cfg = _mul(cf, cg)
+                    if not mg:
+                        add(out, mf, cfg)
+                        continue
+                    for r, cr in pair(mf, mg).items():
+                        add(out, r, _mul(cfg, cr))
+        for m, c in (h or {}).items():
+            add(out, m, -(one if c is None else c))
         return not out
 
     @functools.cached_property
-    def casimirs(self) -> dict[int, PBWElement]:
+    def casimirs(self) -> dict[int, _Terms]:
         """z_i under i; made on first use, so a memo that never meets a
         Casimir element costs nothing for it."""
         return {}
 
-    def casimir(self, i: int) -> PBWElement:
-        """z_i, built once per memo."""
+    def casimir(self, i: int) -> _Terms:
+        """z_i as terms, built once per memo."""
         z = self.casimirs.get(i)
         if z is None:
-            z = self.casimirs[i] = casimir(self.spec, i)
+            z = self.casimirs[i] = _terms(casimir(self.spec, i))
         return z
 
     @functools.cached_property
@@ -469,13 +482,18 @@ class _Products:
         key = (a, b) if a < b else (b, a)
         ok = self.commutators.get(key)
         if ok is None:
-            za, zb = (_terms(self.casimir(c)) for c in key)
-            ok = self.commutators[key] = self.skew_zero(za, zb, self.one)
+            za, zb = (self.casimir(c) for c in key)
+            ok = self.commutators[key] = self.vanishes(_skew(za, zb, self.one))
         return ok
 
 
 def _terms(f: PBWElement) -> _Terms:
     return {m: _unit_or(c) for m, c in f.packed.items()}
+
+
+def _skew(f: _Terms, g: _Terms, lam: Scalar) -> tuple:
+    """The terms of f*g - lam*g*f."""
+    return (None, f, g), (-lam, g, f)
 
 
 # -- identity verification ---------------------------------------------------
@@ -495,7 +513,7 @@ def verify_relations(spec: AlgebraSpec, *, products: _Products | None = None) ->
     one = spec.lattice.one()
     x = lambda i: {products.unit[spec.x_index(i)]: None}
     y = lambda i: {products.unit[spec.y_index(i)]: None}
-    skew = products.skew_zero
+    zero = products.vanishes
     q, p, gamma = spec.q, spec.p, spec.gamma
 
     for i in range(1, n + 1):
@@ -505,17 +523,17 @@ def verify_relations(spec: AlgebraSpec, *, products: _Products | None = None) ->
             checks.append(
                 Check(f"gamma({i},{j})", (gij * gji) == one, "gamma_ij*gamma_ji = 1")
             )
-            ok = skew(x(i), x(j), q[i - 1] * p[j - 1].inverse() * gij)
+            ok = zero(_skew(x(i), x(j), q[i - 1] * p[j - 1].inverse() * gij))
             checks.append(Check(f"xx({i},{j})", ok, "x_i x_j relation"))
-            checks.append(Check(f"yy({i},{j})", skew(y(i), y(j), gij), "y_i y_j relation"))
-            ok = skew(x(i), y(j), p[j - 1] * gij.inverse())
+            checks.append(Check(f"yy({i},{j})", zero(_skew(y(i), y(j), gij)), "y_i y_j relation"))
+            ok = zero(_skew(x(i), y(j), p[j - 1] * gij.inverse()))
             checks.append(Check(f"xy({i},{j})", ok, "x_i y_j, i < j"))
-            ok = skew(x(j), y(i), q[i - 1] * gji.inverse())
+            ok = zero(_skew(x(j), y(i), q[i - 1] * gji.inverse()))
             checks.append(Check(f"xy({j},{i})", ok, "x_i y_j, i > j"))
     for i in range(1, n + 1):
         zprev = products.casimir(i - 1) if i > 1 else None
         checks.append(
-            Check(f"weyl({i})", skew(x(i), y(i), q[i - 1], zprev),
+            Check(f"weyl({i})", zero(_skew(x(i), y(i), q[i - 1]), zprev),
                   "x_i y_i - q_i y_i x_i = z_{i-1}")
         )
     return checks
@@ -537,21 +555,23 @@ def verify_normality(spec: AlgebraSpec, i: int, *,
     checks = []
     n = spec.n
     q, p = spec.q, spec.p
-    unit, skew = products.unit, products.skew_zero
+    unit, zero = products.unit, products.vanishes
     z = products.casimir(i)
-    zt = _terms(z)
     for j in range(1, n + 1):
         yj = {unit[spec.y_index(j)]: None}
         lam = p[j - 1] if i < j else q[j - 1]
-        checks.append(Check(f"z{i}*y{j}", skew(zt, yj, lam), "z_i y_j = (p_j or q_j) y_j z_i"))
+        checks.append(Check(f"z{i}*y{j}", zero(_skew(z, yj, lam)),
+                            "z_i y_j = (p_j or q_j) y_j z_i"))
         xj = {unit[spec.x_index(j)]: None}
         lam = p[j - 1].inverse() if i < j else q[j - 1].inverse()
-        checks.append(Check(f"z{i}*x{j}", skew(zt, xj, lam), "z_i x_j = (p_j or q_j)^-1 x_j z_i"))
+        checks.append(Check(f"z{i}*x{j}", zero(_skew(z, xj, lam)),
+                            "z_i x_j = (p_j or q_j)^-1 x_j z_i"))
         checks.append(Check(f"z{i}*z{j}", products.casimirs_commute(i, j),
                             "Casimir elements commute"))
     xi = {unit[spec.x_index(i)]: None}
     yi = {unit[spec.y_index(i)]: None}
-    checks.append(Check(f"casimir-p({i})", skew(xi, yi, p[i - 1], z), "x_i y_i - p_i y_i x_i = z_i"))
+    checks.append(Check(f"casimir-p({i})", zero(_skew(xi, yi, p[i - 1]), z),
+                        "x_i y_i - p_i y_i x_i = z_i"))
     return checks
 
 
@@ -562,36 +582,36 @@ def verify_ambiskew(spec: AlgebraSpec, m: int, *,
     u = z_m / c with c = p_{m+1} - q_{m+1} is not in the coefficient ring, so
     each identity in u is checked multiplied through by c.  The ring is a
     domain and c != 0, so each check is as strong as the identity its detail
-    states.  `products` is the memo of every multiply and Casimir element;
-    by default the call makes its own.
+    states.  Each is one sum of the kernel: alpha(z_m) is built as terms, and
+    x_{m+1} y_{m+1} is the one product read from the pair memo.  `products`
+    is the memo of every pair product and Casimir element; by default the
+    call makes its own.
     """
     if products is None:
         products = _Products(spec)
     step = ambiskew_step(spec, m)
-    mul = lambda f, g: multiply(spec, f, g, products=products)
     q, p, gamma = spec.q, spec.p, spec.gamma
+    unit, zero = products.unit, products.vanishes
     z = products.casimir(m)
-    checks = []
-    # the twist alpha scales u by p_{m+1}
-    az = _apply_diagonal(spec, step.alpha, z)
-    checks.append(
-        Check(f"ambiskew-alpha-u({m})", (az - z.scale(p[m])).is_zero(),
-              "alpha(u) = p_{m+1} u")
-    )
+    # the twist alpha scales y_l x_l, the monomials of z_m, by alpha[y_l]*alpha[x_l]
+    twist = {unit[y] + unit[x]: step.alpha[y] * step.alpha[x]
+             for y, x in ((spec.y_index(l), spec.x_index(l)) for l in range(1, m + 1))}
+    az = {mz: _mul(c, twist[mz]) for mz, c in z.items()}
+    checks = [Check(f"ambiskew-alpha-u({m})", zero([(p[m], z, _ONE)], az),
+                    "alpha(u) = p_{m+1} u")]
     # u - rho*alpha(u) is -q_{m+1}^{-1} z_m, and matches the engine commutator
-    delta = z - az.scale(step.rho)
-    ok = (delta - z.scale(-q[m].inverse() * step.c)).is_zero()
-    y_new = generator(spec, spec.y_index(m + 1))
-    x_new = generator(spec, spec.x_index(m + 1))
-    comm = mul(y_new, x_new) - mul(x_new, y_new).scale(step.rho)
-    ok = ok and (comm.scale(step.c) - delta).is_zero()
+    # y x - rho*x y of the new pair
+    delta = [(None, z, _ONE), (-step.rho, az, _ONE)]
+    ok = zero(delta + [(q[m].inverse() * step.c, z, _ONE)])
+    y_new, x_new = unit[spec.y_index(m + 1)], unit[spec.x_index(m + 1)]
+    yx = {y_new + x_new: None}
+    comm = [(step.c, yx, _ONE), (-step.rho * step.c, {x_new: None}, {y_new: None})]
+    ok = ok and zero(comm + [(step.rho, az, _ONE)], z)
     checks.append(Check(f"ambiskew-delta({m})", ok, "u - rho*alpha(u) = -q_{m+1}^{-1} z_m"))
     # the next Casimir element; q_{m+1} - p_{m+1} = -c
-    lhs = z - mul(y_new, x_new).scale(step.c)
-    checks.append(
-        Check(f"ambiskew-casimir({m})", (lhs - products.casimir(m + 1)).is_zero(),
-              "z_{m+1} = (q_{m+1} - p_{m+1})(y_{m+1} x_{m+1} - u)")
-    )
+    ok = zero([(None, z, _ONE), (-step.c, yx, _ONE)], products.casimir(m + 1))
+    checks.append(Check(f"ambiskew-casimir({m})", ok,
+                        "z_{m+1} = (q_{m+1} - p_{m+1})(y_{m+1} x_{m+1} - u)"))
     # beta = (conjugation by u) * alpha^{-1} matches the closed multipliers
     ok = all(
         step.beta_on_x(i) == p[m].inverse() * gamma[i - 1][m]
@@ -602,18 +622,6 @@ def verify_ambiskew(spec: AlgebraSpec, m: int, *,
     return checks
 
 
-def _apply_diagonal(spec: AlgebraSpec, multipliers, f: PBWElement) -> PBWElement:
-    unpack = _layout(spec.n).unpack
-    out = {}
-    for m, coeff in f.packed.items():
-        c = coeff
-        for g, e in enumerate(unpack(m)):
-            if e:
-                c = c * multipliers[g] ** e
-        out[m] = c
-    return _element(spec.n, out)
-
-
 SKEW_FORMS = ("k1_base", "xk_y", "x_yk")
 
 
@@ -621,8 +629,11 @@ def skew_power_identity(spec: AlgebraSpec, i: int, k: int, form: str, *,
                         products: _Products | None = None) -> Check:
     """Compare the engine power products against the closed formulas.
 
-    `products` is the memo of every normal form, multiply and Casimir
-    element; by default the call makes its own.
+    x_i y_i^k and x_i^k y_i are read from the pair memo, the same folds that
+    normal_form makes of the words, and each formula is one sum of the
+    kernel.  `products` is the memo of every pair product and Casimir
+    element; by default the call makes its own.  Raises BudgetError when k
+    exceeds SKEW_MAX_K.
     """
     if form not in SKEW_FORMS:
         raise ValueError(f"unknown form {form!r}; expected one of {SKEW_FORMS}")
@@ -632,45 +643,32 @@ def skew_power_identity(spec: AlgebraSpec, i: int, k: int, form: str, *,
         raise ValueError("form 'k1_base' applies to i = 1 only")
     if form in ("xk_y", "x_yk") and i < 2:
         raise ValueError(f"form {form!r} requires i >= 2")
+    if k > SKEW_MAX_K:
+        raise BudgetError(f"skew power k={k} over the limit of {SKEW_MAX_K}")
 
     if products is None:
         products = _Products(spec)
-    n = spec.n
-    qi = spec.q[i - 1]
-    xi, yi = spec.x_index(i), spec.y_index(i)
-    nf = lambda word: normal_form(spec, word, products=products)
-
-    def mono(**powers):
-        exps = [0] * (2 * n)
-        for slot, e in powers.items():
-            exps[int(slot)] = e
-        return PBWElement(n, {tuple(exps): spec.lattice.one()})
-
+    qk = spec.q[i - 1] ** k
+    x, y = products.unit[spec.x_index(i)], products.unit[spec.y_index(i)]
+    zero, pair = products.vanishes, products.pair
     if form == "k1_base":
-        lhs1 = nf((xi,) + (yi,) * k)
-        rhs1 = mono(**{str(yi): k, str(xi): 1}).scale(qi**k)
-        lhs2 = nf((xi,) * k + (yi,))
-        rhs2 = mono(**{str(yi): 1, str(xi): k}).scale(qi**k)
-        ok = (lhs1 - rhs1).is_zero() and (lhs2 - rhs2).is_zero()
+        ok = (zero([(qk, {k * y + x: None}, _ONE)], pair(x, k * y))
+              and zero([(qk, {y + k * x: None}, _ONE)], pair(k * x, y)))
         return Check(f"skew-base(k={k})", ok, "x1 y1^k and x1^k y1 pure q-powers")
 
-    pi = spec.p[i - 1]
+    qi, pi = spec.q[i - 1], spec.p[i - 1]
     # (q^k - p^k)/(q - p) as the geometric sum, which stays in the ring
     coeff = sum((qi**j * pi ** (k - 1 - j) for j in range(k)), spec.lattice.zero())
     zprev = products.casimir(i - 1)
     if form == "xk_y":
-        lhs = nf((xi,) * k + (yi,))
-        rhs = mono(**{str(yi): 1, str(xi): k}).scale(qi**k)
-        rhs = rhs + multiply(spec, zprev, mono(**{str(xi): k - 1}),
-                             products=products).scale(coeff)
+        terms = [(qk, {y + k * x: None}, _ONE), (coeff, zprev, {(k - 1) * x: None})]
+        ok = zero(terms, pair(k * x, y))
         name = f"skew-xk_y(i={i},k={k})"
     else:
-        lhs = nf((xi,) + (yi,) * k)
-        rhs = mono(**{str(yi): k, str(xi): 1}).scale(qi**k)
-        rhs = rhs + multiply(spec, mono(**{str(yi): k - 1}), zprev,
-                             products=products).scale(coeff)
+        terms = [(qk, {k * y + x: None}, _ONE), (coeff, {(k - 1) * y: None}, zprev)]
+        ok = zero(terms, pair(x, k * y))
         name = f"skew-x_yk(i={i},k={k})"
-    return Check(name, (lhs - rhs).is_zero(), "power formula with (q^k-p^k)/(q-p) coefficient")
+    return Check(name, ok, "power formula with (q^k-p^k)/(q-p) coefficient")
 
 
 # -- growth of the degree filtration -----------------------------------------

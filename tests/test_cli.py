@@ -297,6 +297,8 @@ def test_skew_usage_errors_exit_2(tmp_path, capsys):
     assert "usage error" in capsys.readouterr().err
     assert main(["--config", cfg, "--command", "skew", "--args", "one", "2"]) == 2
     capsys.readouterr()
+    assert main(["--config", cfg, "--command", "skew", "--args", "2", "129"]) == 2
+    assert "limit of 128" in capsys.readouterr().err
 
 
 def test_report_is_deterministic():
@@ -401,12 +403,14 @@ def test_shared_memo_fails_where_fresh_memos_fail():
 
 
 def test_verify_folds_each_monomial_pair_and_casimir_commutator_once(monkeypatch):
-    # the relation and normality checks of one verify read every product of
-    # two monomials from the shared pair memo, folded on its first miss only,
-    # and decide [z_a, z_b] once per unordered pair {a, b}
+    # the checks of one verify read every product of two monomials from the
+    # shared pair memo, folded on its first miss only, decide [z_a, z_b] once
+    # per unordered pair {a, b}, and never build an element through multiply
+    # or normal_form; nor does the skew suite
     n = 3
     spec = build_spec(n, "generic")
     zs = [pbw._terms(casimir(spec, j)) for j in range(1, n + 1)]
+    unit = pbw._layout(n).unit
     memos, calls, misses, commutators = [], [], [], []
 
     class Counted(pbw._Products):
@@ -420,17 +424,34 @@ def test_verify_folds_each_monomial_pair_and_casimir_commutator_once(monkeypatch
                 misses.append((mf, mg))
             return super().pair(mf, mg)
 
-        def skew_zero(self, f, g, lam, h=None):
+        def vanishes(self, terms, h=None):
+            terms = list(terms)
+            _, f, g = terms[0]
             if f in zs and g in zs:
                 commutators.append((zs.index(f), zs.index(g)))
-            return super().skew_zero(f, g, lam, h)
+            return super().vanishes(terms, h)
 
+    def refuse(*args, **kwargs):
+        raise AssertionError("an identity check called multiply or normal_form")
+
+    monkeypatch.setattr(pbw, "multiply", refuse)
+    monkeypatch.setattr(pbw, "normal_form", refuse)
+    # each extension step reads x_{m+1} y_{m+1} once, its only pair product
+    new_pairs = [(unit[spec.x_index(m + 1)], unit[spec.y_index(m + 1)]) for m in range(1, n)]
+    for m, key in enumerate(new_pairs, 1):
+        assert all(c.ok for c in verify_ambiskew(spec, m, products=Counted(spec)))
+        assert calls == misses == [key]
+        for log in (calls, misses, memos):
+            log.clear()
     monkeypatch.setattr(pbw, "_Products", Counted)
     rep = run({"n": n, "kind": "generic"}, "verify")
     assert rep.ok and len(memos) == 1
     assert len(calls) > len(misses) == len(set(misses)) == len(set(calls))
     assert set(memos[0].pairs) == set(misses)
     assert sorted(commutators) == [(a, b) for a in range(n) for b in range(a + 1, n)]
+    assert all(misses.count(key) == 1 for key in new_pairs)
+    assert run({"n": n, "kind": "generic"}, "skew").ok
+    assert run({"n": n, "kind": "generic"}, "skew", ["3", "5"]).ok
 
 
 def test_verify_builds_each_casimir_once(monkeypatch):

@@ -234,6 +234,25 @@ def test_dimension_dispatch():
         assert verify_witness(E, rep.witness)
 
 
+@pytest.mark.parametrize("kind, d", [("generic-p1", 2), ("graded-weyl", 2), ("generic-q1", 3)])
+def test_theorem_kinds_certify_their_dimension_by_bound_and_search(monkeypatch, kind, d):
+    # the theorem kinds run the bound and the search like any other spec and
+    # return the canonical witness; a bound or a search that misses the
+    # theorem's value raises instead of being overruled (height 1 keeps the
+    # exhaustive search for d + 1 vectors short)
+    spec = build_spec(2, kind)
+    rep = torus_dimension(spec)
+    assert (rep.lo, rep.hi) == (d, d)
+    assert list(rep.witness.vectors) == [tuple(int(i == j) for j in range(4)) for i in range(d)]
+    monkeypatch.setattr(dim, "rank_upper_bound", lambda E: d + 1)
+    with pytest.raises(ArithmeticError):
+        torus_dimension(spec, height=1)
+    monkeypatch.undo()
+    monkeypatch.setattr(dim, "isotropic_witness_search", lambda *args, **kwargs: None)
+    with pytest.raises(ArithmeticError):
+        torus_dimension(spec)
+
+
 def test_heisenberg_n1_by_direct_formula():
     # independent recomputation: full pairing matrix, then m - rank/2
     spec = build_spec(1, "heisenberg")

@@ -23,13 +23,20 @@ from qweyl.pbw import (
     render_element,
     skew_power_identity,
     unit,
+    verify_ambiskew,
     verify_normality,
     verify_relations,
     word_monomial,
     _layout,
     _Products,
 )
-from qweyl.presentation import build_spec, casimir, rule_table, spec_from_config
+from qweyl.presentation import (
+    ambiskew_step,
+    build_spec,
+    casimir,
+    rule_table,
+    spec_from_config,
+)
 from qweyl.reporting import all_ok
 
 GEN2 = build_spec(2, "generic")
@@ -294,6 +301,108 @@ def test_fused_checks_fail_where_the_multiply_formula_fails(key_of, scale_term, 
               if not ok}
     assert must_fail in failed
     oracle = _oracle_verdicts(_corrupted(key_of, scale_term))
+    assert failed == {name for name, ok in oracle.items() if not ok}
+
+
+# -- extension steps and skew powers against the multiply formulas ------------
+
+def _oracle_step_verdicts(spec, max_k=4):
+    """The engine verdicts of every extension step and of the skew suite to
+    max_k, from the element formulas: multiply and normal_form, each with a
+    fresh memo, then scale and -."""
+    n, q, p = spec.n, spec.q, spec.p
+    one = spec.lattice.one()
+    mul = lambda f, g: multiply(spec, f, g)
+    out = {}
+    for m in range(1, n):
+        step = ambiskew_step(spec, m)
+        z = casimir(spec, m)
+        az = PBWElement(n, {
+            mono: c * math.prod((step.alpha[g] ** e for g, e in enumerate(mono) if e), start=one)
+            for mono, c in z.terms.items()
+        })
+        out[f"ambiskew-alpha-u({m})"] = (az - z.scale(p[m])).is_zero()
+        delta = z - az.scale(step.rho)
+        y_new = generator(spec, spec.y_index(m + 1))
+        x_new = generator(spec, spec.x_index(m + 1))
+        comm = mul(y_new, x_new) - mul(x_new, y_new).scale(step.rho)
+        out[f"ambiskew-delta({m})"] = ((delta - z.scale(-q[m].inverse() * step.c)).is_zero()
+                                       and (comm.scale(step.c) - delta).is_zero())
+        lhs = z - mul(y_new, x_new).scale(step.c) - casimir(spec, m + 1)
+        out[f"ambiskew-casimir({m})"] = lhs.is_zero()
+
+    def mono(**powers):
+        exps = [0] * (2 * n)
+        for slot, e in powers.items():
+            exps[int(slot)] = e
+        return PBWElement(n, {tuple(exps): one})
+
+    for k in range(1, max_k + 1):
+        x, y = spec.x_index(1), spec.y_index(1)
+        qk = q[0] ** k
+        out[f"skew-base(k={k})"] = (
+            (normal_form(spec, (x,) + (y,) * k) - mono(**{str(y): k, str(x): 1}).scale(qk))
+            .is_zero()
+            and (normal_form(spec, (x,) * k + (y,)) - mono(**{str(y): 1, str(x): k}).scale(qk))
+            .is_zero()
+        )
+        for i in range(2, n + 1):
+            x, y = spec.x_index(i), spec.y_index(i)
+            qi, pi = q[i - 1], p[i - 1]
+            qk = qi**k
+            coeff = sum((qi**j * pi ** (k - 1 - j) for j in range(k)), spec.lattice.zero())
+            zprev = casimir(spec, i - 1)
+            rhs = (mono(**{str(y): 1, str(x): k}).scale(qk)
+                   + mul(zprev, mono(**{str(x): k - 1})).scale(coeff))
+            lhs = normal_form(spec, (x,) * k + (y,))
+            out[f"skew-xk_y(i={i},k={k})"] = (lhs - rhs).is_zero()
+            rhs = (mono(**{str(y): k, str(x): 1}).scale(qk)
+                   + mul(mono(**{str(y): k - 1}), zprev).scale(coeff))
+            lhs = normal_form(spec, (x,) + (y,) * k)
+            out[f"skew-x_yk(i={i},k={k})"] = (lhs - rhs).is_zero()
+    return out
+
+
+def _engine_step_verdicts(spec, max_k=4):
+    """The same verdicts from the engine, one memo for the extension steps
+    as in verify and one for the skew identities as in the skew suite."""
+    products = _Products(spec)
+    checks = [c for m in range(1, spec.n) for c in verify_ambiskew(spec, m, products=products)
+              if not c.name.startswith("ambiskew-beta")]
+    products = _Products(spec)
+    for k in range(1, max_k + 1):
+        checks.append(skew_power_identity(spec, 1, k, "k1_base", products=products))
+        for i in range(2, spec.n + 1):
+            for form in ("xk_y", "x_yk"):
+                checks.append(skew_power_identity(spec, i, k, form, products=products))
+    return {c.name: c.ok for c in checks}
+
+
+def test_step_and_skew_sums_match_the_multiply_formulas(custom_config):
+    specs = [build_spec(n, kind) for kind in PRESET_KINDS for n in range(1, 6)]
+    rng = random.Random(13)
+    specs += [spec_from_config(custom_config(rng, n, k)) for n in (2, 3, 4) for k in (2, 3)
+              for _ in range(2)]
+    for spec in specs:
+        engine = _engine_step_verdicts(spec)
+        assert engine == _oracle_step_verdicts(spec), (spec.kind, spec.n)
+        assert all(engine.values())
+
+
+@pytest.mark.parametrize("key_of, scale_term, must_fail", [
+    (lambda s: (s.x_index(3), s.x_index(1)), 0,
+     {"skew-xk_y(i=3,k=2)", "skew-xk_y(i=3,k=3)"}),
+    (lambda s: (s.x_index(3), s.y_index(3)), 1,
+     {"ambiskew-delta(2)"} | {f"skew-{form}(i=3,k={k})" for form in ("xk_y", "x_yk")
+                              for k in (1, 2, 3)}),
+], ids=["x3*x1-swap", "x3*y3-rule-z1-term"])
+def test_step_and_skew_sums_fail_where_the_multiply_formulas_fail(key_of, scale_term,
+                                                                  must_fail):
+    # k = 1..3, the skew suite of report
+    engine = _engine_step_verdicts(_corrupted(key_of, scale_term), max_k=3)
+    failed = {name for name, ok in engine.items() if not ok}
+    assert failed == must_fail
+    oracle = _oracle_step_verdicts(_corrupted(key_of, scale_term), max_k=3)
     assert failed == {name for name, ok in oracle.items() if not ok}
 
 
