@@ -39,11 +39,9 @@ from .presentation import (
     AlgebraSpec,
     AmbiskewStep,
     ConfigError,
-    RewriteRule,
     ambiskew_step,
     build_spec,
     casimir,
-    rewrite_rules,
     spec_from_config,
     spec_to_config,
 )

@@ -16,14 +16,16 @@ most significant one, so with unit[g] = 2^(32*(2n-1-g)):
   h = 2n - 1 - ((m & -m).bit_length() - 1) // 32, and m*g is an append
   exactly when m has no bit below unit[g];
 - an append is m + unit[g], and stepping down slot h is m - unit[h];
+- the product of two monomials is mf + mg when mg starts at or after the
+  last occupied slot of mf;
 - packed keys sort like the exponent tuples, so rendering keeps its order.
 
 A field would carry into its neighbour past MAX_DEGREE = 2^32 - 1.  Every
 rewrite rule keeps or lowers total degree, so no monomial met while
-folding passes the total degree of the input.  normal_form and multiply
-check that bound once per call (the word length, or f.degree() +
-g.degree()), and the pair memo once per miss, and raise OverflowError past
-MAX_DEGREE.
+folding passes the total degree of the input.  normal_form checks that
+bound once per call (the word length), and the pair memo, and so multiply,
+on each miss (the degrees of the two monomials add up); both raise
+OverflowError past MAX_DEGREE.
 
 Tuples stay at the boundaries.  The PBWElement constructor packs exponent
 tuples and refuses a vector of the wrong length or an exponent outside
@@ -43,20 +45,23 @@ built on the first memo of a spec and cached on the spec beside the rule
 table.  These products are memoized by (packed monomial, generator) in a
 dict that lives for one call of normal_form, multiply, growth_count or a
 verifier, and unit coefficients are carried as None so that appends cost
-no scalar product.  A caller that makes many products on one spec can
-instead pass one _Products memo as `products` to normal_form, multiply,
-the verifiers and skew_power_identity; the command-line `verify` shares one
-memo across all of its relation, normality and extension-step checks, the
-skew suite one across its power identities, and each drops its memo when
-it returns.  The memo also holds, made on first use, the products of two
-monomials, the Casimir elements z_i as terms and the verdicts of
-[z_a, z_b].  Every identity in the algebra that the verifiers and
-skew_power_identity check is one sum sum c*f*g - h, decided by one kernel
-(_Products.vanishes): it reads each monomial product from the pair memo
-and adds every contribution into one dict, with no intermediate element,
-so one `verify` folds each monomial pair once, builds each z_i once and
-decides each unordered commutator once.  Each memo entry is fixed by its key, the spec and the rule table,
-so sharing changes no result.
+no scalar product.  The verifiers and skew_power_identity also take one
+_Products memo as `products`, to share across many checks on one spec:
+the command-line `verify` shares one memo across all of its relation,
+normality and extension-step checks, the skew suite one across its power
+identities, and each drops its memo when it returns.  The memo also holds
+the products of two monomials, the Casimir elements z_i as terms and the
+verdicts of [z_a, z_b].
+
+Every product of elements goes through one kernel, _Products.combine: it
+adds up sum c*f*g, reading each monomial product from the pair memo, into
+one dict, with no intermediate element.  multiply is one such sum on a
+fresh memo.  Every identity in the algebra that the verifiers and
+skew_power_identity check is one sum minus h, decided by
+_Products.vanishes, so one `verify` folds each monomial pair once, builds
+each z_i once and decides each unordered commutator once.  Each memo entry
+is fixed by its key, the spec and the rule table, so sharing changes no
+result.
 
 The recursion terminates.  Order words by length, then by their multiset
 of generators (compared largest first), then by inversion count.
@@ -251,52 +256,36 @@ def parse_word(spec: AlgebraSpec, text: str) -> Word:
     return tuple(spec.gen_index(tok) for tok in text.split())
 
 
-def normal_form(spec: AlgebraSpec, word, *,
-                products: _Products | None = None) -> PBWElement:
+def normal_form(spec: AlgebraSpec, word) -> PBWElement:
     """Fold a word (tuple of slots, or a string) into the ordered basis.
 
-    `products` is a memo to share with other calls on the same spec; by
-    default the call makes its own.  Raises ValueError for a slot outside
-    0..2n-1 and OverflowError for a word longer than MAX_DEGREE.
+    Raises ValueError for a slot outside 0..2n-1 and OverflowError for a
+    word longer than MAX_DEGREE.
     """
     if isinstance(word, str):
         word = parse_word(spec, word)
     else:
         _check_slots(spec, word)
     _check_degree(len(word))
-    if products is None:
-        products = _Products(spec)
+    products = _Products(spec)
     acc: _Terms = {0: None}
     for g in word:
         acc = products.fold(acc, g)
     return products.element(acc)
 
 
-def multiply(spec: AlgebraSpec, f: PBWElement, g: PBWElement, *,
-             products: _Products | None = None) -> PBWElement:
+def multiply(spec: AlgebraSpec, f: PBWElement, g: PBWElement) -> PBWElement:
     """Bilinear extension of word concatenation + normal form.
 
-    `products` is a memo to share with other calls on the same spec; by
-    default the call makes its own.  Raises OverflowError when f.degree() +
-    g.degree() passes MAX_DEGREE.
+    One sum of the kernel on a fresh memo: each product of a monomial of f
+    by one of g is read from the pair memo.  Raises OverflowError when the
+    degrees of such a pair add up past MAX_DEGREE, which happens exactly
+    when f.degree() + g.degree() does.
     """
     if f.n != spec.n or g.n != spec.n:
         raise ValueError(f"factors of n={f.n} and n={g.n} in a spec of n={spec.n}")
-    _check_degree(f.degree() + g.degree())
-    if products is None:
-        products = _Products(spec)
-    unpack = _layout(spec.n).unpack
-    left = {m: _unit_or(c) for m, c in f.packed.items()}
-    out: _Terms = {}
-    for mono, coeff in g.packed.items():
-        acc = left
-        for gen, e in enumerate(unpack(mono)):
-            for _ in range(e):
-                acc = products.fold(acc, gen)
-        coeff = _unit_or(coeff)
-        for m, c in acc.items():
-            products.add(out, m, _mul(c, coeff))
-    return products.element(out)
+    products = _Products(spec)
+    return products.element(products.combine([(None, _terms(f), _terms(g))]))
 
 
 # Coefficients inside the fold: None stands for the unit, so appends and unit
@@ -336,7 +325,7 @@ class _Products:
     """Products m*g of packed ordered monomials by one generator, memoized.
 
     One instance serves one spec; it lives for one call unless the caller
-    passes it on as `products`.
+    passes it on to a verifier as `products`.
     """
 
     def __init__(self, spec: AlgebraSpec):
@@ -349,6 +338,9 @@ class _Products:
         self.after = layout.after
         self.rules = _packed_rules(spec)
         self.memo: dict[tuple[int, int], _Terms] = {}
+        self.pairs: dict[tuple[int, int], _Terms] = {}
+        self.casimirs: dict[int, _Terms] = {}
+        self.commutators: dict[tuple[int, int], bool] = {}
 
     def add(self, out: _Terms, m: int, c: _Coeff) -> None:
         """out[m] += c, dropping the entry if it cancels."""
@@ -416,32 +408,34 @@ class _Products:
         one = self.one
         return _element(self.n, {m: one if c is None else c for m, c in terms.items()})
 
-    @functools.cached_property
-    def pairs(self) -> dict[tuple[int, int], _Terms]:
-        return {}
-
     def pair(self, mf: int, mg: int) -> _Terms:
-        """mf*mg: {mf: 1} folded through the letters of mg, once per memo."""
+        """mf*mg for mg not the unit, once per memo: an append when mg starts
+        at or after the last occupied slot of mf, otherwise {mf: 1} folded
+        through the letters of mg."""
         out = self.pairs.get((mf, mg))
         if out is None:
             unpack = _layout(self.n).unpack
             letters = unpack(mg)
             _check_degree(sum(unpack(mf)) + sum(letters))
-            out = {mf: None}
-            for g, e in enumerate(letters):
-                for _ in range(e):
-                    out = self.fold(out, g)
+            # mf has no bit after the first occupied slot of mg
+            if not mf & self.after[self.top - (mg.bit_length() - 1) // 32]:
+                out = {mf + mg: None}
+            else:
+                out = {mf: None}
+                for g, e in enumerate(letters):
+                    for _ in range(e):
+                        out = self.fold(out, g)
             self.pairs[(mf, mg)] = out
         return out
 
-    def vanishes(self, terms, h: _Terms | None = None) -> bool:
-        """Whether the sum of c*f*g over terms (c, f, g), minus h, is zero.
+    def combine(self, terms) -> _Terms:
+        """The sum of c*f*g over terms (c, f, g), as terms.
 
         c is a scalar or None for 1.  Every contribution goes into one dict:
         a monomial product is read from the pair memo, or added directly when
-        its right factor is the unit, and h is subtracted by adding -c.
+        its right factor is the unit.
         """
-        pair, add, one = self.pair, self.add, self.one
+        pair, add = self.pair, self.add
         out: _Terms = {}
         for c, f, g in terms:
             for mf, cf in f.items():
@@ -453,15 +447,15 @@ class _Products:
                         continue
                     for r, cr in pair(mf, mg).items():
                         add(out, r, _mul(cfg, cr))
+        return out
+
+    def vanishes(self, terms, h: _Terms | None = None) -> bool:
+        """Whether combine(terms) - h is zero; h is subtracted by adding -c,
+        with no scalar product by -1."""
+        out, add, one = self.combine(terms), self.add, self.one
         for m, c in (h or {}).items():
             add(out, m, -(one if c is None else c))
         return not out
-
-    @functools.cached_property
-    def casimirs(self) -> dict[int, _Terms]:
-        """z_i under i; made on first use, so a memo that never meets a
-        Casimir element costs nothing for it."""
-        return {}
 
     def casimir(self, i: int) -> _Terms:
         """z_i as terms, built once per memo."""
@@ -469,10 +463,6 @@ class _Products:
         if z is None:
             z = self.casimirs[i] = _terms(casimir(self.spec, i))
         return z
-
-    @functools.cached_property
-    def commutators(self) -> dict[tuple[int, int], bool]:
-        return {}
 
     def casimirs_commute(self, a: int, b: int) -> bool:
         """[z_a, z_b] = 0, decided once per pair a < b: [z_b, z_a] is its

@@ -251,35 +251,6 @@ def rule_table(spec: AlgebraSpec) -> dict[tuple[int, int], list[tuple[Scalar, tu
     return table
 
 
-@dataclass
-class RewriteRule:
-    """One generator pair (g, h), g right of h in PBW order, and the normal form of g*h."""
-
-    left: tuple[str, str]
-    result: "object"  # PBWElement
-
-    def __repr__(self) -> str:
-        return f"RewriteRule({self.left[0]}*{self.left[1]} -> {self.result})"
-
-
-def rewrite_rules(spec: AlgebraSpec) -> list[RewriteRule]:
-    """One rule per unordered generator pair, as PBW elements."""
-    from .pbw import PBWElement, word_monomial
-
-    rules = []
-    for (g, h), rhs in sorted(rule_table(spec).items()):
-        terms = {}
-        for coeff, word in rhs:
-            terms[word_monomial(spec, word)] = coeff
-        rules.append(
-            RewriteRule(
-                left=(spec.gen_name(g), spec.gen_name(h)),
-                result=PBWElement(spec.n, terms),
-            )
-        )
-    return rules
-
-
 # -- Casimir elements and the iterated construction -------------------------
 
 def casimir(spec: AlgebraSpec, i: int):

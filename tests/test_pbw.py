@@ -227,9 +227,20 @@ def test_verify_normality_suite():
 
 # -- fused skew-commutator checks against the multiply formula ----------------
 
+def _product(spec, f, g):
+    """f*g without the kernel: the sum over monomial pairs of cf*cg times the
+    normal form of the concatenated ordered words, a fresh fold per pair."""
+    word = lambda mono: tuple(slot for slot, e in enumerate(mono) for _ in range(e))
+    out = PBWElement(spec.n, {})
+    for mf, cf in f.terms.items():
+        for mg, cg in g.terms.items():
+            out = out + normal_form(spec, word(mf) + word(mg)).scale(cf * cg)
+    return out
+
+
 def _oracle_zero(spec, f, g, lam, h=None):
-    """(f*g - lam*g*f - h).is_zero() from two multiply calls, each with a fresh memo."""
-    out = multiply(spec, f, g) - multiply(spec, g, f).scale(lam)
+    """(f*g - lam*g*f - h).is_zero() from two products, each without the kernel."""
+    out = _product(spec, f, g) - _product(spec, g, f).scale(lam)
     return (out if h is None else out - h).is_zero()
 
 
@@ -308,11 +319,11 @@ def test_fused_checks_fail_where_the_multiply_formula_fails(key_of, scale_term, 
 
 def _oracle_step_verdicts(spec, max_k=4):
     """The engine verdicts of every extension step and of the skew suite to
-    max_k, from the element formulas: multiply and normal_form, each with a
-    fresh memo, then scale and -."""
+    max_k, from the element formulas: products without the kernel and
+    normal_form, each a fresh fold, then scale and -."""
     n, q, p = spec.n, spec.q, spec.p
     one = spec.lattice.one()
-    mul = lambda f, g: multiply(spec, f, g)
+    mul = lambda f, g: _product(spec, f, g)
     out = {}
     for m in range(1, n):
         step = ambiskew_step(spec, m)
@@ -548,6 +559,22 @@ def test_constructor_refuses_an_exponent_past_the_field():
     top = PBWElement(2, {(0, 0, MAX_DEGREE, 0): one})
     assert list(top.terms) == [(0, 0, MAX_DEGREE, 0)]
     assert top.degree() == MAX_DEGREE
+
+
+def test_multiply_appends_a_power_without_folding(monkeypatch):
+    # the product is one append, however high the power on the right
+    folds = []
+    original = _Products.fold
+    monkeypatch.setattr(_Products, "fold", lambda self, acc, g: (folds.append(g),
+                                                                 original(self, acc, g))[1])
+    one = GEN2.lattice.one()
+    y1 = generator(GEN2, "y1")
+    below = PBWElement(2, {(MAX_DEGREE - 1, 0, 0, 0): one})
+    assert multiply(GEN2, y1, below) == PBWElement(2, {(MAX_DEGREE, 0, 0, 0): one})
+    assert folds == []
+    # x1*y1 is no append: one fold of {x1: 1} by y1
+    assert multiply(GEN2, generator(GEN2, "x1"), y1) == PBWElement(2, {(1, 1, 0, 0): GEN2.q[0]})
+    assert folds == [0]
 
 
 def test_multiply_past_the_degree_bound_raises():

@@ -6,13 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qweyl.pbw import PBWElement, multiply, normal_form
+from qweyl.pbw import PBWElement, multiply, normal_form, word_monomial
 from qweyl.presentation import (
     ConfigError,
     ambiskew_step,
     build_spec,
     casimir,
-    rewrite_rules,
     rule_table,
     spec_from_config,
     spec_to_config,
@@ -89,11 +88,15 @@ def test_build_errors():
 
 def test_rule_count_and_examples():
     spec = build_spec(2, "generic")
-    rules = rewrite_rules(spec)
+    table = rule_table(spec)
     # one rule per unordered generator pair
-    assert len(rules) == 2 * 2 * (2 * 2 - 1) // 2 == 6
+    assert len(table) == 2 * 2 * (2 * 2 - 1) // 2 == 6
     lat = spec.lattice
-    by_left = {r.left: r.result for r in rules}
+    by_left = {
+        (spec.gen_name(g), spec.gen_name(h)):
+            PBWElement(2, {word_monomial(spec, word): c for c, word in rhs})
+        for (g, h), rhs in table.items()
+    }
     q1 = lat.symbol("q1")
     assert by_left[("x1", "y1")] == PBWElement(2, {(1, 1, 0, 0): q1})
     expected = PBWElement(
@@ -107,9 +110,9 @@ def test_rule_count_and_examples():
     coeff = lat.monomial({"q1": -1, "p2": 1, "g12": -1})
     assert by_left[("x2", "x1")] == PBWElement(2, {(0, 1, 0, 1): coeff})
     # every non-inhomogeneous rule is a single scaled monomial
-    for r in rules:
-        if r.left not in (("x1", "y1"), ("x2", "y2")):
-            assert len(r.result.terms) == 1
+    for left, result in by_left.items():
+        if left not in (("x1", "y1"), ("x2", "y2")):
+            assert len(result.terms) == 1
 
 
 def test_rule_table_is_cached():
