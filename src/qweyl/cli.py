@@ -43,15 +43,6 @@ class Report:
             "elapsed_ms": self.elapsed_ms,
         }
 
-    @classmethod
-    def from_json(cls, data: dict) -> "Report":
-        return cls(
-            spec=data["spec"],
-            checks=data["checks"],
-            values=data["values"],
-            elapsed_ms=data["elapsed_ms"],
-        )
-
     def render_text(self) -> str:
         lines = [f"spec: {json.dumps(self.spec, sort_keys=True)}"]
         if self.checks:
@@ -71,34 +62,40 @@ def _skip(name: str, reason: str) -> Check:
 
 # -- command implementations ---------------------------------------------------
 
+def _normal_form(spec, text: str):
+    try:
+        word = pbw.parse_word(spec, text)
+    except ConfigError as exc:  # a bad generator name: no config field is wrong
+        raise UsageError(exc.message) from exc
+    return pbw.normal_form(spec, word)
+
+
 def _cmd_nf(spec, args, height, over_budget):
     if len(args) != 1:
         raise UsageError("nf takes one word argument, e.g. --args 'x2 y1 x1'")
-    element = pbw.normal_form(spec, args[0])
+    element = _normal_form(spec, args[0])
     return [], {"input": args[0], "normal_form": pbw.render_element(spec, element)}
 
 
 def _cmd_mul(spec, args, height, over_budget):
     if len(args) != 2:
         raise UsageError("mul takes two word arguments")
-    f = pbw.normal_form(spec, args[0])
-    g = pbw.normal_form(spec, args[1])
+    f = _normal_form(spec, args[0])
+    g = _normal_form(spec, args[1])
     prod = pbw.multiply(spec, f, g)
     return [], {"factors": list(args), "product": pbw.render_element(spec, prod)}
 
 
 def _cmd_verify(spec, args, height, over_budget):
-    # one product memo for every relation, normality and extension-step check
-    products = pbw._Products(spec)
-    checks = pbw.verify_relations(spec, products=products)
+    checks = pbw.verify_relations(spec)
     for i in range(1, spec.n + 1):
         if over_budget():
             checks.append(_skip("normality",
                                 f"budget exhausted after {i - 1} of {spec.n} indices"))
             break
-        checks.extend(pbw.verify_normality(spec, i, products=products))
+        checks.extend(pbw.verify_normality(spec, i))
     for m in range(1, spec.n):
-        checks.extend(pbw.verify_ambiskew(spec, m, products=products))
+        checks.extend(pbw.verify_ambiskew(spec, m))
     # the checks of torus.check_torus_isomorphism for every choice, each
     # distinct verdict computed once
     choices = 2**spec.n
@@ -113,9 +110,7 @@ def _cmd_verify(spec, args, height, over_budget):
 
 
 def _skew_suite(spec, max_k: int) -> list[Check]:
-    # one product memo, so each z_{i-1} is built once
-    products = pbw._Products(spec)
-    skew = lambda i, k, form: pbw.skew_power_identity(spec, i, k, form, products=products)
+    skew = lambda i, k, form: pbw.skew_power_identity(spec, i, k, form)
     checks = []
     for k in range(1, max_k + 1):
         checks.append(skew(1, k, "k1_base"))
@@ -137,9 +132,8 @@ def _cmd_skew(spec, args, height, over_budget):
     forms = [args[2]] if len(args) == 3 else (
         ["k1_base"] if i == 1 else ["xk_y", "x_yk"]
     )
-    products = pbw._Products(spec)
     try:
-        return [pbw.skew_power_identity(spec, i, k, f, products=products) for f in forms], {}
+        return [pbw.skew_power_identity(spec, i, k, f) for f in forms], {}
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 

@@ -160,18 +160,6 @@ def verify_witness(E: ExponentPairing, witness: Witness) -> bool:
     return integer_rank(list(vs)) == len(vs)
 
 
-def _check_alternating(S) -> None:
-    m = len(S)
-    if any(len(row) != m for row in S):
-        raise ValueError("matrix must be square")
-    for i in range(m):
-        if S[i][i]:
-            raise ValueError("diagonal must vanish")
-        for j in range(m):
-            if S[i][j] != -S[j][i]:
-                raise ValueError("matrix must be alternating")
-
-
 def _primitive(v) -> list[int]:
     """v divided by the gcd of its entries; a zero v comes back as it is."""
     g = math.gcd(*v)
@@ -213,8 +201,10 @@ def max_isotropic_rank_single(S) -> tuple[int, Witness]:
     u is paired through its row u^T S, computed once, so every B(u, w) is
     one dot product.
     """
-    _check_alternating(S)
     m = len(S)
+    # validates the form (ValueError unless square and alternating) and
+    # checks the witness at the end
+    E = ExponentPairing(m, 1, [[(s,) for s in row] for row in S])
     r2 = integer_rank(S)
     if r2 % 2:
         raise ArithmeticError("alternating matrix with odd rank")
@@ -241,7 +231,6 @@ def max_isotropic_rank_single(S) -> tuple[int, Witness]:
     witness = Witness(_canonical(u) for u in picked)
     if witness.rank != rank:
         raise ArithmeticError("symplectic reduction produced wrong witness size")
-    E = ExponentPairing(m, 1, [[(S[i][j],) for j in range(m)] for i in range(m)])
     if not verify_witness(E, witness):
         raise ArithmeticError("symplectic reduction produced an invalid witness")
     return rank, witness

@@ -42,26 +42,26 @@ otherwise m = m'*h, and m*g is the sum of c*((m'*a)*b) over the rule
 h*g -> sum c*a*b of the table in qweyl.presentation.  The fold reads that
 table as (coefficient, a, b) entries with None for a unit coefficient,
 built on the first memo of a spec and cached on the spec beside the rule
-table.  These products are memoized by (packed monomial, generator) in a
-dict that lives for one call of normal_form, multiply, growth_count or a
-verifier, and unit coefficients are carried as None so that appends cost
-no scalar product.  The verifiers and skew_power_identity also take one
-_Products memo as `products`, to share across many checks on one spec:
-the command-line `verify` shares one memo across all of its relation,
-normality and extension-step checks, the skew suite one across its power
-identities, and each drops its memo when it returns.  The memo also holds
-the products of two monomials, the Casimir elements z_i as terms and the
-verdicts of [z_a, z_b].
+table.  Unit coefficients are carried as None so that appends cost no
+scalar product.  A _Products memo keeps every product of two monomials in
+one dict keyed by the pair of packed monomials, m*g under (m, unit[g]),
+besides the Casimir elements z_i as terms and the verdicts of [z_a, z_b].
+normal_form, multiply and growth_count fold on a fresh memo per call, as
+their inputs are unbounded.  The identity checks of a spec are finitely
+many (k <= SKEW_MAX_K), so the verifiers and skew_power_identity read one
+memo built on first use and cached on the spec: a `report` shares it across
+its relation, normality, extension-step and skew checks, and it dies with
+the spec.
 
 Every product of elements goes through one kernel, _Products.combine: it
 adds up sum c*f*g, reading each monomial product from the pair memo, into
 one dict, with no intermediate element.  multiply is one such sum on a
 fresh memo.  Every identity in the algebra that the verifiers and
 skew_power_identity check is one sum minus h, decided by
-_Products.vanishes, so one `verify` folds each monomial pair once, builds
-each z_i once and decides each unordered commutator once.  Each memo entry
-is fixed by its key, the spec and the rule table, so sharing changes no
-result.
+_Products.vanishes, so the checks of one spec fold each monomial pair once,
+build each z_i once and decide each unordered commutator once.  Each memo
+entry is fixed by its key, the spec and the rule table, so sharing changes
+no result.
 
 The recursion terminates.  Order words by length, then by their multiset
 of generators (compared largest first), then by inversion count.
@@ -84,6 +84,7 @@ from __future__ import annotations
 import functools
 import math
 import struct
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -322,14 +323,16 @@ def _packed_rules(spec: AlgebraSpec) -> list[list[tuple]]:
 
 
 class _Products:
-    """Products m*g of packed ordered monomials by one generator, memoized.
+    """Products of packed ordered monomials, memoized in one dict `pairs`.
 
-    One instance serves one spec; it lives for one call unless the caller
-    passes it on to a verifier as `products`.
+    One instance serves one spec: a fresh one per call of normal_form,
+    multiply or growth_count, and the one of _checks_memo(spec) for the
+    identity checks.  It holds the spec by a weak reference, so the memo
+    cached on the spec forms no cycle with it and is freed with it.
     """
 
     def __init__(self, spec: AlgebraSpec):
-        self.spec = spec
+        self.spec = weakref.ref(spec)
         self.n = spec.n
         self.top = 2 * spec.n - 1
         self.one = spec.lattice.one()
@@ -337,7 +340,6 @@ class _Products:
         self.unit = layout.unit
         self.after = layout.after
         self.rules = _packed_rules(spec)
-        self.memo: dict[tuple[int, int], _Terms] = {}
         self.pairs: dict[tuple[int, int], _Terms] = {}
         self.casimirs: dict[int, _Terms] = {}
         self.commutators: dict[tuple[int, int], bool] = {}
@@ -376,19 +378,20 @@ class _Products:
         recurse, so the call depth grows with n, not with the word length.
         """
         unit, after = self.unit, self.after
+        ug = unit[g]
         if not m & after[g]:
-            return {m + unit[g]: None}
-        memo, add = self.memo, self.add
+            return {m + ug: None}
+        memo, add = self.pairs, self.add
         chain = []
         while True:
-            out = memo.get((m, g))
+            out = memo.get((m, ug))
             if out is not None:
                 break
             h = self.top - ((m & -m).bit_length() - 1) // 32
             chain.append((m, h))
             m -= unit[h]
             if not m & after[g]:
-                out = {m + unit[g]: None}
+                out = {m + ug: None}
                 break
         for upper, h in reversed(chain):
             below, out = out, {}
@@ -400,7 +403,7 @@ class _Products:
                     else:
                         for s, cs in self.times(r, b).items():
                             add(out, s, _mul(cr, cs))
-            memo[(upper, g)] = out
+            memo[(upper, ug)] = out
             m = upper
         return out
 
@@ -461,7 +464,7 @@ class _Products:
         """z_i as terms, built once per memo."""
         z = self.casimirs.get(i)
         if z is None:
-            z = self.casimirs[i] = _terms(casimir(self.spec, i))
+            z = self.casimirs[i] = _terms(casimir(self.spec(), i))
         return z
 
     def casimirs_commute(self, a: int, b: int) -> bool:
@@ -488,16 +491,24 @@ def _skew(f: _Terms, g: _Terms, lam: Scalar) -> tuple:
 
 # -- identity verification ---------------------------------------------------
 
-def verify_relations(spec: AlgebraSpec, *, products: _Products | None = None) -> list[Check]:
+def _checks_memo(spec: AlgebraSpec) -> _Products:
+    """The memo of the identity checks of spec; built on first use, cached
+    on the spec."""
+    products = spec._products
+    if products is None:
+        products = spec._products = _Products(spec)
+    return products
+
+
+def verify_relations(spec: AlgebraSpec) -> list[Check]:
     """Check the defining relations and the antisymmetry of gamma.
 
     One entry per relation instance: xx/yy/xy for each index pair, the
     inhomogeneous x_i y_i relation for each i, and gamma_ij * gamma_ji = 1
-    for each unordered pair.  `products` is the memo of every pair product
-    and Casimir element; by default the call makes its own.
+    for each unordered pair.  Products and Casimir elements come from the
+    memo cached on the spec.
     """
-    if products is None:
-        products = _Products(spec)
+    products = _checks_memo(spec)
     checks = []
     n = spec.n
     one = spec.lattice.one()
@@ -529,19 +540,16 @@ def verify_relations(spec: AlgebraSpec, *, products: _Products | None = None) ->
     return checks
 
 
-def verify_normality(spec: AlgebraSpec, i: int, *,
-                     products: _Products | None = None) -> list[Check]:
+def verify_normality(spec: AlgebraSpec, i: int) -> list[Check]:
     """Check the commutation laws of z_i and the simpler Casimir formula.
 
-    `products` is the memo of every pair product, Casimir element and
-    commutator verdict; by default the call makes its own.  Shared, it lets
-    the n calls of one `verify` build each z_j once and decide each
-    unordered commutator [z_a, z_b] once.
+    Products, Casimir elements and commutator verdicts come from the memo
+    cached on the spec, so the n calls of one `verify` build each z_j once
+    and decide each unordered commutator [z_a, z_b] once.
     """
     if not 1 <= i <= spec.n:
         raise ValueError(f"index {i} out of range 1..{spec.n}")
-    if products is None:
-        products = _Products(spec)
+    products = _checks_memo(spec)
     checks = []
     n = spec.n
     q, p = spec.q, spec.p
@@ -565,20 +573,17 @@ def verify_normality(spec: AlgebraSpec, i: int, *,
     return checks
 
 
-def verify_ambiskew(spec: AlgebraSpec, m: int, *,
-                    products: _Products | None = None) -> list[Check]:
+def verify_ambiskew(spec: AlgebraSpec, m: int) -> list[Check]:
     """Engine checks of the extension-step data at step m.
 
     u = z_m / c with c = p_{m+1} - q_{m+1} is not in the coefficient ring, so
     each identity in u is checked multiplied through by c.  The ring is a
     domain and c != 0, so each check is as strong as the identity its detail
     states.  Each is one sum of the kernel: alpha(z_m) is built as terms, and
-    x_{m+1} y_{m+1} is the one product read from the pair memo.  `products`
-    is the memo of every pair product and Casimir element; by default the
-    call makes its own.
+    x_{m+1} y_{m+1} is the one product read from the pair memo cached on the
+    spec, which also holds z_m and z_{m+1}.
     """
-    if products is None:
-        products = _Products(spec)
+    products = _checks_memo(spec)
     step = ambiskew_step(spec, m)
     q, p, gamma = spec.q, spec.p, spec.gamma
     unit, zero = products.unit, products.vanishes
@@ -615,15 +620,13 @@ def verify_ambiskew(spec: AlgebraSpec, m: int, *,
 SKEW_FORMS = ("k1_base", "xk_y", "x_yk")
 
 
-def skew_power_identity(spec: AlgebraSpec, i: int, k: int, form: str, *,
-                        products: _Products | None = None) -> Check:
+def skew_power_identity(spec: AlgebraSpec, i: int, k: int, form: str) -> Check:
     """Compare the engine power products against the closed formulas.
 
     x_i y_i^k and x_i^k y_i are read from the pair memo, the same folds that
     normal_form makes of the words, and each formula is one sum of the
-    kernel.  `products` is the memo of every pair product and Casimir
-    element; by default the call makes its own.  Raises BudgetError when k
-    exceeds SKEW_MAX_K.
+    kernel.  Products and z_{i-1} come from the memo cached on the spec.
+    Raises BudgetError when k exceeds SKEW_MAX_K.
     """
     if form not in SKEW_FORMS:
         raise ValueError(f"unknown form {form!r}; expected one of {SKEW_FORMS}")
@@ -636,8 +639,7 @@ def skew_power_identity(spec: AlgebraSpec, i: int, k: int, form: str, *,
     if k > SKEW_MAX_K:
         raise BudgetError(f"skew power k={k} over the limit of {SKEW_MAX_K}")
 
-    if products is None:
-        products = _Products(spec)
+    products = _checks_memo(spec)
     qk = spec.q[i - 1] ** k
     x, y = products.unit[spec.x_index(i)], products.unit[spec.y_index(i)]
     zero, pair = products.vanishes, products.pair

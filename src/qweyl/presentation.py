@@ -64,11 +64,14 @@ class AlgebraSpec:
         self.p = tuple(p)
         self.gamma = tuple(tuple(row) for row in gamma)
         _validate(self)
-        # built on first use by rule_table, pbw._packed_rules and
-        # torus.standard_torus
+        # built on first use by rule_table, pbw._packed_rules,
+        # torus.standard_torus and pbw._checks_memo (the product memo of the
+        # identity checks); each entry is fixed by its key, so caching
+        # changes no result
         self._rule_table: dict | None = None
         self._packed_rules: list | None = None
         self._standard_torus = None
+        self._products = None
 
     # -- generator bookkeeping ---------------------------------------------
 

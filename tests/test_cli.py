@@ -9,7 +9,7 @@ import random
 import pytest
 
 from qweyl import cli, pbw, presentation, torus
-from qweyl.cli import Report, main, run
+from qweyl.cli import main, run
 from qweyl.pbw import verify_ambiskew
 from qweyl.presentation import KINDS, build_spec, casimir, rule_table, spec_from_config
 from qweyl.reporting import all_ok
@@ -142,8 +142,7 @@ def test_verify_budget_cuts_normality_and_the_torus_loop():
 def test_report_round_trip():
     rep = run({"n": 1, "kind": "heisenberg"}, "report")
     assert rep.ok
-    recovered = Report.from_json(json.loads(json.dumps(rep.to_json())))
-    assert recovered == rep
+    assert json.loads(json.dumps(rep.to_json())) == rep.to_json()
 
 
 def test_report_skips_growth_for_large_n(monkeypatch):
@@ -291,6 +290,19 @@ def test_exponent_past_the_field_exits_2(tmp_path, capsys):
     assert "field 'custom.p[0]'" in capsys.readouterr().err
 
 
+def test_bad_generator_in_args_is_a_usage_error(tmp_path, capsys):
+    # no config field is wrong, so nf and mul report a usage error (exit 2)
+    cfg = _write(tmp_path, {"n": 2, "kind": "generic"})
+    for command, args, bad in (("nf", ["x9 y1"], "x9"), ("mul", ["x1", "z1"], "z1"),
+                               ("mul", ["y0 x1", "y1"], "y0")):
+        assert main(["--config", cfg, "--command", command, "--args", *args]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage error: ") and repr(bad) in err, err
+    # library callers still get a ConfigError
+    with pytest.raises(presentation.ConfigError):
+        pbw.normal_form(build_spec(2, "generic"), "x9 y1")
+
+
 def test_skew_usage_errors_exit_2(tmp_path, capsys):
     cfg = _write(tmp_path, {"n": 2, "kind": "generic"})
     assert main(["--config", cfg, "--command", "skew", "--args", "1", "2", "xk_y"]) == 2
@@ -330,13 +342,19 @@ def _never():
     return False
 
 
+def _fresh(spec):
+    """spec with its memo of the identity checks dropped."""
+    spec._products = None
+    return spec
+
+
 def _fresh_memo_checks(spec):
-    """verify's checks from the library functions, each with its own memo."""
-    checks = pbw.verify_relations(spec)
+    """verify's checks from the library functions, each on a memo of its own."""
+    checks = pbw.verify_relations(_fresh(spec))
     for i in range(1, spec.n + 1):
-        checks += pbw.verify_normality(spec, i)
+        checks += pbw.verify_normality(_fresh(spec), i)
     for m in range(1, spec.n):
-        checks += verify_ambiskew(spec, m)
+        checks += verify_ambiskew(_fresh(spec), m)
     for choice in itertools.product("yx", repeat=spec.n):
         checks += torus.check_torus_isomorphism(spec, choice[::-1])
     return checks
@@ -363,8 +381,7 @@ def test_verify_shares_one_memo_and_one_standard_torus(monkeypatch):
             memos.clear(), loc_builds.clear()
             cli.run({"n": n, "kind": "generic"}, command)
             assert loc_builds == [("y",) * n]  # the standard torus, once
-            if command == "verify":
-                assert len(memos) == 1
+            assert len(memos) == (1 if command == "verify" else 2)  # report: growth's own
     loc_builds.clear()
     cli.run({"n": 3, "kind": "generic"}, "dim")
     assert loc_builds == [("y",) * 3]
@@ -375,6 +392,39 @@ def test_verify_shares_one_memo_and_one_standard_torus(monkeypatch):
     x1, y1 = pbw.generator(spec, "x1"), pbw.generator(spec, "y1")
     pbw.multiply(spec, x1, y1), pbw.multiply(spec, x1, y1), pbw.normal_form(spec, "x1 y1")
     assert len(memos) == 3
+    # the identity checks of a spec keep one
+    memos.clear()
+    pbw.verify_relations(spec), pbw.verify_normality(spec, 2), verify_ambiskew(spec, 1)
+    pbw.skew_power_identity(spec, 2, 3, "xk_y")
+    assert memos == [spec]
+
+
+def test_report_shares_one_memo_across_its_identity_checks(monkeypatch):
+    # verify and the skew suite of one report read the memo cached on the
+    # spec: one _Products besides growth's own, and each z_i built once
+    memos, calls = [], []
+    original = presentation.casimir
+
+    class Counted(pbw._Products):
+        def __init__(self, spec):
+            memos.append(spec)
+            super().__init__(spec)
+
+    def counted(spec, i):
+        calls.append(i)
+        return original(spec, i)
+
+    monkeypatch.setattr(pbw, "_Products", Counted)
+    monkeypatch.setattr(pbw, "casimir", counted)
+    gates = ((pbw.GROWTH_MAX_MONOMIALS, 2), (0, 1))  # 0: growth skipped
+    for n in (2, 3, 4):
+        for gate, builds in gates:
+            monkeypatch.setattr(pbw, "GROWTH_MAX_MONOMIALS", gate)
+            memos.clear(), calls.clear()
+            rep = run({"n": n, "kind": "generic"}, "report")
+            assert rep.ok and len(memos) == builds
+            assert ("growth_counts" in rep.values) == (builds == 2)
+            assert sorted(calls) == list(range(1, n + 1))
 
 
 def test_shared_memo_checks_match_fresh_memo_checks(custom_config):
@@ -439,15 +489,20 @@ def test_verify_folds_each_monomial_pair_and_casimir_commutator_once(monkeypatch
     # each extension step reads x_{m+1} y_{m+1} once, its only pair product
     new_pairs = [(unit[spec.x_index(m + 1)], unit[spec.y_index(m + 1)]) for m in range(1, n)]
     for m, key in enumerate(new_pairs, 1):
-        assert all(c.ok for c in verify_ambiskew(spec, m, products=Counted(spec)))
+        spec._products = Counted(spec)
+        assert all(c.ok for c in verify_ambiskew(spec, m))
         assert calls == misses == [key]
         for log in (calls, misses, memos):
             log.clear()
     monkeypatch.setattr(pbw, "_Products", Counted)
     rep = run({"n": n, "kind": "generic"}, "verify")
     assert rep.ok and len(memos) == 1
-    assert len(calls) > len(misses) == len(set(misses)) == len(set(calls))
-    assert set(memos[0].pairs) == set(misses)
+    # each pair is folded on its first miss only; a product m*g by one
+    # generator may already be in the memo, stored by a fold under (m, unit[g])
+    stored = set(memos[0].pairs)
+    assert len(calls) > len(misses) == len(set(misses))
+    assert set(misses) <= set(calls) <= stored
+    assert all(mg in unit for _, mg in stored - set(misses))
     assert sorted(commutators) == [(a, b) for a in range(n) for b in range(a + 1, n)]
     assert all(misses.count(key) == 1 for key in new_pairs)
     assert run({"n": n, "kind": "generic"}, "skew").ok

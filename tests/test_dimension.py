@@ -134,6 +134,8 @@ def test_max_isotropic_symplectic_preset():
 
 def test_max_isotropic_rejects_non_alternating():
     with pytest.raises(ValueError):
+        max_isotropic_rank_single([[0, 1]])
+    with pytest.raises(ValueError):
         max_isotropic_rank_single([[0, 1], [1, 0]])
     with pytest.raises(ValueError):
         max_isotropic_rank_single([[1, 1], [-1, 0]])

@@ -1,8 +1,10 @@
 """Normal-form engine: rewriting, products, identity suites, growth counts."""
 
+import gc
 import itertools
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -271,10 +273,10 @@ def _oracle_verdicts(spec):
 
 def _engine_verdicts(spec):
     """The same verdicts from the verifiers, sharing one memo as verify does."""
-    products = _Products(spec)
-    checks = verify_relations(spec, products=products)
+    spec._products = None
+    checks = verify_relations(spec)
     for i in range(1, spec.n + 1):
-        checks += verify_normality(spec, i, products=products)
+        checks += verify_normality(spec, i)
     return {c.name: c.ok for c in checks if not c.name.startswith("gamma(")}
 
 
@@ -376,16 +378,15 @@ def _oracle_step_verdicts(spec, max_k=4):
 
 def _engine_step_verdicts(spec, max_k=4):
     """The same verdicts from the engine, one memo for the extension steps
-    as in verify and one for the skew identities as in the skew suite."""
-    products = _Products(spec)
-    checks = [c for m in range(1, spec.n) for c in verify_ambiskew(spec, m, products=products)
+    and the skew identities as in report."""
+    spec._products = None
+    checks = [c for m in range(1, spec.n) for c in verify_ambiskew(spec, m)
               if not c.name.startswith("ambiskew-beta")]
-    products = _Products(spec)
     for k in range(1, max_k + 1):
-        checks.append(skew_power_identity(spec, 1, k, "k1_base", products=products))
+        checks.append(skew_power_identity(spec, 1, k, "k1_base"))
         for i in range(2, spec.n + 1):
             for form in ("xk_y", "x_yk"):
-                checks.append(skew_power_identity(spec, i, k, form, products=products))
+                checks.append(skew_power_identity(spec, i, k, form))
     return {c.name: c.ok for c in checks}
 
 
@@ -432,6 +433,43 @@ def test_pair_guards_the_degree_once_per_miss(monkeypatch):
     assert products.pair(x1 + y2, layout.unit[0]) is first
     assert guarded == [3]
     assert products.element(first) == normal_form(GEN2, "x1 y2 y1")
+
+
+def test_products_by_one_generator_share_the_pair_memo():
+    # times(m, g) stores m*g under (m, unit[g]), where pair reads it
+    layout = _layout(2)
+    products = _Products(GEN2)
+    x2y1 = layout.pack((1, 0, 0, 1))  # y1 x2
+    below = products.times(x2y1, 0)
+    assert set(products.pairs) >= {(x2y1, layout.unit[0])}
+    assert products.pair(x2y1, layout.unit[0]) is below
+    assert products.element(below) == normal_form(GEN2, "y1 x2 y1")
+
+
+def test_library_calls_leave_the_spec_memo_unbuilt():
+    # normal_form, multiply and growth_count fold on a fresh memo per call;
+    # only the identity checks cache theirs on the spec
+    spec = build_spec(3, "generic")
+    f = normal_form(spec, "x3 y2 x1 y3")
+    multiply(spec, f, normal_form(spec, "y3 x2"))
+    growth_count(spec, 2)
+    assert spec._products is None
+    verify_relations(spec)
+    assert isinstance(spec._products, _Products)
+
+
+def test_spec_memo_forms_no_cycle():
+    # the memo holds its spec weakly, so dropping the last reference frees
+    # the spec and its memo at once, without the cycle collector
+    spec = build_spec(3, "generic")
+    verify_normality(spec, 2)
+    freed = weakref.ref(spec._products)
+    gc.disable()
+    try:
+        del spec
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 def test_degree_bound():
