@@ -156,7 +156,7 @@ def _cmd_growth(spec, args, height, over_budget):
         raise UsageError(f"growth argument must be an integer: {args[0]!r}") from exc
     try:
         return [], _growth_values(spec, n_steps)
-    except ValueError as exc:  # N < 1, or a BudgetError past the size gate
+    except ValueError as exc:  # N < 1, or a BudgetError past GROWTH_MAX_N
         raise UsageError(str(exc)) from exc
 
 
@@ -195,10 +195,7 @@ def _cmd_report(spec, args, height, over_budget):
     if over_budget():
         checks.append(_skip("growth", "budget exhausted"))
     else:
-        try:
-            values.update(_growth_values(spec, 4))
-        except pbw.BudgetError as exc:
-            checks.append(_skip("growth", str(exc)))
+        values.update(_growth_values(spec, 4))
     if over_budget():
         checks.append(_skip("bound", "budget exhausted"))
     else:

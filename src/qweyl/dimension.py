@@ -205,6 +205,11 @@ def max_isotropic_rank_single(S) -> tuple[int, Witness]:
     # validates the form (ValueError unless square and alternating) and
     # checks the witness at the end
     E = ExponentPairing(m, 1, [[(s,) for s in row] for row in S])
+    # integer_rank truncates each entry, so refuse a fraction here
+    bad = next(((i, j) for i, row in enumerate(S) for j, s in enumerate(row) if s != int(s)),
+               None)
+    if bad is not None:
+        raise ValueError(f"entry {bad} = {S[bad[0]][bad[1]]!r} is not an integer")
     r2 = integer_rank(S)
     if r2 % 2:
         raise ArithmeticError("alternating matrix with odd rank")

@@ -21,6 +21,8 @@ from qweyl.dimension import (
     verify_witness,
 )
 from qweyl.pbw import (
+    PBWElement,
+    generator,
     growth_count,
     multiply,
     normal_form,
@@ -29,7 +31,7 @@ from qweyl.pbw import (
     verify_normality,
     verify_relations,
 )
-from qweyl.presentation import build_spec
+from qweyl.presentation import build_spec, rule_table
 from qweyl.reporting import all_ok
 from qweyl.torus import check_torus_isomorphism, standard_torus
 
@@ -166,14 +168,53 @@ def test_criterion_8_associativity_fuzz():
         assert elapsed < 120.0
 
 
+def _frontier_counts(spec, N):
+    """Oracle: |F_m| for m = 0..N, F_m the union of the supports of the
+    normal forms of all words of length <= m.
+
+    Built by frontier: F_m = F_{m-1} + supp(D_{m-1} * V) with D_{m-1} =
+    F_{m-1} - F_{m-2} and V the generators, because the rest of F_{m-1} was
+    multiplied by V one step earlier.
+    """
+    one = spec.lattice.one()
+    gens = [generator(spec, g) for g in range(2 * spec.n)]
+    frontier = [(0,) * (2 * spec.n)]
+    supports = set(frontier)
+    counts = [1]
+    for _ in range(N):
+        fresh = []
+        for mono in frontier:
+            f = PBWElement(spec.n, {mono: one})
+            for g in gens:
+                for r in multiply(spec, f, g).terms:
+                    if r not in supports:
+                        supports.add(r)
+                        fresh.append(r)
+        counts.append(len(supports))
+        frontier = fresh
+    return counts
+
+
 def test_criterion_9_growth_counts():
     with criterion(9, "filtration growth matches the binomial dimension"):
-        for n in (1, 2):
-            rep = growth_count(build_spec(n, "generic"), 6)
-            for m in range(7):
+        for n, N in ((1, 6), (2, 6), (3, 4)):
+            spec = build_spec(n, "generic")
+            rep = growth_count(spec, N)
+            assert rep.counts == _frontier_counts(spec, N), n
+            for m in range(N + 1):
                 assert rep.counts[m] == math.comb(m + 2 * n, 2 * n), (n, m)
-            assert rep.window == (4, 6)
+            assert rep.window == (N - 2, N)
             assert abs(rep.exponent - 2 * n) <= 0.5, (n, rep.exponent)
+        # the count is binomial for a table that is not confluent too: scale
+        # the x3*x1 swap by g12, which breaks the relation xx(1,3)
+        spec = build_spec(3, "generic")
+        table = dict(rule_table(spec))
+        key = (spec.x_index(3), spec.x_index(1))
+        (c, word), = table[key]
+        table[key] = [(c * spec.lattice.symbol("g12"), word)]
+        spec._rule_table = table
+        assert not all_ok(verify_relations(spec))
+        assert _frontier_counts(spec, 5) == growth_count(spec, 5).counts
 
 
 def test_criterion_10_localization_isomorphism():

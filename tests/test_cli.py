@@ -145,20 +145,9 @@ def test_report_round_trip():
     assert json.loads(json.dumps(rep.to_json())) == rep.to_json()
 
 
-def test_report_skips_growth_for_large_n(monkeypatch):
-    # n is large when binom(4 + 2n, 2n) passes the growth gate; lower the
-    # gate below binom(10, 6) = 210 so that n = 3 counts as large
-    monkeypatch.setattr(pbw, "GROWTH_MAX_MONOMIALS", 209)
-    rep = run({"n": 3, "kind": "generic"}, "report")
-    assert rep.ok
-    skipped = [c for c in rep.checks if c["status"] == "skipped"]
-    assert [c["name"] for c in skipped] == ["growth"]
-    assert "210 monomials" in skipped[0]["detail"]
-    assert "growth_counts" not in rep.values
-
-
 def test_report_includes_growth_past_n2():
-    for n in (3, 4):
+    # growth is in closed form, so n = 10 carries it too
+    for n in (3, 4, 10):
         rep = run({"n": n, "kind": "generic"}, "report")
         assert rep.ok
         assert not [c for c in rep.checks if c["status"] == "skipped"]
@@ -194,11 +183,16 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["--config", ok_cfg, "--command", "nf"]) == 2  # missing word arg
     assert "usage error" in capsys.readouterr().err
 
-    assert main(["--config", ok_cfg, "--command", "growth", "--args", "99"]) == 2
-    assert "usage error" in capsys.readouterr().err
+    # growth is bounded by N alone, at every n
+    assert main(["--config", ok_cfg, "--command", "growth", "--args", "99", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["values"]["growth_counts"][99] == math.comb(105, 6)
     n4_cfg = _write(tmp_path, {"n": 4, "kind": "generic-p1"}, "n4.json")
-    assert main(["--config", n4_cfg, "--command", "growth", "--args", "9"]) == 2
-    assert "over the limit" in capsys.readouterr().err
+    assert main(["--config", n4_cfg, "--command", "growth", "--args", "9"]) == 0
+    capsys.readouterr()
+    too_far = str(pbw.GROWTH_MAX_N + 1)
+    assert main(["--config", n4_cfg, "--command", "growth", "--args", too_far]) == 2
+    err = capsys.readouterr().err
+    assert "usage error" in err and "over the limit" in err
     assert main(["--config", ok_cfg, "--command", "growth", "--args", "0"]) == 2
     assert "N must be positive" in capsys.readouterr().err
 
@@ -381,7 +375,7 @@ def test_verify_shares_one_memo_and_one_standard_torus(monkeypatch):
             memos.clear(), loc_builds.clear()
             cli.run({"n": n, "kind": "generic"}, command)
             assert loc_builds == [("y",) * n]  # the standard torus, once
-            assert len(memos) == (1 if command == "verify" else 2)  # report: growth's own
+            assert len(memos) == 1  # growth folds nothing
     loc_builds.clear()
     cli.run({"n": 3, "kind": "generic"}, "dim")
     assert loc_builds == [("y",) * 3]
@@ -401,7 +395,7 @@ def test_verify_shares_one_memo_and_one_standard_torus(monkeypatch):
 
 def test_report_shares_one_memo_across_its_identity_checks(monkeypatch):
     # verify and the skew suite of one report read the memo cached on the
-    # spec: one _Products besides growth's own, and each z_i built once
+    # spec, and growth folds nothing: one _Products, and each z_i built once
     memos, calls = [], []
     original = presentation.casimir
 
@@ -416,15 +410,12 @@ def test_report_shares_one_memo_across_its_identity_checks(monkeypatch):
 
     monkeypatch.setattr(pbw, "_Products", Counted)
     monkeypatch.setattr(pbw, "casimir", counted)
-    gates = ((pbw.GROWTH_MAX_MONOMIALS, 2), (0, 1))  # 0: growth skipped
     for n in (2, 3, 4):
-        for gate, builds in gates:
-            monkeypatch.setattr(pbw, "GROWTH_MAX_MONOMIALS", gate)
-            memos.clear(), calls.clear()
-            rep = run({"n": n, "kind": "generic"}, "report")
-            assert rep.ok and len(memos) == builds
-            assert ("growth_counts" in rep.values) == (builds == 2)
-            assert sorted(calls) == list(range(1, n + 1))
+        memos.clear(), calls.clear()
+        rep = run({"n": n, "kind": "generic"}, "report")
+        assert rep.ok and len(memos) == 1
+        assert rep.values["growth_counts"] == [math.comb(m + 2 * n, 2 * n) for m in range(5)]
+        assert sorted(calls) == list(range(1, n + 1))
 
 
 def test_shared_memo_checks_match_fresh_memo_checks(custom_config):
@@ -452,11 +443,12 @@ def test_shared_memo_fails_where_fresh_memos_fail():
     assert failed == {c.name for c in _fresh_memo_checks(spec) if not c.ok}
 
 
-def test_verify_folds_each_monomial_pair_and_casimir_commutator_once(monkeypatch):
+def test_verify_folds_each_monomial_pair_once_and_sums_no_casimir_commutator(monkeypatch):
     # the checks of one verify read every product of two monomials from the
-    # shared pair memo, folded on its first miss only, decide [z_a, z_b] once
-    # per unordered pair {a, b}, and never build an element through multiply
-    # or normal_form; nor does the skew suite
+    # shared pair memo, folded on its first miss only, form no sum with a
+    # product z_a*z_b (those verdicts are derived from the normality laws),
+    # and never build an element through multiply or normal_form; nor does
+    # the skew suite
     n = 3
     spec = build_spec(n, "generic")
     zs = [pbw._terms(casimir(spec, j)) for j in range(1, n + 1)]
@@ -476,9 +468,8 @@ def test_verify_folds_each_monomial_pair_and_casimir_commutator_once(monkeypatch
 
         def vanishes(self, terms, h=None):
             terms = list(terms)
-            _, f, g = terms[0]
-            if f in zs and g in zs:
-                commutators.append((zs.index(f), zs.index(g)))
+            commutators.extend((zs.index(f), zs.index(g)) for _, f, g in terms
+                               if f in zs and g in zs)
             return super().vanishes(terms, h)
 
     def refuse(*args, **kwargs):
@@ -503,7 +494,9 @@ def test_verify_folds_each_monomial_pair_and_casimir_commutator_once(monkeypatch
     assert len(calls) > len(misses) == len(set(misses))
     assert set(misses) <= set(calls) <= stored
     assert all(mg in unit for _, mg in stored - set(misses))
-    assert sorted(commutators) == [(a, b) for a in range(n) for b in range(a + 1, n)]
+    assert commutators == []
+    assert {c["name"] for c in rep.checks} >= {f"z{a}*z{b}" for a in range(1, n + 1)
+                                               for b in range(1, n + 1)}
     assert all(misses.count(key) == 1 for key in new_pairs)
     assert run({"n": n, "kind": "generic"}, "skew").ok
     assert run({"n": n, "kind": "generic"}, "skew", ["3", "5"]).ok

@@ -141,6 +141,15 @@ def test_max_isotropic_rejects_non_alternating():
         max_isotropic_rank_single([[1, 1], [-1, 0]])
 
 
+@pytest.mark.parametrize("half", [0.5, Fraction(1, 2)], ids=["float", "Fraction"])
+def test_max_isotropic_rejects_non_integer_entries(half):
+    # an alternating form with a fraction used to end in a misleading
+    # ArithmeticError about the witness size
+    with pytest.raises(ValueError, match=r"entry \(0, 1\) = .* is not an integer"):
+        max_isotropic_rank_single([[0, half], [-half, 0]])
+    assert max_isotropic_rank_single([[0, 2 * half], [-2 * half, 0]])[0] == 1
+
+
 def test_witness_formula_on_random_alternating():
     rng = random.Random(17)
     for _ in range(25):

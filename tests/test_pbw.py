@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from qweyl import pbw
 from qweyl.pbw import (
-    GROWTH_MAX_MONOMIALS,
+    GROWTH_MAX_N,
     MAX_DEGREE,
     BudgetError,
     PBWElement,
@@ -444,6 +444,13 @@ def test_products_by_one_generator_share_the_pair_memo():
     assert set(products.pairs) >= {(x2y1, layout.unit[0])}
     assert products.pair(x2y1, layout.unit[0]) is below
     assert products.element(below) == normal_form(GEN2, "y1 x2 y1")
+    # pair first: a one-letter miss keeps the dict that times stored, no copy
+    products = _Products(GEN2)
+    y2x1 = layout.pack((0, 1, 1, 0))  # y2 x1
+    first = products.pair(y2x1, layout.unit[0])
+    assert first is products.pairs[(y2x1, layout.unit[0])]
+    assert products.times(y2x1, 0) is first
+    assert products.element(first) == normal_form(GEN2, "x1 y2 y1")
 
 
 def test_library_calls_leave_the_spec_memo_unbuilt():
@@ -544,15 +551,24 @@ def test_growth_n2_snapshot():
 
 
 def test_growth_budget_errors():
-    # the gate bounds the span binom(N + 2n, 2n), not n or N on their own
-    rep = growth_count(build_spec(3, "generic"), 6)
-    assert rep.counts == [math.comb(m + 6, 6) for m in range(7)]
-    assert growth_count(GEN2, 9).counts[9] == math.comb(13, 4)
-    assert math.comb(9 + 8, 8) > GROWTH_MAX_MONOMIALS
-    with pytest.raises(BudgetError):
-        growth_count(build_spec(4, "generic"), 9)
+    # the bound is on N, the length of the answer, at every n
+    for spec in (build_spec(1, "generic"), GEN2, build_spec(9, "generic")):
+        size = 2 * spec.n
+        rep = growth_count(spec, GROWTH_MAX_N)
+        assert len(rep.counts) == GROWTH_MAX_N + 1
+        assert rep.counts[-1] == math.comb(GROWTH_MAX_N + size, size)
+        with pytest.raises(BudgetError, match=f"N={GROWTH_MAX_N + 1} over the limit"):
+            growth_count(spec, GROWTH_MAX_N + 1)
     with pytest.raises(ValueError):
         growth_count(GEN2, 0)
+
+
+def test_growth_counts_past_the_old_span_gate():
+    # binom(4 + 32, 32) = 58,905 monomials at n = 16, far past any span a
+    # fold could build in a report
+    rep = growth_count(build_spec(16, "generic"), 4)
+    assert rep.counts == [math.comb(m + 32, 32) for m in range(5)]
+    assert rep.window == (2, 4)
 
 
 def test_associativity_smoke():
@@ -601,18 +617,21 @@ def test_constructor_refuses_an_exponent_past_the_field():
 
 def test_multiply_appends_a_power_without_folding(monkeypatch):
     # the product is one append, however high the power on the right
-    folds = []
-    original = _Products.fold
+    folds, times = [], []
+    fold, times_ = _Products.fold, _Products.times
     monkeypatch.setattr(_Products, "fold", lambda self, acc, g: (folds.append(g),
-                                                                 original(self, acc, g))[1])
+                                                                 fold(self, acc, g))[1])
+    monkeypatch.setattr(_Products, "times", lambda self, m, g: (times.append((m, g)),
+                                                                times_(self, m, g))[1])
     one = GEN2.lattice.one()
     y1 = generator(GEN2, "y1")
     below = PBWElement(2, {(MAX_DEGREE - 1, 0, 0, 0): one})
     assert multiply(GEN2, y1, below) == PBWElement(2, {(MAX_DEGREE, 0, 0, 0): one})
-    assert folds == []
-    # x1*y1 is no append: one fold of {x1: 1} by y1
+    assert folds == times == []
+    # x1*y1 is no append: one times call of x1 by y1, and no fold
     assert multiply(GEN2, generator(GEN2, "x1"), y1) == PBWElement(2, {(1, 1, 0, 0): GEN2.q[0]})
-    assert folds == [0]
+    assert folds == []
+    assert times == [(_layout(2).unit[1], 0)]
 
 
 def test_multiply_past_the_degree_bound_raises():
