@@ -15,6 +15,7 @@ from .dimension import (
     isotropic_witness_search,
     max_isotropic_rank_single,
     pairing_from_matrix,
+    rank_mod_p,
     rank_upper_bound,
     smith_normal_form,
     torus_dimension,

@@ -7,19 +7,24 @@ a sublattice of exponent vectors spans a commutative subalgebra exactly
 when the pairing vanishes on it, and the torus dimension is the maximal
 rank of such an isotropic sublattice.
 
-Exact integer linear algebra only, no fractions: rank by division-free
-elimination with a Smith-normal-form cross-check, explicit isotropic
-witnesses from a fraction-free symplectic reduction (single-parameter
-case) or from a bounded deterministic backtracking search on the packed
-pairing (multi-parameter case and the theorem kinds).  Each kernel makes the zero tests of the
-same computation over Q; the docstrings give the arguments.
+Exact integer linear algebra only, no fractions.  Each rank is used in
+the direction in which it certifies.  The rank over F_p, p = 2^61 - 1, is
+at most the rank over Q, so rank_mod_p gives the certified upper bound on
+the dimension from one weighted pairing, and proves a witness independent
+whenever it is full.  Where a rank must be exact and the modular one falls
+short, integer_rank decides, by division-free elimination with a
+Smith-normal-form cross-check.  Explicit isotropic witnesses come from a
+fraction-free symplectic reduction (single-parameter case) or from a
+bounded deterministic backtracking search on the packed pairing
+(multi-parameter case and the theorem kinds).  Each kernel makes the zero
+tests of the same computation over Q; the docstrings give the arguments.
 
 Work is done once where it can be: the reduction computes the row u^T S
 once per pivot u, so each pairing B(u, w) is a dot product; the weighted
-matrices of the certified rank bound are filled from the nonzero exponents
-of the upper triangle; torus_dimension computes that bound once and hands
-it to every search, and bernstein_report turns a dimension report already
-in hand into the bound 2n - d.
+matrix of the certified rank bound is filled from the nonzero exponents
+of the upper triangle and reduced once, mod p; torus_dimension computes that bound once
+and hands it to every search, and bernstein_report turns a dimension report
+already in hand into the bound 2n - d.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from .torus import ExponentPairing, standard_torus
 IntVector = tuple[int, ...]
 
 
-# -- exact integer rank -------------------------------------------------------
+# -- modular and exact integer rank -------------------------------------------
 
 def smith_normal_form(A) -> list[int]:
     """Invariant factors d_1 | d_2 | ... of an integer matrix (nonzero ones only)."""
@@ -117,6 +122,69 @@ def integer_rank(A) -> int:
     return rank
 
 
+PRIME = 2**61 - 1  # a Mersenne prime: rank_mod_p works over F_PRIME
+
+
+def rank_mod_p(A) -> int:
+    """Rank over F_p, p = PRIME, by fraction-free elimination mod p.
+
+    Every minor that vanishes over Q vanishes mod p, so this is at most the
+    rank over Q: a full modular rank proves full rank over Q, and a smaller
+    one proves nothing on its own.  Entries are truncated by int(), as in
+    integer_rank.  A pivot row with entry a moves each row below, with entry
+    b in the pivot column, to a*row - b*pivot_row mod p, which needs no
+    modular inverse; the rows below the pivots are zero left of the current
+    column, so only the columns from it on are updated.
+    """
+    rows = [[int(x) % PRIME for x in row] for row in A]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    rank = 0
+    for c in range(ncols):
+        piv = next((i for i in range(rank, nrows) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        top = rows[rank][c:]
+        a = top[0]
+        for i in range(rank + 1, nrows):
+            row = rows[i]
+            b = row[c]
+            if b:
+                row[c:] = [(a * x - b * y) % PRIME for x, y in zip(row[c:], top)]
+        rank += 1
+        if rank == nrows:
+            break
+    return rank
+
+
+_MASK64 = 2**64 - 1
+_weight_cache: tuple[int, ...] = ()
+
+
+def _weights(k: int) -> tuple[int, ...]:
+    """The weight vector of rank_upper_bound for k parameters (at least k
+    entries): the splitmix64 outputs for seed 0, reduced mod PRIME.
+
+    They are fixed but pseudorandom.  Small or structured weights are not:
+    3^(c+1) lies on the curve w_2^2 = w_1*w_3, and random pairings with
+    small exponents (m <= 8, k = 2 or 3) have every maximal minor vanish
+    there in about 1 of 140 draws, which loosens the bound.  The cache is
+    replaced whole, never extended in place, so concurrent callers read a
+    complete prefix of the same sequence.
+    """
+    global _weight_cache
+    if len(_weight_cache) < k:
+        out = []
+        for c in range(k):
+            z = (c + 1) * 0x9E3779B97F4A7C15 & _MASK64
+            z = (z ^ z >> 30) * 0xBF58476D1CE4E5B9 & _MASK64
+            z = (z ^ z >> 27) * 0x94D049BB133111EB & _MASK64
+            out.append((z ^ z >> 31) % PRIME)
+        _weight_cache = tuple(out)
+    return _weight_cache
+
+
 # -- the exponent pairing -----------------------------------------------------
 
 def pairing_from_matrix(E: ExponentPairing) -> ExponentPairing:
@@ -148,7 +216,11 @@ class Witness:
 
 
 def verify_witness(E: ExponentPairing, witness: Witness) -> bool:
-    """Pairwise zero pairing plus full integer rank."""
+    """Pairwise zero pairing plus full rank over Q.
+
+    Full rank mod p proves full rank over Q (rank_mod_p); only when the
+    modular rank falls short does integer_rank decide.
+    """
     vs = witness.vectors
     zero = (0,) * E.k
     for a in range(len(vs)):
@@ -157,7 +229,7 @@ def verify_witness(E: ExponentPairing, witness: Witness) -> bool:
                 return False
     if not vs:
         return True
-    return integer_rank(list(vs)) == len(vs)
+    return rank_mod_p(vs) == len(vs) or integer_rank(vs) == len(vs)
 
 
 def _primitive(v) -> list[int]:
@@ -200,20 +272,23 @@ def max_isotropic_rank_single(S) -> tuple[int, Witness]:
     its picked vectors have the same canonical primitive forms.  Each pivot
     u is paired through its row u^T S, computed once, so every B(u, w) is
     one dot product.
+
+    The rank of S is then certified from both sides.  The verified witness
+    is isotropic of rank m - pairs, so rank(S) <= 2*pairs over Q, and
+    rank_mod_p(S) is at most rank(S); when the modular rank reaches 2*pairs
+    it is the rank.  Otherwise integer_rank decides, and a rank that does
+    not match the witness raises ArithmeticError.
     """
-    m = len(S)
-    # validates the form (ValueError unless square and alternating) and
-    # checks the witness at the end
-    E = ExponentPairing(m, 1, [[(s,) for s in row] for row in S])
-    # integer_rank truncates each entry, so refuse a fraction here
+    # int() truncates each entry, so refuse a fraction here
     bad = next(((i, j) for i, row in enumerate(S) for j, s in enumerate(row) if s != int(s)),
                None)
     if bad is not None:
         raise ValueError(f"entry {bad} = {S[bad[0]][bad[1]]!r} is not an integer")
-    r2 = integer_rank(S)
-    if r2 % 2:
-        raise ArithmeticError("alternating matrix with odd rank")
-    rank = m - r2 // 2
+    S = [[int(s) for s in row] for row in S]
+    m = len(S)
+    # validates the form (ValueError unless square and alternating) and
+    # checks the witness at the end
+    E = ExponentPairing(m, 1, [[(s,) for s in row] for row in S])
 
     remaining = [[int(i == j) for j in range(m)] for i in range(m)]
     picked: list[list[int]] = []
@@ -234,54 +309,47 @@ def max_isotropic_rank_single(S) -> tuple[int, Witness]:
                     [c * wt + a * ut - b * vt for wt, ut, vt in zip(w, u, v)]
                 )
     witness = Witness(_canonical(u) for u in picked)
-    if witness.rank != rank:
-        raise ArithmeticError("symplectic reduction produced wrong witness size")
     if not verify_witness(E, witness):
         raise ArithmeticError("symplectic reduction produced an invalid witness")
+    pairs = m - witness.rank
+    r2 = 2 * pairs if rank_mod_p(S) == 2 * pairs else integer_rank(S)
+    if r2 % 2:
+        raise ArithmeticError("alternating matrix with odd rank")
+    rank = m - r2 // 2
+    if witness.rank != rank:
+        raise ArithmeticError("symplectic reduction produced wrong witness size")
     return rank, witness
 
 
 # -- certified upper bound and bounded search ---------------------------------
 
-def _weight_schedule(k: int):
-    """The combined weights first (the all-ones one usually reaches the cap),
-    then the unit weights.  rank_upper_bound takes the maximum over the whole
-    set and stops only at the cap, so the order changes no bound."""
-    if k > 1:
-        yield (1,) * k
-        yield tuple(3**i for i in range(k))
-        yield tuple((i + 1) ** 2 for i in range(k))
-        yield tuple((-2) ** i for i in range(k))
-    for c in range(k):
-        w = [0] * k
-        w[c] = 1
-        yield tuple(w)
-
-
 def rank_upper_bound(E: ExponentPairing) -> int:
     """Certified bound: any isotropic sublattice is isotropic for every integer
-    combination S_c of the pairing components, hence has rank <= m - rank(S_c)/2.
+    combination S_w = sum_c w_c S_c of the pairing components, hence has rank
+    <= m - rank(S_w)/2 <= m - rank_mod_p(S_w)/2.
 
-    Each S_c is built from the nonzero exponents of the upper triangle only
-    and negated into the lower one.
+    One fixed pseudorandom weight (_weights) is used, so the bound costs one
+    modular elimination.  Any weight gives a certified bound.  A generic one
+    also reaches the full rank r of the pencil: a nonzero r x r minor of S_w
+    is a polynomial of degree r in w, and a random w mod p is one of its
+    roots with probability at most r/p (Schwartz-Zippel).  The weight is
+    fixed, not random, so tightness is not claimed; a dimension is exact only
+    where a verified witness meets the bound.
+
+    S_w is filled from the nonzero exponents of the upper triangle only and
+    negated into the lower one; rank_mod_p reduces it mod p.
     """
     if E.k == 0:
         return E.m
     m = E.m
-    upper = [
-        (i, j, nz) for i, row in enumerate(E.sparse_rows()) for j, nz in row if j > i
-    ]
-    best = 0
-    cap = m - (m % 2)
-    for weights in _weight_schedule(E.k):
-        S = [[0] * m for _ in range(m)]
-        for i, j, nz in upper:
-            s = sum(weights[c] * e for c, e in nz)
-            S[i][j], S[j][i] = s, -s
-        best = max(best, integer_rank(S))
-        if best == cap:
-            break
-    return m - best // 2
+    weights = _weights(E.k)
+    S = [[0] * m for _ in range(m)]
+    for i, row in enumerate(E.sparse_rows()):
+        for j, nz in row:
+            if j > i:
+                s = sum(weights[c] * e for c, e in nz)
+                S[i][j], S[j][i] = s, -s
+    return m - rank_mod_p(S) // 2
 
 
 def _candidate_vectors(m: int, height: int):

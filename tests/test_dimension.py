@@ -11,17 +11,19 @@ from hypothesis import strategies as st
 from qweyl import cli
 from qweyl import dimension as dim
 from qweyl.dimension import (
+    PRIME,
     Witness,
     bernstein_bound,
     integer_rank,
     isotropic_witness_search,
     max_isotropic_rank_single,
+    rank_mod_p,
     rank_upper_bound,
     smith_normal_form,
     torus_dimension,
     verify_witness,
 )
-from qweyl.presentation import KINDS, build_spec
+from qweyl.presentation import KINDS, build_spec, spec_from_config
 from qweyl.torus import ExponentPairing, standard_torus
 
 
@@ -61,6 +63,36 @@ def test_integer_rank_matches_fraction_oracle():
         cols = rng.randint(1, 6)
         A = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rows)]
         assert integer_rank(A) == _fraction_rank(A) == len(smith_normal_form(A))
+        assert rank_mod_p(A) == integer_rank(A)
+    # planted low ranks: products of random factors, where rank_mod_p must
+    # see the dependencies too
+    for _ in range(40):
+        rows, cols, inner = rng.randint(1, 8), rng.randint(1, 8), rng.randint(1, 4)
+        B = [[rng.randint(-3, 3) for _ in range(inner)] for _ in range(rows)]
+        C = [[rng.randint(-3, 3) for _ in range(cols)] for _ in range(inner)]
+        A = [[sum(B[i][t] * C[t][j] for t in range(inner)) for j in range(cols)]
+             for i in range(rows)]
+        assert rank_mod_p(A) == integer_rank(A) == _fraction_rank(A)
+
+
+def test_modular_shortcuts_hand_over_to_integer_rank_on_multiples_of_p():
+    # rank_mod_p is at most the rank over Q, and falls short where p divides
+    assert rank_mod_p([[PRIME, 0], [0, 3 * PRIME]]) == 0
+    assert rank_mod_p([[1, 1], [1, 1 + PRIME]]) == 1
+    assert rank_mod_p([[0, 1.0], [Fraction(-1), 0]]) == 2  # truncated by int()
+    assert rank_mod_p([]) == 0
+    # a witness independent over Q but not mod p
+    E = ExponentPairing(2, 1, [[(0,), (0,)], [(0,), (0,)]])
+    vectors = ((1, 0), (0, PRIME))
+    assert rank_mod_p(vectors) == 1
+    assert verify_witness(E, Witness(vectors))
+    # a form of rank 2 over Q and 0 mod p
+    S = [[0, PRIME], [-PRIME, 0]]
+    rank, witness = max_isotropic_rank_single(S)
+    assert rank == 1 and witness.vectors == ((1, 0),)
+    # the rank bound reads rank 0 there: weaker, and still a valid bound
+    E = ExponentPairing(2, 1, [[(s,) for s in row] for row in S])
+    assert rank_upper_bound(E) >= 2 - integer_rank(S) // 2 == 1
 
 
 def test_smith_normal_form_examples():
@@ -148,6 +180,11 @@ def test_max_isotropic_rejects_non_integer_entries(half):
     with pytest.raises(ValueError, match=r"entry \(0, 1\) = .* is not an integer"):
         max_isotropic_rank_single([[0, half], [-half, 0]])
     assert max_isotropic_rank_single([[0, 2 * half], [-2 * half, 0]])[0] == 1
+    # integer-valued entries are read as integers, also where the reduction
+    # makes a vector primitive
+    S = [[0, 2 * half, 4 * half], [-2 * half, 0, 6 * half], [-4 * half, -6 * half, 0]]
+    rank, witness = max_isotropic_rank_single(S)
+    assert rank == 2 and witness.vectors == ((1, 0, 0), (3, -2, 1))
 
 
 def test_witness_formula_on_random_alternating():
@@ -399,8 +436,9 @@ def _reduction_oracle(S):
 
 
 def _dense_rank_upper_bound(E):
-    """rank_upper_bound with every weighted matrix built entry by entry, over
-    its own list of weights (unit weights first) and with no early exit."""
+    """The rank bound over k + 4 exact integer weights: the unit weights and
+    four combined ones, every weighted matrix built entry by entry and ranked
+    over Q by integer_rank, the maximum rank taken with no early exit."""
     if E.k == 0:
         return E.m
     weights = [tuple(int(c == t) for t in range(E.k)) for c in range(E.k)]
@@ -502,6 +540,61 @@ def test_kernels_match_oracles_on_custom_specs(spec):
 def test_kernels_match_oracles_on_presets(kind):
     for n in range(1, 7):
         _assert_kernels_match(standard_torus(build_spec(n, kind)))
+
+
+@pytest.mark.parametrize("kind", [k for k in KINDS if k != "custom"])
+def test_rank_bound_matches_exact_weights_on_presets(kind):
+    # n = 1..6 run in test_kernels_match_oracles_on_presets
+    for n in range(7, 13):
+        E = standard_torus(build_spec(n, kind))
+        assert rank_upper_bound(E) == _dense_rank_upper_bound(E), n
+
+
+def test_rank_bound_matches_exact_weights_on_benchmark_custom_specs(custom_config):
+    rng = random.Random(17)
+    for _ in range(200):
+        spec = spec_from_config(custom_config(rng, rng.randint(1, 5), rng.randint(1, 4)))
+        E = standard_torus(spec)
+        assert rank_upper_bound(E) == _dense_rank_upper_bound(E), spec
+
+
+def _pairing(m, k, upper):
+    entries = [[(0,) * k for _ in range(m)] for _ in range(m)]
+    for (i, j), e in upper.items():
+        entries[i][j], entries[j][i] = e, tuple(-x for x in e)
+    return ExponentPairing(m, k, entries)
+
+
+def test_rank_bound_is_not_fooled_by_structured_weights():
+    # (-3, 1) pairs to 0 with every multiple of the weight (1, 3), such as
+    # (3^1, 3^2); the Pfaffian w_2^2 - w_1*w_3 of the 4 x 4 pencil vanishes
+    # on every weight (g, g^2, g^3).  The fixed weight must see full rank.
+    E = _pairing(3, 2, {(0, 2): (-3, 1), (1, 2): (-3, 1)})
+    assert rank_upper_bound(E) == _dense_rank_upper_bound(E) == 2
+    E = _pairing(4, 3, {(0, 1): (0, 1, 0), (2, 3): (0, 1, 0),
+                        (0, 2): (1, 0, 0), (1, 3): (0, 0, 1)})
+    assert rank_upper_bound(E) == _dense_rank_upper_bound(E) == 2
+
+
+@pytest.mark.parametrize("kind, d", [("generic", 16), ("generic-q1", 17)])
+def test_rank_bound_and_bound_at_n16(kind, d):
+    assert rank_upper_bound(standard_torus(build_spec(16, kind))) == d
+    rep = cli.run({"n": 16, "kind": kind}, "bound")
+    assert rep.ok and rep.values["dim"]["d"] == d
+    assert rep.values["bound"] == 32 - d
+
+
+def test_modular_ranks_decide_on_presets_without_integer_rank(monkeypatch):
+    # on the presets every modular rank certifies, so the exact rank is
+    # never needed: not for the bound, the witnesses or the reduction
+    def refuse(A):
+        raise AssertionError("integer_rank called")
+
+    monkeypatch.setattr(dim, "integer_rank", refuse)
+    for kind in KINDS:
+        if kind != "custom":
+            for n in (2, 5, 8):
+                assert torus_dimension(build_spec(n, kind)).is_point
 
 
 def _search_oracle(E, target, height):
