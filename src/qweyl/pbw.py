@@ -87,10 +87,9 @@ import math
 import struct
 import weakref
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .presentation import AlgebraSpec, ambiskew_step, casimir, rule_table
-from .reporting import Check
+from .reporting import check
 from .scalars import Scalar, render_scalar
 
 Monomial = tuple[int, ...]
@@ -490,7 +489,7 @@ def _checks_memo(spec: AlgebraSpec) -> _Products:
     return products
 
 
-def verify_relations(spec: AlgebraSpec) -> list[Check]:
+def verify_relations(spec: AlgebraSpec) -> list[dict]:
     """Check the defining relations and the antisymmetry of gamma.
 
     One entry per relation instance: xx/yy/xy for each index pair, the
@@ -512,25 +511,25 @@ def verify_relations(spec: AlgebraSpec) -> list[Check]:
             gij = gamma[i - 1][j - 1]
             gji = gamma[j - 1][i - 1]
             checks.append(
-                Check(f"gamma({i},{j})", (gij * gji) == one, "gamma_ij*gamma_ji = 1")
+                check(f"gamma({i},{j})", (gij * gji) == one, "gamma_ij*gamma_ji = 1")
             )
             ok = zero(_skew(x(i), x(j), q[i - 1] * p[j - 1].inverse() * gij))
-            checks.append(Check(f"xx({i},{j})", ok, "x_i x_j relation"))
-            checks.append(Check(f"yy({i},{j})", zero(_skew(y(i), y(j), gij)), "y_i y_j relation"))
+            checks.append(check(f"xx({i},{j})", ok, "x_i x_j relation"))
+            checks.append(check(f"yy({i},{j})", zero(_skew(y(i), y(j), gij)), "y_i y_j relation"))
             ok = zero(_skew(x(i), y(j), p[j - 1] * gij.inverse()))
-            checks.append(Check(f"xy({i},{j})", ok, "x_i y_j, i < j"))
+            checks.append(check(f"xy({i},{j})", ok, "x_i y_j, i < j"))
             ok = zero(_skew(x(j), y(i), q[i - 1] * gji.inverse()))
-            checks.append(Check(f"xy({j},{i})", ok, "x_i y_j, i > j"))
+            checks.append(check(f"xy({j},{i})", ok, "x_i y_j, i > j"))
     for i in range(1, n + 1):
         zprev = products.casimir(i - 1) if i > 1 else None
         checks.append(
-            Check(f"weyl({i})", zero(_skew(x(i), y(i), q[i - 1]), zprev),
+            check(f"weyl({i})", zero(_skew(x(i), y(i), q[i - 1]), zprev),
                   "x_i y_i - q_i y_i x_i = z_{i-1}")
         )
     return checks
 
 
-def verify_normality(spec: AlgebraSpec, i: int) -> list[Check]:
+def verify_normality(spec: AlgebraSpec, i: int) -> list[dict]:
     """Check the commutation laws of z_i and the simpler Casimir formula.
 
     Products and Casimir elements come from the memo cached on the spec, so
@@ -557,20 +556,20 @@ def verify_normality(spec: AlgebraSpec, i: int) -> list[Check]:
         yj = {unit[spec.y_index(j)]: None}
         lam = p[j - 1] if i < j else q[j - 1]
         y_ok = zero(_skew(z, yj, lam))
-        checks.append(Check(f"z{i}*y{j}", y_ok, "z_i y_j = (p_j or q_j) y_j z_i"))
+        checks.append(check(f"z{i}*y{j}", y_ok, "z_i y_j = (p_j or q_j) y_j z_i"))
         xj = {unit[spec.x_index(j)]: None}
         x_ok = zero(_skew(z, xj, lam.inverse()))
-        checks.append(Check(f"z{i}*x{j}", x_ok, "z_i x_j = (p_j or q_j)^-1 x_j z_i"))
+        checks.append(check(f"z{i}*x{j}", x_ok, "z_i x_j = (p_j or q_j)^-1 x_j z_i"))
         laws_hold = laws_hold and y_ok and x_ok
-        checks.append(Check(f"z{i}*z{j}", i == j or laws_hold, "Casimir elements commute"))
+        checks.append(check(f"z{i}*z{j}", i == j or laws_hold, "Casimir elements commute"))
     xi = {unit[spec.x_index(i)]: None}
     yi = {unit[spec.y_index(i)]: None}
-    checks.append(Check(f"casimir-p({i})", zero(_skew(xi, yi, p[i - 1]), z),
+    checks.append(check(f"casimir-p({i})", zero(_skew(xi, yi, p[i - 1]), z),
                         "x_i y_i - p_i y_i x_i = z_i"))
     return checks
 
 
-def verify_ambiskew(spec: AlgebraSpec, m: int) -> list[Check]:
+def verify_ambiskew(spec: AlgebraSpec, m: int) -> list[dict]:
     """Engine checks of the extension-step data at step m.
 
     u = z_m / c with c = p_{m+1} - q_{m+1} is not in the coefficient ring, so
@@ -593,7 +592,7 @@ def verify_ambiskew(spec: AlgebraSpec, m: int) -> list[Check]:
     twist = {unit[y] + unit[x]: step.alpha[y] * step.alpha[x]
              for y, x in ((spec.y_index(l), spec.x_index(l)) for l in range(1, m + 1))}
     az = {mz: _mul(c, twist[mz]) for mz, c in z.items()}
-    checks = [Check(f"ambiskew-alpha-u({m})", zero([(p[m], z, _ONE)], az),
+    checks = [check(f"ambiskew-alpha-u({m})", zero([(p[m], z, _ONE)], az),
                     "alpha(u) = p_{m+1} u")]
     # u - rho*alpha(u) matches the engine commutator y x - rho*x y of the
     # new pair
@@ -601,10 +600,10 @@ def verify_ambiskew(spec: AlgebraSpec, m: int) -> list[Check]:
     yx = {y_new + x_new: None}
     comm = [(step.c, yx, _ONE), (-step.rho * step.c, {x_new: None}, {y_new: None})]
     ok = zero(comm + [(step.rho, az, _ONE)], z)
-    checks.append(Check(f"ambiskew-delta({m})", ok, "u - rho*alpha(u) = -q_{m+1}^{-1} z_m"))
+    checks.append(check(f"ambiskew-delta({m})", ok, "u - rho*alpha(u) = -q_{m+1}^{-1} z_m"))
     # the next Casimir element; q_{m+1} - p_{m+1} = -c
     ok = zero([(None, z, _ONE), (-step.c, yx, _ONE)], products.casimir(m + 1))
-    checks.append(Check(f"ambiskew-casimir({m})", ok,
+    checks.append(check(f"ambiskew-casimir({m})", ok,
                         "z_{m+1} = (q_{m+1} - p_{m+1})(y_{m+1} x_{m+1} - u)"))
     # beta = (conjugation by u) * alpha^{-1} matches the closed multipliers
     ok = all(
@@ -612,14 +611,14 @@ def verify_ambiskew(spec: AlgebraSpec, m: int) -> list[Check]:
         and step.beta_on_y(i) == gamma[m][i - 1]
         for i in range(1, m + 1)
     )
-    checks.append(Check(f"ambiskew-beta({m})", ok, "beta multipliers match gamma*alpha^-1"))
+    checks.append(check(f"ambiskew-beta({m})", ok, "beta multipliers match gamma*alpha^-1"))
     return checks
 
 
 SKEW_FORMS = ("k1_base", "xk_y", "x_yk")
 
 
-def skew_power_identity(spec: AlgebraSpec, i: int, k: int, form: str) -> Check:
+def skew_power_identity(spec: AlgebraSpec, i: int, k: int, form: str) -> dict:
     """Compare the engine power products against the closed formulas.
 
     x_i y_i^k and x_i^k y_i are read from the pair memo, the same folds that
@@ -645,7 +644,7 @@ def skew_power_identity(spec: AlgebraSpec, i: int, k: int, form: str) -> Check:
     if form == "k1_base":
         ok = (zero([(qk, {k * y + x: None}, _ONE)], pair(x, k * y))
               and zero([(qk, {y + k * x: None}, _ONE)], pair(k * x, y)))
-        return Check(f"skew-base(k={k})", ok, "x1 y1^k and x1^k y1 pure q-powers")
+        return check(f"skew-base(k={k})", ok, "x1 y1^k and x1^k y1 pure q-powers")
 
     qi, pi = spec.q[i - 1], spec.p[i - 1]
     # (q^k - p^k)/(q - p) as the geometric sum, which stays in the ring
@@ -659,7 +658,7 @@ def skew_power_identity(spec: AlgebraSpec, i: int, k: int, form: str) -> Check:
         terms = [(qk, {k * y + x: None}, _ONE), (coeff, {(k - 1) * y: None}, zprev)]
         ok = zero(terms, pair(x, k * y))
         name = f"skew-x_yk(i={i},k={k})"
-    return Check(name, ok, "power formula with (q^k-p^k)/(q-p) coefficient")
+    return check(name, ok, "power formula with (q^k-p^k)/(q-p) coefficient")
 
 
 # -- growth of the degree filtration -----------------------------------------
@@ -683,9 +682,9 @@ def growth_count(spec: AlgebraSpec, N: int) -> GrowthReport:
     ValueError for N < 1 and BudgetError past N = GROWTH_MAX_N, which bounds
     the length of the answer.
 
-    The fitted exponent is the discrete log-derivative
-    m*(c_m - c_{m-1})/c_{m-1} averaged over the top window, which recovers
-    the polynomial degree of binomial-type counts exactly.
+    The exponent is the discrete log-derivative m*(c_m - c_{m-1})/c_{m-1}
+    averaged over the top window.  With c_m = binom(m + 2n, 2n) the ratio
+    c_m/c_{m-1} is (m + 2n)/m, so every term, and the average, is 2n.
     """
     if N < 1:
         raise ValueError("N must be positive")
@@ -693,12 +692,7 @@ def growth_count(spec: AlgebraSpec, N: int) -> GrowthReport:
         raise BudgetError(f"growth to N={N} over the limit of {GROWTH_MAX_N}")
     size = 2 * spec.n
     counts = [math.comb(m + size, size) for m in range(N + 1)]
-    lo = max(1, N - 2)
-    estimates = [
-        Fraction(m * (counts[m] - counts[m - 1]), counts[m - 1]) for m in range(lo, N + 1)
-    ]
-    exponent = float(sum(estimates) / len(estimates))
-    return GrowthReport(counts=counts, exponent=exponent, window=(lo, N))
+    return GrowthReport(counts=counts, exponent=float(size), window=(max(1, N - 2), N))
 
 
 # -- canonical text rendering -------------------------------------------------

@@ -1,27 +1,17 @@
-"""Shared pass/fail check records used by the verification suites."""
+"""The check record shared by the verifiers and the report.
+
+A check is the dict {"name", "status", "detail"} that the report's JSON
+holds; the verifiers build it, and the CLI only sorts it by name.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
-
-@dataclass
-class Check:
-    """One named check; ok is None when it was skipped."""
-
-    name: str
-    ok: bool | None
-    detail: str = ""
-
-    @property
-    def status(self) -> str:
-        if self.ok is None:
-            return "skipped"
-        return "pass" if self.ok else "fail"
-
-    def to_json(self) -> dict:
-        return {"name": self.name, "status": self.status, "detail": self.detail}
+def check(name: str, ok: bool | None, detail: str = "") -> dict:
+    """One named check; ok is None when it was skipped, else judged by truth."""
+    status = "skipped" if ok is None else "pass" if ok else "fail"
+    return {"name": name, "status": status, "detail": detail}
 
 
 def all_ok(checks) -> bool:
-    return all(c.ok for c in checks)
+    return all(c["status"] == "pass" for c in checks)

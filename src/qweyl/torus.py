@@ -44,7 +44,7 @@ import operator
 from collections.abc import Iterator
 
 from .presentation import AlgebraSpec
-from .reporting import Check
+from .reporting import check
 
 IntVector = tuple[int, ...]
 
@@ -191,13 +191,14 @@ def torus_generator_labels(spec: AlgebraSpec, choice=None) -> list[str]:
     ]
 
 
-def check_torus_isomorphism(spec: AlgebraSpec, choice) -> list[Check]:
+def check_torus_isomorphism(spec: AlgebraSpec, choice) -> list[dict]:
     """Verify the standard-torus relations under z_i -> z_i, y_i -> y_i or z_i x_i^{-1}.
 
     Every theta-image is a coefficient-1 monomial X^u of the localized torus,
     so the relation X_a X_b = lambda_ab X_b X_a of the standard torus holds
     for the images exactly when the localized pairing of their exponent
-    vectors equals the standard entry (a, b).
+    vectors equals the standard entry (a, b).  Returns one report check
+    record (reporting.check) per pair a < b, named theta[choice](a,b).
     """
     ch = validate_choice(spec, choice)
     n = spec.n
@@ -220,7 +221,7 @@ def check_torus_isomorphism(spec: AlgebraSpec, choice) -> list[Check]:
     for a in range(2 * n):
         for b in range(a + 1, 2 * n):
             checks.append(
-                Check(
+                check(
                     f"theta[{tag}]({labels[a]},{labels[b]})",
                     loc.pair(images[a], images[b]) == std.entries[a][b],
                     _THETA_DETAIL,
@@ -241,14 +242,14 @@ def _theta_image(n: int, ch, a: int) -> list[tuple[int, int]]:
     return [(a, 1)]
 
 
-def theta_sweep(spec: AlgebraSpec) -> Iterator[list[Check]]:
+def theta_sweep(spec: AlgebraSpec) -> Iterator[list[dict]]:
     """check_torus_isomorphism(spec, _choice(n, bits)) for bits = 0 .. 2^n - 1.
 
-    Yields one list per choice, equal to what check_torus_isomorphism
-    returns, but builds no localized torus: each verdict is computed once
-    per assignment of the indices its check reads (see the module
-    docstring) and is looked up by bits & mask, mask holding the bits of
-    those indices.
+    Yields one list of check records per choice, equal to what
+    check_torus_isomorphism returns, but builds no localized torus: each
+    verdict is computed once per assignment of the indices its check reads
+    (see the module docstring) and is looked up by bits & mask, mask holding
+    the bits of those indices.
     """
     n = spec.n
     k = spec.lattice.k
@@ -289,5 +290,5 @@ def theta_sweep(spec: AlgebraSpec) -> Iterator[list[Check]]:
             pairs.append((f"({labels[a]},{labels[b]})", mask, verdicts))
     for bits in range(2**n):
         prefix = f"theta[{''.join(_choice(n, bits))}]"
-        yield [Check(prefix + pair, verdicts[bits & mask], _THETA_DETAIL)
+        yield [check(prefix + pair, verdicts[bits & mask], _THETA_DETAIL)
                for pair, mask, verdicts in pairs]

@@ -12,7 +12,7 @@ from qweyl import cli, pbw, presentation, torus
 from qweyl.cli import main, run
 from qweyl.pbw import verify_ambiskew
 from qweyl.presentation import KINDS, build_spec, casimir, rule_table, spec_from_config
-from qweyl.reporting import all_ok
+from qweyl.reporting import all_ok, check
 
 
 def _write(tmp_path, payload, name="cfg.json"):
@@ -98,7 +98,8 @@ def test_ambiskew_checks_fail_on_corrupted_step(monkeypatch, field, failing):
     monkeypatch.setattr(pbw, "ambiskew_step", corrupted)
     for m in (1, 2):
         checks = verify_ambiskew(spec, m)
-        assert {c.name for c in checks if not c.ok} == {f"{name}({m})" for name in failing}
+        failed = {c["name"] for c in checks if c["status"] != "pass"}
+        assert failed == {f"{name}({m})" for name in failing}
 
 
 def test_report_budget_cuts_the_torus_loop():
@@ -199,6 +200,13 @@ def test_main_exit_codes(tmp_path, capsys):
     for command in ("dim", "bound", "report"):
         assert main(["--config", ok_cfg, "--command", command, "--height", "0"]) == 2
         assert "--height" in capsys.readouterr().err
+
+    # commands that take no arguments refuse stray ones: --args 5 meant as
+    # --height 5 must not run at height 3
+    for command in ("verify", "dim", "bound", "report"):
+        assert main(["--config", ok_cfg, "--command", command, "--args", "5"]) == 2
+        err = capsys.readouterr().err
+        assert "usage error" in err and f"{command} takes no arguments" in err
 
 
 def test_main_rejects_unknown_command(tmp_path, capsys):
@@ -354,6 +362,43 @@ def _fresh_memo_checks(spec):
     return checks
 
 
+def test_run_sorts_the_verifiers_own_records(monkeypatch):
+    # verify's checks are the records the library verifiers return, sorted by
+    # name and otherwise untouched; pass, fail and skipped map as reporting.check
+    assert [check("c", ok)["status"] for ok in (True, 1, False, 0, None)] == [
+        "pass", "pass", "fail", "fail", "skipped"]
+    assert check("c", True) == {"name": "c", "status": "pass", "detail": ""}
+    cfg = {"n": 3, "kind": "generic"}
+    rep = run(cfg, "verify")
+    own = _fresh_memo_checks(build_spec(3, "generic"))
+    assert rep.checks == sorted(own, key=lambda c: c["name"])
+    assert {"name": "xx(1,2)", "status": "pass", "detail": "x_i x_j relation"} in rep.checks
+
+    original = pbw.ambiskew_step
+
+    def corrupted(spec, m):
+        step = original(spec, m)
+        g12 = spec.lattice.symbol("g12")
+        return dataclasses.replace(step, beta=(step.beta[0] * g12,) + step.beta[1:])
+
+    monkeypatch.setattr(pbw, "ambiskew_step", corrupted)
+    rep = run(cfg, "verify")
+    assert not rep.ok
+    assert [c for c in rep.checks if c["status"] == "fail"] == [
+        {"name": f"ambiskew-beta({m})", "status": "fail",
+         "detail": "beta multipliers match gamma*alpha^-1"} for m in (1, 2)]
+    monkeypatch.undo()
+
+    rep = run(cfg, "verify", budget=0)
+    assert rep.ok
+    assert [c for c in rep.checks if c["status"] == "skipped"] == [
+        {"name": "normality", "status": "skipped",
+         "detail": "budget exhausted after 0 of 3 indices"},
+        {"name": "torus-isomorphism", "status": "skipped",
+         "detail": "budget exhausted after 0 of 8 choices"},
+    ]
+
+
 def test_verify_shares_one_memo_and_one_standard_torus(monkeypatch):
     memos, loc_builds = [], []
     original_products = pbw._Products
@@ -438,9 +483,9 @@ def test_shared_memo_fails_where_fresh_memos_fail():
     table[key] = [(c * spec.lattice.symbol("g12"), word)]
     spec._rule_table = table
     shared, _ = cli._cmd_verify(spec, [], 3, _never)
-    failed = {c.name for c in shared if not c.ok}
+    failed = {c["name"] for c in shared if c["status"] != "pass"}
     assert "xx(1,3)" in failed
-    assert failed == {c.name for c in _fresh_memo_checks(spec) if not c.ok}
+    assert failed == {c["name"] for c in _fresh_memo_checks(spec) if c["status"] != "pass"}
 
 
 def test_verify_folds_each_monomial_pair_once_and_sums_no_casimir_commutator(monkeypatch):
@@ -481,7 +526,7 @@ def test_verify_folds_each_monomial_pair_once_and_sums_no_casimir_commutator(mon
     new_pairs = [(unit[spec.x_index(m + 1)], unit[spec.y_index(m + 1)]) for m in range(1, n)]
     for m, key in enumerate(new_pairs, 1):
         spec._products = Counted(spec)
-        assert all(c.ok for c in verify_ambiskew(spec, m))
+        assert all_ok(verify_ambiskew(spec, m))
         assert calls == misses == [key]
         for log in (calls, misses, memos):
             log.clear()

@@ -393,6 +393,28 @@ def test_report_serialization():
     assert fake.d is None and not fake.is_point
 
 
+def test_dim_verifies_its_witness_once(monkeypatch):
+    # torus_dimension returns only witnesses verify_witness accepted, so the
+    # dimension-witness check takes that verdict and verifies nothing again
+    calls = []
+    real = dim.verify_witness
+    monkeypatch.setattr(dim, "verify_witness", lambda E, w: calls.append(w) or real(E, w))
+    for kind, method in (("symplectic", "exact-single-parameter"), ("generic", "search")):
+        calls.clear()
+        rep = cli.run({"n": 3, "kind": kind}, "dim")
+        assert rep.ok and rep.values["method"] == method
+        assert [w.to_json() for w in calls] == [rep.values["witness"]]
+
+
+def test_torus_dimension_raises_on_a_rejected_witness(monkeypatch):
+    # the reduction path and the search path both refuse a witness that
+    # verify_witness rejects
+    monkeypatch.setattr(dim, "verify_witness", lambda E, w: False)
+    for kind in ("symplectic", "generic"):
+        with pytest.raises(ArithmeticError, match="invalid witness"):
+            torus_dimension(build_spec(3, kind))
+
+
 # -- differential tests against the straightforward kernels -------------------
 
 def _reduction_oracle(S):
