@@ -65,11 +65,12 @@ class AlgebraSpec:
         self.gamma = tuple(tuple(row) for row in gamma)
         _validate(self)
         # built on first use by rule_table, pbw._packed_rules,
-        # torus.standard_torus and pbw._checks_memo (the product memo of the
-        # identity checks); each entry is fixed by its key, so caching
-        # changes no result
+        # torus._exponents, torus.standard_torus and pbw._checks_memo (the
+        # product memo of the identity checks); each entry is fixed by its
+        # key, so caching changes no result
         self._rule_table: dict | None = None
         self._packed_rules: list | None = None
+        self._exponents = None
         self._standard_torus = None
         self._products = None
 
@@ -100,6 +101,16 @@ class AlgebraSpec:
 
 
 def _validate(spec: AlgebraSpec) -> None:
+    """Refuse a spec whose q, p or gamma are not coefficient-1 monomials, whose
+    gamma is not multiplicatively antisymmetric with unit diagonal, or with
+    some p_i = q_i.
+
+    The errors come in the order of a scan of (q_i, p_i, gamma_ii, gamma_ij
+    for all j, p_i/q_i) over i.  That scan needs only the entries j > i:
+    the pair (i, j), j < i, passed at row j, and gamma_ij is then the inverse
+    of a monomial.  The ratio p_i/q_i of two such monomials is trivial
+    exactly when their packed keys agree.
+    """
     n = spec.n
     if len(spec.q) != n or len(spec.p) != n:
         raise ConfigError("q/p", "need exactly n entries")
@@ -112,15 +123,15 @@ def _validate(spec: AlgebraSpec) -> None:
                 raise ConfigError(f"{fld}[{i}]", "parameter must be a monomial")
         if spec.gamma[i][i] != one:
             raise ConfigError(f"gamma[{i}][{i}]", "diagonal must be 1")
-        for j in range(n):
-            if spec.gamma[i][j].as_monomial() is None:
+        for j in range(i + 1, n):
+            gij = spec.gamma[i][j]
+            if gij.as_monomial() is None:
                 raise ConfigError(f"gamma[{i}][{j}]", "entry must be a monomial")
-            if spec.gamma[i][j] * spec.gamma[j][i] != one:
+            if spec.gamma[j][i] != gij.inverse():
                 raise ConfigError(
                     f"gamma[{i}][{j}]", "matrix must be multiplicatively antisymmetric"
                 )
-        ratio = (spec.p[i] / spec.q[i]).as_monomial()
-        if ratio is None or not any(ratio):
+        if spec.p[i] == spec.q[i]:
             raise ConfigError(
                 f"p[{i}]",
                 "p_i must differ from q_i by a non-torsion monomial",

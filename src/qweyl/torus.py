@@ -18,12 +18,19 @@ y_i or z_i x_i^{-1} is an integer map on exponent vectors, and
 check_torus_isomorphism verifies relation by relation that it carries the
 standard pairing onto the localized one.
 
-Every entry is read straight from the exponent vectors of q, p and gamma:
-z_i past a generator of index j scales by q_j or p_j (inverted for x_j),
-and two generators of different indices swap by the scalar of their
-rewrite rule in qweyl.presentation, a product of q, p and gamma entries.
-The standard torus is built once per spec and cached on it, like the rule
-table; a pairing is immutable, so every caller may share it.
+Exponent vectors are sparse: the nonzero (c, e) pairs, by symbol index c,
+with () for the zero vector.  A spec's parameters use few of its k symbols
+(on the generic kinds k grows as n^2 and each parameter is one symbol), so
+a pairing is stored as its rows of nonzero entries, and the dense m x m
+matrix of length-k tuples, ExponentPairing.entries, is only a view built
+on demand.  Every entry is read straight from the sparse exponent vectors
+of q, p and gamma: z_i past a generator of index j scales by q_j or p_j
+(inverted for x_j), and two generators of different indices swap by the
+scalar of their rewrite rule in qweyl.presentation, a product of q, p and
+gamma entries.  _z_entries and _swap_exponents are the one formula that
+localized_torus and theta_sweep share.  The parameters' exponent vectors
+and the standard torus are built once per spec and cached on it, like the
+rule table; a pairing is immutable, so every caller may share it.
 
 Locality of the theta checks.  The check of a standard pair (a, b) under a
 choice ch compares pair(theta(a), theta(b)) in the localized torus with the
@@ -47,54 +54,108 @@ from .presentation import AlgebraSpec
 from .reporting import check
 
 IntVector = tuple[int, ...]
+# an exponent vector as its nonzero (c, e) pairs, by c; () is the zero vector
+SparseVector = tuple[tuple[int, int], ...]
 
 _THETA_DETAIL = "standard-torus relation preserved in the localized torus"
 
+_exponent = operator.itemgetter(1)  # of a (c, e) pair
 
-def _neg(v: IntVector) -> IntVector:
-    return tuple(map(operator.neg, v))
+
+def _neg(v: SparseVector) -> SparseVector:
+    return tuple((c, -e) for c, e in v)
+
+
+def _combine(terms) -> SparseVector:
+    """The sparse vector sum f*v over the (f, v) of terms."""
+    acc: dict[int, int] = {}
+    for f, v in terms:
+        for c, e in v:
+            acc[c] = acc.get(c, 0) + f * e
+    return tuple(sorted((c, e) for c, e in acc.items() if e))
 
 
 class ExponentPairing:
-    """Alternating m x m matrix of length-k integer exponent vectors."""
+    """Alternating m x m matrix of integer exponent vectors in k parameters.
 
-    __slots__ = ("m", "k", "entries", "_sparse")
+    Stored as rows: row i lists (j, v) for each nonzero entry (i, j), by j,
+    with v the entry's nonzero exponents ((c, e), ...), by c.  `entries`,
+    the dense m x m matrix of length-k tuples, is derived from the rows on
+    first use and kept.  The constructor takes dense entries and checks
+    that they are alternating; the spec tori are built as rows directly.
+    """
+
+    __slots__ = ("m", "k", "_rows", "_entries")
 
     def __init__(self, m: int, k: int, entries):
-        self.m = m
-        self.k = k
-        self.entries = tuple(tuple(tuple(v) for v in row) for row in entries)
-        self._sparse = None
-        if len(self.entries) != m or any(len(row) != m for row in self.entries):
+        dense = tuple(tuple(tuple(v) for v in row) for row in entries)
+        if len(dense) != m or any(len(row) != m for row in dense):
             raise ValueError(f"pairing must be a {m} x {m} matrix")
         zero = (0,) * k
         for i in range(m):
-            if self.entries[i][i] != zero:
+            if dense[i][i] != zero:
                 raise ValueError(f"diagonal entry ({i},{i}) must vanish")
             for j in range(i + 1, m):
-                if len(self.entries[i][j]) != k:
+                if len(dense[i][j]) != k:
                     raise ValueError(f"entry ({i},{j}) has wrong length")
-                if self.entries[j][i] != _neg(self.entries[i][j]):
+                if dense[j][i] != tuple(map(operator.neg, dense[i][j])):
                     raise ValueError(f"entries ({i},{j})/({j},{i}) not alternating")
+        self.m = m
+        self.k = k
+        self._entries = dense
+        # row i: (j, the (c, e) of entry (i, j) with e != 0), for each nonzero entry
+        self._rows = tuple(
+            tuple((j, tuple(filter(_exponent, enumerate(v))))
+                  for j, v in enumerate(row) if any(v))
+            for row in dense
+        )
+
+    @classmethod
+    def _from_rows(cls, m: int, k: int, rows) -> ExponentPairing:
+        """A pairing from rows in the stored form, taken as they are."""
+        E = object.__new__(cls)
+        E.m = m
+        E.k = k
+        E._rows = tuple(map(tuple, rows))
+        E._entries = None
+        return E
+
+    @property
+    def entries(self) -> tuple[tuple[IntVector, ...], ...]:
+        """The dense m x m matrix of length-k exponent tuples."""
+        if self._entries is None:
+            zero = (0,) * self.k
+            dense = []
+            for row in self._rows:
+                out = [zero] * self.m
+                for j, nz in row:
+                    v = [0] * self.k
+                    for c, e in nz:
+                        v[c] = e
+                    out[j] = tuple(v)
+                dense.append(tuple(out))
+            self._entries = tuple(dense)
+        return self._entries
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExponentPairing):
             return NotImplemented
-        return self.k == other.k and self.entries == other.entries
+        return self.k == other.k and self._rows == other._rows
 
     def component(self, c: int) -> list[list[int]]:
-        return [[self.entries[i][j][c] for j in range(self.m)] for i in range(self.m)]
+        c = range(self.k)[c]  # indexes like a dense exponent tuple
+        out = [[0] * self.m for _ in range(self.m)]
+        for i, row in enumerate(self._rows):
+            for j, nz in row:
+                for c2, e in nz:
+                    if c2 == c:
+                        out[i][j] = e
+        return out
 
     def sparse_rows(self) -> tuple:
         """Per row i, the entries (j, ((c, e), ...)) with their nonzero
-        exponents; built on first use and kept, as the pairing never changes."""
-        if self._sparse is None:
-            self._sparse = tuple(
-                tuple((j, nz) for j, v in enumerate(row)
-                      if (nz := tuple((c, e) for c, e in enumerate(v) if e)))
-                for row in self.entries
-            )
-        return self._sparse
+        exponents: the stored form."""
+        return self._rows
 
     def pair(self, u, v) -> IntVector:
         """Pairing of two integer vectors; zero vector means they commute."""
@@ -102,20 +163,19 @@ class ExponentPairing:
         for i, ui in enumerate(u):
             if not ui:
                 continue
-            row = self.entries[i]
-            for j, vj in enumerate(v):
+            for j, nz in self._rows[i]:
+                vj = v[j]
                 if not vj:
                     continue
                 f = ui * vj
-                e = row[j]
-                for c in range(self.k):
-                    out[c] += f * e[c]
+                for c, e in nz:
+                    out[c] += f * e
         return tuple(out)
 
 
 # -- tori attached to an algebra spec ----------------------------------------
 
-def _swap_exponents(q, p, gamma, ch, i: int, j: int) -> IntVector:
+def _swap_exponents(q, p, gamma, ch, i: int, j: int) -> SparseVector:
     """Exponents of lam with V_i V_j = lam V_j V_i for 0-based indices i > j.
 
     V_i is x_i or y_i as ch says; lam is the scalar of the rewrite rule of
@@ -123,15 +183,15 @@ def _swap_exponents(q, p, gamma, ch, i: int, j: int) -> IntVector:
     and x_i x_j -> q_j^-1 p_i g_ij.
     """
     if ch[i] == "y":
-        factors = (gamma[i][j],) if ch[j] == "y" else (_neg(p[i]), gamma[j][i])
-    elif ch[j] == "y":
-        factors = (q[j], _neg(gamma[i][j]))
-    else:
-        factors = (_neg(q[j]), p[i], gamma[i][j])
-    return tuple(map(sum, zip(*factors)))
+        if ch[j] == "y":
+            return gamma[i][j]
+        return _combine(((-1, p[i]), (1, gamma[j][i])))
+    if ch[j] == "y":
+        return _combine(((1, q[j]), (-1, gamma[i][j])))
+    return _combine(((-1, q[j]), (1, p[i]), (1, gamma[i][j])))
 
 
-def _z_entries(q, p, ch, j: int) -> tuple[IntVector, IntVector]:
+def _z_entries(q, p, ch, j: int) -> tuple[SparseVector, SparseVector]:
     """Exponents of lam with z_i V_j = lam V_j z_i, for i < j and for i >= j.
 
     Indices are 0-based.  z_i past y_j scales by p_j when i < j and by q_j
@@ -143,11 +203,15 @@ def _z_entries(q, p, ch, j: int) -> tuple[IntVector, IntVector]:
 
 
 def _exponents(spec: AlgebraSpec):
-    """Exponent vectors of q, p and gamma."""
-    q = [s.as_monomial() for s in spec.q]
-    p = [s.as_monomial() for s in spec.p]
-    gamma = [[s.as_monomial() for s in row] for row in spec.gamma]
-    return q, p, gamma
+    """Sparse exponent vectors of q, p and gamma.  Cached on the spec, so each
+    parameter is read once."""
+    if spec._exponents is None:
+        spec._exponents = (
+            tuple(s.as_sparse_monomial() for s in spec.q),
+            tuple(s.as_sparse_monomial() for s in spec.p),
+            tuple(tuple(s.as_sparse_monomial() for s in row) for row in spec.gamma),
+        )
+    return spec._exponents
 
 
 def validate_choice(spec: AlgebraSpec, choice) -> tuple[str, ...]:
@@ -165,23 +229,31 @@ def standard_torus(spec: AlgebraSpec) -> ExponentPairing:
 
 
 def localized_torus(spec: AlgebraSpec, choice) -> ExponentPairing:
-    """Rank-2n pairing on z_1..z_n, v_1..v_n with v_i = x_i or y_i."""
+    """Rank-2n pairing on z_1..z_n, v_1..v_n with v_i = x_i or y_i.
+
+    Each entry (a, b), a < b, is computed once and stored with its negative
+    at (b, a), so the pairing is alternating by construction.  The pairs are
+    visited in order of (a, b), which appends every row's entries by column.
+    """
     ch = validate_choice(spec, choice)
     n = spec.n
-    zero = (0,) * spec.lattice.k
     q, p, gamma = _exponents(spec)
-    entries = [[zero] * (2 * n) for _ in range(2 * n)]
-    for j in range(n):
-        lams = _z_entries(q, p, ch, j)
-        negs = tuple(map(_neg, lams))
-        for i in range(n):
-            entries[i][n + j] = lams[i >= j]
-            entries[n + j][i] = negs[i >= j]
-            if i > j:
-                lam = _swap_exponents(q, p, gamma, ch, i, j)
-                entries[n + i][n + j] = lam
-                entries[n + j][n + i] = _neg(lam)
-    return ExponentPairing(2 * n, spec.lattice.k, entries)
+    rows: list[list] = [[] for _ in range(2 * n)]
+    lams = [_z_entries(q, p, ch, j) for j in range(n)]
+    negs = [tuple(map(_neg, lam)) for lam in lams]
+    for i in range(n):  # (z_i, v_j); (z_i, z_j) vanishes
+        for j in range(n):
+            lam = lams[j][i >= j]
+            if lam:
+                rows[i].append((n + j, lam))
+                rows[n + j].append((i, negs[j][i >= j]))
+    for j in range(n):  # (v_j, v_i) for i > j
+        for i in range(j + 1, n):
+            lam = _swap_exponents(q, p, gamma, ch, i, j)
+            if lam:
+                rows[n + j].append((n + i, _neg(lam)))
+                rows[n + i].append((n + j, lam))
+    return ExponentPairing._from_rows(2 * n, spec.lattice.k, rows)
 
 
 def torus_generator_labels(spec: AlgebraSpec, choice=None) -> list[str]:
@@ -252,28 +324,30 @@ def theta_sweep(spec: AlgebraSpec) -> Iterator[list[dict]]:
     the bits of those indices.
     """
     n = spec.n
-    k = spec.lattice.k
-    std = standard_torus(spec).entries
+    std = [{j: dict(nz) for j, nz in row} for row in standard_torus(spec).sparse_rows()]
     q, p, gamma = _exponents(spec)
-    zero = (0,) * k
 
-    def entry(ch, s: int, t: int) -> IntVector:
-        # entry (s, t) of localized_torus(spec, ch), reading ch at s and t only
+    def entry(ch, s: int, t: int) -> tuple[int, SparseVector]:
+        # (f, v) with entry (s, t) of localized_torus(spec, ch) equal to f*v,
+        # reading ch at s and t only
+        f = 1
         if s > t:
-            return _neg(entry(ch, t, s))
+            s, t, f = t, s, -1
         if t < n:
-            return zero
+            return f, ()
         if s < n:
-            return _z_entries(q, p, ch, t - n)[s >= t - n]
-        return _neg(_swap_exponents(q, p, gamma, ch, t - n, s - n))
+            return f, _z_entries(q, p, ch, t - n)[s >= t - n]
+        return -f, _swap_exponents(q, p, gamma, ch, t - n, s - n)
 
     def holds(ch, a: int, b: int) -> bool:
-        out = [0] * k
+        acc: dict[int, int] = {}
         for s, es in _theta_image(n, ch, a):
             for t, et in _theta_image(n, ch, b):
-                for c, e in enumerate(entry(ch, s, t)):
-                    out[c] += es * et * e
-        return tuple(out) == std[a][b]
+                f, v = entry(ch, s, t)
+                f *= es * et
+                for c, e in v:
+                    acc[c] = acc.get(c, 0) + f * e
+        return {c: e for c, e in acc.items() if e} == std[a].get(b, {})
 
     labels = torus_generator_labels(spec)
     pairs = []

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from qweyl.pbw import PBWElement, multiply, normal_form, word_monomial
 from qweyl.presentation import (
+    AlgebraSpec,
     ConfigError,
     ambiskew_step,
     build_spec,
@@ -16,6 +17,7 @@ from qweyl.presentation import (
     spec_from_config,
     spec_to_config,
 )
+from qweyl.scalars import MAX_EXPONENT, ParameterLattice
 
 
 def test_symplectic_preset_values():
@@ -250,6 +252,93 @@ def test_custom_spec_and_validation():
     bad = dict(custom, gamma=[["r", "r^-1"], ["r", "1"]])  # diagonal != 1
     with pytest.raises(ConfigError):
         build_spec(2, "custom", custom=bad)
+
+
+_AB = ParameterLattice(["a", "b"])
+
+
+def _refusal(q, p, gamma, n=3):
+    """(field, message, str) of the ConfigError of AlgebraSpec(n, ...)."""
+    with pytest.raises(ConfigError) as err:
+        AlgebraSpec(n, "custom", _AB, q, p, gamma)
+    return err.value.field, err.value.message, str(err.value)
+
+
+def _valid_parameters():
+    one, a, b = _AB.one(), _AB.symbol("a"), _AB.symbol("b")
+    gamma = [[one] * 3 for _ in range(3)]
+    for (i, j), g in {(0, 1): a, (0, 2): b, (1, 2): a * b}.items():
+        gamma[i][j], gamma[j][i] = g, g.inverse()
+    return [a, a, b], [b, one, a], gamma
+
+
+def _with(rows, *cells):
+    """A copy of the gamma rows with each (i, j, value) of cells written in."""
+    rows = [list(row) for row in rows]
+    for i, j, value in cells:
+        rows[i][j] = value
+    return rows
+
+
+def test_validation_refusals_are_pinned():
+    # each refusal of presentation._validate, constructed directly, with the
+    # exact field and message; where several entries are wrong, the first one
+    # in the scan over i of (q_i, p_i, gamma_ii, gamma_ij for every j, p_i/q_i)
+    one, a, b = _AB.one(), _AB.symbol("a"), _AB.symbol("b")
+    q, p, g = _valid_parameters()
+    AlgebraSpec(3, "custom", _AB, q, p, g)
+    mono = "parameter must be a monomial"
+    entry = "entry must be a monomial"
+    anti = "matrix must be multiplicatively antisymmetric"
+    diagonal = "diagonal must be 1"
+    torsion = "p_i must differ from q_i by a non-torsion monomial"
+    cases = [
+        ((q[:2], p, g), ("q/p", "need exactly n entries")),
+        ((q, p + [a], g), ("q/p", "need exactly n entries")),
+        ((q, p, g[:2]), ("gamma", "need a full n x n matrix")),
+        ((q, p, [g[0], g[1][:2], g[2]]), ("gamma", "need a full n x n matrix")),
+        (([a, a + b, b], p, g), ("q[1]", mono)),
+        (([a + a, a, b], p, g), ("q[0]", mono)),
+        (([a, a, -b], p, g), ("q[2]", mono)),
+        ((q, [_AB.zero(), one, a], g), ("p[0]", mono)),
+        ((q, [b, one + one, a], g), ("p[1]", mono)),
+        ((q, p, _with(g, (1, 1, a))), ("gamma[1][1]", diagonal)),
+        ((q, p, _with(g, (0, 0, a + one))), ("gamma[0][0]", diagonal)),
+        ((q, p, _with(g, (0, 2, a + b))), ("gamma[0][2]", entry)),
+        ((q, p, _with(g, (1, 2, -(a * b)))), ("gamma[1][2]", entry)),
+        ((q, p, _with(g, (2, 1, a * b))), ("gamma[1][2]", anti)),
+        ((q, p, _with(g, (2, 0, b.inverse() + a))), ("gamma[0][2]", anti)),
+        ((q, p, _with(g, (2, 1, a + b))), ("gamma[1][2]", anti)),
+        ((q, p, _with(g, (1, 0, -a.inverse()))), ("gamma[0][1]", anti)),
+        ((q, p, _with(g, (2, 1, _AB.zero()))), ("gamma[1][2]", anti)),
+        ((q, [b, a, a], g), ("p[1]", torsion)),
+        ((q, [b, one, b], g), ("p[2]", torsion)),
+        # the first fault of the scan wins
+        (([a, a + b, b], p, _with(g, (0, 2, a + b))), ("gamma[0][2]", entry)),
+        ((q, [a, one, a], _with(g, (0, 1, a + b))), ("gamma[0][1]", entry)),
+        ((q, [a, one, a], _with(g, (2, 0, a + b))), ("gamma[0][2]", anti)),
+        ((q, p, _with(g, (1, 0, a + b), (0, 2, a + b))), ("gamma[0][1]", anti)),
+        ((q, [a, one, a], _with(g, (1, 1, a))), ("p[0]", torsion)),
+    ]
+    for (qs, ps, gamma), (field, message) in cases:
+        assert _refusal(qs, ps, gamma) == (field, message, f"{field}: {message}")
+
+
+def test_validation_takes_no_product_of_parameters():
+    # an antisymmetry or p_i != q_i test by product would leave the exponent
+    # field of wide parameters (ExponentOverflowError); the comparisons do not
+    big = _AB.monomial({"a": MAX_EXPONENT})
+    one = _AB.one()
+    assert _refusal([big], [big], [[one]], n=1) == (
+        "p[0]", "p_i must differ from q_i by a non-torsion monomial",
+        "p[0]: p_i must differ from q_i by a non-torsion monomial",
+    )
+    AlgebraSpec(1, "custom", _AB, [big.inverse()], [big], [[one]])
+    assert _refusal([one, one], [big, big.inverse()], [[one, big], [big, one]], n=2)[:2] == (
+        "gamma[0][1]", "matrix must be multiplicatively antisymmetric"
+    )
+    AlgebraSpec(2, "custom", _AB, [one, one], [big, big.inverse()],
+                [[one, big], [big.inverse(), one]])
 
 
 def test_custom_fields_must_be_lists():

@@ -121,6 +121,12 @@ def test_as_monomial():
     assert (Q + Q).as_monomial() is None
     assert (-Q).as_monomial() is None
     assert ((Q + Q) - Q).as_monomial() == (1, 0)
+    # the nonzero exponents only, by symbol index
+    assert m.as_sparse_monomial() == ((0, 1), (1, -1))
+    assert QP.one().as_sparse_monomial() == ()
+    assert P.as_sparse_monomial() == ((1, 1),)
+    assert (Q + P).as_sparse_monomial() is None
+    assert (-Q).as_sparse_monomial() is None
 
 
 def test_monomial_product_adds_exponents():
@@ -330,10 +336,13 @@ def test_packed_ring_matches_tuple_oracle(data):
         assert a.inverse().terms == {tuple(-x for x in e): c}
         assert (a * a.inverse()).is_one()
         assert a.as_monomial() == (e if c == 1 else None)
+        sparse = tuple((i, x) for i, x in enumerate(e) if x)
+        assert a.as_sparse_monomial() == (sparse if c == 1 else None)
     else:
         with pytest.raises(ZeroDivisionError):
             a.inverse()
         assert a.as_monomial() is None
+        assert a.as_sparse_monomial() is None
 
 
 # -- the overflow guard ------------------------------------------------------------

@@ -310,11 +310,13 @@ def test_sweep_fails_where_the_full_loop_fails_on_a_corrupted_entry(monkeypatch)
     # formula that the sweep and localized_torus share
     spec = build_spec(3, "generic")
     standard_torus(spec)  # cached before the corruption
-    bump = (1,) + (0,) * (spec.lattice.k - 1)
     z_entries, swap = torus._z_entries, torus._swap_exponents
 
     def shifted(v):
-        return tuple(x + y for x, y in zip(v, bump))
+        # v times the first parameter, on the sparse exponent vector
+        acc = dict(v)
+        acc[0] = acc.get(0, 0) + 1
+        return tuple(sorted((c, e) for c, e in acc.items() if e))
 
     cases = []
     for j in range(3):
@@ -341,3 +343,91 @@ def test_sweep_fails_where_the_full_loop_fails_on_a_corrupted_entry(monkeypatch)
             assert failed
             assert failed == _failed(_full_loop(spec))
 
+
+# -- the sparse torus against the dense construction ---------------------------
+
+def _dense_swap_exponents(q, p, gamma, ch, i, j):
+    if ch[i] == "y":
+        factors = (gamma[i][j],) if ch[j] == "y" else (_neg(p[i]), gamma[j][i])
+    elif ch[j] == "y":
+        factors = (q[j], _neg(gamma[i][j]))
+    else:
+        factors = (_neg(q[j]), p[i], gamma[i][j])
+    return tuple(map(sum, zip(*factors)))
+
+
+def _dense_z_entries(q, p, ch, j):
+    if ch[j] == "x":
+        return _neg(p[j]), _neg(q[j])
+    return p[j], q[j]
+
+
+def _dense_localized_torus(spec, choice):
+    """Oracle: the construction with every entry a dense length-k exponent
+    tuple, read from the dense exponent vectors of q, p and gamma."""
+    ch = tuple(choice)
+    n = spec.n
+    zero = (0,) * spec.lattice.k
+    q = [s.as_monomial() for s in spec.q]
+    p = [s.as_monomial() for s in spec.p]
+    gamma = [[s.as_monomial() for s in row] for row in spec.gamma]
+    entries = [[zero] * (2 * n) for _ in range(2 * n)]
+    for j in range(n):
+        lams = _dense_z_entries(q, p, ch, j)
+        negs = tuple(map(_neg, lams))
+        for i in range(n):
+            entries[i][n + j] = lams[i >= j]
+            entries[n + j][i] = negs[i >= j]
+            if i > j:
+                lam = _dense_swap_exponents(q, p, gamma, ch, i, j)
+                entries[n + i][n + j] = lam
+                entries[n + j][n + i] = _neg(lam)
+    return tuple(map(tuple, entries))
+
+
+def _dense_pair(entries, k, u, v):
+    out = [0] * k
+    for i, ui in enumerate(u):
+        for j, vj in enumerate(v):
+            for c in range(k):
+                out[c] += ui * vj * entries[i][j][c]
+    return tuple(out)
+
+
+def _assert_matches_the_dense_torus(spec, rng):
+    n = spec.n
+    if n <= 4:
+        choices = list(itertools.product("xy", repeat=n))
+    else:
+        choices = [("y",) * n, ("x",) * n, tuple("xy"[i % 2] for i in range(n))]
+    for choice in choices:
+        E = localized_torus(spec, choice)
+        sparse_rows = E.sparse_rows()  # the stored rows, before any dense view
+        components = [E.component(c) for c in range(E.k)]
+        vectors = [tuple(rng.randint(-2, 2) for _ in range(E.m)) for _ in range(6)]
+        pairs = [E.pair(u, v) for u, v in zip(vectors, vectors[1:])]
+        dense = _dense_localized_torus(spec, choice)
+        assert (E.m, E.k) == (2 * n, spec.lattice.k)
+        assert sparse_rows == tuple(
+            tuple((j, nz) for j, v in enumerate(row)
+                  if (nz := tuple((c, e) for c, e in enumerate(v) if e)))
+            for row in dense
+        ), (spec, choice)
+        assert E.entries == dense, (spec, choice)
+        assert components == [[[v[c] for v in row] for row in dense] for c in range(E.k)]
+        assert pairs == [_dense_pair(dense, E.k, u, v) for u, v in zip(vectors, vectors[1:])]
+        assert ExponentPairing(E.m, E.k, E.entries) == E
+
+
+@pytest.mark.parametrize("kind", [k for k in KINDS if k != "custom"])
+def test_sparse_torus_matches_the_dense_construction_on_presets(kind):
+    rng = random.Random(17)
+    for n in range(1, 13):
+        _assert_matches_the_dense_torus(build_spec(n, kind), rng)
+
+
+def test_sparse_torus_matches_the_dense_construction_on_custom_specs(custom_config):
+    rng = random.Random(19)
+    for t in range(200):
+        n, k = 1 + t % 5, 1 + t // 5 % 4
+        _assert_matches_the_dense_torus(spec_from_config(custom_config(rng, n, k)), rng)
