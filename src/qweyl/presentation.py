@@ -63,14 +63,15 @@ class AlgebraSpec:
         self.q = tuple(q)
         self.p = tuple(p)
         self.gamma = tuple(tuple(row) for row in gamma)
-        _validate(self)
+        # the sparse exponent vectors of (q, p, gamma), read once by _validate;
+        # the torus pairings are built from them
+        self.exponents = _validate(self)
         # built on first use by rule_table, pbw._packed_rules,
-        # torus._exponents, torus.standard_torus and pbw._checks_memo (the
-        # product memo of the identity checks); each entry is fixed by its
-        # key, so caching changes no result
+        # torus.standard_torus and pbw._checks_memo (the product memo of the
+        # identity checks); each entry is fixed by its key, so caching changes
+        # no result
         self._rule_table: dict | None = None
         self._packed_rules: list | None = None
-        self._exponents = None
         self._standard_torus = None
         self._products = None
 
@@ -100,42 +101,55 @@ class AlgebraSpec:
         return f"AlgebraSpec(n={self.n}, kind={self.kind!r})"
 
 
-def _validate(spec: AlgebraSpec) -> None:
-    """Refuse a spec whose q, p or gamma are not coefficient-1 monomials, whose
-    gamma is not multiplicatively antisymmetric with unit diagonal, or with
-    some p_i = q_i.
+def _validate(spec: AlgebraSpec):
+    """The sparse exponent vectors (q, p, gamma) of the spec's parameters,
+    each a tuple of nonzero (symbol index, exponent) pairs as
+    Scalar.as_sparse_monomial gives them.
 
-    The errors come in the order of a scan of (q_i, p_i, gamma_ii, gamma_ij
-    for all j, p_i/q_i) over i.  That scan needs only the entries j > i:
-    the pair (i, j), j < i, passed at row j, and gamma_ij is then the inverse
-    of a monomial.  The ratio p_i/q_i of two such monomials is trivial
-    exactly when their packed keys agree.
+    Refuses a spec with a parameter outside its lattice, whose q, p or gamma
+    are not coefficient-1 monomials, whose gamma is not multiplicatively
+    antisymmetric with unit diagonal, or with some p_i = q_i.  The lattice
+    is checked first, over q, p and gamma row by row.  The other errors come
+    in the order of a scan of (q_i, p_i, gamma_ii, then gamma_ij and gamma_ji
+    for each j > i, p_i/q_i) over i.  Each parameter is read once, and the
+    scan compares sparse vectors only: gamma_ii must be (), gamma_ji the
+    negation of gamma_ij, and p_i/q_i is trivial exactly when p_i and q_i
+    have the same vector.
     """
     n = spec.n
     if len(spec.q) != n or len(spec.p) != n:
         raise ConfigError("q/p", "need exactly n entries")
     if len(spec.gamma) != n or any(len(row) != n for row in spec.gamma):
         raise ConfigError("gamma", "need a full n x n matrix")
-    one = spec.lattice.one()
+    lattice = spec.lattice
+    rows = [(f"gamma[{i}]", row) for i, row in enumerate(spec.gamma)]
+    for fld, row in [("q", spec.q), ("p", spec.p)] + rows:
+        for j, s in enumerate(row):
+            if s.lattice is not lattice and s.lattice != lattice:
+                raise ConfigError(f"{fld}[{j}]", "parameter must lie in the spec's lattice")
+    q = tuple(s.as_sparse_monomial() for s in spec.q)
+    p = tuple(s.as_sparse_monomial() for s in spec.p)
+    gamma = tuple(tuple(s.as_sparse_monomial() for s in row) for row in spec.gamma)
     for i in range(n):
-        for seq, fld in ((spec.q, "q"), (spec.p, "p")):
-            if seq[i].as_monomial() is None:
+        for v, fld in ((q, "q"), (p, "p")):
+            if v[i] is None:
                 raise ConfigError(f"{fld}[{i}]", "parameter must be a monomial")
-        if spec.gamma[i][i] != one:
+        if gamma[i][i] != ():
             raise ConfigError(f"gamma[{i}][{i}]", "diagonal must be 1")
         for j in range(i + 1, n):
-            gij = spec.gamma[i][j]
-            if gij.as_monomial() is None:
+            gij = gamma[i][j]
+            if gij is None:
                 raise ConfigError(f"gamma[{i}][{j}]", "entry must be a monomial")
-            if spec.gamma[j][i] != gij.inverse():
+            if gamma[j][i] != tuple((c, -e) for c, e in gij):
                 raise ConfigError(
                     f"gamma[{i}][{j}]", "matrix must be multiplicatively antisymmetric"
                 )
-        if spec.p[i] == spec.q[i]:
+        if p[i] == q[i]:
             raise ConfigError(
                 f"p[{i}]",
                 "p_i must differ from q_i by a non-torsion monomial",
             )
+    return q, p, gamma
 
 
 def build_spec(n: int, kind: str, custom: Mapping | None = None) -> AlgebraSpec:

@@ -33,13 +33,13 @@ field then holds a value in [1, 2^32); any other product is recomputed
 on exponent tuples, and an exponent that really leaves the range raises
 ExponentOverflowError, an ArithmeticError.
 
-Tuples stay at the boundaries: the Scalar constructor, `monomial` and
-`from_exponents` pack them (and check their length and range), while
-`.terms`, `as_monomial`, `substitute` and rendering unpack.
-`as_sparse_monomial` reads only the nonzero fields of a key, so its cost
-follows the number of symbols a monomial uses, not k.  The lattice
-keeps the tuples `as_monomial` hands out, since the spec's parameters are
-read again and again.  Results made inside the class skip the constructor.
+Tuples stay at the boundaries: the Scalar constructor packs them (and
+checks their length and range), while `.terms`, `as_monomial`,
+`substitute` and rendering unpack.  `monomial` packs its key straight from
+the powers it is given, one shifted field per symbol named, and
+`as_sparse_monomial` reads only the nonzero fields of a key, so the cost
+of both follows the number of symbols a monomial uses, not k.  Results
+made inside the class skip the constructor.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ def _layout(k: int) -> tuple[struct.Struct, int]:
 class ParameterLattice:
     """Ordered set of parameter symbols; fixes the packed exponent layout."""
 
-    __slots__ = ("symbols", "index", "bias", "_fields", "_monomials", "_powers")
+    __slots__ = ("symbols", "index", "bias", "_fields", "_powers")
 
     def __init__(self, symbols: Iterable[str]):
         syms = tuple(symbols)
@@ -90,8 +90,6 @@ class ParameterLattice:
         self.symbols = syms
         self.index = {s: i for i, s in enumerate(syms)}
         self._fields, self.bias = _layout(len(syms))
-        # exponent tuples handed out by Scalar.as_monomial, by packed key
-        self._monomials: dict[int, Exponents] = {}
         self._powers = tuple(_Powers({0: "", 1: s}) for s in syms)
 
     @property
@@ -161,18 +159,17 @@ class ParameterLattice:
         return self.monomial({name: 1})
 
     def monomial(self, powers: Mapping[str, int]) -> "Scalar":
-        """Scalar 1 * prod(symbol**power)."""
-        exps = [0] * self.k
+        """Scalar 1 * prod(symbol**power), packed as bias + sum e*2^(32*(k-1-i))."""
+        key, degree, last = self.bias, 0, self.k - 1
         for name, e in powers.items():
             if name not in self.index:
                 raise KeyError(f"unknown parameter symbol {name!r}")
-            exps[self.index[name]] = e
-        return self.from_exponents(exps)
-
-    def from_exponents(self, exps: Iterable[int]) -> "Scalar":
-        v = tuple(exps)
-        key = self.pack(v)
-        return _scalar(self, {key: 1}, max(map(abs, v), default=0))
+            e = operator.index(e)
+            if abs(e) > MAX_EXPONENT:
+                raise ExponentOverflowError(f"exponent {e} of {name!r} leaves ±{MAX_EXPONENT}")
+            key += e << 32 * (last - self.index[name])
+            degree = max(degree, abs(e))
+        return _scalar(self, {key: 1}, degree)
 
 
 class Scalar:
@@ -300,13 +297,7 @@ class Scalar:
         if len(self.packed) != 1:
             return None
         (e, c), = self.packed.items()
-        if c != 1:
-            return None
-        monomials = self.lattice._monomials
-        exps = monomials.get(e)
-        if exps is None:
-            exps = monomials[e] = self.lattice.unpack(e)
-        return exps
+        return self.lattice.unpack(e) if c == 1 else None
 
     def as_sparse_monomial(self) -> tuple[tuple[int, int], ...] | None:
         """The nonzero (symbol index, exponent) pairs of the exponent vector,

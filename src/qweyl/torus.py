@@ -28,9 +28,11 @@ of q, p and gamma: z_i past a generator of index j scales by q_j or p_j
 (inverted for x_j), and two generators of different indices swap by the
 scalar of their rewrite rule in qweyl.presentation, a product of q, p and
 gamma entries.  _z_entries and _swap_exponents are the one formula that
-localized_torus and theta_sweep share.  The parameters' exponent vectors
-and the standard torus are built once per spec and cached on it, like the
-rule table; a pairing is immutable, so every caller may share it.
+localized_torus and theta_sweep share.  Both take the vectors from
+spec.exponents, which the spec keeps from validating its parameters, so
+the torus neither reads nor caches a parameter itself.  The standard
+torus is built once per spec and cached on it, like the rule table; a
+pairing is immutable, so every caller may share it.
 
 Locality of the theta checks.  The check of a standard pair (a, b) under a
 choice ch compares pair(theta(a), theta(b)) in the localized torus with the
@@ -202,18 +204,6 @@ def _z_entries(q, p, ch, j: int) -> tuple[SparseVector, SparseVector]:
     return p[j], q[j]
 
 
-def _exponents(spec: AlgebraSpec):
-    """Sparse exponent vectors of q, p and gamma.  Cached on the spec, so each
-    parameter is read once."""
-    if spec._exponents is None:
-        spec._exponents = (
-            tuple(s.as_sparse_monomial() for s in spec.q),
-            tuple(s.as_sparse_monomial() for s in spec.p),
-            tuple(tuple(s.as_sparse_monomial() for s in row) for row in spec.gamma),
-        )
-    return spec._exponents
-
-
 def validate_choice(spec: AlgebraSpec, choice) -> tuple[str, ...]:
     ch = tuple(choice)
     if len(ch) != spec.n or any(v not in ("x", "y") for v in ch):
@@ -237,7 +227,7 @@ def localized_torus(spec: AlgebraSpec, choice) -> ExponentPairing:
     """
     ch = validate_choice(spec, choice)
     n = spec.n
-    q, p, gamma = _exponents(spec)
+    q, p, gamma = spec.exponents
     rows: list[list] = [[] for _ in range(2 * n)]
     lams = [_z_entries(q, p, ch, j) for j in range(n)]
     negs = [tuple(map(_neg, lam)) for lam in lams]
@@ -325,7 +315,7 @@ def theta_sweep(spec: AlgebraSpec) -> Iterator[list[dict]]:
     """
     n = spec.n
     std = [{j: dict(nz) for j, nz in row} for row in standard_torus(spec).sparse_rows()]
-    q, p, gamma = _exponents(spec)
+    q, p, gamma = spec.exponents
 
     def entry(ch, s: int, t: int) -> tuple[int, SparseVector]:
         # (f, v) with entry (s, t) of localized_torus(spec, ch) equal to f*v,

@@ -1,13 +1,16 @@
 """Spec construction, presets, rewrite rules, Casimir elements, extension steps."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qweyl.dimension import torus_dimension
 from qweyl.pbw import PBWElement, multiply, normal_form, word_monomial
 from qweyl.presentation import (
+    KINDS,
     AlgebraSpec,
     ConfigError,
     ambiskew_step,
@@ -292,6 +295,9 @@ def test_validation_refusals_are_pinned():
     anti = "matrix must be multiplicatively antisymmetric"
     diagonal = "diagonal must be 1"
     torsion = "p_i must differ from q_i by a non-torsion monomial"
+    lattice = "parameter must lie in the spec's lattice"
+    C = ParameterLattice(["c"])
+    c = C.symbol("c")
     cases = [
         ((q[:2], p, g), ("q/p", "need exactly n entries")),
         ((q, p + [a], g), ("q/p", "need exactly n entries")),
@@ -319,9 +325,23 @@ def test_validation_refusals_are_pinned():
         ((q, [a, one, a], _with(g, (2, 0, a + b))), ("gamma[0][2]", anti)),
         ((q, p, _with(g, (1, 0, a + b), (0, 2, a + b))), ("gamma[0][1]", anti)),
         ((q, [a, one, a], _with(g, (1, 1, a))), ("p[0]", torsion)),
+        # a parameter on another lattice, refused before the scan, in the
+        # order q, p, gamma row by row: its exponents would be read under
+        # this spec's symbol indices (c as a)
+        (([a, c, b], p, g), ("q[1]", lattice)),
+        (([a, a, c], [b, one, c * c], g), ("q[2]", lattice)),
+        ((q, [b, one, c], g), ("p[2]", lattice)),
+        ((q, p, _with(g, (1, 2, c))), ("gamma[1][2]", lattice)),
+        ((q, p, _with(g, (2, 2, C.one()))), ("gamma[2][2]", lattice)),
+        (([a, a, c], [c, one, a], g), ("q[2]", lattice)),
+        ((q, [b, one, c], _with(g, (0, 1, c))), ("p[2]", lattice)),
+        ((q, p, _with(g, (1, 0, c), (0, 2, c))), ("gamma[0][2]", lattice)),
+        (([a + b, a, b], [b, one, c], g), ("p[2]", lattice)),
     ]
     for (qs, ps, gamma), (field, message) in cases:
         assert _refusal(qs, ps, gamma) == (field, message, f"{field}: {message}")
+    # an equal lattice need not be the same object
+    AlgebraSpec(3, "custom", ParameterLattice(["a", "b"]), q, p, g)
 
 
 def test_validation_takes_no_product_of_parameters():
@@ -339,6 +359,42 @@ def test_validation_takes_no_product_of_parameters():
     )
     AlgebraSpec(2, "custom", _AB, [one, one], [big, big.inverse()],
                 [[one, big], [big.inverse(), one]])
+
+
+def test_spec_keeps_the_sparse_exponents_it_validated(custom_config):
+    specs = [build_spec(n, kind) for n in range(1, 11) for kind in KINDS if kind != "custom"]
+    rng = random.Random(20)
+    specs += [spec_from_config(custom_config(rng, rng.randint(1, 5), rng.randint(1, 4)))
+              for _ in range(200)]
+    for spec in specs:
+        assert spec.exponents == (
+            tuple(s.as_sparse_monomial() for s in spec.q),
+            tuple(s.as_sparse_monomial() for s in spec.p),
+            tuple(tuple(s.as_sparse_monomial() for s in row) for row in spec.gamma),
+        ), spec
+
+
+def test_specs_and_their_dimension_use_no_dense_exponents(custom_config, monkeypatch):
+    # every parameter is packed from its powers and read once as a sparse
+    # vector, so neither building a spec nor its torus dimension packs or
+    # unpacks a dense exponent vector
+    def dense(*args):
+        raise AssertionError("dense exponent vector")
+
+    rng = random.Random(12)
+    args = [(n, kind, None) for n in range(1, 13) for kind in KINDS if kind != "custom"]
+    args += [(cfg["n"], "custom", cfg["custom"])
+             for cfg in (custom_config(rng, rng.randint(1, 5), rng.randint(1, 4))
+                         for _ in range(40))]
+
+    def dimensions():
+        return [(r.lo, r.hi, r.method)
+                for r in (torus_dimension(build_spec(*a)) for a in args)]
+
+    expected = dimensions()
+    monkeypatch.setattr(ParameterLattice, "pack", dense)
+    monkeypatch.setattr(ParameterLattice, "unpack", dense)
+    assert dimensions() == expected
 
 
 def test_custom_fields_must_be_lists():

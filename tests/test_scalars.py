@@ -345,6 +345,23 @@ def test_packed_ring_matches_tuple_oracle(data):
         assert a.as_sparse_monomial() is None
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_monomial_packs_like_the_dense_constructor(data):
+    # monomial packs its key from the powers it names; the oracle is the
+    # dense exponent tuple through the Scalar constructor
+    k = data.draw(st.integers(1, 9), label="k")
+    lat = ParameterLattice([f"s{i}" for i in range(k)])
+    powers = data.draw(
+        st.dictionaries(st.sampled_from(lat.symbols), st.one_of(st.just(0), _EXPONENT)),
+        label="powers",
+    )
+    dense = tuple(powers.get(s, 0) for s in lat.symbols)
+    m, oracle = lat.monomial(powers), Scalar(lat, {dense: 1})
+    assert (m.packed, m.degree) == (oracle.packed, oracle.degree)
+    assert m.as_monomial() == dense
+
+
 # -- the overflow guard ------------------------------------------------------------
 
 QPR = ParameterLattice(["q", "p", "r"])
@@ -379,11 +396,26 @@ def test_constructor_input_past_the_field_raises():
             Scalar(QPR, {(0, bad, 0): 1})
         with pytest.raises(ArithmeticError):
             QPR.monomial({"r": bad})
-        with pytest.raises(ArithmeticError):
-            QPR.from_exponents((bad, 0, 0))
     # a config reports it as a bad value, not a crash
     with pytest.raises(ValueError):
         parse_monomial(QPR, f"q^{MAX_EXPONENT + 1}")
+
+
+def test_monomial_edge_powers_and_refusals():
+    for powers in ({}, {"q": 0}, {"q": 0, "r": 0}, {"p": MAX_EXPONENT},
+                   {"q": -MAX_EXPONENT, "r": MAX_EXPONENT}, {"r": -MAX_EXPONENT, "p": 1}):
+        dense = tuple(powers.get(s, 0) for s in QPR.symbols)
+        m, oracle = QPR.monomial(powers), Scalar(QPR, {dense: 1})
+        assert (m.packed, m.degree) == (oracle.packed, oracle.degree)
+    cancelled = parse_monomial(QPR, "q^2*q^-2")
+    assert (cancelled.packed, cancelled.degree) == (QPR.one().packed, 0)
+    with pytest.raises(KeyError):
+        QPR.monomial({"q": 1, "s": 1})
+    with pytest.raises(TypeError):
+        QPR.monomial({"p": 1.5})
+    for bad in (MAX_EXPONENT + 1, -MAX_EXPONENT - 1):
+        with pytest.raises(ExponentOverflowError):
+            QPR.monomial({"q": 1, "r": bad})
 
 
 def test_product_just_inside_the_field_unpacks_exactly():
