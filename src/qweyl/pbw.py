@@ -39,12 +39,11 @@ terms are merged after every step, so the work follows the size of the
 answer rather than the number of rewrite paths.  The product m*g of an
 ordered monomial and a generator is an append when g is not below h;
 otherwise m = m'*h, and m*g is the sum of c*((m'*a)*b) over the rule
-h*g -> sum c*a*b of the table in qweyl.presentation.  The fold reads that
-table as (coefficient, a, b) entries with None for a unit coefficient,
-built on the first memo of a spec and cached on the spec beside the rule
-table.  Unit coefficients are carried as None so that appends cost no
-scalar product.  A _Products memo keeps every product of two monomials in
-one dict keyed by the pair of packed monomials, m*g under (m, unit[g]),
+h*g -> sum c*a*b.  The fold reads the rules as (coefficient, a, b)
+entries, built from spec.exponents on the first memo of a spec and cached
+on it; a unit coefficient is None, so that appends cost no scalar
+product.  A _Products memo keeps every product of two monomials in one
+dict keyed by the pair of packed monomials, m*g under (m, unit[g]),
 besides the Casimir elements z_i as terms; it holds no verdicts.
 normal_form and multiply fold on a fresh memo per call, as their inputs
 are unbounded.  The identity checks of a spec are finitely many
@@ -60,7 +59,7 @@ fresh memo.  Every identity in the algebra that the verifiers and
 skew_power_identity check is one sum minus h, decided by
 _Products.vanishes, so the checks of one spec fold each monomial pair once
 and build each z_i once.  Each memo entry is fixed by its key, the spec and
-the rule table, so sharing changes no result.  The commutators [z_a, z_b]
+the rules, so sharing changes no result.  The commutators [z_a, z_b]
 are no sum at all: verify_normality reads them off the normality verdicts.
 
 The recursion terminates.  Order words by length, then by their multiset
@@ -76,7 +75,7 @@ so every chain of products ends.
 Confluence is not proved from critical pairs; it is validated by the
 associativity fuzz in the test suite and by the comparison of the fold with
 a word rewriter in the tests.  growth_count does not fold: its counts are
-binomials for any rule table of this shape, confluent or not, so they
+binomials for any rules of this shape, confluent or not, so they
 validate nothing about the rules.
 """
 
@@ -88,7 +87,7 @@ import struct
 import weakref
 from dataclasses import dataclass
 
-from .presentation import AlgebraSpec, ambiskew_step, casimir, rule_table
+from .presentation import AlgebraSpec, _swap_exponents, ambiskew_step, casimir
 from .reporting import check
 from .scalars import Scalar, render_scalar
 
@@ -310,14 +309,25 @@ def _mul(a: _Coeff, b: _Coeff) -> _Coeff:
 
 
 def _packed_rules(spec: AlgebraSpec) -> list[list[tuple]]:
-    """The rule table as rules[h][g] = ((coeff or None, a, b), ...) for the
-    rewrite h*g -> sum coeff*a*b; built on first use, cached on the spec."""
+    """rules[h][g] = ((coeff or None, a, b), ...) for the rewrite h*g ->
+    sum coeff*a*b of each pair of slots h > g, () elsewhere; cached on the
+    spec.  A swap coefficient is the monomial of _swap_exponents, packed
+    once; x_i*y_i -> q_i*y_i*x_i + sum_{l<i} (q_l - p_l)*y_l*x_l."""
     rules = spec._packed_rules
     if rules is None:
-        size = 2 * spec.n
-        rules = [[() for _ in range(size)] for _ in range(size)]
-        for (h, g), rhs in rule_table(spec).items():
-            rules[h][g] = tuple((_unit_or(c), a, b) for c, (a, b) in rhs)
+        n = spec.n
+        q, p, gamma = spec.exponents
+        pack = spec.lattice.sparse_monomial
+        z = [(spec.q[l] - spec.p[l], 2 * l, 2 * l + 1) for l in range(n)]
+        rules = [[()] * (2 * n) for _ in range(2 * n)]
+        for i in range(n):
+            y, x = 2 * i, 2 * i + 1
+            rules[x][y] = ((spec.q[i] if q[i] else None, y, x), *z[:i])
+            for j in range(i):
+                for vi, vj in (("y", "y"), ("y", "x"), ("x", "y"), ("x", "x")):
+                    lam = _swap_exponents(q, p, gamma, i, j, vi, vj)
+                    h, g = 2 * i + (vi == "x"), 2 * j + (vj == "x")
+                    rules[h][g] = ((pack(lam) if lam else None, g, h),)
         spec._packed_rules = rules
     return rules
 
@@ -675,7 +685,7 @@ def growth_count(spec: AlgebraSpec, N: int) -> GrowthReport:
 
     Every ordered word is its own normal form, and no rule raises total
     degree, so the normal forms of the words of length <= m span exactly
-    the ordered monomials of degree <= m.  That holds for every rule table
+    the ordered monomials of degree <= m.  That holds for every set of rules
     of this shape, confluent or not, so the counts are computed in closed
     form, with no fold; that they are the dimensions of the filtration in
     the algebra is the PBW theorem, which rests on confluence.  Raises

@@ -8,11 +8,13 @@ values q_i, p_i, gamma_ij.  Generators are ordered
 and indexed 0..2n-1 (y_i at 2i-2, x_i at 2i-1, 1-based i), matching the
 ordered-monomial basis y1^a1 x1^b1 ... yn^an xn^bn.
 
-The rewrite table maps each out-of-order adjacent generator pair (g, h) to
-the normal form of g*h.  All pairs rewrite to a single scaled monomial
-except (x_i, y_i), which also emits the lower-index terms of the Casimir
-element z_{i-1} = sum_{l<i} (q_l - p_l) y_l x_l (with z_0 = 0, i.e. no
-extra term for i = 1).
+Two generators of different indices swap by a monomial in q, p and gamma
+whose exponents _swap_exponents writes down once: the rewrite rules of
+qweyl.pbw pack it as their coefficient, the tori of qweyl.torus take it
+as their commutation factor.  The one other rule rewrites x_i*y_i to
+q_i y_i x_i plus z_{i-1} = sum_{l<i} (q_l - p_l) y_l x_l (z_0 = 0).  The
+verifiers and ambiskew_step state the relations with Scalar products, as
+the independent check of the rules.
 """
 
 from __future__ import annotations
@@ -66,11 +68,10 @@ class AlgebraSpec:
         # the sparse exponent vectors of (q, p, gamma), read once by _validate;
         # the torus pairings are built from them
         self.exponents = _validate(self)
-        # built on first use by rule_table, pbw._packed_rules,
+        # built on first use by pbw._packed_rules (the rewrite rules),
         # torus.standard_torus and pbw._checks_memo (the product memo of the
         # identity checks); each entry is fixed by its key, so caching changes
         # no result
-        self._rule_table: dict | None = None
         self._packed_rules: list | None = None
         self._standard_torus = None
         self._products = None
@@ -198,7 +199,8 @@ def build_spec(n: int, kind: str, custom: Mapping | None = None) -> AlgebraSpec:
 
 def _antisymmetric(lat, n, upper) -> list[list[Scalar]]:
     """Fill an n x n multiplicatively antisymmetric matrix from upper(i, j), i < j (1-based)."""
-    rows = [[lat.one() for _ in range(n)] for _ in range(n)]
+    one = lat.one()  # shared: a Scalar is never mutated
+    rows = [[one] * n for _ in range(n)]
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             v = upper(i, j)
@@ -248,35 +250,40 @@ def _build_custom(n: int, custom: Mapping) -> AlgebraSpec:
     return AlgebraSpec(n, "custom", lat, qs, ps, gamma)
 
 
-# -- rewrite rules ----------------------------------------------------------
+# -- the swap monomial -------------------------------------------------------
 
-def rule_table(spec: AlgebraSpec) -> dict[tuple[int, int], list[tuple[Scalar, tuple[int, ...]]]]:
-    """Map (g, h) with g > h to the rewrite of g*h as [(coeff, word), ...].
+# an exponent vector as its nonzero (c, e) pairs, by symbol index c; () is
+# the zero vector
+SparseVector = tuple[tuple[int, int], ...]
 
-    Words in the output are in normal order.  Cached on the spec.
+
+def _neg(v: SparseVector) -> SparseVector:
+    return tuple((c, -e) for c, e in v)
+
+
+def _combine(terms) -> SparseVector:
+    """The sparse vector sum f*v over the (f, v) of terms."""
+    acc: dict[int, int] = {}
+    for f, v in terms:
+        for c, e in v:
+            acc[c] = acc.get(c, 0) + f * e
+    return tuple(sorted((c, e) for c, e in acc.items() if e))
+
+
+def _swap_exponents(q, p, gamma, i: int, j: int, vi: str, vj: str) -> SparseVector:
+    """Exponents of lam with V_i V_j = lam V_j V_i, for 0-based i > j, from
+    the vectors of spec.exponents; V_i is x_i or y_i as vi is "x" or "y":
+    y_i y_j -> g_ij, x_i y_j -> q_j g_ij^-1, y_i x_j -> p_i^-1 g_ji and
+    x_i x_j -> q_j^-1 p_i g_ij.  No partial product is formed, so packing
+    lam overflows only when its own exponents leave the field.
     """
-    if spec._rule_table is not None:
-        return spec._rule_table
-    n = spec.n
-    q, p, gamma = spec.q, spec.p, spec.gamma
-    table: dict[tuple[int, int], list[tuple[Scalar, tuple[int, ...]]]] = {}
-    for i in range(1, n + 1):
-        xi, yi = spec.x_index(i), spec.y_index(i)
-        # x_i y_i = q_i y_i x_i + z_{i-1}
-        rhs = [(q[i - 1], (yi, xi))]
-        for l in range(1, i):
-            rhs.append((q[l - 1] - p[l - 1], (spec.y_index(l), spec.x_index(l))))
-        table[(xi, yi)] = rhs
-        for j in range(1, i):
-            xj, yj = spec.x_index(j), spec.y_index(j)
-            gij = gamma[i - 1][j - 1]
-            gji = gamma[j - 1][i - 1]
-            table[(yi, yj)] = [(gij, (yj, yi))]
-            table[(xi, xj)] = [(q[j - 1].inverse() * p[i - 1] * gij, (xj, xi))]
-            table[(xi, yj)] = [(q[j - 1] * gij.inverse(), (yj, xi))]
-            table[(yi, xj)] = [(p[i - 1].inverse() * gji, (xj, yi))]
-    spec._rule_table = table
-    return table
+    if vi == "y":
+        if vj == "y":
+            return gamma[i][j]
+        return _combine(((-1, p[i]), (1, gamma[j][i])))
+    if vj == "y":
+        return _combine(((1, q[j]), (-1, gamma[i][j])))
+    return _combine(((-1, q[j]), (1, p[i]), (1, gamma[i][j])))
 
 
 # -- Casimir elements and the iterated construction -------------------------

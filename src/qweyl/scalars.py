@@ -35,10 +35,11 @@ ExponentOverflowError, an ArithmeticError.
 
 Tuples stay at the boundaries: the Scalar constructor packs them (and
 checks their length and range), while `.terms`, `as_monomial`,
-`substitute` and rendering unpack.  `monomial` packs its key straight from
-the powers it is given, one shifted field per symbol named, and
-`as_sparse_monomial` reads only the nonzero fields of a key, so the cost
-of both follows the number of symbols a monomial uses, not k.  Results
+`substitute` and rendering unpack.  `sparse_monomial` packs its key
+straight from (symbol index, exponent) pairs, one shifted field per pair,
+`monomial` hands it the indices of the symbols it names, and
+`as_sparse_monomial` reads only the nonzero fields of a key, so their cost
+follows the number of symbols a monomial uses, not k.  Results
 made inside the class skip the constructor.
 """
 
@@ -159,17 +160,26 @@ class ParameterLattice:
         return self.monomial({name: 1})
 
     def monomial(self, powers: Mapping[str, int]) -> "Scalar":
-        """Scalar 1 * prod(symbol**power), packed as bias + sum e*2^(32*(k-1-i))."""
+        """Scalar 1 * prod(symbol**power); sparse_monomial on the symbols' indices."""
+        return self.sparse_monomial((self._position(name), e) for name, e in powers.items())
+
+    def sparse_monomial(self, exps: Iterable[tuple[int, int]]) -> "Scalar":
+        """Scalar 1 * prod(s_c**e) over the (c, e) pairs of exps, distinct
+        symbol indices c, packed as bias + sum e*2^(32*(k-1-c))."""
         key, degree, last = self.bias, 0, self.k - 1
-        for name, e in powers.items():
-            if name not in self.index:
-                raise KeyError(f"unknown parameter symbol {name!r}")
+        for c, e in exps:
             e = operator.index(e)
             if abs(e) > MAX_EXPONENT:
-                raise ExponentOverflowError(f"exponent {e} of {name!r} leaves ±{MAX_EXPONENT}")
-            key += e << 32 * (last - self.index[name])
+                raise ExponentOverflowError(
+                    f"exponent {e} of {self.symbols[c]!r} leaves ±{MAX_EXPONENT}")
+            key += e << 32 * (last - c)
             degree = max(degree, abs(e))
         return _scalar(self, {key: 1}, degree)
+
+    def _position(self, name: str) -> int:
+        if name not in self.index:
+            raise KeyError(f"unknown parameter symbol {name!r}")
+        return self.index[name]
 
 
 class Scalar:

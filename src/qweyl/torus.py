@@ -26,12 +26,12 @@ matrix of length-k tuples, ExponentPairing.entries, is only a view built
 on demand.  Every entry is read straight from the sparse exponent vectors
 of q, p and gamma: z_i past a generator of index j scales by q_j or p_j
 (inverted for x_j), and two generators of different indices swap by the
-scalar of their rewrite rule in qweyl.presentation, a product of q, p and
-gamma entries.  _z_entries and _swap_exponents are the one formula that
-localized_torus and theta_sweep share.  Both take the vectors from
-spec.exponents, which the spec keeps from validating its parameters, so
-the torus neither reads nor caches a parameter itself.  The standard
-torus is built once per spec and cached on it, like the rule table; a
+monomial of presentation._swap_exponents, the one formula of the scalar
+that the rewrite rules of qweyl.pbw pack too.  localized_torus and
+theta_sweep share _z_entries and _swap_exponents, and take the vectors
+from spec.exponents, which the spec keeps from validating its parameters,
+so the torus neither reads nor caches a parameter itself.  The standard
+torus is built once per spec and cached on it, like the rewrite rules; a
 pairing is immutable, so every caller may share it.
 
 Locality of the theta checks.  The check of a standard pair (a, b) under a
@@ -52,29 +52,14 @@ from __future__ import annotations
 import operator
 from collections.abc import Iterator
 
-from .presentation import AlgebraSpec
+from .presentation import AlgebraSpec, SparseVector, _neg, _swap_exponents
 from .reporting import check
 
 IntVector = tuple[int, ...]
-# an exponent vector as its nonzero (c, e) pairs, by c; () is the zero vector
-SparseVector = tuple[tuple[int, int], ...]
 
 _THETA_DETAIL = "standard-torus relation preserved in the localized torus"
 
 _exponent = operator.itemgetter(1)  # of a (c, e) pair
-
-
-def _neg(v: SparseVector) -> SparseVector:
-    return tuple((c, -e) for c, e in v)
-
-
-def _combine(terms) -> SparseVector:
-    """The sparse vector sum f*v over the (f, v) of terms."""
-    acc: dict[int, int] = {}
-    for f, v in terms:
-        for c, e in v:
-            acc[c] = acc.get(c, 0) + f * e
-    return tuple(sorted((c, e) for c, e in acc.items() if e))
 
 
 class ExponentPairing:
@@ -177,22 +162,6 @@ class ExponentPairing:
 
 # -- tori attached to an algebra spec ----------------------------------------
 
-def _swap_exponents(q, p, gamma, ch, i: int, j: int) -> SparseVector:
-    """Exponents of lam with V_i V_j = lam V_j V_i for 0-based indices i > j.
-
-    V_i is x_i or y_i as ch says; lam is the scalar of the rewrite rule of
-    the pair: y_i y_j -> g_ij, x_i y_j -> q_j g_ij^-1, y_i x_j -> p_i^-1 g_ji
-    and x_i x_j -> q_j^-1 p_i g_ij.
-    """
-    if ch[i] == "y":
-        if ch[j] == "y":
-            return gamma[i][j]
-        return _combine(((-1, p[i]), (1, gamma[j][i])))
-    if ch[j] == "y":
-        return _combine(((1, q[j]), (-1, gamma[i][j])))
-    return _combine(((-1, q[j]), (1, p[i]), (1, gamma[i][j])))
-
-
 def _z_entries(q, p, ch, j: int) -> tuple[SparseVector, SparseVector]:
     """Exponents of lam with z_i V_j = lam V_j z_i, for i < j and for i >= j.
 
@@ -239,7 +208,7 @@ def localized_torus(spec: AlgebraSpec, choice) -> ExponentPairing:
                 rows[n + j].append((i, negs[j][i >= j]))
     for j in range(n):  # (v_j, v_i) for i > j
         for i in range(j + 1, n):
-            lam = _swap_exponents(q, p, gamma, ch, i, j)
+            lam = _swap_exponents(q, p, gamma, i, j, ch[i], ch[j])
             if lam:
                 rows[n + j].append((n + i, _neg(lam)))
                 rows[n + i].append((n + j, lam))
@@ -327,7 +296,7 @@ def theta_sweep(spec: AlgebraSpec) -> Iterator[list[dict]]:
             return f, ()
         if s < n:
             return f, _z_entries(q, p, ch, t - n)[s >= t - n]
-        return -f, _swap_exponents(q, p, gamma, ch, t - n, s - n)
+        return -f, _swap_exponents(q, p, gamma, t - n, s - n, ch[t - n], ch[s - n])
 
     def holds(ch, a: int, b: int) -> bool:
         acc: dict[int, int] = {}

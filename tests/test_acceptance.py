@@ -22,6 +22,7 @@ from qweyl.dimension import (
 )
 from qweyl.pbw import (
     PBWElement,
+    _packed_rules,
     generator,
     growth_count,
     multiply,
@@ -31,7 +32,7 @@ from qweyl.pbw import (
     verify_normality,
     verify_relations,
 )
-from qweyl.presentation import build_spec, rule_table
+from qweyl.presentation import build_spec
 from qweyl.reporting import all_ok
 from qweyl.torus import check_torus_isomorphism, standard_torus
 
@@ -205,14 +206,14 @@ def test_criterion_9_growth_counts():
                 assert rep.counts[m] == math.comb(m + 2 * n, 2 * n), (n, m)
             assert rep.window == (N - 2, N)
             assert abs(rep.exponent - 2 * n) <= 0.5, (n, rep.exponent)
-        # the count is binomial for a table that is not confluent too: scale
+        # the count is binomial for rules that are not confluent too: scale
         # the x3*x1 swap by g12, which breaks the relation xx(1,3)
         spec = build_spec(3, "generic")
-        table = dict(rule_table(spec))
-        key = (spec.x_index(3), spec.x_index(1))
-        (c, word), = table[key]
-        table[key] = [(c * spec.lattice.symbol("g12"), word)]
-        spec._rule_table = table
+        rules = [list(row) for row in _packed_rules(spec)]
+        h, g = spec.x_index(3), spec.x_index(1)
+        (c, a, b), = rules[h][g]
+        rules[h][g] = ((c * spec.lattice.symbol("g12"), a, b),)
+        spec._packed_rules = rules
         assert not all_ok(verify_relations(spec))
         assert _frontier_counts(spec, 5) == growth_count(spec, 5).counts
 

@@ -11,8 +11,9 @@ import pytest
 from qweyl import cli, pbw, presentation, torus
 from qweyl.cli import main, run
 from qweyl.pbw import verify_ambiskew
-from qweyl.presentation import KINDS, build_spec, casimir, rule_table, spec_from_config
+from qweyl.presentation import KINDS, build_spec, casimir, spec_from_config
 from qweyl.reporting import all_ok, check
+from qweyl.scalars import ExponentOverflowError
 
 
 def _write(tmp_path, payload, name="cfg.json"):
@@ -292,6 +293,33 @@ def test_exponent_past_the_field_exits_2(tmp_path, capsys):
     assert "field 'custom.p[0]'" in capsys.readouterr().err
 
 
+def test_swap_coefficient_overflows_only_when_its_exponent_does(tmp_path, capsys):
+    # each swap coefficient is packed from its exponent sum: in spec A the
+    # x2*x1 swap q_1^-1 p_2 gamma_21 = a^M stays in the field though the
+    # partial product q_1^-1 p_2 = a^2M does not, so A rewrites every word;
+    # spec B, A with gamma flipped, swaps x2*x1 by a^3M and refuses every word
+    m = 2**31 - 1
+    gamma = [["1", f"a^{m}"], [f"a^-{m}", "1"]]
+    custom = {"symbols": ["a", "b"], "q": [f"a^-{m}", "b"], "p": ["b", f"a^{m}"],
+              "gamma": gamma}
+    a = {"n": 2, "kind": "custom", "custom": custom}
+    b = {"n": 2, "kind": "custom", "custom": dict(custom, gamma=[row[::-1] for row in gamma[::-1]])}
+    assert run(a, "nf", ["x2 x1"]).values["normal_form"] == f"(a^{m})/(1)·x1 x2"
+    assert run(a, "nf", ["x1 y1"]).values["normal_form"] == f"(a^-{m})/(1)·y1 x1"
+    cfg = _write(tmp_path, a)
+    assert main(["--config", cfg, "--command", "nf", "--args", "x2 x1"]) == 0
+    capsys.readouterr()
+    # the relation checks still multiply Scalars, through a^2M
+    assert main(["--config", cfg, "--command", "verify"]) == 1
+    assert f"leaves ±{m}" in capsys.readouterr().err
+    for word in ("x2 x1", "y1", "x1 y1", "y2 y1"):
+        with pytest.raises(ExponentOverflowError):
+            run(b, "nf", [word])
+    cfg = _write(tmp_path, b)
+    assert main(["--config", cfg, "--command", "nf", "--args", "x2 x1"]) == 1
+    assert f"leaves ±{m}" in capsys.readouterr().err
+
+
 def test_bad_generator_in_args_is_a_usage_error(tmp_path, capsys):
     # no config field is wrong, so nf and mul report a usage error (exit 2)
     cfg = _write(tmp_path, {"n": 2, "kind": "generic"})
@@ -474,14 +502,14 @@ def test_shared_memo_checks_match_fresh_memo_checks(custom_config):
 
 
 def test_shared_memo_fails_where_fresh_memos_fail():
-    # scale the x3*x1 swap by g12 in a copy of the rule table: the same
+    # scale the x3*x1 swap by g12 in a copy of the rewrite rules: the same
     # relation and normality checks must fail with and without the shared memo
     spec = build_spec(3, "generic")
-    table = dict(rule_table(spec))
-    key = (spec.x_index(3), spec.x_index(1))
-    (c, word), = table[key]
-    table[key] = [(c * spec.lattice.symbol("g12"), word)]
-    spec._rule_table = table
+    rules = [list(row) for row in pbw._packed_rules(spec)]
+    h, g = spec.x_index(3), spec.x_index(1)
+    (c, a, b), = rules[h][g]
+    rules[h][g] = ((c * spec.lattice.symbol("g12"), a, b),)
+    spec._packed_rules = rules
     shared, _ = cli._cmd_verify(spec, [], 3, _never)
     failed = {c["name"] for c in shared if c["status"] != "pass"}
     assert "xx(1,3)" in failed

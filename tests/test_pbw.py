@@ -36,7 +36,6 @@ from qweyl.presentation import (
     ambiskew_step,
     build_spec,
     casimir,
-    rule_table,
     spec_from_config,
 )
 from qweyl.reporting import all_ok
@@ -52,7 +51,7 @@ def _rewrite_word(spec, word):
     Slow (exponential in the x_i..y_i pairs) but independent of the fold,
     the product memo and the unit short-cut.
     """
-    table = rule_table(spec)
+    rules = pbw._packed_rules(spec)
     out = {}
     stack = [(spec.lattice.one(), tuple(word))]
     while stack:
@@ -60,8 +59,8 @@ def _rewrite_word(spec, word):
         for idx in range(len(w) - 1):
             if w[idx] > w[idx + 1]:
                 head, tail = w[:idx], w[idx + 2:]
-                for c, repl in table[(w[idx], w[idx + 1])]:
-                    stack.append((coeff * c, head + repl + tail))
+                for c, a, b in rules[w[idx]][w[idx + 1]]:
+                    stack.append((coeff if c is None else coeff * c, head + (a, b) + tail))
                 break
         else:
             mono = word_monomial(spec, w)
@@ -93,7 +92,7 @@ def test_long_words_keep_a_shallow_stack():
     # the fold's call depth must not grow with the word: 1500 letters is
     # past the interpreter's default recursion limit
     x2, y1 = GEN2.x_index(2), GEN2.y_index(1)
-    (c, _), = rule_table(GEN2)[(x2, y1)]
+    (c, _, _), = pbw._packed_rules(GEN2)[x2][y1]
     f = normal_form(GEN2, (x2,) * 1500 + (y1,))
     assert f == PBWElement(2, {(1, 0, 0, 1500): c**1500})
 
@@ -293,16 +292,16 @@ def test_fused_checks_match_the_multiply_formula(custom_config):
 
 
 def _corrupted(key_of, scale_term):
-    """A generic n=3 spec whose rule table has the term scale_term of the
+    """A generic n=3 spec whose rewrite rules have the term scale_term of the
     rule at key_of(spec) multiplied by g12."""
     spec = build_spec(3, "generic")
-    table = dict(rule_table(spec))
-    key = key_of(spec)
-    rhs = list(table[key])
-    c, word = rhs[scale_term]
-    rhs[scale_term] = (c * spec.lattice.symbol("g12"), word)
-    table[key] = rhs
-    spec._rule_table = table
+    rules = [list(row) for row in pbw._packed_rules(spec)]
+    h, g = key_of(spec)
+    rhs = list(rules[h][g])
+    c, a, b = rhs[scale_term]
+    rhs[scale_term] = (c * spec.lattice.symbol("g12"), a, b)
+    rules[h][g] = tuple(rhs)
+    spec._packed_rules = rules
     return spec
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qweyl.dimension import torus_dimension
-from qweyl.pbw import PBWElement, multiply, normal_form, word_monomial
+from qweyl.pbw import PBWElement, _packed_rules, multiply, normal_form, word_monomial
 from qweyl.presentation import (
     KINDS,
     AlgebraSpec,
@@ -16,7 +16,6 @@ from qweyl.presentation import (
     ambiskew_step,
     build_spec,
     casimir,
-    rule_table,
     spec_from_config,
     spec_to_config,
 )
@@ -93,15 +92,17 @@ def test_build_errors():
 
 def test_rule_count_and_examples():
     spec = build_spec(2, "generic")
-    table = rule_table(spec)
-    # one rule per unordered generator pair
-    assert len(table) == 2 * 2 * (2 * 2 - 1) // 2 == 6
+    rules = _packed_rules(spec)
     lat = spec.lattice
     by_left = {
         (spec.gen_name(g), spec.gen_name(h)):
-            PBWElement(2, {word_monomial(spec, word): c for c, word in rhs})
-        for (g, h), rhs in table.items()
+            PBWElement(2, {word_monomial(spec, (a, b)): lat.one() if c is None else c
+                           for c, a, b in rhs})
+        for g, row in enumerate(rules) for h, rhs in enumerate(row) if rhs
     }
+    # one rule per unordered generator pair, at rules[h][g] with h > g
+    assert len(by_left) == 2 * 2 * (2 * 2 - 1) // 2 == 6
+    assert all(bool(rhs) == (h > g) for h, row in enumerate(rules) for g, rhs in enumerate(row))
     q1 = lat.symbol("q1")
     assert by_left[("x1", "y1")] == PBWElement(2, {(1, 1, 0, 0): q1})
     expected = PBWElement(
@@ -122,7 +123,7 @@ def test_rule_count_and_examples():
 
 def test_rule_table_is_cached():
     spec = build_spec(2, "generic")
-    assert rule_table(spec) is rule_table(spec)
+    assert _packed_rules(spec) is _packed_rules(spec)
 
 
 def test_casimir_values():

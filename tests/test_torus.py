@@ -6,8 +6,8 @@ import random
 
 import pytest
 
-from qweyl import torus
-from qweyl.presentation import KINDS, build_spec, rule_table, spec_from_config
+from qweyl import pbw, torus
+from qweyl.presentation import KINDS, build_spec, spec_from_config
 from qweyl.reporting import all_ok
 from qweyl.scalars import render_exponents
 from qweyl.torus import (
@@ -141,19 +141,45 @@ def test_mixed_choice_entry():
     assert torus_generator_labels(spec, ("x", "y")) == ["z1", "z2", "x1", "y2"]
 
 
+def _oracle_swap(spec, i, j, vi, vj):
+    """The scalar lam of V_i V_j = lam V_j V_i (1-based i > j, V_i = x_i or
+    y_i as vi says) as a product of the spec's Scalars."""
+    q, p = spec.q, spec.p
+    gij, gji = spec.gamma[i - 1][j - 1], spec.gamma[j - 1][i - 1]
+    return {
+        ("y", "y"): gij,
+        ("x", "y"): q[j - 1] * gij.inverse(),
+        ("y", "x"): p[i - 1].inverse() * gji,
+        ("x", "x"): q[j - 1].inverse() * p[i - 1] * gij,
+    }[vi, vj]
+
+
 def _assert_swaps_match_rule_table(spec):
-    # oracle: the scalar of the rewrite rule of each generator pair, read off
-    # the rule table that the normal-form engine uses
+    # oracle: the defining relations written with Scalar products, against
+    # every rewrite rule the normal-form engine packs from the exponent
+    # vectors and against the swap entries of every localized torus
     n = spec.n
-    table = rule_table(spec)
+    one = spec.lattice.one()
+    rules = pbw._packed_rules(spec)
+    slot = {"y": spec.y_index, "x": spec.x_index}
+    expected = [[() for _ in range(2 * n)] for _ in range(2 * n)]
+    for i in range(1, n + 1):
+        yi, xi = spec.y_index(i), spec.x_index(i)
+        z = tuple((spec.q[l - 1] - spec.p[l - 1], spec.y_index(l), spec.x_index(l))
+                  for l in range(1, i))
+        expected[xi][yi] = ((None if spec.q[i - 1] == one else spec.q[i - 1], yi, xi),) + z
+        for j in range(1, i):
+            for vi, vj in itertools.product("xy", repeat=2):
+                h, g = slot[vi](i), slot[vj](j)
+                lam = _oracle_swap(spec, i, j, vi, vj)
+                expected[h][g] = ((None if lam == one else lam, g, h),)
+    assert [list(row) for row in rules] == expected, spec
     for choice in itertools.product("xy", repeat=n):
         loc = localized_torus(spec, choice)
-        slots = [spec.x_index(i + 1) if ch == "x" else spec.y_index(i + 1)
-                 for i, ch in enumerate(choice)]
-        for i in range(n):
-            for j in range(i):
-                (c, _), = table[(slots[i], slots[j])]
-                assert loc.entries[n + i][n + j] == c.as_monomial(), (choice, i, j)
+        for i in range(1, n + 1):
+            for j in range(1, i):
+                lam = _oracle_swap(spec, i, j, choice[i - 1], choice[j - 1])
+                assert loc.entries[n + i - 1][n + j - 1] == lam.as_monomial(), (choice, i, j)
 
 
 @pytest.mark.parametrize("kind", [k for k in KINDS if k != "custom"])
@@ -332,9 +358,9 @@ def test_sweep_fails_where_the_full_loop_fails_on_a_corrupted_entry(monkeypatch)
     for i, j in itertools.combinations(range(3), 2):
         j, i = i, j  # _swap_exponents takes i > j
         for ci, cj in itertools.product("xy", repeat=2):
-            def bad_swap(q, p, gamma, ch, i_, j_, i=i, j=j, ci=ci, cj=cj):
-                v = swap(q, p, gamma, ch, i_, j_)
-                return shifted(v) if (i_, j_, ch[i_], ch[j_]) == (i, j, ci, cj) else v
+            def bad_swap(q, p, gamma, i_, j_, ci_, cj_, i=i, j=j, ci=ci, cj=cj):
+                v = swap(q, p, gamma, i_, j_, ci_, cj_)
+                return shifted(v) if (i_, j_, ci_, cj_) == (i, j, ci, cj) else v
             cases.append(("_swap_exponents", bad_swap))
     for name, bad in cases:
         with monkeypatch.context() as m:
