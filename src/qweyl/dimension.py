@@ -7,36 +7,48 @@ a sublattice of exponent vectors spans a commutative subalgebra exactly
 when the pairing vanishes on it, and the torus dimension is the maximal
 rank of such an isotropic sublattice.
 
-Exact integer linear algebra only, no fractions.  Each rank is used in
-the direction in which it certifies.  The rank over F_p, p = 2^61 - 1, is
-at most the rank over Q, so rank_mod_p gives the certified upper bound on
-the dimension from one weighted pairing, and proves a witness independent
-whenever it is full.  Where a rank must be exact and the modular one falls
-short, integer_rank decides, by division-free elimination with a
-Smith-normal-form cross-check.  Explicit isotropic witnesses come from a
-fraction-free symplectic reduction (single-parameter case) or from a
-bounded deterministic backtracking search on the packed pairing
-(multi-parameter case and the theorem kinds).  Each kernel makes the zero
-tests of the same computation over Q; the docstrings give the arguments.
+The dimension of the standard torus of a spec is d = n + [q_1 = 1].
+torus_dimension reads it off the z-block of the pairing on every spec with
+two or more parameter symbols and on the theorem kinds: the pivots of that
+block certify the upper bound in O(nk), and the unit vectors z_1..z_n
+(plus y_1 when q_1 = 1) are the witness.  _z_block_dimension gives the
+argument.  A single-parameter spec still takes the exact formula
+m - rank(S)/2 of a fraction-free symplectic reduction, whose witness is
+not made of unit vectors.
+
+The kernels for raw pairings stay, as library API and as the oracles of
+the closed form: exact integer linear algebra only, no fractions.  Each
+rank is used in the direction in which it certifies.  The rank over F_p,
+p = 2^61 - 1, is at most the rank over Q, so rank_mod_p gives the
+certified upper bound rank_upper_bound on the dimension from one weighted
+pairing, and proves a witness independent whenever it is full.  Where a
+rank must be exact and the modular one falls short, integer_rank decides,
+by division-free elimination with a Smith-normal-form cross-check.
+isotropic_witness_search is a bounded deterministic backtracking search
+for a witness on the packed pairing.  Each kernel makes the zero tests of
+the same computation over Q; the docstrings give the arguments.
 
 Work is done once where it can be: the reduction computes the row u^T S
 once per pivot u, so each pairing B(u, w) is a dot product; the weighted
 matrix of the certified rank bound is filled from the nonzero exponents
-of the upper triangle and reduced once, mod p; torus_dimension computes that bound once
-and hands it to every search, and bernstein_report turns a dimension report
-already in hand into the bound 2n - d.
+of the upper triangle and reduced once, mod p; and bernstein_report turns
+a dimension report already in hand into the bound 2n - d.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 from .presentation import AlgebraSpec
 from .torus import ExponentPairing, standard_torus
 
 IntVector = tuple[int, ...]
+
+_column = operator.itemgetter(0)  # of a stored (j, entry) pair
 
 
 # -- modular and exact integer rank -------------------------------------------
@@ -264,6 +276,22 @@ def max_isotropic_rank_single(S) -> tuple[int, Witness]:
     """Maximal isotropic-sublattice rank m - rank(S)/2 of one alternating form,
     with an explicit witness from a fraction-free symplectic reduction.
 
+    S is a raw square matrix: a non-integer entry raises ValueError, and so
+    does a form that is not alternating (ExponentPairing validates it).  The
+    work is _isotropic_rank_single's.
+    """
+    # int() truncates each entry, so refuse a fraction here
+    bad = next(((i, j) for i, row in enumerate(S) for j, s in enumerate(row) if s != int(s)),
+               None)
+    if bad is not None:
+        raise ValueError(f"entry {bad} = {S[bad[0]][bad[1]]!r} is not an integer")
+    S = [[int(s) for s in row] for row in S]
+    return _isotropic_rank_single(ExponentPairing(len(S), 1, [[(s,) for s in row] for row in S]))
+
+
+def _isotropic_rank_single(E: ExponentPairing) -> tuple[int, Witness]:
+    """max_isotropic_rank_single on a validated one-parameter pairing E.
+
     A pivot u with a partner v, c = B(u, v) != 0, moves every remaining w to
     c*w + B(v, w)*u - B(u, w)*v, which is c times the rational update
     w + B(v/c, w)*u - B(u, w)*v/c, and w is then made primitive.  The
@@ -279,17 +307,8 @@ def max_isotropic_rank_single(S) -> tuple[int, Witness]:
     it is the rank.  Otherwise integer_rank decides, and a rank that does
     not match the witness raises ArithmeticError.
     """
-    # int() truncates each entry, so refuse a fraction here
-    bad = next(((i, j) for i, row in enumerate(S) for j, s in enumerate(row) if s != int(s)),
-               None)
-    if bad is not None:
-        raise ValueError(f"entry {bad} = {S[bad[0]][bad[1]]!r} is not an integer")
-    S = [[int(s) for s in row] for row in S]
-    m = len(S)
-    # validates the form (ValueError unless square and alternating) and
-    # checks the witness at the end
-    E = ExponentPairing(m, 1, [[(s,) for s in row] for row in S])
-
+    S = E.component(0)
+    m = E.m
     remaining = [[int(i == j) for j in range(m)] for i in range(m)]
     picked: list[list[int]] = []
     while remaining:
@@ -526,42 +545,81 @@ class BernsteinReport:
         return {"gkdim_algebra": self.gkdim_algebra, "d": self.d, "bound": self.bound}
 
 
+def _z_block_dimension(E: ExponentPairing) -> int:
+    """The dimension n + [q_1 = 1] of a standard torus E, certified as an
+    upper bound from the pivots of its z-block.  Raises ArithmeticError if a
+    pivot the argument needs vanishes.
+
+    On (z_1..z_n, y_1..y_n) the pairing is [[0, A], [-A^T, C]]: the z_i
+    commute, and A[i][j] = (z_i, y_j) is p_j for i < j and q_j for i >= j
+    (torus._z_entries; 1-based here).  Row i - row (i+1) of A, i < n,
+    vanishes but for the pivot p_{i+1} - q_{i+1} in column i+1, and row n
+    is (q_1, ..., q_n).  Every pivot below is read off E, as the entry
+    (z_{j-1}, y_j) minus the entry (z_j, y_j) for j >= 2 and the entry
+    (z_n, y_1) = q_1.  A stored entry lists its nonzero exponents by symbol,
+    so a pivot vanishes exactly when its two entries are equal tuples, and
+    each test costs O(k).
+
+    Each nonzero pivot is a nonzero linear form w -> w.v in a weight w, and
+    some integer w is a root of none of them.  Every isotropic sublattice
+    of E is isotropic for S_w = sum_c w_c S_c, so its rank is at most
+    2n - rank(S_w)/2.  A nonsingular r x r minor A_w[I, J] gives a
+    nonsingular 2r x 2r minor of S_w on rows (z_I, y_J) and columns
+    (y_J, z_I), block triangular with blocks A_w[I, J] and -A_w[I, J]^T,
+    so rank(S_w) >= 2 rank(A_w).  The n - 1 pivots p_j - q_j, j >= 2, make
+    rank(A_w) >= n - 1 (they are nonzero on every spec _validate accepts),
+    so d <= n + 1.  If q_1 != 1 it is a pivot too: det A_w = +-w.q_1 *
+    prod_{j>=2} w.(p_j - q_j) != 0, so d <= n.  The lower bound is the
+    witness z_1..z_n, plus y_1 when q_1 = 1, whose entries with every z_i
+    are q_1; torus_dimension verifies it.
+    """
+    rows = E.sparse_rows()
+    n = E.m // 2
+
+    def entry(i: int, j: int) -> tuple:
+        # entry (z_i, y_j), 0-based; a row lists its nonzero entries by column
+        row = rows[i]
+        t = bisect.bisect_left(row, n + j, key=_column)
+        return row[t][1] if t < len(row) and row[t][0] == n + j else ()
+
+    for j in range(1, n):
+        if entry(j - 1, j) == entry(j, j):
+            raise ArithmeticError(
+                f"z-block pivot (z{j}, y{j + 1}) - (z{j + 1}, y{j + 1}) vanishes"
+            )
+    return n if entry(n - 1, 0) else n + 1
+
+
 def torus_dimension(spec: AlgebraSpec, height: int = 3) -> DimensionReport:
     """Dimension of the rank-2n torus localization, with a verified witness.
 
-    A single-parameter lattice gets the exact formula m - rank(S)/2; every
-    other spec gets the bounded search against the certified upper bound,
-    reported as an interval when the two disagree.  The theorem kinds take
-    the search path too: the p_i = 1 kinds have dimension n (witness
-    z_1..z_n) and the q_i = 1 kind n + 1 (witness z_1..z_n, y_1), so they
-    keep only their method label and raise ArithmeticError unless the bound
-    and the search both meet the theorem's value.
+    A single-parameter lattice gets the exact formula m - rank(S)/2 from the
+    symplectic reduction.  Every other spec, and every theorem kind, gets
+    the closed form d = n + [q_1 = 1] of _z_block_dimension, certified from
+    above by the z-block pivots of the standard torus and from below by the
+    unit-vector witness z_1..z_n (plus y_1 when q_1 = 1).  The method labels
+    stay those of the search this replaced: "search", and "theorem-p1" or
+    "theorem-q1" on the theorem kinds (the p_i = 1 kinds have d = n, the
+    q_i = 1 kind n + 1).  Every report is a point; `height` is kept for the
+    callers and changes no result.
 
-    The witness returned has always passed verify_witness:
-    max_isotropic_rank_single and isotropic_witness_search raise
-    ArithmeticError on a witness it rejects, and the empty witness, returned
-    when the search finds none, passes trivially.
+    The witness returned has always passed verify_witness: a rejected one
+    raises ArithmeticError.
     """
     E = standard_torus(spec)
     theorem = spec.kind in ("generic-p1", "graded-weyl", "generic-q1")
     if E.k == 1 and not theorem:
-        d, witness = max_isotropic_rank_single(E.component(0))
+        d, witness = _isotropic_rank_single(E)
         return DimensionReport(lo=d, hi=d, witness=witness, method="exact-single-parameter")
 
-    hi = rank_upper_bound(E)
-    lo, witness = 0, Witness(())
-    for t in range(hi, 0, -1):
-        found = isotropic_witness_search(E, t, height, upper=hi)
-        if found is not None:
-            lo, witness = t, found
-            break
+    d = _z_block_dimension(E)
+    witness = Witness(tuple(int(i == j) for j in range(E.m)) for i in range(d))
+    if not verify_witness(E, witness):
+        raise ArithmeticError("z-block closed form produced an invalid witness")
     method = "search"
     if theorem:
-        q1 = spec.kind == "generic-q1"
-        d, method = (spec.n + 1, "theorem-q1") if q1 else (spec.n, "theorem-p1")
-        if not lo == hi == d:
-            raise ArithmeticError(f"{spec.kind}: bound and search give [{lo}, {hi}], not {d}")
-    return DimensionReport(lo=lo, hi=hi, witness=witness, method=method)
+        method = "theorem-q1" if spec.kind == "generic-q1" else "theorem-p1"
+    return DimensionReport(lo=d, hi=d, witness=witness, method=method)
 
 
 def bernstein_report(spec: AlgebraSpec, rep: DimensionReport) -> BernsteinReport:

@@ -23,7 +23,13 @@ from qweyl.dimension import (
     torus_dimension,
     verify_witness,
 )
-from qweyl.presentation import KINDS, build_spec, spec_from_config
+from qweyl.presentation import (
+    KINDS,
+    SINGLE_PARAMETER_KINDS,
+    build_spec,
+    spec_from_config,
+    spec_to_config,
+)
 from qweyl.torus import ExponentPairing, standard_torus
 
 
@@ -282,22 +288,28 @@ def test_dimension_dispatch():
         assert verify_witness(E, rep.witness)
 
 
+def _with_vanishing_pivot(E, j):
+    """E with its entry (z_{j-1}, y_j) replaced by (z_j, y_j), 1-based j >= 2,
+    so that the z-block pivot p_j - q_j reads zero."""
+    n = E.m // 2
+    entries = [list(row) for row in E.entries]
+    col = n + j - 1
+    entries[j - 2][col] = entries[j - 1][col]
+    entries[col][j - 2] = entries[col][j - 1]
+    return ExponentPairing(E.m, E.k, entries)
+
+
 @pytest.mark.parametrize("kind, d", [("generic-p1", 2), ("graded-weyl", 2), ("generic-q1", 3)])
-def test_theorem_kinds_certify_their_dimension_by_bound_and_search(monkeypatch, kind, d):
-    # the theorem kinds run the bound and the search like any other spec and
-    # return the canonical witness; a bound or a search that misses the
-    # theorem's value raises instead of being overruled (height 1 keeps the
-    # exhaustive search for d + 1 vectors short)
+def test_theorem_kinds_certify_their_dimension_by_the_z_block(monkeypatch, kind, d):
+    # the theorem kinds take the closed form like any multi-parameter spec and
+    # return the canonical witness; a z-block pivot that vanishes leaves the
+    # upper bound unproved, and raises instead of being overruled
     spec = build_spec(2, kind)
     rep = torus_dimension(spec)
     assert (rep.lo, rep.hi) == (d, d)
     assert list(rep.witness.vectors) == [tuple(int(i == j) for j in range(4)) for i in range(d)]
-    monkeypatch.setattr(dim, "rank_upper_bound", lambda E: d + 1)
-    with pytest.raises(ArithmeticError):
-        torus_dimension(spec, height=1)
-    monkeypatch.undo()
-    monkeypatch.setattr(dim, "isotropic_witness_search", lambda *args, **kwargs: None)
-    with pytest.raises(ArithmeticError):
+    monkeypatch.setattr(spec, "_standard_torus", _with_vanishing_pivot(standard_torus(spec), 2))
+    with pytest.raises(ArithmeticError, match=r"z-block pivot \(z1, y2\) - \(z2, y2\)"):
         torus_dimension(spec)
 
 
@@ -716,17 +728,15 @@ def test_packed_pairing_does_not_cancel_across_components():
     [({"n": 3, "kind": "generic"}, "search"), ({"n": 3, "kind": "generic-p1"}, "theorem-p1")],
 )
 def test_bound_computes_the_dimension_once(monkeypatch, config, method):
+    # bound derives 2n - d from one dimension report, and the closed form
+    # takes no rank bound
     calls = {"torus_dimension": 0, "rank_upper_bound": 0}
-    bounds_per_dimension = []
     original_dimension = dim.torus_dimension
     original_bound = dim.rank_upper_bound
 
     def counted_dimension(*args, **kwargs):
         calls["torus_dimension"] += 1
-        before = calls["rank_upper_bound"]
-        rep = original_dimension(*args, **kwargs)
-        bounds_per_dimension.append(calls["rank_upper_bound"] - before)
-        return rep
+        return original_dimension(*args, **kwargs)
 
     def counted_bound(*args, **kwargs):
         calls["rank_upper_bound"] += 1
@@ -736,5 +746,94 @@ def test_bound_computes_the_dimension_once(monkeypatch, config, method):
     monkeypatch.setattr(dim, "rank_upper_bound", counted_bound)
     rep = cli.run(config, "bound")
     assert rep.ok and rep.values["dim"]["method"] == method
-    assert calls["torus_dimension"] == 1
-    assert bounds_per_dimension == [1]
+    assert calls == {"torus_dimension": 1, "rank_upper_bound": 0}
+
+
+# -- the closed form d = n + [q_1 = 1] ----------------------------------------
+
+CLOSED_FORM_KINDS = ("generic", "generic-p1", "generic-q1", "graded-weyl")
+_LABELS = {"generic-p1": "theorem-p1", "graded-weyl": "theorem-p1", "generic-q1": "theorem-q1"}
+
+
+def _search_path(spec):
+    """The dimension report the closed form replaced: the certified rank
+    bound, then the witness search from it down at height 3."""
+    E = standard_torus(spec)
+    hi = rank_upper_bound(E)
+    lo, witness = 0, Witness(())
+    for t in range(hi, 0, -1):
+        found = isotropic_witness_search(E, t, 3, upper=hi)
+        if found is not None:
+            lo, witness = t, found
+            break
+    return dim.DimensionReport(lo=lo, hi=hi, witness=witness,
+                               method=_LABELS.get(spec.kind, "search"))
+
+
+def _q1_is_one(spec):
+    return spec.exponents[0][0] == ()
+
+
+def _refuse_the_search(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("rank bound, search or exact rank called")
+
+    for name in ("rank_upper_bound", "isotropic_witness_search", "integer_rank"):
+        monkeypatch.setattr(dim, name, refuse)
+
+
+def _custom_configs(custom_config, count, ks, seed):
+    """Seeded custom configs, n = 1..4; every third has q_1 = 1."""
+    rng = random.Random(seed)
+    configs = []
+    for t in range(count):
+        cfg = custom_config(rng, rng.randint(1, 4), rng.choice(ks))
+        if t % 3 == 0:
+            custom = cfg["custom"]
+            custom["q"][0] = "1"
+            if custom["p"][0] == "1":  # p_1 = q_1 is refused
+                custom["p"][0] = custom["symbols"][0]
+        configs.append(cfg)
+    return configs
+
+
+@pytest.mark.parametrize("kind", CLOSED_FORM_KINDS)
+def test_closed_form_matches_the_search_on_presets(kind):
+    for n in range(1, 11):
+        spec = build_spec(n, kind)
+        rep = torus_dimension(spec)
+        assert rep == _search_path(spec), (kind, n)
+        assert rep.d == n + _q1_is_one(spec)
+
+
+def test_closed_form_matches_the_search_on_custom_specs(monkeypatch, custom_config):
+    specs = [spec_from_config(cfg) for cfg in _custom_configs(custom_config, 330, (2, 3, 4), 22)]
+    assert sum(map(_q1_is_one, specs)) >= 100
+    with monkeypatch.context() as patched:
+        _refuse_the_search(patched)
+        reps = [torus_dimension(spec) for spec in specs]
+    for spec, rep in zip(specs, reps):
+        assert rep == _search_path(spec), spec_to_config(spec)
+        assert rep.d == spec.n + _q1_is_one(spec)
+
+
+def test_closed_form_needs_no_rank_bound_search_or_exact_rank(monkeypatch):
+    # the single-parameter kinds reach the reduction, whose modular rank
+    # certifies on every preset, so it needs no integer_rank either
+    _refuse_the_search(monkeypatch)
+    for kind in KINDS:
+        if kind != "custom":
+            for n in range(2, 13):
+                spec = build_spec(n, kind)
+                assert torus_dimension(spec).d == n + _q1_is_one(spec), (kind, n)
+
+
+def test_single_parameter_reduction_meets_the_closed_form(custom_config):
+    # the evidence for moving the single-parameter kinds to the closed form:
+    # the reduction's d is n + [q_1 = 1] there too
+    specs = [build_spec(n, kind) for kind in SINGLE_PARAMETER_KINDS for n in range(1, 13)]
+    specs += [spec_from_config(cfg) for cfg in _custom_configs(custom_config, 120, (1,), 7)]
+    assert sum(map(_q1_is_one, specs)) >= 40
+    for spec in specs:
+        d, _ = max_isotropic_rank_single(standard_torus(spec).component(0))
+        assert d == spec.n + _q1_is_one(spec), spec_to_config(spec)
