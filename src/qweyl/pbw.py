@@ -38,13 +38,20 @@ the running element is multiplied by one generator at a time and like
 terms are merged after every step, so the work follows the size of the
 answer rather than the number of rewrite paths.  The product m*g of an
 ordered monomial and a generator is an append when g is not below h;
-otherwise m = m'*h, and m*g is the sum of c*((m'*a)*b) over the rule
-h*g -> sum c*a*b.  The fold reads the rules as (coefficient, a, b)
-entries, built from spec.exponents on the first memo of a spec and cached
-on it; a unit coefficient is None, so that appends cost no scalar
-product.  A _Products memo keeps every product of two monomials in one
-dict keyed by the pair of packed monomials, m*g under (m, unit[g]),
-besides the Casimir elements z_i as terms; it holds no verdicts.
+otherwise m = m'*h^e ends in the block h^e, and m*g is the sum of
+c*((m'*a)*b)*h^(e-1) over the block rule h^e*g -> sum c*a*b*h^(e-1).  For
+e = 1 that is the rule h*g -> sum c*a*b; for e >= 2 a swap h*g -> c*g*h
+gives c^e*g*h^e, and x_i*y_i gives the ambiskew power formula x_i^e y_i =
+q_i^e y_i x_i^e + [e] z_{i-1} x_i^(e-1) (D. A. Jordan, "Down-up algebras
+and ambiskew polynomial rings", J. Algebra 228, 2000), its geometric sums
+read from the table (_Products.block).  So a generator passes a power in
+one step, and nf x_i^a y_i costs time linear in a.  The fold reads the
+rules as (coefficient, a, b) entries, built from spec.exponents on the
+first memo of a spec and cached on it; a unit coefficient is None, so that
+appends cost no scalar product.  A _Products memo keeps every product of
+two monomials in one dict keyed by the pair of packed monomials, m*g under
+(m, unit[g]), besides the block rules it has met and the Casimir elements
+z_i as terms; it holds no verdicts.
 normal_form and multiply fold on a fresh memo per call, as their inputs
 are unbounded.  The identity checks of a spec are finitely many
 (k <= SKEW_MAX_K), so the verifiers and skew_power_identity read one memo
@@ -67,16 +74,23 @@ of generators (compared largest first), then by inversion count.
 Pure swaps keep the multiset and remove one inversion, and the
 inhomogeneous (x_i, y_i) rule adds terms in strictly lower generators only,
 so every rule lowers a word, and the order is compatible with
-concatenation.  The word of each recursive product m'*a is shorter than
-that of m*g, and the word of each (r, b) with r a term of m'*a is at most
-m'*a*b, which is below m*g = m'*h*g.  Words of one length are finitely many,
-so every chain of products ends.
+concatenation.  A block rule is a composite of e rule applications, each
+lowering the word, so it lowers it too.  The word of each recursive
+product m'*a is shorter than that of m*g, and the word of each (r, b) with
+r a term of m'*a is at most m'*a*b, which is below m*g = m'*h^e*g, as
+m'*a*b*h^(e-1) is.  Words of one length are finitely many, so every chain
+of products ends.
 
 Confluence is not proved from critical pairs; it is validated by the
 associativity fuzz in the test suite and by the comparison of the fold with
-a word rewriter in the tests.  growth_count does not fold: its counts are
-binomials for any rules of this shape, confluent or not, so they
-validate nothing about the rules.
+a word rewriter in the tests.  The block step is backed the same way: its
+rule is the sum, over the e single steps of the letter-by-letter chain, of
+the rule applications they make, with every coefficient taken from the
+table, and the tests compare it with the rewriter on long blocks of every
+preset, of seeded custom specs and of two corrupted tables.
+skew_power_identity compares it with the closed formula in q_i and p_i.
+growth_count does not fold: its counts are binomials for any rules of this
+shape, confluent or not, so they validate nothing about the rules.
 """
 
 from __future__ import annotations
@@ -89,7 +103,7 @@ from dataclasses import dataclass
 
 from .presentation import AlgebraSpec, _swap_exponents, ambiskew_step, casimir
 from .reporting import check
-from .scalars import Scalar, render_scalar
+from .scalars import Scalar, power_sum, render_scalar
 
 Monomial = tuple[int, ...]
 Word = tuple[int, ...]
@@ -333,7 +347,8 @@ def _packed_rules(spec: AlgebraSpec) -> list[list[tuple]]:
 
 
 class _Products:
-    """Products of packed ordered monomials, memoized in one dict `pairs`.
+    """Products of packed ordered monomials, memoized in one dict `pairs`;
+    the rules of the power blocks met are kept in `blocks`.
 
     One instance serves one spec: a fresh one per call of normal_form or
     multiply, and the one of _checks_memo(spec) for the identity checks.
@@ -351,6 +366,7 @@ class _Products:
         self.after = layout.after
         self.rules = _packed_rules(spec)
         self.pairs: dict[tuple[int, int], _Terms] = {}
+        self.blocks: dict[tuple[int, int, int], tuple] = {}
         self.casimirs: dict[int, _Terms] = {}
 
     def add(self, out: _Terms, m: int, c: _Coeff) -> None:
@@ -379,12 +395,16 @@ class _Products:
 
     def times(self, m: int, g: int) -> _Terms:
         """m*g: an append when g is not below the last occupied slot h of m,
-        otherwise sum c*((m'*a)*b) over the rule h*g -> sum c*a*b, m = m'*h.
+        otherwise sum c*((m'*a)*b)*h^(e-1) over the rule h^e*g -> sum
+        c*a*b*h^(e-1) of the block h^e that ends m, m = m'*h^e.
 
         The first term of every rule is c*g*h, so m'*g recurses down m one
-        letter at a time.  That chain runs as a loop, down to an append or a
+        block at a time.  That chain runs as a loop, down to an append or a
         memo hit and back up; only the other terms of the (x_i, y_i) rules
-        recurse, so the call depth grows with n, not with the word length.
+        recurse, so the call depth grows with n, not with the word length,
+        and the number of steps with the number of blocks of m, not with
+        its degree.  Every term of m'*a*b has its slots below h, so h^(e-1)
+        is appended.
         """
         unit, after = self.unit, self.after
         ug = unit[g]
@@ -396,25 +416,54 @@ class _Products:
             out = memo.get((m, ug))
             if out is not None:
                 break
-            h = self.top - ((m & -m).bit_length() - 1) // 32
-            chain.append((m, h))
-            m -= unit[h]
+            # the lowest occupied field holds the exponent e of the last block
+            shift = ((m & -m).bit_length() - 1) & ~31
+            e = m >> shift & 0xFFFFFFFF
+            chain.append((m, self.top - (shift >> 5), e))
+            m -= e << shift
             if not m & after[g]:
                 out = {m + ug: None}
                 break
-        for upper, h in reversed(chain):
+        for upper, h, e in reversed(chain):
             below, out = out, {}
-            for c, a, b in self.rules[h][g]:
+            tail = (e - 1) * unit[h]
+            for c, a, b in self.rules[h][g] if e == 1 else self.block(h, g, e):
+                append = unit[b] + tail
                 for r, cr in (below if a == g else self.times(m, a)).items():
                     cr = _mul(c, cr)
                     if not r & after[b]:
-                        add(out, r + unit[b], cr)
+                        add(out, r + append, cr)
                     else:
                         for s, cs in self.times(r, b).items():
-                            add(out, s, _mul(cr, cs))
+                            add(out, s + tail, _mul(cr, cs))
             memo[(upper, ug)] = out
             m = upper
         return out
+
+    def block(self, h: int, g: int, e: int) -> tuple:
+        """The rule of h^e*g for e >= 2, entries (c, a, b) read as
+        c*a*b*h^(e-1), from rules[h][g]; cached per memo under (h, g, e).
+
+        The first entry (c_0, g, h) becomes (c_0^e, g, h), and each other
+        entry (c_l, y_l, x_l) becomes (c_l*[e]_l, y_l, x_l) with [e]_l =
+        sum_{j<e} c_0^j s_l^(e-1-j), where s_l is the product of the swap
+        coefficients rules[h][y_l] and rules[h][x_l]: h^(e-1) passes y_l x_l
+        as the scalar s_l^(e-1).  That is the sum of the rule applications
+        of e single steps, so the block follows the table even where the
+        table is not the algebra's.
+        """
+        key = (h, g, e)
+        block = self.blocks.get(key)
+        if block is None:
+            one, rules = self.one, self.rules[h]
+            (c0, a0, b0), *rest = rules[g]
+            c0 = one if c0 is None else c0
+            block = [(_unit_or(c0**e), a0, b0)]
+            for c, a, b in rest:
+                s = _mul(rules[a][0][0], rules[b][0][0])
+                block.append((_mul(c, power_sum(c0, one if s is None else s, e)), a, b))
+            block = self.blocks[key] = tuple(block)
+        return block
 
     def element(self, terms: _Terms) -> PBWElement:
         one = self.one
@@ -634,7 +683,11 @@ def skew_power_identity(spec: AlgebraSpec, i: int, k: int, form: str) -> dict:
     x_i y_i^k and x_i^k y_i are read from the pair memo, the same folds that
     normal_form makes of the words, and each formula is one sum of the
     kernel.  Products and z_{i-1} come from the memo cached on the spec.
-    Raises BudgetError when k exceeds SKEW_MAX_K.
+    x_i^k y_i is one block step, whose coefficients come from the rule
+    table: c_0^k and the geometric sums in s_l (_Products.block).  So
+    k1_base tests the table's c_0^k against q_1^k, and xk_y tests c_0^k
+    against q_i^k and each s_l against p_i.  Raises BudgetError when k
+    exceeds SKEW_MAX_K.
     """
     if form not in SKEW_FORMS:
         raise ValueError(f"unknown form {form!r}; expected one of {SKEW_FORMS}")

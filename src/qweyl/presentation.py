@@ -91,7 +91,8 @@ class AlgebraSpec:
 
     def gen_index(self, name: str) -> int:
         kind, num = name[:1], name[1:]
-        if kind not in ("x", "y") or not num.isdigit():
+        # isdigit alone takes any Unicode digit, "²" and "٣" among them
+        if kind not in ("x", "y") or not (num.isascii() and num.isdigit()):
             raise ConfigError("word", f"unknown generator {name!r}")
         i = int(num)
         if not 1 <= i <= self.n:

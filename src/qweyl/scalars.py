@@ -283,8 +283,18 @@ class Scalar:
         return self * other.inverse()
 
     def __pow__(self, e: int) -> "Scalar":
+        """self^e; a unit's power is one operation on its packed key, bias +
+        e*(key - bias), while |e|*degree stays within MAX_EXPONENT.  Other
+        powers are repeated products, which raise ExponentOverflowError only
+        where an exponent really leaves its field."""
         if e == 0:
             return self.lattice.one()
+        degree = abs(e) * self.degree
+        if len(self.packed) == 1 and degree <= MAX_EXPONENT:
+            (key, c), = self.packed.items()
+            if c in (1, -1):
+                bias = self.lattice.bias
+                return _scalar(self.lattice, {bias + e * (key - bias): c if e & 1 else 1}, degree)
         base = self if e > 0 else self.inverse()
         out = base
         for _ in range(abs(e) - 1):
@@ -343,6 +353,27 @@ def _scalar(lattice: ParameterLattice, packed: dict[int, int], degree: int) -> S
     s.packed = packed
     s.degree = degree
     return s
+
+
+def power_sum(c: Scalar, s: Scalar, e: int) -> Scalar:
+    """sum_{j<e} c^j s^(e-1-j) for e >= 1 and coefficient-1 monomials c, s.
+
+    The terms are monomials whose packed keys step by key(c) - key(s) from
+    the key of s^(e-1), so the sum is e additions into one dict.  Every
+    exponent lies between those of s^(e-1) and c^(e-1), which are computed
+    first and raise ExponentOverflowError where an end leaves its field.
+    """
+    c._check(s)
+    if not all(len(u.packed) == 1 and 1 in u.packed.values() for u in (c, s)):
+        raise ValueError("power_sum takes coefficient-1 monomials")
+    lo, hi = s ** (e - 1), c ** (e - 1)
+    key, = lo.packed
+    step = next(iter(c.packed)) - next(iter(s.packed))
+    out: dict[int, int] = {}
+    for _ in range(e):
+        out[key] = out.get(key, 0) + 1
+        key += step
+    return _scalar(c.lattice, out, max(lo.degree, hi.degree))
 
 
 # -- rendering and parsing of the external monomial-string format ----------

@@ -333,6 +333,15 @@ def test_bad_generator_in_args_is_a_usage_error(tmp_path, capsys):
         pbw.normal_form(build_spec(2, "generic"), "x9 y1")
 
 
+@pytest.mark.parametrize("bad", ["x\u00b2", "x\u0663"], ids=["superscript-two", "arabic-three"])
+def test_a_non_ascii_digit_is_a_usage_error(tmp_path, capsys, bad):
+    # str.isdigit takes both: int() refused x², and x٣ read as x3
+    cfg = _write(tmp_path, {"n": 3, "kind": "generic"})
+    assert main(["--config", cfg, "--command", "nf", "--args", f"{bad} y1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and repr(bad) in err, err
+
+
 def test_skew_usage_errors_exit_2(tmp_path, capsys):
     cfg = _write(tmp_path, {"n": 2, "kind": "generic"})
     assert main(["--config", cfg, "--command", "skew", "--args", "1", "2", "xk_y"]) == 2

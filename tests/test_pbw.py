@@ -418,6 +418,63 @@ def test_step_and_skew_sums_fail_where_the_multiply_formulas_fail(key_of, scale_
     assert failed == {name for name, ok in oracle.items() if not ok}
 
 
+# -- power blocks against the rewriter ------------------------------------------
+
+def _block_words(spec):
+    """Words with a long block: x_i^a y_i and h^a g for every swap rule h*g
+    -> c*g*h of the spec's table, a <= 40, and x_j x_i^a y_i y_j for j != i,
+    a <= 7 past n = 2, where the rewriter's paths multiply."""
+    n, rules = spec.n, pbw._packed_rules(spec)
+    swaps = [(h, g) for h in range(2 * n) for g in range(h) if len(rules[h][g]) == 1]
+    for a in (2, 3, 7, 40):
+        for i in range(1, n + 1):
+            x, y = spec.x_index(i), spec.y_index(i)
+            yield (x,) * a + (y,)
+            for j in range(1, n + 1):
+                if j != i and (a <= 7 or n == 2):
+                    yield (spec.x_index(j),) + (x,) * a + (y, spec.y_index(j))
+        for h, g in swaps:
+            yield (h,) * a + (g,)
+
+
+def test_power_blocks_match_the_rewriter(custom_config):
+    specs = [build_spec(n, kind) for kind in PRESET_KINDS for n in (2, 3, 4)]
+    rng = random.Random(17)
+    specs += [spec_from_config(custom_config(rng, n, k)) for n in (2, 3, 4) for k in (2, 3)]
+    for spec in specs:
+        for word in _block_words(spec):
+            assert normal_form(spec, word) == _rewrite_word(spec, word), (spec.kind, word)
+
+
+@pytest.mark.parametrize("key_of, scale_term", [
+    (lambda s: (s.x_index(3), s.x_index(1)), 0),
+    (lambda s: (s.x_index(3), s.y_index(3)), 1),
+], ids=["x3*x1-swap", "x3*y3-rule-z1-term"])
+def test_power_blocks_follow_a_corrupted_table(key_of, scale_term):
+    # the block rules read c_0 and s_l from the table, not from q and p, so
+    # the fold keeps matching the rewriter on a table that is not the algebra's
+    spec = _corrupted(key_of, scale_term)
+    for word in _block_words(spec):
+        assert normal_form(spec, word) == _rewrite_word(spec, word), word
+
+
+def test_a_power_block_costs_the_same_at_every_power(monkeypatch):
+    # nf x2^a y2 passes the block x2^a in one step: as many times calls at
+    # a = 50 as at a = 5000
+    calls = []
+    times = _Products.times
+    monkeypatch.setattr(_Products, "times", lambda self, m, g: (calls.append(g),
+                                                                times(self, m, g))[1])
+    x2, y2 = GEN2.x_index(2), GEN2.y_index(2)
+    counts = []
+    for a in (50, 5000):
+        calls.clear()
+        f = normal_form(GEN2, (x2,) * a + (y2,))
+        assert sorted(f.terms) == [(0, 0, 1, a), (1, 1, 0, a - 1)]
+        counts.append(len(calls))
+    assert counts[0] == counts[1]
+
+
 def test_pair_guards_the_degree_once_per_miss(monkeypatch):
     layout = _layout(2)
     products = _Products(GEN2)

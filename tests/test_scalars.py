@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qweyl.scalars import (
@@ -17,6 +17,7 @@ from qweyl.scalars import (
     Scalar,
     SpecializationError,
     parse_monomial,
+    power_sum,
     render_exponents,
     render_scalar,
 )
@@ -388,6 +389,69 @@ def test_power_past_the_field_raises():
         (QPR.monomial({"q": -(2**30)}) + QPR.one()) ** 2
     with pytest.raises(ArithmeticError):
         QPR.monomial({"p": 2**30}) ** -2
+
+
+def _repeated_power(u, e):
+    """u^e as |e| products of u or of its inverse."""
+    base = u if e > 0 else u.inverse()
+    out = u.lattice.one()
+    for _ in range(abs(e)):
+        out = out * base
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(e=st.integers(-5, 5), offsets=st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+       edges=st.lists(st.sampled_from((-1, 0, 1)), min_size=3, max_size=3),
+       sign=st.sampled_from((1, -1)))
+def test_unit_power_matches_repeated_products(e, offsets, edges, sign):
+    # edges put exponents near ±MAX_EXPONENT/|e|, so that e times them lands
+    # just inside or just past the field
+    scale = MAX_EXPONENT // max(abs(e), 1)
+    exps = tuple(d * scale + o for d, o in zip(edges, offsets))
+    assume(all(abs(v) <= MAX_EXPONENT for v in exps))
+    u = Scalar(QPR, {exps: sign})
+    try:
+        oracle = _repeated_power(u, e)
+    except ExponentOverflowError:
+        with pytest.raises(ExponentOverflowError):
+            u**e
+        return
+    power = u**e
+    assert (power.packed, power.degree) == (oracle.packed, oracle.degree)
+
+
+def test_unit_power_at_the_edge_of_the_field():
+    for sign in (1, -1):
+        top = QPR.monomial({"q": sign * MAX_EXPONENT, "r": 1})
+        assert (top**1).packed == top.packed
+        assert (top**-1).as_monomial() == (-sign * MAX_EXPONENT, 0, -1)
+        for e in (2, -2):
+            with pytest.raises(ExponentOverflowError):
+                top**e
+    # a degree bound past the field with exponents inside takes the product
+    # path, which raises nothing
+    loose = QPR.monomial({"q": 2**30 - 1, "r": 1}) * QPR.monomial({"r": -1})
+    assert loose.degree == 2**30
+    assert (loose**2).as_monomial() == (MAX_EXPONENT - 1, 0, 0)
+    assert (-QPR.symbol("p")) ** 3 == -QPR.monomial({"p": 3})
+    assert (-QPR.symbol("p")) ** -2 == QPR.monomial({"p": -2})
+
+
+def test_power_sum_is_the_geometric_sum():
+    c, s = QPR.monomial({"q": 2, "r": -1}), QPR.symbol("p")
+    for e in (1, 2, 7):
+        oracle = QPR.zero()
+        for j in range(e):
+            oracle = oracle + c**j * s ** (e - 1 - j)
+        for a, b in ((c, s), (s, c), (c, c)):
+            got = power_sum(a, b, e)
+            assert got == (oracle if a is not b else QPR.rational(e) * c ** (e - 1))
+            assert got.degree >= max(map(abs, (v for k in got.terms for v in k)))
+    with pytest.raises(ValueError):
+        power_sum(c + s, s, 3)
+    with pytest.raises(ExponentOverflowError):
+        power_sum(QPR.monomial({"q": 2**30}), s, 3)
 
 
 def test_constructor_input_past_the_field_raises():
