@@ -52,22 +52,31 @@ appends cost no scalar product.  A _Products memo keeps every product of
 two monomials in one dict keyed by the pair of packed monomials, m*g under
 (m, unit[g]), besides the block rules it has met and the Casimir elements
 z_i as terms; it holds no verdicts.
-normal_form and multiply fold on a fresh memo per call, as their inputs
-are unbounded.  The identity checks of a spec are finitely many
-(k <= SKEW_MAX_K), so the verifiers and skew_power_identity read one memo
-built on first use and cached on the spec: a `report` shares it across its
-relation, normality, extension-step and skew checks, and it dies with the
-spec.
+
+Each spec has one memo, built on first use and cached on the spec
+(_memo): normal_form, multiply, the verifiers and skew_power_identity all
+read it, so a session folds each monomial product once, and a `report`
+shares it across its relation, normality, extension-step and skew checks.
+It dies with the spec.  The identity checks of a spec are finitely many
+(k <= SKEW_MAX_K), but the inputs of normal_form and multiply are not, so
+after one of their calls a memo past MEMO_MAX_PAIRS entries is dropped and
+the next call starts a fresh one.  Each memo entry is fixed by its key,
+the spec and the rules, so sharing or dropping a memo changes no result.
+An entry is stored only once it is complete (a pair after its fold, a
+block rule after it is built), and no memo dict reaches a caller (fold,
+combine and element build new dicts), so a call that raises leaves the
+memo as good as fresh, and threads that share a spec need no lock: two
+that miss the same key store equal entries, and of two memos built at
+once one is dropped, which costs only its folds.
 
 Every product of elements goes through one kernel, _Products.combine: it
 adds up sum c*f*g, reading each monomial product from the pair memo, into
-one dict, with no intermediate element.  multiply is one such sum on a
-fresh memo.  Every identity in the algebra that the verifiers and
-skew_power_identity check is one sum minus h, decided by
-_Products.vanishes, so the checks of one spec fold each monomial pair once
-and build each z_i once.  Each memo entry is fixed by its key, the spec and
-the rules, so sharing changes no result.  The commutators [z_a, z_b]
-are no sum at all: verify_normality reads them off the normality verdicts.
+one dict, with no intermediate element.  multiply is one such sum.  Every
+identity in the algebra that the verifiers and skew_power_identity check
+is one sum minus h, decided by _Products.vanishes, so the checks of one
+spec fold each monomial pair once and build each z_i once.  The
+commutators [z_a, z_b] are no sum at all: verify_normality reads them off
+the normality verdicts.
 
 The recursion terminates.  Order words by length, then by their multiset
 of generators (compared largest first), then by inversion count.
@@ -115,6 +124,12 @@ MAX_DEGREE = 2**32 - 1
 # Largest N that growth_count will answer, which bounds the length of its
 # list of counts.
 GROWTH_MAX_N = 1_000
+
+# Largest number of monomial products that the memo of a spec keeps past a
+# call of normal_form or multiply; a memo that has grown beyond it is dropped,
+# so memory cannot pile up across calls in a long-lived process.  A `words`
+# session of the benchmark peaks at about 1,100 per spec.
+MEMO_MAX_PAIRS = 4_096
 
 # Largest power k that skew_power_identity will check; both forms at
 # i = n = 12, k = 128 take about 0.4 s on a 2-vCPU VM.
@@ -281,25 +296,31 @@ def normal_form(spec: AlgebraSpec, word) -> PBWElement:
     else:
         _check_slots(spec, word)
     _check_degree(len(word))
-    products = _Products(spec)
-    acc: _Terms = {0: None}
-    for g in word:
-        acc = products.fold(acc, g)
-    return products.element(acc)
+    products = _memo(spec)
+    try:
+        acc: _Terms = {0: None}
+        for g in word:
+            acc = products.fold(acc, g)
+        return products.element(acc)
+    finally:
+        _bound(spec, products)
 
 
 def multiply(spec: AlgebraSpec, f: PBWElement, g: PBWElement) -> PBWElement:
     """Bilinear extension of word concatenation + normal form.
 
-    One sum of the kernel on a fresh memo: each product of a monomial of f
-    by one of g is read from the pair memo.  Raises OverflowError when the
-    degrees of such a pair add up past MAX_DEGREE, which happens exactly
-    when f.degree() + g.degree() does.
+    One sum of the kernel: each product of a monomial of f by one of g is
+    read from the memo of the spec.  Raises OverflowError when the degrees
+    of such a pair add up past MAX_DEGREE, which happens exactly when
+    f.degree() + g.degree() does.
     """
     if f.n != spec.n or g.n != spec.n:
         raise ValueError(f"factors of n={f.n} and n={g.n} in a spec of n={spec.n}")
-    products = _Products(spec)
-    return products.element(products.combine([(None, _terms(f), _terms(g))]))
+    products = _memo(spec)
+    try:
+        return products.element(products.combine([(None, _terms(f), _terms(g))]))
+    finally:
+        _bound(spec, products)
 
 
 # Coefficients inside the fold: None stands for the unit, so appends and unit
@@ -350,10 +371,9 @@ class _Products:
     """Products of packed ordered monomials, memoized in one dict `pairs`;
     the rules of the power blocks met are kept in `blocks`.
 
-    One instance serves one spec: a fresh one per call of normal_form or
-    multiply, and the one of _checks_memo(spec) for the identity checks.
-    It holds the spec by a weak reference, so the memo cached on the spec
-    forms no cycle with it and is freed with it.
+    One instance serves one spec, cached on it by _memo(spec) for every
+    entry point of the engine.  It holds the spec by a weak reference, so
+    it forms no cycle with the spec and is freed with it.
     """
 
     def __init__(self, spec: AlgebraSpec):
@@ -537,16 +557,21 @@ def _skew(f: _Terms, g: _Terms, lam: Scalar) -> tuple:
     return (None, f, g), (-lam, g, f)
 
 
-# -- identity verification ---------------------------------------------------
-
-def _checks_memo(spec: AlgebraSpec) -> _Products:
-    """The memo of the identity checks of spec; built on first use, cached
-    on the spec."""
+def _memo(spec: AlgebraSpec) -> _Products:
+    """The product memo of spec; built on first use, cached on the spec."""
     products = spec._products
     if products is None:
         products = spec._products = _Products(spec)
     return products
 
+
+def _bound(spec: AlgebraSpec, products: _Products) -> None:
+    """Drop the memo of spec once it holds more than MEMO_MAX_PAIRS products."""
+    if len(products.pairs) > MEMO_MAX_PAIRS:
+        spec._products = None
+
+
+# -- identity verification ---------------------------------------------------
 
 def verify_relations(spec: AlgebraSpec) -> list[dict]:
     """Check the defining relations and the antisymmetry of gamma.
@@ -556,7 +581,7 @@ def verify_relations(spec: AlgebraSpec) -> list[dict]:
     for each unordered pair.  Products and Casimir elements come from the
     memo cached on the spec.
     """
-    products = _checks_memo(spec)
+    products = _memo(spec)
     checks = []
     n = spec.n
     one = spec.lattice.one()
@@ -604,7 +629,7 @@ def verify_normality(spec: AlgebraSpec, i: int) -> list[dict]:
     """
     if not 1 <= i <= spec.n:
         raise ValueError(f"index {i} out of range 1..{spec.n}")
-    products = _checks_memo(spec)
+    products = _memo(spec)
     checks = []
     n = spec.n
     q, p = spec.q, spec.p
@@ -642,7 +667,7 @@ def verify_ambiskew(spec: AlgebraSpec, m: int) -> list[dict]:
     follows from ambiskew-alpha-u, since rho = q_{m+1}^{-1} and c = p_{m+1} -
     q_{m+1} by construction, so that check sums only its engine side.
     """
-    products = _checks_memo(spec)
+    products = _memo(spec)
     step = ambiskew_step(spec, m)
     p, gamma = spec.p, spec.gamma
     unit, zero = products.unit, products.vanishes
@@ -700,7 +725,7 @@ def skew_power_identity(spec: AlgebraSpec, i: int, k: int, form: str) -> dict:
     if k > SKEW_MAX_K:
         raise BudgetError(f"skew power k={k} over the limit of {SKEW_MAX_K}")
 
-    products = _checks_memo(spec)
+    products = _memo(spec)
     qk = spec.q[i - 1] ** k
     x, y = products.unit[spec.x_index(i)], products.unit[spec.y_index(i)]
     zero, pair = products.vanishes, products.pair

@@ -69,9 +69,9 @@ class AlgebraSpec:
         # the torus pairings are built from them
         self.exponents = _validate(self)
         # built on first use by pbw._packed_rules (the rewrite rules),
-        # torus.standard_torus and pbw._checks_memo (the product memo of the
-        # identity checks); each entry is fixed by its key, so caching changes
-        # no result
+        # torus.standard_torus and pbw._memo (the product memo of every
+        # engine call, dropped past pbw.MEMO_MAX_PAIRS products); each entry
+        # is fixed by its key, so caching changes no result
         self._packed_rules: list | None = None
         self._standard_torus = None
         self._products = None

@@ -4,6 +4,8 @@ import gc
 import itertools
 import math
 import random
+import sys
+import threading
 import weakref
 from fractions import Fraction
 
@@ -11,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qweyl import pbw
+from qweyl import cli, pbw
 from qweyl.pbw import (
     GROWTH_MAX_N,
     MAX_DEGREE,
@@ -37,12 +39,19 @@ from qweyl.presentation import (
     build_spec,
     casimir,
     spec_from_config,
+    spec_to_config,
 )
 from qweyl.reporting import all_ok
+from qweyl.scalars import ExponentOverflowError
 
 GEN2 = build_spec(2, "generic")
 PRESET_KINDS = ("generic", "generic-p1", "generic-q1", "symplectic", "euclidean",
                 "heisenberg", "graded-weyl")
+
+
+def _twin(spec):
+    """A spec equal to spec, built again, so that it shares no memo with it."""
+    return spec_from_config(spec_to_config(spec))
 
 
 def _rewrite_word(spec, word):
@@ -230,7 +239,7 @@ def test_verify_normality_suite():
 
 def _product(spec, f, g):
     """f*g without the kernel: the sum over monomial pairs of cf*cg times the
-    normal form of the concatenated ordered words, a fresh fold per pair."""
+    normal form of the concatenated ordered words, one normal_form per pair."""
     word = lambda mono: tuple(slot for slot, e in enumerate(mono) for _ in range(e))
     out = PBWElement(spec.n, {})
     for mf, cf in f.terms.items():
@@ -246,7 +255,8 @@ def _oracle_zero(spec, f, g, lam, h=None):
 
 
 def _oracle_verdicts(spec):
-    """The relation and normality verdicts of verify by check name."""
+    """The relation and normality verdicts of verify by check name, on a spec
+    that shares no memo with the engine side (_twin)."""
     n, q, p, gamma = spec.n, spec.q, spec.p, spec.gamma
     x = lambda i: generator(spec, spec.x_index(i))
     y = lambda i: generator(spec, spec.y_index(i))
@@ -287,7 +297,7 @@ def test_fused_checks_match_the_multiply_formula(custom_config):
               for _ in range(2)]
     for spec in specs:
         engine = _engine_verdicts(spec)
-        assert engine == _oracle_verdicts(spec), (spec.kind, spec.n)
+        assert engine == _oracle_verdicts(_twin(spec)), (spec.kind, spec.n)
         assert all(engine.values())
 
 
@@ -322,7 +332,8 @@ def test_fused_checks_fail_where_the_multiply_formula_fails(key_of, scale_term, 
 def _oracle_step_verdicts(spec, max_k=4):
     """The engine verdicts of every extension step and of the skew suite to
     max_k, from the element formulas: products without the kernel and
-    normal_form, each a fresh fold, then scale and -."""
+    normal_form, then scale and -, on a spec that shares no memo with the
+    engine side (_twin)."""
     n, q, p = spec.n, spec.q, spec.p
     one = spec.lattice.one()
     mul = lambda f, g: _product(spec, f, g)
@@ -397,7 +408,7 @@ def test_step_and_skew_sums_match_the_multiply_formulas(custom_config):
               for _ in range(2)]
     for spec in specs:
         engine = _engine_step_verdicts(spec)
-        assert engine == _oracle_step_verdicts(spec), (spec.kind, spec.n)
+        assert engine == _oracle_step_verdicts(_twin(spec)), (spec.kind, spec.n)
         assert all(engine.values())
 
 
@@ -460,7 +471,7 @@ def test_power_blocks_follow_a_corrupted_table(key_of, scale_term):
 
 def test_a_power_block_costs_the_same_at_every_power(monkeypatch):
     # nf x2^a y2 passes the block x2^a in one step: as many times calls at
-    # a = 50 as at a = 5000
+    # a = 50 as at a = 5000, each on a spec of its own, whose memo is cold
     calls = []
     times = _Products.times
     monkeypatch.setattr(_Products, "times", lambda self, m, g: (calls.append(g),
@@ -469,7 +480,7 @@ def test_a_power_block_costs_the_same_at_every_power(monkeypatch):
     counts = []
     for a in (50, 5000):
         calls.clear()
-        f = normal_form(GEN2, (x2,) * a + (y2,))
+        f = normal_form(build_spec(2, "generic"), (x2,) * a + (y2,))
         assert sorted(f.terms) == [(0, 0, 1, a), (1, 1, 0, a - 1)]
         counts.append(len(calls))
     assert counts[0] == counts[1]
@@ -510,22 +521,33 @@ def test_products_by_one_generator_share_the_pair_memo():
     assert products.element(first) == normal_form(GEN2, "x1 y2 y1")
 
 
-def test_library_calls_leave_the_spec_memo_unbuilt():
-    # normal_form, multiply and growth_count fold on a fresh memo per call;
-    # only the identity checks cache theirs on the spec
+def test_library_calls_and_checks_share_one_spec_memo(monkeypatch):
+    # normal_form, multiply and the identity checks read the one memo
+    # cached on the spec; growth_count folds nothing and builds none
+    built = []
+
+    class Counted(_Products):
+        def __init__(self, spec):
+            built.append(spec)
+            super().__init__(spec)
+
+    monkeypatch.setattr(pbw, "_Products", Counted)
     spec = build_spec(3, "generic")
-    f = normal_form(spec, "x3 y2 x1 y3")
-    multiply(spec, f, normal_form(spec, "y3 x2"))
     growth_count(spec, 2)
-    assert spec._products is None
+    assert built == [] and spec._products is None
+    f = normal_form(spec, "x3 y2 x1 y3")
+    memo = spec._products
+    multiply(spec, f, normal_form(spec, "y3 x2"))
     verify_relations(spec)
-    assert isinstance(spec._products, _Products)
+    growth_count(spec, 2)
+    assert built == [spec] and spec._products is memo
 
 
 def test_spec_memo_forms_no_cycle():
     # the memo holds its spec weakly, so dropping the last reference frees
     # the spec and its memo at once, without the cycle collector
     spec = build_spec(3, "generic")
+    normal_form(spec, "x3 y2 x1 y3")
     verify_normality(spec, 2)
     freed = weakref.ref(spec._products)
     gc.disable()
@@ -698,13 +720,15 @@ def test_multiply_appends_a_power_without_folding(monkeypatch):
                                                                  fold(self, acc, g))[1])
     monkeypatch.setattr(_Products, "times", lambda self, m, g: (times.append((m, g)),
                                                                 times_(self, m, g))[1])
-    one = GEN2.lattice.one()
-    y1 = generator(GEN2, "y1")
+    # a spec of its own, whose memo is cold
+    spec = build_spec(2, "generic")
+    one = spec.lattice.one()
+    y1 = generator(spec, "y1")
     below = PBWElement(2, {(MAX_DEGREE - 1, 0, 0, 0): one})
-    assert multiply(GEN2, y1, below) == PBWElement(2, {(MAX_DEGREE, 0, 0, 0): one})
+    assert multiply(spec, y1, below) == PBWElement(2, {(MAX_DEGREE, 0, 0, 0): one})
     assert folds == times == []
     # x1*y1 is no append: one times call of x1 by y1, and no fold
-    assert multiply(GEN2, generator(GEN2, "x1"), y1) == PBWElement(2, {(1, 1, 0, 0): GEN2.q[0]})
+    assert multiply(spec, generator(spec, "x1"), y1) == PBWElement(2, {(1, 1, 0, 0): spec.q[0]})
     assert folds == []
     assert times == [(_layout(2).unit[1], 0)]
 
@@ -787,3 +811,129 @@ def test_slot_2n_is_a_value_error():
         normal_form(GEN2, (0, 4))
     with pytest.raises(ValueError, match="slot 4 outside 0..3"):
         generator(GEN2, 4)
+
+
+# -- one product memo per spec: warm against fresh ------------------------------
+
+def _session_inputs(spec, rng):
+    """The nf words and mul pairs of a library session on spec: random words
+    of length 4-10, power words x_i^a y_i^b wrapped in x_j ... y_j, and
+    pairs of shorter random words."""
+    size = 2 * spec.n
+    word = lambda lo, hi: tuple(rng.randrange(size) for _ in range(rng.randint(lo, hi)))
+    words = [word(4, 10) for _ in range(10)]
+    for i, j in itertools.permutations(range(1, spec.n + 1), 2):
+        a, b = rng.randint(1, 3), rng.randint(1, 3)
+        words.append((spec.x_index(j),) + (spec.x_index(i),) * a + (spec.y_index(i),) * b
+                     + (spec.y_index(j),))
+    pairs = [(word(1, 5), word(1, 5)) for _ in range(8)]
+    return words, pairs
+
+
+def _verify(spec):
+    return cli._cmd_verify(spec, [], 3, lambda: False)[0]
+
+
+def _mul_words(spec, u, v):
+    return multiply(spec, normal_form(spec, u), normal_form(spec, v))
+
+
+def _warm_session(spec, words, pairs, verify_first):
+    """verify, the normal forms of words and the products of pairs, all on
+    the one memo of spec, with verify first or last."""
+    checks = _verify(spec) if verify_first else None
+    forms = [normal_form(spec, w) for w in words]
+    products = [_mul_words(spec, u, v) for u, v in pairs]
+    if not verify_first:
+        checks = _verify(spec)
+    return checks, forms, products
+
+
+def test_a_warm_spec_memo_answers_like_fresh_specs(custom_config):
+    rng = random.Random(23)
+    specs = [build_spec(n, kind) for kind in PRESET_KINDS for n in (2, 3)]
+    specs += [spec_from_config(custom_config(rng, n, k)) for n in (2, 3) for k in (2, 3)]
+    for spec in specs:
+        words, pairs = _session_inputs(spec, rng)
+        forms = [normal_form(_twin(spec), w) for w in words]
+        assert forms == [_rewrite_word(spec, w) for w in words], spec
+        products = [_mul_words(_twin(spec), u, v) for u, v in pairs]
+        assert products == [_rewrite_word(spec, u + v) for u, v in pairs], spec
+        checks = _verify(_twin(spec))
+        assert all_ok(checks)
+        for verify_first in (True, False):
+            warm = _warm_session(_twin(spec), words, pairs, verify_first)
+            assert warm == (checks, forms, products), (spec, verify_first)
+
+
+def test_a_call_that_raises_leaves_the_memo_sound():
+    # pair's degree guard: the products of the low monomials of f are stored
+    # before the top one passes the field
+    spec = build_spec(2, "generic")
+    one = spec.lattice.one()
+    f = normal_form(spec, "x2 x1 y1") + PBWElement(2, {(MAX_DEGREE, 0, 0, 0): one})
+    for _ in range(2):
+        with pytest.raises(OverflowError):
+            multiply(spec, f, normal_form(spec, "x2 y2 y1"))
+        assert spec._products.pairs
+    words, pairs = _session_inputs(spec, random.Random(31))
+    fresh = _twin(spec)
+    assert _warm_session(spec, words, pairs, False) == _warm_session(fresh, words, pairs, False)
+    # a swap block whose coefficient c^e leaves the 32-bit exponent field
+    cfg = {"n": 2, "kind": "custom", "custom": {
+        "symbols": ["a", "b"], "q": ["1", "b"], "p": ["b", "a^2147483647"],
+        "gamma": [["1", "1"], ["1", "1"]]}}
+    spec = spec_from_config(cfg)
+    for _ in range(2):
+        with pytest.raises(ExponentOverflowError):
+            normal_form(spec, "y2 x2 x2 x1")
+    for text in ("x2 x1", "x2 y2 x1", "x1 y1 x2 y2", "x2 x2 y2", "y2 x2 x1"):
+        assert normal_form(spec, text) == normal_form(spec_from_config(cfg), text), text
+    assert _verify(spec) == _verify(spec_from_config(cfg))
+
+
+def test_a_memo_past_its_bound_is_dropped(monkeypatch):
+    monkeypatch.setattr(pbw, "MEMO_MAX_PAIRS", 8)
+    spec = build_spec(3, "generic")
+    small = normal_form(spec, "x1 y1")
+    memo = spec._products
+    assert 0 < len(memo.pairs) <= 8
+    word = parse_word(spec, "x3 x2 y3 y1 x1 y2 x3")
+    assert normal_form(spec, word) == _rewrite_word(spec, word)
+    assert len(memo.pairs) > 8 and spec._products is None
+    assert normal_form(spec, "x1 y1") == small
+    f, g = normal_form(spec, "x3 x2 y1"), normal_form(spec, "y3 y2 x1")
+    assert multiply(spec, f, g) == _rewrite_word(spec, parse_word(spec, "x3 x2 y1 y3 y2 x1"))
+    assert spec._products is None
+    # the identity checks of a spec are finitely many: they keep their memo
+    checks = _verify(spec)
+    assert len(spec._products.pairs) > 8
+    assert checks == _verify(_twin(spec))
+
+
+def test_threads_share_one_spec_memo():
+    spec = build_spec(3, "generic")
+    rng = random.Random(37)
+    words = [tuple(rng.randrange(6) for _ in range(rng.randint(4, 9))) for _ in range(60)]
+    expect = [normal_form(_twin(spec), w) for w in words]
+    results = [None] * 4
+    start = threading.Barrier(4)
+
+    def work(t):
+        start.wait()
+        order = words if t % 2 else words[::-1]
+        results[t] = {w: normal_form(spec, w) for w in order}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter will
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    for out in results:
+        assert [out[w] for w in words] == expect
