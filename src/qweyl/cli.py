@@ -4,8 +4,8 @@ Loads an algebra spec from a JSON config ({"n": int, "kind": str,
 "custom": {...}?}), runs one command against it, and emits a report either
 as JSON ({"spec", "checks", "values", "elapsed_ms"}) or as a stable text
 table.  The checks are the verifiers' own records (reporting.check), sorted
-by name.  Exit codes: 0 all checks pass, 1 a check failed or the
-growth bound is indeterminate, 2 usage/config error.
+by name.  Exit codes: 0 all checks pass, 1 a check failed, 2 usage/config
+error.
 """
 
 from __future__ import annotations
@@ -67,14 +67,14 @@ def _normal_form(spec, text: str):
     return pbw.normal_form(spec, word)
 
 
-def _cmd_nf(spec, args, height, over_budget):
+def _cmd_nf(spec, args, over_budget):
     if len(args) != 1:
         raise UsageError("nf takes one word argument, e.g. --args 'x2 y1 x1'")
     element = _normal_form(spec, args[0])
     return [], {"input": args[0], "normal_form": pbw.render_element(spec, element)}
 
 
-def _cmd_mul(spec, args, height, over_budget):
+def _cmd_mul(spec, args, over_budget):
     if len(args) != 2:
         raise UsageError("mul takes two word arguments")
     f = _normal_form(spec, args[0])
@@ -83,7 +83,7 @@ def _cmd_mul(spec, args, height, over_budget):
     return [], {"factors": list(args), "product": pbw.render_element(spec, prod)}
 
 
-def _cmd_verify(spec, args, height, over_budget):
+def _cmd_verify(spec, args, over_budget):
     checks = pbw.verify_relations(spec)
     for i in range(1, spec.n + 1):
         if over_budget():
@@ -117,7 +117,7 @@ def _skew_suite(spec, max_k: int) -> list[dict]:
     return checks
 
 
-def _cmd_skew(spec, args, height, over_budget):
+def _cmd_skew(spec, args, over_budget):
     if not args:
         return _skew_suite(spec, max_k=4), {}
     if len(args) not in (2, 3):
@@ -144,7 +144,7 @@ def _growth_values(spec, n_steps: int) -> dict:
     }
 
 
-def _cmd_growth(spec, args, height, over_budget):
+def _cmd_growth(spec, args, over_budget):
     if len(args) != 1:
         raise UsageError("growth takes one argument N")
     try:
@@ -157,26 +157,23 @@ def _cmd_growth(spec, args, height, over_budget):
         raise UsageError(str(exc)) from exc
 
 
-def _cmd_dim(spec, args, height, over_budget):
-    rep = dimension.torus_dimension(spec, height=height)
+def _cmd_dim(spec, args, over_budget):
+    rep = dimension.torus_dimension(spec)
     # torus_dimension returns only witnesses that verify_witness accepted
     checks = [check("dimension-witness", True, "witness is independent and commuting")]
     return checks, dict(rep.to_json())
 
 
-def _cmd_bound(spec, args, height, over_budget):
-    dim_rep = dimension.torus_dimension(spec, height=height)
+def _cmd_bound(spec, args, over_budget):
+    dim_rep = dimension.torus_dimension(spec)
     values = {"dim": dim_rep.to_json()}
-    if not dim_rep.is_point:
-        detail = f"dimension bracketed in [{dim_rep.lo}, {dim_rep.hi}]; raise --height"
-        return [check("bound-determinate", False, detail)], values
     rep = dimension.bernstein_report(spec, dim_rep)
     values.update(rep.to_json())
     return [check("bound-determinate", True, f"module growth bound {rep.bound}")], values
 
 
-def _cmd_report(spec, args, height, over_budget):
-    checks, values = _cmd_verify(spec, [], height, over_budget)
+def _cmd_report(spec, args, over_budget):
+    checks, values = _cmd_verify(spec, [], over_budget)
     if over_budget():
         checks.append(check("skew-suite", None, "budget exhausted"))
     else:
@@ -188,7 +185,7 @@ def _cmd_report(spec, args, height, over_budget):
     if over_budget():
         checks.append(check("bound", None, "budget exhausted"))
     else:
-        dim_checks, dim_values = _cmd_bound(spec, [], height, over_budget)
+        dim_checks, dim_values = _cmd_bound(spec, [], over_budget)
         checks.extend(dim_checks)
         values.update(dim_values)
     return checks, values
@@ -217,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", required=True, help="path to the spec JSON file")
     parser.add_argument("--command", required=True, choices=COMMANDS)
     parser.add_argument("--args", nargs="*", default=[], help="command arguments")
-    parser.add_argument("--height", type=int, default=3, help="witness search bound")
     parser.add_argument("--budget", type=float, default=None, help="soft time budget (s)")
     fmt = parser.add_mutually_exclusive_group()
     fmt.add_argument("--json", dest="as_json", action="store_true", help="JSON output")
@@ -226,10 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def run(config: dict, command: str, args=(), height: int = 3, budget=None) -> Report:
+def run(config: dict, command: str, args=(), budget=None) -> Report:
     """Execute one command against a parsed config; raises ConfigError/UsageError."""
-    if height < 1:
-        raise UsageError(f"--height must be at least 1, got {height}")
     spec = spec_from_config(config)
     started = time.perf_counter()
 
@@ -240,7 +234,7 @@ def run(config: dict, command: str, args=(), height: int = 3, budget=None) -> Re
         raise UsageError(f"unknown command {command!r}")
     if args and command in ("verify", "dim", "bound", "report"):
         raise UsageError(f"{command} takes no arguments, got --args {' '.join(args)}")
-    checks, values = _HANDLERS[command](spec, list(args), height, over_budget)
+    checks, values = _HANDLERS[command](spec, list(args), over_budget)
     checks.sort(key=lambda c: c["name"])
     elapsed_ms = int((time.perf_counter() - started) * 1000)
     return Report(spec=spec_to_config(spec), checks=checks, values=values,
@@ -263,8 +257,7 @@ def main(argv=None) -> int:
         print(f"config error: {opts.config} is not valid JSON: {exc}", file=sys.stderr)
         return 2
     try:
-        report = run(config, opts.command, opts.args, height=opts.height,
-                     budget=opts.budget)
+        report = run(config, opts.command, opts.args, budget=opts.budget)
     except ConfigError as exc:
         print(f"config error in field '{exc.field}': {exc.message}", file=sys.stderr)
         return 2

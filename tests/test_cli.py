@@ -198,12 +198,14 @@ def test_main_exit_codes(tmp_path, capsys):
     assert main(["--config", ok_cfg, "--command", "growth", "--args", "0"]) == 2
     assert "N must be positive" in capsys.readouterr().err
 
+    # --height is not a flag: the dimension takes no search height
     for command in ("dim", "bound", "report"):
-        assert main(["--config", ok_cfg, "--command", command, "--height", "0"]) == 2
-        assert "--height" in capsys.readouterr().err
+        assert main(["--config", ok_cfg, "--command", command, "--height", "1"]) == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments" in err and "--height" in err
 
-    # commands that take no arguments refuse stray ones: --args 5 meant as
-    # --height 5 must not run at height 3
+    # commands that take no arguments refuse stray ones, such as --args 5,
+    # as usage errors
     for command in ("verify", "dim", "bound", "report"):
         assert main(["--config", ok_cfg, "--command", command, "--args", "5"]) == 2
         err = capsys.readouterr().err
@@ -503,7 +505,7 @@ def test_shared_memo_checks_match_fresh_memo_checks(custom_config):
     rng = random.Random(7)
     specs += [spec_from_config(custom_config(rng, n, k)) for n in (2, 3, 4) for k in (2, 3)]
     for spec in specs:
-        shared, _ = cli._cmd_verify(spec, [], 3, _never)
+        shared, _ = cli._cmd_verify(spec, [], _never)
         assert shared == _fresh_memo_checks(spec), spec
         assert all_ok(shared)
 
@@ -517,7 +519,7 @@ def test_shared_memo_fails_where_fresh_memos_fail():
     (c, a, b), = rules[h][g]
     rules[h][g] = ((c * spec.lattice.symbol("g12"), a, b),)
     spec._packed_rules = rules
-    shared, _ = cli._cmd_verify(spec, [], 3, _never)
+    shared, _ = cli._cmd_verify(spec, [], _never)
     failed = {c["name"] for c in shared if c["status"] != "pass"}
     assert "xx(1,3)" in failed
     assert failed == {c["name"] for c in _fresh_memo_checks(spec) if c["status"] != "pass"}

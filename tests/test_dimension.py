@@ -284,6 +284,9 @@ def test_dimension_dispatch():
         rep = torus_dimension(build_spec(n, kind))
         assert rep.is_point and rep.d == want, (kind, n, rep)
         assert rep.method == method
+        # every kind takes the closed form: z_1..z_n, plus y_1 when q_1 = 1
+        unit = [tuple(int(i == j) for j in range(2 * n)) for i in range(want)]
+        assert list(rep.witness.vectors) == unit, (kind, n)
         E = standard_torus(build_spec(n, kind))
         assert verify_witness(E, rep.witness)
 
@@ -301,7 +304,7 @@ def _with_vanishing_pivot(E, j):
 
 @pytest.mark.parametrize("kind, d", [("generic-p1", 2), ("graded-weyl", 2), ("generic-q1", 3)])
 def test_theorem_kinds_certify_their_dimension_by_the_z_block(monkeypatch, kind, d):
-    # the theorem kinds take the closed form like any multi-parameter spec and
+    # the theorem kinds take the closed form like every other spec and
     # return the canonical witness; a z-block pivot that vanishes leaves the
     # upper bound unproved, and raises instead of being overruled
     spec = build_spec(2, kind)
@@ -391,7 +394,7 @@ def test_bernstein_rejects_interval(monkeypatch):
     spec = build_spec(2, "generic")
     fake = dim.DimensionReport(lo=1, hi=2, witness=Witness(((1, 0, 0, 0),)), method="search")
     monkeypatch.setattr(dim, "torus_dimension", lambda s, height=3: fake)
-    with pytest.raises(ValueError, match="height"):
+    with pytest.raises(ValueError, match=r"bracket \[1, 2\], not a point"):
         bernstein_bound(spec)
 
 
@@ -407,7 +410,8 @@ def test_report_serialization():
 
 def test_dim_verifies_its_witness_once(monkeypatch):
     # torus_dimension returns only witnesses verify_witness accepted, so the
-    # dimension-witness check takes that verdict and verifies nothing again
+    # dimension-witness check takes that verdict and verifies nothing again,
+    # on a single-parameter spec as on a multi-parameter one
     calls = []
     real = dim.verify_witness
     monkeypatch.setattr(dim, "verify_witness", lambda E, w: calls.append(w) or real(E, w))
@@ -419,8 +423,8 @@ def test_dim_verifies_its_witness_once(monkeypatch):
 
 
 def test_torus_dimension_raises_on_a_rejected_witness(monkeypatch):
-    # the reduction path and the search path both refuse a witness that
-    # verify_witness rejects
+    # the closed form refuses a witness that verify_witness rejects, on a
+    # single-parameter spec as on a multi-parameter one
     monkeypatch.setattr(dim, "verify_witness", lambda E, w: False)
     for kind in ("symplectic", "generic"):
         with pytest.raises(ArithmeticError, match="invalid witness"):
@@ -778,7 +782,8 @@ def _refuse_the_search(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("rank bound, search or exact rank called")
 
-    for name in ("rank_upper_bound", "isotropic_witness_search", "integer_rank"):
+    for name in ("rank_upper_bound", "isotropic_witness_search", "integer_rank",
+                 "max_isotropic_rank_single"):
         monkeypatch.setattr(dim, name, refuse)
 
 
@@ -817,15 +822,14 @@ def test_closed_form_matches_the_search_on_custom_specs(monkeypatch, custom_conf
         assert rep.d == spec.n + _q1_is_one(spec)
 
 
-def test_closed_form_needs_no_rank_bound_search_or_exact_rank(monkeypatch):
-    # the single-parameter kinds reach the reduction, whose modular rank
-    # certifies on every preset, so it needs no integer_rank either
+def test_closed_form_needs_no_rank_bound_search_or_exact_rank(monkeypatch, custom_config):
+    # no spec reaches a kernel for raw pairings: not the presets, and not
+    # the seeded single-parameter custom specs of the reduction's test below
+    specs = [build_spec(n, kind) for kind in KINDS if kind != "custom" for n in range(1, 17)]
+    specs += [spec_from_config(cfg) for cfg in _custom_configs(custom_config, 120, (1,), 7)]
     _refuse_the_search(monkeypatch)
-    for kind in KINDS:
-        if kind != "custom":
-            for n in range(2, 13):
-                spec = build_spec(n, kind)
-                assert torus_dimension(spec).d == n + _q1_is_one(spec), (kind, n)
+    for spec in specs:
+        assert torus_dimension(spec).d == spec.n + _q1_is_one(spec), spec_to_config(spec)
 
 
 def test_single_parameter_reduction_meets_the_closed_form(custom_config):

@@ -5,7 +5,10 @@ Each digest is the SHA-256 of the canonical JSON (sorted keys, no
 preset kind or on the fixed custom specs below.  The digests were computed
 before the shared product memo and the cached standard torus went in, so a
 change that is meant to keep every output byte-identical must keep them.
-A deliberate change of output must recompute them and say so.
+A deliberate change of output must recompute them and say so: the
+symplectic, euclidean and heisenberg digests were recomputed when the
+single-parameter kinds moved to the closed form of the torus dimension,
+which changed only the dimension witness of their `report`.
 
 VERIFY_PINS hold the same digest of `verify` alone at n = 5 and 6, where
 the 2^n torus-isomorphism choices make up most of the checks.  They were
@@ -24,9 +27,9 @@ PINS = {
     "generic": "7d665bc95bb4765b5b4455159dccbb35426e94a9f1940b4b2994695053df0319",
     "generic-p1": "4c689433903d3351a137ce32b5d77097f70b505ffcb189a8baed48d75a698b12",
     "generic-q1": "89905e466395c38affc6d3e0d65e569e12893296230a8d90f098b329fc1dc0ee",
-    "symplectic": "b231ee7561ba80acdfed37dd3cf6bdd83c52f338fbbfe8af7c3f5f909aa376bd",
-    "euclidean": "d08577d78c276c585736dbffc2896fb3570e80f91d0ea2a38fadd5b9e2b8a670",
-    "heisenberg": "2de4c4441975c15f37cbf300fcc0b4ce4b26b7f9aaa8ed957ed151b1672d758b",
+    "symplectic": "bdf8dd53ddf0b22c6c492ad6049a1377a773895da9d64eb6b3527986ddc9eda3",
+    "euclidean": "cec1c033a9f4709688b46aa1df831840f3587af3f4b8d5d455bdc7d7d9661d79",
+    "heisenberg": "0c9385775beccaab5a5c57a7a587a28b61d4ed73712bac69e2593561615a7487",
     "graded-weyl": "260b2756eed5f290c240c61d88c71ea063a23be3e6e5a18cdcd1004ea67c1395",
     "custom": "bbb07077a38eac1c7e4f99f992ebea7c6eef9f582bf3aa9b9541fe998eb4c59a",
 }

@@ -831,7 +831,7 @@ def _session_inputs(spec, rng):
 
 
 def _verify(spec):
-    return cli._cmd_verify(spec, [], 3, lambda: False)[0]
+    return cli._cmd_verify(spec, [], lambda: False)[0]
 
 
 def _mul_words(spec, u, v):
