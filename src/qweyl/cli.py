@@ -159,7 +159,7 @@ def _cmd_growth(spec, args, over_budget):
 
 def _cmd_dim(spec, args, over_budget):
     rep = dimension.torus_dimension(spec)
-    # torus_dimension returns only witnesses that verify_witness accepted
+    # torus_dimension returns only witnesses that it verified
     checks = [check("dimension-witness", True, "witness is independent and commuting")]
     return checks, dict(rep.to_json())
 

@@ -11,7 +11,10 @@ The dimension of the standard torus of a spec is d = n + [q_1 = 1], and
 torus_dimension reads it off the z-block of the pairing on every spec,
 single-parameter ones included: the pivots of that block certify the upper
 bound in O(nk), and the unit vectors z_1..z_n (plus y_1 when q_1 = 1) are
-the witness.  _z_block_dimension gives the argument.
+the witness.  _z_block_dimension gives the argument.  The pivots and the
+witness entries are read from spec.exponents through the torus's entry
+formula (qweyl.torus._z_entries), so the dimension builds no torus and no
+Scalar.
 
 The kernels for raw pairings stay, as library API and as the oracles of
 the closed form: exact integer linear algebra only, no fractions.  Each
@@ -36,19 +39,17 @@ a dimension report already in hand into the bound 2n - d.
 
 from __future__ import annotations
 
-import bisect
+import functools
 import itertools
 import math
 import operator
 from dataclasses import dataclass
 
+from . import torus
 from .presentation import AlgebraSpec
-from .torus import ExponentPairing, standard_torus
+from .torus import ExponentPairing
 
 IntVector = tuple[int, ...]
-
-_column = operator.itemgetter(0)  # of a stored (j, entry) pair
-
 
 # -- modular and exact integer rank -------------------------------------------
 
@@ -216,7 +217,7 @@ class Witness:
     vectors: tuple[IntVector, ...]
 
     def __init__(self, vectors):
-        self.vectors = tuple(tuple(int(x) for x in v) for v in vectors)
+        self.vectors = tuple(tuple(map(int, v)) for v in vectors)
 
     @property
     def rank(self) -> int:
@@ -537,25 +538,26 @@ class BernsteinReport:
         return {"gkdim_algebra": self.gkdim_algebra, "d": self.d, "bound": self.bound}
 
 
-def _z_block_dimension(E: ExponentPairing) -> int:
-    """The dimension n + [q_1 = 1] of a standard torus E, certified as an
-    upper bound from the pivots of its z-block.  Raises ArithmeticError if a
-    pivot the argument needs vanishes.
+def _z_block_dimension(spec: AlgebraSpec) -> int:
+    """The dimension n + [q_1 = 1] of the standard torus of a spec,
+    certified as an upper bound from the pivots of its z-block.  Raises
+    ArithmeticError if a pivot the argument needs vanishes.
 
     On (z_1..z_n, y_1..y_n) the pairing is [[0, A], [-A^T, C]]: the z_i
     commute, and A[i][j] = (z_i, y_j) is p_j for i < j and q_j for i >= j
     (torus._z_entries; 1-based here).  Row i - row (i+1) of A, i < n,
     vanishes but for the pivot p_{i+1} - q_{i+1} in column i+1, and row n
-    is (q_1, ..., q_n).  Every pivot below is read off E, as the entry
-    (z_{j-1}, y_j) minus the entry (z_j, y_j) for j >= 2 and the entry
-    (z_n, y_1) = q_1.  A stored entry lists its nonzero exponents by symbol,
-    so a pivot vanishes exactly when its two entries are equal tuples, and
-    each test costs O(k).
+    is (q_1, ..., q_n).  Every pivot below is read from spec.exponents
+    through torus._z_entries, the entry formula of the torus, without
+    building it: the entry (z_{j-1}, y_j) minus the entry (z_j, y_j) for
+    j >= 2, and the entry (z_n, y_1) = q_1.  An exponent vector lists its
+    nonzero exponents by symbol, so a pivot vanishes exactly when its two
+    entries are equal tuples, and the n tests cost O(nk).
 
     Each nonzero pivot is a nonzero linear form w -> w.v in a weight w, and
     some integer w is a root of none of them.  Every isotropic sublattice
-    of E is isotropic for S_w = sum_c w_c S_c, so its rank is at most
-    2n - rank(S_w)/2.  A nonsingular r x r minor A_w[I, J] gives a
+    of the torus is isotropic for S_w = sum_c w_c S_c, so its rank is at
+    most 2n - rank(S_w)/2.  A nonsingular r x r minor A_w[I, J] gives a
     nonsingular 2r x 2r minor of S_w on rows (z_I, y_J) and columns
     (y_J, z_I), block triangular with blocks A_w[I, J] and -A_w[I, J]^T,
     so rank(S_w) >= 2 rank(A_w).  The n - 1 pivots p_j - q_j, j >= 2, make
@@ -563,23 +565,34 @@ def _z_block_dimension(E: ExponentPairing) -> int:
     so d <= n + 1.  If q_1 != 1 it is a pivot too: det A_w = +-w.q_1 *
     prod_{j>=2} w.(p_j - q_j) != 0, so d <= n.  The lower bound is the
     witness z_1..z_n, plus y_1 when q_1 = 1, whose entries with every z_i
-    are q_1; torus_dimension verifies it.
+    are q_1; torus_dimension verifies it (_verify_unit_witness).
     """
-    rows = E.sparse_rows()
-    n = E.m // 2
-
-    def entry(i: int, j: int) -> tuple:
-        # entry (z_i, y_j), 0-based; a row lists its nonzero entries by column
-        row = rows[i]
-        t = bisect.bisect_left(row, n + j, key=_column)
-        return row[t][1] if t < len(row) and row[t][0] == n + j else ()
-
+    n = spec.n
+    q, p, _ = spec.exponents
+    ch = ("y",) * n
     for j in range(1, n):
-        if entry(j - 1, j) == entry(j, j):
+        below, at = torus._z_entries(q, p, ch, j)  # (z_{j}, y_{j+1}), (z_{j+1}, y_{j+1})
+        if below == at:
             raise ArithmeticError(
                 f"z-block pivot (z{j}, y{j + 1}) - (z{j + 1}, y{j + 1}) vanishes"
             )
-    return n if entry(n - 1, 0) else n + 1
+    return n if torus._z_entries(q, p, ch, 0)[1] else n + 1
+
+
+def _verify_unit_witness(spec: AlgebraSpec, slots) -> bool:
+    """Whether the unit vectors at the given slots of the standard torus
+    (z_1..z_n, y_1..y_n) are independent and commute pairwise.
+
+    Distinct unit vectors are independent, so independence is a check of
+    distinct slots; e_s and e_t commute exactly when the entry (s, t)
+    vanishes, read from spec.exponents through torus._entry.
+    """
+    slots = tuple(slots)
+    if len(set(slots)) != len(slots):
+        return False
+    n = spec.n
+    entry = functools.partial(torus._entry, n, *spec.exponents, ("y",) * n)
+    return not any(entry(s, t)[1] for s, t in itertools.combinations(slots, 2))
 
 
 def torus_dimension(spec: AlgebraSpec, height: int = 3) -> DimensionReport:
@@ -588,25 +601,27 @@ def torus_dimension(spec: AlgebraSpec, height: int = 3) -> DimensionReport:
     Every spec gets the closed form d = n + [q_1 = 1] of _z_block_dimension,
     certified from above by the z-block pivots of the standard torus and
     from below by the unit-vector witness z_1..z_n (plus y_1 when q_1 = 1).
-    The method labels stay those of the paths this replaced:
-    "exact-single-parameter" on a single-parameter lattice, "search" on the
-    other specs, and "theorem-p1" or "theorem-q1" on the theorem kinds (the
-    p_i = 1 kinds have d = n, the q_i = 1 kind n + 1).  Every report is a
-    point.  `height` changes no result; it is still accepted because the
-    benchmark's smoke test wraps torus_dimension and passes it on.
+    Both read the torus entries from spec.exponents through its entry
+    formula, so no torus is built and no Scalar is made.  The method labels
+    stay those of the paths this replaced: "exact-single-parameter" on a
+    single-parameter lattice, "search" on the other specs, and "theorem-p1"
+    or "theorem-q1" on the theorem kinds (the p_i = 1 kinds have d = n, the
+    q_i = 1 kind n + 1).  Every report is a point.  `height` changes no
+    result; it is still accepted because the benchmark's smoke test wraps
+    torus_dimension and passes it on.
 
-    The witness returned has always passed verify_witness: a rejected one
-    raises ArithmeticError.
+    The witness returned has always passed _verify_unit_witness: a rejected
+    one raises ArithmeticError.
     """
-    E = standard_torus(spec)
-    d = _z_block_dimension(E)
-    witness = Witness(tuple(int(i == j) for j in range(E.m)) for i in range(d))
-    if not verify_witness(E, witness):
+    d = _z_block_dimension(spec)
+    if not _verify_unit_witness(spec, range(d)):
         raise ArithmeticError("z-block closed form produced an invalid witness")
+    zero = (0,) * (2 * spec.n)
+    witness = Witness(zero[:i] + (1,) + zero[i + 1:] for i in range(d))
     if spec.kind in ("generic-p1", "graded-weyl", "generic-q1"):
         method = "theorem-q1" if spec.kind == "generic-q1" else "theorem-p1"
     else:
-        method = "exact-single-parameter" if E.k == 1 else "search"
+        method = "exact-single-parameter" if spec.lattice.k == 1 else "search"
     return DimensionReport(lo=d, hi=d, witness=witness, method=method)
 
 

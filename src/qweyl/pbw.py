@@ -352,12 +352,13 @@ def _packed_rules(spec: AlgebraSpec) -> list[list[tuple]]:
     if rules is None:
         n = spec.n
         q, p, gamma = spec.exponents
+        qs, ps = spec.q, spec.p
         pack = spec.lattice.sparse_monomial
-        z = [(spec.q[l] - spec.p[l], 2 * l, 2 * l + 1) for l in range(n)]
+        z = [(qs[l] - ps[l], 2 * l, 2 * l + 1) for l in range(n)]
         rules = [[()] * (2 * n) for _ in range(2 * n)]
         for i in range(n):
             y, x = 2 * i, 2 * i + 1
-            rules[x][y] = ((spec.q[i] if q[i] else None, y, x), *z[:i])
+            rules[x][y] = ((qs[i] if q[i] else None, y, x), *z[:i])
             for j in range(i):
                 for vi, vj in (("y", "y"), ("y", "x"), ("x", "y"), ("x", "x")):
                     lam = _swap_exponents(q, p, gamma, i, j, vi, vj)

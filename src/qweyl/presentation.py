@@ -1,7 +1,12 @@
 """Algebra specifications and their defining relation data.
 
 An AlgebraSpec fixes n, the parameter lattice, and the monomial parameter
-values q_i, p_i, gamma_ij.  Generators are ordered
+values q_i, p_i, gamma_ij.  It stores each parameter once, as its sparse
+exponent vector (spec.exponents): the presets write the vectors directly
+and custom configs parse each monomial string straight to one, and
+_validate checks them once.  The Scalars spec.q, spec.p and spec.gamma are
+views of the vectors, built on first read; the dimension path never reads
+them.  Generators are ordered
 
     y1 < x1 < y2 < x2 < ... < yn < xn
 
@@ -19,10 +24,12 @@ the independent check of the rules.
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .scalars import ParameterLattice, Scalar, parse_monomial, render_exponents
+from .scalars import ParameterLattice, Scalar, parse_exponents, render_sparse
 
 KINDS = (
     "generic",
@@ -38,6 +45,15 @@ KINDS = (
 SINGLE_PARAMETER_KINDS = ("symplectic", "euclidean", "heisenberg")
 
 
+# an exponent vector as its nonzero (c, e) pairs, by symbol index c; () is
+# the zero vector
+SparseVector = tuple[tuple[int, int], ...]
+
+
+def _neg(v: SparseVector) -> SparseVector:
+    return tuple([(c, -e) for c, e in v])
+
+
 class ConfigError(ValueError):
     """Invalid spec data; `field` names the offending entry."""
 
@@ -48,7 +64,17 @@ class ConfigError(ValueError):
 
 
 class AlgebraSpec:
-    """n, parameter lattice, and the monomial parameters (Q, P, Gamma)."""
+    """n, parameter lattice, and the monomial parameters (q, p, gamma).
+
+    The parameters are kept once, as the sparse exponent vectors
+    `exponents` = (q, p, gamma) that _validate checked: q[i], p[i] and
+    gamma[i][j] each a tuple of nonzero (symbol index, exponent) pairs, by
+    index.  spec.q, spec.p and spec.gamma are Scalar views of them, built on
+    first read and kept, so later reads are plain attribute loads.  The
+    presets and custom configs write the vectors directly (from_exponents);
+    this constructor takes Scalar parameters, converts them once and runs
+    the same checks.
+    """
 
     def __init__(
         self,
@@ -59,15 +85,30 @@ class AlgebraSpec:
         p: Sequence[Scalar],
         gamma: Sequence[Sequence[Scalar]],
     ):
+        q, p, gamma = tuple(q), tuple(p), tuple(map(tuple, gamma))
+        _check_shape(n, q, p, gamma)
+        rows = [(f"gamma[{i}]", row) for i, row in enumerate(gamma)]
+        for fld, row in [("q", q), ("p", p)] + rows:
+            for j, s in enumerate(row):
+                if s.lattice is not lattice and s.lattice != lattice:
+                    raise ConfigError(f"{fld}[{j}]", "parameter must lie in the spec's lattice")
+        sparse = lambda row: tuple(s.as_sparse_monomial() for s in row)
+        self._setup(n, kind, lattice, sparse(q), sparse(p), tuple(map(sparse, gamma)))
+
+    @classmethod
+    def from_exponents(cls, n: int, kind: str, lattice: ParameterLattice,
+                       q, p, gamma) -> AlgebraSpec:
+        """A spec from the sparse exponent vectors of its parameters, which
+        _validate checks."""
+        spec = cls.__new__(cls)
+        spec._setup(n, kind, lattice, q, p, gamma)
+        return spec
+
+    def _setup(self, n, kind, lattice, q, p, gamma) -> None:
         self.n = n
         self.kind = kind
         self.lattice = lattice
-        self.q = tuple(q)
-        self.p = tuple(p)
-        self.gamma = tuple(tuple(row) for row in gamma)
-        # the sparse exponent vectors of (q, p, gamma), read once by _validate;
-        # the torus pairings are built from them
-        self.exponents = _validate(self)
+        self.exponents = _validate(n, q, p, gamma)
         # built on first use by pbw._packed_rules (the rewrite rules),
         # torus.standard_torus and pbw._memo (the product memo of every
         # engine call, dropped past pbw.MEMO_MAX_PAIRS products); each entry
@@ -75,6 +116,21 @@ class AlgebraSpec:
         self._packed_rules: list | None = None
         self._standard_torus = None
         self._products = None
+
+    # -- Scalar views of the exponent vectors --------------------------------
+
+    @functools.cached_property
+    def q(self) -> tuple[Scalar, ...]:
+        return tuple(map(self.lattice.sparse_monomial, self.exponents[0]))
+
+    @functools.cached_property
+    def p(self) -> tuple[Scalar, ...]:
+        return tuple(map(self.lattice.sparse_monomial, self.exponents[1]))
+
+    @functools.cached_property
+    def gamma(self) -> tuple[tuple[Scalar, ...], ...]:
+        pack = self.lattice.sparse_monomial
+        return tuple(tuple(map(pack, row)) for row in self.exponents[2])
 
     # -- generator bookkeeping ---------------------------------------------
 
@@ -103,35 +159,29 @@ class AlgebraSpec:
         return f"AlgebraSpec(n={self.n}, kind={self.kind!r})"
 
 
-def _validate(spec: AlgebraSpec):
-    """The sparse exponent vectors (q, p, gamma) of the spec's parameters,
-    each a tuple of nonzero (symbol index, exponent) pairs as
-    Scalar.as_sparse_monomial gives them.
-
-    Refuses a spec with a parameter outside its lattice, whose q, p or gamma
-    are not coefficient-1 monomials, whose gamma is not multiplicatively
-    antisymmetric with unit diagonal, or with some p_i = q_i.  The lattice
-    is checked first, over q, p and gamma row by row.  The other errors come
-    in the order of a scan of (q_i, p_i, gamma_ii, then gamma_ij and gamma_ji
-    for each j > i, p_i/q_i) over i.  Each parameter is read once, and the
-    scan compares sparse vectors only: gamma_ii must be (), gamma_ji the
-    negation of gamma_ij, and p_i/q_i is trivial exactly when p_i and q_i
-    have the same vector.
-    """
-    n = spec.n
-    if len(spec.q) != n or len(spec.p) != n:
+def _check_shape(n: int, q, p, gamma) -> None:
+    if len(q) != n or len(p) != n:
         raise ConfigError("q/p", "need exactly n entries")
-    if len(spec.gamma) != n or any(len(row) != n for row in spec.gamma):
+    if len(gamma) != n or any(len(row) != n for row in gamma):
         raise ConfigError("gamma", "need a full n x n matrix")
-    lattice = spec.lattice
-    rows = [(f"gamma[{i}]", row) for i, row in enumerate(spec.gamma)]
-    for fld, row in [("q", spec.q), ("p", spec.p)] + rows:
-        for j, s in enumerate(row):
-            if s.lattice is not lattice and s.lattice != lattice:
-                raise ConfigError(f"{fld}[{j}]", "parameter must lie in the spec's lattice")
-    q = tuple(s.as_sparse_monomial() for s in spec.q)
-    p = tuple(s.as_sparse_monomial() for s in spec.p)
-    gamma = tuple(tuple(s.as_sparse_monomial() for s in row) for row in spec.gamma)
+
+
+def _validate(n: int, q, p, gamma):
+    """The exponent vectors (q, p, gamma) as tuples, once they pass the checks.
+
+    Each entry is a tuple of nonzero (symbol index, exponent) pairs, by
+    index, or None for a parameter that is not a coefficient-1 monomial
+    (only the Scalar constructor of AlgebraSpec makes those).  Refuses
+    vectors of the wrong shape, a non-monomial, a gamma that is not
+    multiplicatively antisymmetric with unit diagonal, and some p_i = q_i,
+    the other errors in the order of a scan of (q_i, p_i, gamma_ii, then
+    gamma_ij and gamma_ji for each j > i, p_i/q_i) over i.  The scan
+    compares sparse vectors only: gamma_ii must be (), gamma_ji the negation
+    of gamma_ij, and p_i/q_i is trivial exactly when p_i and q_i have the
+    same vector.
+    """
+    _check_shape(n, q, p, gamma)
+    q, p, gamma = tuple(q), tuple(p), tuple(map(tuple, gamma))
     for i in range(n):
         for v, fld in ((q, "q"), (p, "p")):
             if v[i] is None:
@@ -142,7 +192,7 @@ def _validate(spec: AlgebraSpec):
             gij = gamma[i][j]
             if gij is None:
                 raise ConfigError(f"gamma[{i}][{j}]", "entry must be a monomial")
-            if gamma[j][i] != tuple((c, -e) for c, e in gij):
+            if gamma[j][i] != _neg(gij):
                 raise ConfigError(
                     f"gamma[{i}][{j}]", "matrix must be multiplicatively antisymmetric"
                 )
@@ -152,6 +202,14 @@ def _validate(spec: AlgebraSpec):
                 "p_i must differ from q_i by a non-torsion monomial",
             )
     return q, p, gamma
+
+
+# (p, q, gamma_ij for i < j) of the single-parameter kinds, as powers of q
+_SINGLE_PARAMETER_POWERS = {
+    "symplectic": (0, -2, 1),
+    "euclidean": (-2, 0, -1),
+    "heisenberg": (2, 0, 1),
+}
 
 
 def build_spec(n: int, kind: str, custom: Mapping | None = None) -> AlgebraSpec:
@@ -168,45 +226,37 @@ def build_spec(n: int, kind: str, custom: Mapping | None = None) -> AlgebraSpec:
         raise ConfigError("custom", f"kind {kind!r} takes no custom assignment")
 
     if kind in SINGLE_PARAMETER_KINDS:
-        lat = ParameterLattice(["q"])
-        s = {"symplectic": (0, -2, 1), "euclidean": (-2, 0, -1), "heisenberg": (2, 0, 1)}
-        p_pow, q_pow, g_pow = s[kind]
-        qs = [lat.monomial({"q": q_pow}) for _ in range(n)]
-        ps = [lat.monomial({"q": p_pow}) for _ in range(n)]
-        gamma = _antisymmetric(
-            lat, n, lambda i, j: lat.monomial({"q": g_pow})
-        )
-        return AlgebraSpec(n, kind, lat, qs, ps, gamma)
+        power = lambda e: ((0, e),) if e else ()
+        p, q, g = map(power, _SINGLE_PARAMETER_POWERS[kind])
+        gamma = _antisymmetric(n, itertools.repeat((g, _neg(g))))
+        return AlgebraSpec.from_exponents(n, kind, ParameterLattice(["q"]), (q,) * n, (p,) * n,
+                                          gamma)
 
+    # one symbol per parameter that is not 1: q1..qn, p1..pn, then the g_ij
+    # with i < j in row order
     symbols = []
+    qs = ps = ((),) * n
     if kind in ("generic", "generic-p1", "graded-weyl"):
+        qs = tuple(((len(symbols) + i, 1),) for i in range(n))
         symbols += [f"q{i}" for i in range(1, n + 1)]
     if kind in ("generic", "generic-q1"):
+        ps = tuple(((len(symbols) + i, 1),) for i in range(n))
         symbols += [f"p{i}" for i in range(1, n + 1)]
+    first = len(symbols)
     symbols += [f"g{i}{j}" for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    lat = ParameterLattice(symbols)
-    one = lat.one()
-    if kind in ("generic", "generic-p1", "graded-weyl"):
-        qs = [lat.symbol(f"q{i}") for i in range(1, n + 1)]
-    else:
-        qs = [one] * n
-    if kind in ("generic", "generic-q1"):
-        ps = [lat.symbol(f"p{i}") for i in range(1, n + 1)]
-    else:
-        ps = [one] * n
-    gamma = _antisymmetric(lat, n, lambda i, j: lat.symbol(f"g{i}{j}"))
-    return AlgebraSpec(n, kind, lat, qs, ps, gamma)
+    gamma = _antisymmetric(n, ((((c, 1),), ((c, -1),)) for c in range(first, len(symbols))))
+    return AlgebraSpec.from_exponents(n, kind, ParameterLattice(symbols), qs, ps, gamma)
 
 
-def _antisymmetric(lat, n, upper) -> list[list[Scalar]]:
-    """Fill an n x n multiplicatively antisymmetric matrix from upper(i, j), i < j (1-based)."""
-    one = lat.one()  # shared: a Scalar is never mutated
-    rows = [[one] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            v = upper(i, j)
-            rows[i - 1][j - 1] = v
-            rows[j - 1][i - 1] = v.inverse()
+def _antisymmetric(n: int, pairs) -> list[list[SparseVector]]:
+    """The n x n matrix of exponent vectors with the zero vector on the
+    diagonal and the (v, -v) of pairs at (i, j), (j, i), i < j, in row
+    order."""
+    rows: list[list[SparseVector]] = [[()] * n for _ in range(n)]
+    pairs = iter(pairs)
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j], rows[j][i] = next(pairs)
     return rows
 
 
@@ -229,11 +279,11 @@ def _build_custom(n: int, custom: Mapping) -> AlgebraSpec:
     except ValueError as exc:
         raise ConfigError("custom.symbols", str(exc)) from exc
 
-    def mono(field: str, text) -> Scalar:
+    def mono(field: str, text) -> SparseVector:
         if not isinstance(text, str):
             raise ConfigError(field, f"expected a monomial string, got {text!r}")
         try:
-            return parse_monomial(lat, text)
+            return parse_exponents(lat, text)
         except (KeyError, ValueError) as exc:
             raise ConfigError(field, str(exc)) from exc
 
@@ -248,19 +298,10 @@ def _build_custom(n: int, custom: Mapping) -> AlgebraSpec:
     if len(g) != n or any(len(row) != n for row in g):
         raise ConfigError("custom.gamma", "need a full n x n matrix of monomial strings")
     gamma = [[mono(f"custom.gamma[{i}][{j}]", g[i][j]) for j in range(n)] for i in range(n)]
-    return AlgebraSpec(n, "custom", lat, qs, ps, gamma)
+    return AlgebraSpec.from_exponents(n, "custom", lat, qs, ps, gamma)
 
 
 # -- the swap monomial -------------------------------------------------------
-
-# an exponent vector as its nonzero (c, e) pairs, by symbol index c; () is
-# the zero vector
-SparseVector = tuple[tuple[int, int], ...]
-
-
-def _neg(v: SparseVector) -> SparseVector:
-    return tuple((c, -e) for c, e in v)
-
 
 def _combine(terms) -> SparseVector:
     """The sparse vector sum f*v over the (f, v) of terms."""
@@ -356,14 +397,13 @@ def spec_to_config(spec: AlgebraSpec) -> dict:
     cfg: dict = {"n": spec.n, "kind": spec.kind}
     if spec.kind == "custom":
         lat = spec.lattice
+        q, p, gamma = spec.exponents
+        render = lambda row: [render_sparse(lat, v) for v in row]
         cfg["custom"] = {
             "symbols": list(lat.symbols),
-            "q": [render_exponents(lat, s.as_monomial()) for s in spec.q],
-            "p": [render_exponents(lat, s.as_monomial()) for s in spec.p],
-            "gamma": [
-                [render_exponents(lat, s.as_monomial()) for s in row]
-                for row in spec.gamma
-            ],
+            "q": render(q),
+            "p": render(p),
+            "gamma": [render(row) for row in gamma],
         }
     return cfg
 

@@ -404,11 +404,24 @@ def render_exponents(lattice: ParameterLattice, exps: Exponents) -> str:
     return "*".join(filter(None, map(dict.__getitem__, lattice._powers, exps))) or "1"
 
 
-def parse_monomial(lattice: ParameterLattice, text: str) -> Scalar:
+def render_sparse(lattice: ParameterLattice, exps: Iterable[tuple[int, int]]) -> str:
+    """render_exponents of the vector whose nonzero (c, e) pairs are exps, by c."""
+    powers = lattice._powers
+    return "*".join(powers[c][e] for c, e in exps) or "1"
+
+
+def parse_exponents(lattice: ParameterLattice, text: str) -> tuple[tuple[int, int], ...]:
+    """The exponent vector of a monomial string as its nonzero (symbol
+    index, exponent) pairs, by index.  A symbol may occur in several
+    factors; its exponents add, and the sum must stay within ±MAX_EXPONENT
+    (ExponentOverflowError, checked in the order the symbols first occur).
+    An unknown symbol raises KeyError, an exponent that is no integer
+    ValueError."""
     text = text.strip()
     if text == "1":
-        return lattice.one()
-    powers: dict[str, int] = {}
+        return ()
+    index = lattice.index
+    powers: dict[int, int] = {}
     for part in text.split("*"):
         part = part.strip()
         if "^" in part:
@@ -416,10 +429,19 @@ def parse_monomial(lattice: ParameterLattice, text: str) -> Scalar:
             e = int(exp)
         else:
             name, e = part, 1
-        if name not in lattice.index:
+        if name not in index:
             raise KeyError(f"unknown parameter symbol {name!r} in monomial {text!r}")
-        powers[name] = powers.get(name, 0) + e
-    return lattice.monomial(powers)
+        c = index[name]
+        powers[c] = powers.get(c, 0) + e
+    for c, e in powers.items():
+        if abs(e) > MAX_EXPONENT:
+            raise ExponentOverflowError(
+                f"exponent {e} of {lattice.symbols[c]!r} leaves ±{MAX_EXPONENT}")
+    return tuple(sorted((c, e) for c, e in powers.items() if e))
+
+
+def parse_monomial(lattice: ParameterLattice, text: str) -> Scalar:
+    return lattice.sparse_monomial(parse_exponents(lattice, text))
 
 
 def render_poly(s: Scalar) -> str:

@@ -28,11 +28,12 @@ of q, p and gamma: z_i past a generator of index j scales by q_j or p_j
 (inverted for x_j), and two generators of different indices swap by the
 monomial of presentation._swap_exponents, the one formula of the scalar
 that the rewrite rules of qweyl.pbw pack too.  localized_torus and
-theta_sweep share _z_entries and _swap_exponents, and take the vectors
-from spec.exponents, which the spec keeps from validating its parameters,
-so the torus neither reads nor caches a parameter itself.  The standard
-torus is built once per spec and cached on it, like the rewrite rules; a
-pairing is immutable, so every caller may share it.
+_entry, the one entry of a localized torus that theta_sweep and
+qweyl.dimension read, share _z_entries and _swap_exponents.  Both take the
+vectors from spec.exponents, the form in which the spec stores its
+parameters, so the torus neither reads a Scalar nor caches a parameter
+itself.  The standard torus is built once per spec and cached on it, like
+the rewrite rules; a pairing is immutable, so every caller may share it.
 
 Locality of the theta checks.  The check of a standard pair (a, b) under a
 choice ch compares pair(theta(a), theta(b)) in the localized torus with the
@@ -49,6 +50,7 @@ C(n,2) + 2n^2 + 4 C(n,2) verdicts stand for the 2^n C(2n,2) checks.
 
 from __future__ import annotations
 
+import functools
 import operator
 from collections.abc import Iterator
 
@@ -173,6 +175,20 @@ def _z_entries(q, p, ch, j: int) -> tuple[SparseVector, SparseVector]:
     return p[j], q[j]
 
 
+def _entry(n: int, q, p, gamma, ch, s: int, t: int) -> tuple[int, SparseVector]:
+    """(f, v) with entry (s, t) of the rank-2n pairing localized_torus(spec,
+    ch) equal to f*v, for the spec's n and exponent vectors (q, p, gamma),
+    reading ch at s and t only.  Slots 0..n-1 are z_1..z_n, which commute."""
+    f = 1
+    if s > t:
+        s, t, f = t, s, -1
+    if t < n:
+        return f, ()
+    if s < n:
+        return f, _z_entries(q, p, ch, t - n)[s >= t - n]
+    return -f, _swap_exponents(q, p, gamma, t - n, s - n, ch[t - n], ch[s - n])
+
+
 def validate_choice(spec: AlgebraSpec, choice) -> tuple[str, ...]:
     ch = tuple(choice)
     if len(ch) != spec.n or any(v not in ("x", "y") for v in ch):
@@ -284,19 +300,7 @@ def theta_sweep(spec: AlgebraSpec) -> Iterator[list[dict]]:
     """
     n = spec.n
     std = [{j: dict(nz) for j, nz in row} for row in standard_torus(spec).sparse_rows()]
-    q, p, gamma = spec.exponents
-
-    def entry(ch, s: int, t: int) -> tuple[int, SparseVector]:
-        # (f, v) with entry (s, t) of localized_torus(spec, ch) equal to f*v,
-        # reading ch at s and t only
-        f = 1
-        if s > t:
-            s, t, f = t, s, -1
-        if t < n:
-            return f, ()
-        if s < n:
-            return f, _z_entries(q, p, ch, t - n)[s >= t - n]
-        return -f, _swap_exponents(q, p, gamma, t - n, s - n, ch[t - n], ch[s - n])
+    entry = functools.partial(_entry, n, *spec.exponents)
 
     def holds(ch, a: int, b: int) -> bool:
         acc: dict[int, int] = {}

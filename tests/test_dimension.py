@@ -1,5 +1,6 @@
 """Integer linear algebra, isotropic witnesses, dimension and bound reports."""
 
+import bisect
 import math
 import random
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qweyl import cli
+from qweyl import cli, scalars, torus
 from qweyl import dimension as dim
 from qweyl.dimension import (
     PRIME,
@@ -291,15 +292,12 @@ def test_dimension_dispatch():
         assert verify_witness(E, rep.witness)
 
 
-def _with_vanishing_pivot(E, j):
-    """E with its entry (z_{j-1}, y_j) replaced by (z_j, y_j), 1-based j >= 2,
-    so that the z-block pivot p_j - q_j reads zero."""
-    n = E.m // 2
-    entries = [list(row) for row in E.entries]
-    col = n + j - 1
-    entries[j - 2][col] = entries[j - 1][col]
-    entries[col][j - 2] = entries[col][j - 1]
-    return ExponentPairing(E.m, E.k, entries)
+def _with_vanishing_pivot(spec, j):
+    """The spec's exponent vectors with p_j replaced by q_j, 1-based j >= 2,
+    so that the z-block pivot p_j - q_j reads zero; _validate refuses such
+    vectors, so they are patched in after construction."""
+    q, p, gamma = spec.exponents
+    return q, p[:j - 1] + (q[j - 1],) + p[j:], gamma
 
 
 @pytest.mark.parametrize("kind, d", [("generic-p1", 2), ("graded-weyl", 2), ("generic-q1", 3)])
@@ -311,7 +309,7 @@ def test_theorem_kinds_certify_their_dimension_by_the_z_block(monkeypatch, kind,
     rep = torus_dimension(spec)
     assert (rep.lo, rep.hi) == (d, d)
     assert list(rep.witness.vectors) == [tuple(int(i == j) for j in range(4)) for i in range(d)]
-    monkeypatch.setattr(spec, "_standard_torus", _with_vanishing_pivot(standard_torus(spec), 2))
+    monkeypatch.setattr(spec, "exponents", _with_vanishing_pivot(spec, 2))
     with pytest.raises(ArithmeticError, match=r"z-block pivot \(z1, y2\) - \(z2, y2\)"):
         torus_dimension(spec)
 
@@ -409,26 +407,52 @@ def test_report_serialization():
 
 
 def test_dim_verifies_its_witness_once(monkeypatch):
-    # torus_dimension returns only witnesses verify_witness accepted, so the
-    # dimension-witness check takes that verdict and verifies nothing again,
-    # on a single-parameter spec as on a multi-parameter one
+    # torus_dimension returns only witnesses _verify_unit_witness accepted,
+    # so the dimension-witness check takes that verdict and verifies nothing
+    # again, on a single-parameter spec as on a multi-parameter one
     calls = []
-    real = dim.verify_witness
-    monkeypatch.setattr(dim, "verify_witness", lambda E, w: calls.append(w) or real(E, w))
+    real = dim._verify_unit_witness
+    monkeypatch.setattr(dim, "_verify_unit_witness",
+                        lambda spec, slots: calls.append(tuple(slots)) or real(spec, slots))
     for kind, method in (("symplectic", "exact-single-parameter"), ("generic", "search")):
         calls.clear()
         rep = cli.run({"n": 3, "kind": kind}, "dim")
         assert rep.ok and rep.values["method"] == method
-        assert [w.to_json() for w in calls] == [rep.values["witness"]]
+        assert [[[int(i == j) for j in range(6)] for i in slots]
+                for slots in calls] == [rep.values["witness"]]
 
 
 def test_torus_dimension_raises_on_a_rejected_witness(monkeypatch):
-    # the closed form refuses a witness that verify_witness rejects, on a
-    # single-parameter spec as on a multi-parameter one
-    monkeypatch.setattr(dim, "verify_witness", lambda E, w: False)
-    for kind in ("symplectic", "generic"):
-        with pytest.raises(ArithmeticError, match="invalid witness"):
-            torus_dimension(build_spec(3, kind))
+    # the closed form refuses a witness whose entries do not vanish, on a
+    # single-parameter spec as on a multi-parameter one: q_1 = 1 puts y_1
+    # into the witness, and every read of the entry (z_i, y_1) = q_1 after
+    # the pivot's sees a broken q_1
+    real = torus._z_entries
+    for kind in ("euclidean", "generic-q1"):
+        reads = []
+
+        def broken(q, p, ch, j):
+            below, at = real(q, p, ch, j)
+            if j == 0:
+                reads.append(at)
+                if len(reads) > 1:
+                    at = ((0, 1),)
+            return below, at
+
+        spec = build_spec(3, kind)
+        with monkeypatch.context() as patched:
+            patched.setattr(torus, "_z_entries", broken)
+            with pytest.raises(ArithmeticError, match="invalid witness"):
+                torus_dimension(spec)
+        assert reads[0] == () and len(reads) > 1  # the pivot's read, then the witness's
+        assert torus_dimension(spec).d == 4
+    # distinct unit vectors are independent, and the entries at their slots
+    # decide commutation: (z_1, y_2) = p_2 on generic
+    spec = build_spec(3, "generic")
+    assert dim._verify_unit_witness(spec, (0, 1, 2))
+    assert not dim._verify_unit_witness(spec, (0, 1, 1))
+    assert not dim._verify_unit_witness(spec, (0, 4))
+    assert dim._verify_unit_witness(build_spec(3, "generic-q1"), (0, 1, 2, 3))
 
 
 # -- differential tests against the straightforward kernels -------------------
@@ -841,3 +865,75 @@ def test_single_parameter_reduction_meets_the_closed_form(custom_config):
     for spec in specs:
         d, _ = max_isotropic_rank_single(standard_torus(spec).component(0))
         assert d == spec.n + _q1_is_one(spec), spec_to_config(spec)
+
+
+# -- the dimension path on exponent vectors ------------------------------------
+
+def _z_block_oracle(E):
+    """The dimension n + [q_1 = 1] read off a built standard torus E: the
+    z-block pivots (z_{j-1}, y_j) - (z_j, y_j) and the entry (z_n, y_1) =
+    q_1, each found in the stored rows of E.  The oracle of
+    dimension._z_block_dimension, which reads the same entries from
+    spec.exponents without building E."""
+    rows = E.sparse_rows()
+    n = E.m // 2
+
+    def entry(i, j):
+        # entry (z_i, y_j), 0-based; a row lists its nonzero entries by column
+        row = rows[i]
+        t = bisect.bisect_left(row, n + j, key=lambda jv: jv[0])
+        return row[t][1] if t < len(row) and row[t][0] == n + j else ()
+
+    for j in range(1, n):
+        if entry(j - 1, j) == entry(j, j):
+            raise ArithmeticError(
+                f"z-block pivot (z{j}, y{j + 1}) - (z{j + 1}, y{j + 1}) vanishes"
+            )
+    return n if entry(n - 1, 0) else n + 1
+
+
+def test_z_block_from_the_exponents_matches_the_torus_oracle(custom_config):
+    specs = [build_spec(n, kind) for kind in KINDS if kind != "custom" for n in range(1, 9)]
+    specs += [spec_from_config(cfg)
+              for cfg in _custom_configs(custom_config, 150, (1, 2, 3), 26)]
+    assert sum(spec.lattice.k == 1 for spec in specs) >= 60
+    for spec in specs:
+        E = standard_torus(spec)
+        d = dim._z_block_dimension(spec)
+        assert d == _z_block_oracle(E) == rank_upper_bound(E), spec_to_config(spec)
+        if E.k == 1:
+            assert d == max_isotropic_rank_single(E.component(0))[0], spec_to_config(spec)
+    # a pivot made to vanish after construction raises on both paths alike
+    for kind in ("generic", "symplectic", "generic-q1"):
+        for j in (2, 3):
+            spec = build_spec(3, kind)
+            spec.exponents = _with_vanishing_pivot(spec, j)
+            errors = []
+            for read in (dim._z_block_dimension, lambda s: _z_block_oracle(standard_torus(s))):
+                with pytest.raises(ArithmeticError) as err:
+                    read(spec)
+                errors.append(str(err.value))
+            assert errors == [f"z-block pivot (z{j - 1}, y{j}) - (z{j}, y{j}) vanishes"] * 2
+
+
+def test_bound_and_dim_make_no_scalar_and_build_no_torus(monkeypatch, custom_config):
+    made = []
+    real_scalar, real_init = scalars._scalar, scalars.Scalar.__init__
+    monkeypatch.setattr(scalars, "_scalar", lambda *a: made.append(a) or real_scalar(*a))
+    monkeypatch.setattr(scalars.Scalar, "__init__",
+                        lambda self, *a: made.append(a) or real_init(self, *a))
+
+    def refuse(*args):
+        raise AssertionError("localized_torus called")
+
+    monkeypatch.setattr(torus, "localized_torus", refuse)
+    for kind in KINDS:
+        if kind != "custom":
+            for command in ("bound", "dim"):
+                assert cli.run({"n": 6, "kind": kind}, command).ok
+    for cfg in _custom_configs(custom_config, 30, (1, 2, 3), 16):
+        assert cli.run(cfg, "bound").ok
+    assert made == []
+    # the counters see the Scalar views that other commands read
+    cli.run({"n": 2, "kind": "generic"}, "nf", ["x2 y2"])
+    assert made

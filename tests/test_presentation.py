@@ -1,5 +1,6 @@
 """Spec construction, presets, rewrite rules, Casimir elements, extension steps."""
 
+import copy
 import random
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from qweyl.dimension import torus_dimension
 from qweyl.pbw import PBWElement, _packed_rules, multiply, normal_form, word_monomial
 from qweyl.presentation import (
     KINDS,
+    SINGLE_PARAMETER_KINDS,
     AlgebraSpec,
     ConfigError,
     ambiskew_step,
@@ -19,7 +21,7 @@ from qweyl.presentation import (
     spec_from_config,
     spec_to_config,
 )
-from qweyl.scalars import MAX_EXPONENT, ParameterLattice
+from qweyl.scalars import MAX_EXPONENT, ParameterLattice, render_exponents
 
 
 def test_symplectic_preset_values():
@@ -508,6 +510,210 @@ def test_config_round_trip_on_random_custom_specs(cfg):
     assert again.lattice == spec.lattice
     assert again.q == spec.q and again.p == spec.p and again.gamma == spec.gamma
     assert canonical["custom"]["symbols"] == cfg["custom"]["symbols"]
+
+
+# -- the exponent vectors against the Scalar build they replaced --------------
+
+def _scalar_preset(n, kind):
+    """(lattice, q, p, gamma) of a preset as Scalars, made by lat.symbol,
+    lat.monomial and inverse from the symbols: the oracle of the exponent
+    vectors that build_spec writes."""
+    if kind in SINGLE_PARAMETER_KINDS:
+        lat = ParameterLattice(["q"])
+        powers = {"symplectic": (0, -2, 1), "euclidean": (-2, 0, -1), "heisenberg": (2, 0, 1)}
+        p_pow, q_pow, g_pow = powers[kind]
+        qs = [lat.monomial({"q": q_pow}) for _ in range(n)]
+        ps = [lat.monomial({"q": p_pow}) for _ in range(n)]
+        upper = lambda i, j: lat.monomial({"q": g_pow})
+    else:
+        symbols = []
+        if kind in ("generic", "generic-p1", "graded-weyl"):
+            symbols += [f"q{i}" for i in range(1, n + 1)]
+        if kind in ("generic", "generic-q1"):
+            symbols += [f"p{i}" for i in range(1, n + 1)]
+        symbols += [f"g{i}{j}" for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+        lat = ParameterLattice(symbols)
+        one = lat.one()
+        qs = ([lat.symbol(f"q{i}") for i in range(1, n + 1)]
+              if kind in ("generic", "generic-p1", "graded-weyl") else [one] * n)
+        ps = ([lat.symbol(f"p{i}") for i in range(1, n + 1)]
+              if kind in ("generic", "generic-q1") else [one] * n)
+        upper = lambda i, j: lat.symbol(f"g{i}{j}")
+    gamma = [[lat.one()] * n for _ in range(n)]
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            v = upper(i, j)
+            gamma[i - 1][j - 1], gamma[j - 1][i - 1] = v, v.inverse()
+    return lat, qs, ps, gamma
+
+
+def _scalar_parse(lat, text):
+    """A monomial string as a Scalar, by lat.monomial of the summed powers
+    of its symbols: the oracle of scalars.parse_exponents."""
+    text = text.strip()
+    if text == "1":
+        return lat.one()
+    powers = {}
+    for part in text.split("*"):
+        part = part.strip()
+        if "^" in part:
+            name, _, exp = part.partition("^")
+            e = int(exp)
+        else:
+            name, e = part, 1
+        if name not in lat.index:
+            raise KeyError(f"unknown parameter symbol {name!r} in monomial {text!r}")
+        powers[name] = powers.get(name, 0) + e
+    return lat.monomial(powers)
+
+
+def _scalar_custom(n, custom):
+    """(lattice, q, p, gamma) of a custom config parsed to Scalars by
+    _scalar_parse, raising the ConfigError of the config reader for each
+    fault it finds before the parameters reach a spec."""
+    for key in ("symbols", "q", "p", "gamma"):
+        if key not in custom:
+            raise ConfigError(f"custom.{key}", "missing")
+        if not isinstance(custom[key], list):
+            raise ConfigError(f"custom.{key}", f"expected a list, got {custom[key]!r}")
+    lat = ParameterLattice(custom["symbols"])
+
+    def mono(field, text):
+        if not isinstance(text, str):
+            raise ConfigError(field, f"expected a monomial string, got {text!r}")
+        try:
+            return _scalar_parse(lat, text)
+        except (KeyError, ValueError) as exc:
+            raise ConfigError(field, str(exc)) from exc
+
+    if len(custom["q"]) != n or len(custom["p"]) != n:
+        raise ConfigError("custom.q", "need exactly n entries in custom.q and custom.p")
+    qs = [mono(f"custom.q[{i}]", custom["q"][i]) for i in range(n)]
+    ps = [mono(f"custom.p[{i}]", custom["p"][i]) for i in range(n)]
+    g = custom["gamma"]
+    for i, row in enumerate(g):
+        if not isinstance(row, list):
+            raise ConfigError(f"custom.gamma[{i}]", f"expected a list, got {row!r}")
+    if len(g) != n or any(len(row) != n for row in g):
+        raise ConfigError("custom.gamma", "need a full n x n matrix of monomial strings")
+    gamma = [[mono(f"custom.gamma[{i}][{j}]", g[i][j]) for j in range(n)] for i in range(n)]
+    return lat, qs, ps, gamma
+
+
+def _sparse(row):
+    return tuple(s.as_sparse_monomial() for s in row)
+
+
+def _assert_views_are(spec, lat, qs, ps, gamma):
+    """spec.q, spec.p and spec.gamma equal the Scalars, degree bound included,
+    and are built once."""
+    key = lambda s: (s.lattice, s.packed, s.degree)
+    assert list(map(key, spec.q)) == list(map(key, qs))
+    assert list(map(key, spec.p)) == list(map(key, ps))
+    assert [list(map(key, row)) for row in spec.gamma] == [list(map(key, row)) for row in gamma]
+    assert spec.q is spec.q and spec.p is spec.p and spec.gamma is spec.gamma
+
+
+def test_preset_exponents_and_views_match_the_scalar_build():
+    for kind in KINDS:
+        if kind == "custom":
+            continue
+        for n in range(1, 9):
+            spec = build_spec(n, kind)
+            lat, qs, ps, gamma = _scalar_preset(n, kind)
+            assert spec.lattice == lat, (kind, n)
+            assert spec.exponents == (_sparse(qs), _sparse(ps), tuple(map(_sparse, gamma)))
+            assert spec.exponents == AlgebraSpec(n, kind, lat, qs, ps, gamma).exponents
+            _assert_views_are(spec, lat, qs, ps, gamma)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_custom_configs())
+def test_custom_exponents_match_the_scalar_constructor(cfg):
+    n, custom = cfg["n"], cfg["custom"]
+    spec = spec_from_config(cfg)
+    lat, qs, ps, gamma = _scalar_custom(n, custom)
+    old = AlgebraSpec(n, "custom", lat, qs, ps, gamma)
+    assert spec.exponents == old.exponents
+    assert spec.exponents == (_sparse(qs), _sparse(ps), tuple(map(_sparse, gamma)))
+    _assert_views_are(spec, lat, qs, ps, gamma)
+    _assert_views_are(old, lat, qs, ps, gamma)
+    # the rendering of the Scalar build: each monomial's dense exponents
+    render = lambda row: [render_exponents(lat, s.as_monomial()) for s in row]
+    expected = {"n": n, "kind": "custom", "custom": {
+        "symbols": list(lat.symbols), "q": render(qs), "p": render(ps),
+        "gamma": [render(row) for row in gamma]}}
+    assert spec_to_config(spec) == spec_to_config(old) == expected
+
+
+def test_bad_custom_configs_fail_like_the_scalar_build():
+    base = {
+        "symbols": ["a", "b"],
+        "q": ["a", "a", "b"],
+        "p": ["b", "1", "a"],
+        "gamma": [["1", "a", "b"], ["a^-1", "1", "a*b"], ["b^-1", "a^-1*b^-1", "1"]],
+    }
+
+    def edit(**cells):
+        # cells like q0="c" or gamma12="a" write entry [0] of q or entry
+        # [1][2] of gamma; q=[...] replaces the whole field
+        custom = copy.deepcopy(base)
+        for name, value in cells.items():
+            key = name.rstrip("0123456789")
+            idx = [int(c) for c in name[len(key):]]
+            if not idx:
+                custom[key] = value
+            elif key == "gamma":
+                custom[key][idx[0]][idx[1]] = value
+            else:
+                custom[key][idx[0]] = value
+        return custom
+
+    def unknown(name, text):
+        return str(KeyError(f"unknown parameter symbol {name!r} in monomial {text!r}"))
+
+    wide = f"exponent 2147483648 of 'a' leaves ±{MAX_EXPONENT}"
+    anti = "matrix must be multiplicatively antisymmetric"
+    cases = [
+        (edit(q0="a^2147483648"), "custom.q[0]", wide),
+        (edit(q0="a^2147483647*a"), "custom.q[0]", wide),
+        (edit(p1="b^-2147483648*a^4000000000"), "custom.p[1]",
+         f"exponent -2147483648 of 'b' leaves ±{MAX_EXPONENT}"),
+        (edit(q1="c"), "custom.q[1]", unknown("c", "c")),
+        (edit(q2=""), "custom.q[2]", unknown("", "")),
+        (edit(gamma01="a**b"), "custom.gamma[0][1]", unknown("", "a**b")),
+        (edit(p2="a^x"), "custom.p[2]", "invalid literal for int() with base 10: 'x'"),
+        (edit(p0=3), "custom.p[0]", "expected a monomial string, got 3"),
+        (edit(q=["a", "a"]), "custom.q", "need exactly n entries in custom.q and custom.p"),
+        (edit(gamma=[["1", "a", "b"], "1", ["1", "1", "1"]]), "custom.gamma[1]",
+         "expected a list, got '1'"),
+        (edit(gamma=[["1", "a", "b"], ["a^-1", "1"], ["1", "1", "1"]]), "custom.gamma",
+         "need a full n x n matrix of monomial strings"),
+        (edit(gamma11="a"), "gamma[1][1]", "diagonal must be 1"),
+        (edit(gamma21="a*b"), "gamma[1][2]", anti),
+        (edit(gamma20="a^-1"), "gamma[0][2]", anti),
+        (edit(p1="a"), "p[1]", "p_i must differ from q_i by a non-torsion monomial"),
+        (edit(p1="b*a*b^-1"), "p[1]", "p_i must differ from q_i by a non-torsion monomial"),
+        # the first fault wins: parse errors in the order q, p, gamma, then the scan
+        (edit(q1="c", p0="a^x"), "custom.q[1]", unknown("c", "c")),
+        (edit(p0="zz", gamma11="a", q2="a^2147483648"), "custom.q[2]", wide),
+        (edit(gamma00="a", p0="a"), "gamma[0][0]", "diagonal must be 1"),
+        (edit(gamma20="b^2", p1="a"), "gamma[0][2]", anti),
+        (edit(p0="a", gamma12="b"), "p[0]", "p_i must differ from q_i by a non-torsion monomial"),
+        (edit(gamma21="1", gamma22="a"), "gamma[1][2]", anti),
+    ]
+    for custom, field, message in cases:
+        errors = []
+        for build in (lambda: build_spec(3, "custom", custom=custom),
+                      lambda: AlgebraSpec(3, "custom", *_scalar_custom(3, custom))):
+            with pytest.raises(ConfigError) as err:
+                build()
+            errors.append((err.value.field, err.value.message))
+        assert errors == [(field, message)] * 2, custom
+    # exponents that add back into the field are no fault
+    spec = build_spec(3, "custom", custom=edit(q0="a^2147483648*a^-1"))
+    assert spec.exponents[0][0] == ((0, MAX_EXPONENT),)
+    assert spec.q[0] == _scalar_parse(spec.lattice, "a^2147483648*a^-1")
 
 
 def test_config_field_errors():
