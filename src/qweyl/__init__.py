@@ -11,15 +11,8 @@ from .dimension import (
     DimensionReport,
     Witness,
     bernstein_bound,
-    integer_rank,
-    isotropic_witness_search,
-    max_isotropic_rank_single,
     pairing_from_matrix,
-    rank_mod_p,
-    rank_upper_bound,
-    smith_normal_form,
     torus_dimension,
-    verify_witness,
 )
 from .pbw import (
     GrowthReport,

@@ -244,8 +244,25 @@ def build_spec(n: int, kind: str, custom: Mapping | None = None) -> AlgebraSpec:
         symbols += [f"p{i}" for i in range(1, n + 1)]
     first = len(symbols)
     symbols += [f"g{i}{j}" for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    try:
+        lattice = ParameterLattice(symbols)
+    except ValueError:
+        raise ConfigError("n", _symbol_collision(n)) from None
     gamma = _antisymmetric(n, ((((c, 1),), ((c, -1),)) for c in range(first, len(symbols))))
-    return AlgebraSpec.from_exponents(n, kind, ParameterLattice(symbols), qs, ps, gamma)
+    return AlgebraSpec.from_exponents(n, kind, lattice, qs, ps, gamma)
+
+
+def _symbol_collision(n: int) -> str:
+    """The first preset name g{i}{j}, i < j <= n, that names two g_ij, with
+    both index pairs.  The names are ambiguous from n = 112 on: g1112 is
+    both g_{1,112} and g_{11,12}."""
+    named: dict[str, tuple[int, int]] = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            a, b = named.setdefault(f"g{i}{j}", (i, j))
+            if (a, b) != (i, j):
+                return f"preset symbol 'g{i}{j}' names both g_{{{a},{b}}} and g_{{{i},{j}}}"
+    raise AssertionError(f"the preset names of n = {n} are distinct")
 
 
 def _antisymmetric(n: int, pairs) -> list[list[SparseVector]]:

@@ -45,6 +45,7 @@ made inside the class skip the constructor.
 
 from __future__ import annotations
 
+import collections
 import functools
 import operator
 import struct
@@ -87,7 +88,8 @@ class ParameterLattice:
     def __init__(self, symbols: Iterable[str]):
         syms = tuple(symbols)
         if len(set(syms)) != len(syms):
-            raise ValueError(f"duplicate parameter symbols: {syms}")
+            repeated = [s for s, count in collections.Counter(syms).items() if count > 1]
+            raise ValueError(f"duplicate parameter symbols: {repeated}")
         self.symbols = syms
         self.index = {s: i for i, s in enumerate(syms)}
         self._fields, self.bias = _layout(len(syms))

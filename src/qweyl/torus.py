@@ -131,16 +131,6 @@ class ExponentPairing:
             return NotImplemented
         return self.k == other.k and self._rows == other._rows
 
-    def component(self, c: int) -> list[list[int]]:
-        c = range(self.k)[c]  # indexes like a dense exponent tuple
-        out = [[0] * self.m for _ in range(self.m)]
-        for i, row in enumerate(self._rows):
-            for j, nz in row:
-                for c2, e in nz:
-                    if c2 == c:
-                        out[i][j] = e
-        return out
-
     def sparse_rows(self) -> tuple:
         """Per row i, the entries (j, ((c, e), ...)) with their nonzero
         exponents: the stored form."""

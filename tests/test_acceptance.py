@@ -10,16 +10,15 @@ import random
 import time
 from contextlib import contextmanager
 
-from qweyl.dimension import (
-    bernstein_bound,
+from oracles import (
+    component,
     integer_rank,
     isotropic_witness_search,
     max_isotropic_rank_single,
-    pairing_from_matrix,
     smith_normal_form,
-    torus_dimension,
     verify_witness,
 )
+from qweyl.dimension import bernstein_bound, torus_dimension
 from qweyl.pbw import (
     PBWElement,
     _packed_rules,
@@ -67,7 +66,7 @@ def test_criterion_1_dimension_theorems():
                 assert rep.is_point and rep.d == want
                 expected = tuple(_unit(2 * n, i) for i in range(want))
                 assert rep.witness.vectors == expected
-                E = pairing_from_matrix(standard_torus(spec))
+                E = standard_torus(spec)
                 assert verify_witness(E, rep.witness)
 
 
@@ -83,8 +82,8 @@ def test_criterion_2_single_parameter_corollaries():
                 assert elapsed < 5.0, f"{kind} n={n} took {elapsed:.1f}s"
                 assert rep.method == "exact-single-parameter"
                 assert rep.is_point and rep.d == want
-                E = pairing_from_matrix(standard_torus(spec))
-                S = E.component(0)
+                E = standard_torus(spec)
+                S = component(E, 0)
                 rank = integer_rank(S)
                 assert rank == len(smith_normal_form(S))
                 assert rep.d == 2 * n - rank // 2
@@ -236,15 +235,15 @@ def test_criterion_11_search_soundness():
             ("generic", 2, 2),
             ("euclidean", 3, 4),
         ):
-            E = pairing_from_matrix(standard_torus(build_spec(n, kind)))
+            E = standard_torus(build_spec(n, kind))
             w = isotropic_witness_search(E, target, height=3)
             assert w is not None and w.rank == target
             assert verify_witness(E, w)
         # single-parameter presets: height 3 attains the exact rank, never exceeds
         for kind in SINGLE_PARAMETER:
             for n in range(1, 4):
-                E = pairing_from_matrix(standard_torus(build_spec(n, kind)))
-                exact, _ = max_isotropic_rank_single(E.component(0))
+                E = standard_torus(build_spec(n, kind))
+                exact, _ = max_isotropic_rank_single(component(E, 0))
                 attained = isotropic_witness_search(E, exact, height=3)
                 assert attained is not None and attained.rank == exact
                 assert verify_witness(E, attained)

@@ -263,6 +263,15 @@ def test_custom_spec_through_cli(tmp_path, capsys):
     assert "field 'custom.symbols'" in capsys.readouterr().err
 
 
+def test_colliding_preset_symbols_exit_2(tmp_path, capsys):
+    # generic n = 112 names g_{1,112} and g_{11,12} both g1112
+    cfg = _write(tmp_path, {"n": 112, "kind": "generic"})
+    assert main(["--config", cfg, "--command", "bound"]) == 2
+    err = capsys.readouterr().err
+    assert "config error in field 'n'" in err and "g1112" in err
+    assert len(err.encode()) < 1000
+
+
 def test_q_config_field_exits_2(tmp_path, capsys):
     # a top-level q once named a rational value that changed no output
     cfg = _write(tmp_path, {"n": 2, "kind": "symplectic", "q": "2"})

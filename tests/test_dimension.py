@@ -4,26 +4,28 @@ import bisect
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qweyl import cli, scalars, torus
-from qweyl import dimension as dim
-from qweyl.dimension import (
+import oracles
+from oracles import (
     PRIME,
-    Witness,
-    bernstein_bound,
+    component,
     integer_rank,
     isotropic_witness_search,
     max_isotropic_rank_single,
     rank_mod_p,
     rank_upper_bound,
     smith_normal_form,
-    torus_dimension,
     verify_witness,
 )
+import qweyl
+from qweyl import cli, scalars, torus
+from qweyl import dimension as dim
+from qweyl.dimension import Witness, bernstein_bound, torus_dimension
 from qweyl.presentation import (
     KINDS,
     SINGLE_PARAMETER_KINDS,
@@ -164,7 +166,7 @@ def test_max_isotropic_symplectic_plane():
 def test_max_isotropic_symplectic_preset():
     spec = build_spec(2, "symplectic")
     E = standard_torus(spec)
-    S = E.component(0)
+    S = component(E, 0)
     assert len(smith_normal_form(S)) == 4  # nondegenerate pairing
     rank, witness = max_isotropic_rank_single(S)
     assert rank == 2
@@ -318,14 +320,14 @@ def test_heisenberg_n1_by_direct_formula():
     # independent recomputation: full pairing matrix, then m - rank/2
     spec = build_spec(1, "heisenberg")
     E = standard_torus(spec)
-    S = E.component(0)
+    S = component(E, 0)
     assert S == [[0, 0], [0, 0]]
     assert torus_dimension(spec).d == 2 - integer_rank(S) // 2 == 2
 
 
 def test_euclidean_n2_rank_via_snf():
     E = standard_torus(build_spec(2, "euclidean"))
-    S = E.component(0)
+    S = component(E, 0)
     rank = len(smith_normal_form(S))
     assert rank == 2
     assert torus_dimension(build_spec(2, "euclidean")).d == E.m - rank // 2 == 3
@@ -337,7 +339,7 @@ def test_search_height_bounded_by_invariant_factor():
         for n in (1, 2, 3):
             spec = build_spec(n, kind)
             E = standard_torus(spec)
-            S = E.component(0)
+            S = component(E, 0)
             exact = E.m - integer_rank(S) // 2
             invariants = smith_normal_form(S)
             h = max(invariants) if invariants else 1
@@ -524,7 +526,7 @@ def _dense_rank_upper_bound(E):
 def _assert_kernels_match(E):
     assert rank_upper_bound(E) == _dense_rank_upper_bound(E)
     for c in range(E.k):
-        S = E.component(c)
+        S = component(E, c)
         rank, witness = max_isotropic_rank_single(S)
         assert (rank, list(witness.vectors)) == _reduction_oracle(S)
 
@@ -652,7 +654,7 @@ def test_modular_ranks_decide_on_presets_without_integer_rank(monkeypatch):
     def refuse(A):
         raise AssertionError("integer_rank called")
 
-    monkeypatch.setattr(dim, "integer_rank", refuse)
+    monkeypatch.setattr(oracles, "integer_rank", refuse)
     for kind in KINDS:
         if kind != "custom":
             for n in (2, 5, 8):
@@ -662,7 +664,7 @@ def test_modular_ranks_decide_on_presets_without_integer_rank(monkeypatch):
 def _search_oracle(E, target, height):
     """The first chain of the search's enumeration order, found by plain
     depth-first search with isotropy from E.pair and independence by rank."""
-    cands = list(dim._candidate_vectors(E.m, height))
+    cands = list(oracles._candidate_vectors(E.m, height))
     zero = (0,) * E.k
 
     def dfs(chain, start):
@@ -760,7 +762,7 @@ def test_bound_computes_the_dimension_once(monkeypatch, config, method):
     # takes no rank bound
     calls = {"torus_dimension": 0, "rank_upper_bound": 0}
     original_dimension = dim.torus_dimension
-    original_bound = dim.rank_upper_bound
+    original_bound = oracles.rank_upper_bound
 
     def counted_dimension(*args, **kwargs):
         calls["torus_dimension"] += 1
@@ -771,7 +773,7 @@ def test_bound_computes_the_dimension_once(monkeypatch, config, method):
         return original_bound(*args, **kwargs)
 
     monkeypatch.setattr(dim, "torus_dimension", counted_dimension)
-    monkeypatch.setattr(dim, "rank_upper_bound", counted_bound)
+    monkeypatch.setattr(oracles, "rank_upper_bound", counted_bound)
     rep = cli.run(config, "bound")
     assert rep.ok and rep.values["dim"]["method"] == method
     assert calls == {"torus_dimension": 1, "rank_upper_bound": 0}
@@ -808,7 +810,7 @@ def _refuse_the_search(monkeypatch):
 
     for name in ("rank_upper_bound", "isotropic_witness_search", "integer_rank",
                  "max_isotropic_rank_single"):
-        monkeypatch.setattr(dim, name, refuse)
+        monkeypatch.setattr(oracles, name, refuse)
 
 
 def _custom_configs(custom_config, count, ks, seed):
@@ -863,11 +865,31 @@ def test_single_parameter_reduction_meets_the_closed_form(custom_config):
     specs += [spec_from_config(cfg) for cfg in _custom_configs(custom_config, 120, (1,), 7)]
     assert sum(map(_q1_is_one, specs)) >= 40
     for spec in specs:
-        d, _ = max_isotropic_rank_single(standard_torus(spec).component(0))
+        d, _ = max_isotropic_rank_single(component(standard_torus(spec), 0))
         assert d == spec.n + _q1_is_one(spec), spec_to_config(spec)
 
 
 # -- the dimension path on exponent vectors ------------------------------------
+
+# the kernels for raw pairings and their helpers, now only in tests/oracles.py
+ORACLE_NAMES = (
+    "smith_normal_form", "integer_rank", "PRIME", "rank_mod_p", "_weights", "verify_witness",
+    "_primitive", "_canonical", "_row_times", "_dot", "max_isotropic_rank_single",
+    "rank_upper_bound", "_candidate_vectors", "_Candidates", "isotropic_witness_search",
+)
+
+
+def test_the_program_reaches_no_oracle():
+    for name in ORACLE_NAMES:
+        assert hasattr(oracles, name), name
+        assert not hasattr(qweyl, name) and not hasattr(dim, name), name
+    assert not hasattr(ExponentPairing, "component")
+    sources = sorted(Path(qweyl.__file__).parent.rglob("*.py"))
+    assert len(sources) >= 8
+    for path in sources:
+        assert "oracles" not in path.read_text(encoding="utf-8"), path
+
+
 
 def _z_block_oracle(E):
     """The dimension n + [q_1 = 1] read off a built standard torus E: the
@@ -902,7 +924,7 @@ def test_z_block_from_the_exponents_matches_the_torus_oracle(custom_config):
         d = dim._z_block_dimension(spec)
         assert d == _z_block_oracle(E) == rank_upper_bound(E), spec_to_config(spec)
         if E.k == 1:
-            assert d == max_isotropic_rank_single(E.component(0))[0], spec_to_config(spec)
+            assert d == max_isotropic_rank_single(component(E, 0))[0], spec_to_config(spec)
     # a pivot made to vanish after construction raises on both paths alike
     for kind in ("generic", "symplectic", "generic-q1"):
         for j in (2, 3):

@@ -92,6 +92,26 @@ def test_build_errors():
         build_spec(2, "symplectic", q="2")
 
 
+@pytest.mark.parametrize("kind", ["generic", "generic-p1", "generic-q1", "graded-weyl"])
+def test_preset_symbols_collide_from_n112_on(kind):
+    # the multi-parameter presets name g_ij g{i}{j}, so g1112 is both
+    # g_{1,112} and g_{11,12}: a config error on n, naming the two pairs
+    assert build_spec(111, kind).n == 111
+    with pytest.raises(ConfigError) as err:
+        build_spec(112, kind)
+    assert err.value.field == "n"
+    assert err.value.message == "preset symbol 'g1112' names both g_{1,112} and g_{11,12}"
+    assert len(str(err.value)) < 200
+
+
+def test_duplicate_custom_symbols_are_named_once():
+    custom = {"symbols": ["a", "b", "a"], "q": ["a"], "p": ["b"], "gamma": [["1"]]}
+    with pytest.raises(ConfigError) as err:
+        build_spec(1, "custom", custom)
+    assert err.value.field == "custom.symbols"
+    assert err.value.message == "duplicate parameter symbols: ['a']"
+
+
 def test_rule_count_and_examples():
     spec = build_spec(2, "generic")
     rules = _packed_rules(spec)

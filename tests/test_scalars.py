@@ -30,6 +30,10 @@ P = QP.symbol("p")
 def test_lattice_rejects_duplicates():
     with pytest.raises(ValueError):
         ParameterLattice(["q", "q"])
+    # the message names each repeated symbol once, and no other
+    with pytest.raises(ValueError) as err:
+        ParameterLattice(["a", "b", "a"])
+    assert str(err.value) == "duplicate parameter symbols: ['a']"
 
 
 def test_self_quotient_is_one():

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from oracles import component
 from qweyl import pbw, torus
 from qweyl.presentation import KINDS, build_spec, spec_from_config
 from qweyl.reporting import all_ok
@@ -429,7 +430,7 @@ def _assert_matches_the_dense_torus(spec, rng):
     for choice in choices:
         E = localized_torus(spec, choice)
         sparse_rows = E.sparse_rows()  # the stored rows, before any dense view
-        components = [E.component(c) for c in range(E.k)]
+        components = [component(E, c) for c in range(E.k)]
         vectors = [tuple(rng.randint(-2, 2) for _ in range(E.m)) for _ in range(6)]
         pairs = [E.pair(u, v) for u, v in zip(vectors, vectors[1:])]
         dense = _dense_localized_torus(spec, choice)
