@@ -25,13 +25,14 @@ rewrite rule keeps or lowers total degree, so no monomial met while
 folding passes the total degree of the input.  normal_form checks that
 bound once per call (the word length), and the pair memo, and so multiply,
 on each miss (the degrees of the two monomials add up); both raise
-OverflowError past MAX_DEGREE.
+OverflowError past MAX_DEGREE.  A total degree is one product of the packed
+key by sum(unit) while every field stays below 2^16 (_Layout.degree).
 
 Tuples stay at the boundaries.  The PBWElement constructor packs exponent
 tuples and refuses a vector of the wrong length or an exponent outside
 0..MAX_DEGREE with ValueError; generator and unit make packed keys
-directly; `.terms`, `degree`, render_element and the extension-step twist
-unpack.  Both directions go through one struct.Struct per n.
+directly; `.terms`, render_element and the extension-step twist unpack.
+Both directions go through one struct.Struct per n.
 
 A word is brought to normal form by a left fold: starting from the unit,
 the running element is multiplied by one generator at a time and like
@@ -50,8 +51,9 @@ rules as (coefficient, a, b) entries, built from spec.exponents on the
 first memo of a spec and cached on it; a unit coefficient is None, so that
 appends cost no scalar product.  A _Products memo keeps every product of
 two monomials in one dict keyed by the pair of packed monomials, m*g under
-(m, unit[g]), besides the block rules it has met and the Casimir elements
-z_i as terms; it holds no verdicts.
+(m, unit[g]), besides the block rules it has met, the Casimir elements z_i
+as terms and the prefix sums of the normality laws (below), also as terms;
+it holds no verdicts.
 
 Each spec has one memo, built on first use and cached on the spec
 (_memo): normal_form, multiply, the verifiers and skew_power_identity all
@@ -63,20 +65,23 @@ after one of their calls a memo past MEMO_MAX_PAIRS entries is dropped and
 the next call starts a fresh one.  Each memo entry is fixed by its key,
 the spec and the rules, so sharing or dropping a memo changes no result.
 An entry is stored only once it is complete (a pair after its fold, a
-block rule after it is built), and no memo dict reaches a caller (fold,
-combine and element build new dicts), so a call that raises leaves the
-memo as good as fresh, and threads that share a spec need no lock: two
-that miss the same key store equal entries, and of two memos built at
-once one is dropped, which costs only its folds.
+block rule after it is built, a law prefix after its sum), and no memo
+dict reaches a caller (fold, combine and element build new dicts), so a
+call that raises leaves the memo as good as fresh, and threads that share
+a spec need no lock: two that miss the same key store equal entries, and
+of two memos built at once one is dropped, which costs only its folds.
 
 Every product of elements goes through one kernel, _Products.combine: it
 adds up sum c*f*g, reading each monomial product from the pair memo, into
 one dict, with no intermediate element.  multiply is one such sum.  Every
 identity in the algebra that the verifiers and skew_power_identity check
 is one sum minus h, decided by _Products.vanishes, so the checks of one
-spec fold each monomial pair once and build each z_i once.  The
-commutators [z_a, z_b] are no sum at all: verify_normality reads them off
-the normality verdicts.
+spec fold each monomial pair once and build each z_i once.  A normality
+law z_i*v - lam*v*z_i is a running sum over the terms c_l*y_l x_l of z_i,
+and the memo keeps each prefix, so the law of z_i extends that of z_{i-1}
+by one term group: all laws of a spec sum 3n^2 - n groups, not n^2(n+1)
+(_Products.law).  The commutators [z_a, z_b] are no sum at all:
+verify_normality reads them off the normality verdicts.
 
 The recursion terminates.  Order words by length, then by their multiset
 of generators (compared largest first), then by inversion count.
@@ -140,14 +145,20 @@ class BudgetError(ValueError):
     """Raised when a computation would exceed the desk-scale budget."""
 
 
+# Below this many slots a total degree is one product (_Layout.degree).
+_FAST_DEGREE_SLOTS = 2**16
+
+
 class _Layout:
     """Packed monomials of one n: 2n unsigned 32-bit fields, slot 0 first.
 
     unit[g] is the key of the generator in slot g, and after[g] = unit[g] - 1
-    covers the slots after g.
+    covers the slots after g.  Each field of m*ones, ones = sum(unit), sums
+    at most 2n fields of m, so none carries when every field of m is below
+    2^16 and 2n < 2^16 (no bit of `high` set); field 2n-1 is then the degree.
     """
 
-    __slots__ = ("n", "fields", "unit", "after")
+    __slots__ = ("n", "fields", "unit", "after", "ones", "high", "shift")
 
     def __init__(self, n: int):
         size = 2 * n
@@ -155,6 +166,10 @@ class _Layout:
         self.fields = struct.Struct(f">{size}I")
         self.unit = tuple(1 << 32 * (size - 1 - g) for g in range(size))
         self.after = tuple(u - 1 for u in self.unit)
+        self.ones = sum(self.unit)
+        self.shift = 32 * (size - 1)
+        fast = size < _FAST_DEGREE_SLOTS
+        self.high = self.ones * 0xFFFF0000 if fast else (1 << 32 * size) - 1
 
     def pack(self, mono: Monomial) -> int:
         try:
@@ -166,6 +181,13 @@ class _Layout:
 
     def unpack(self, m: int) -> Monomial:
         return self.fields.unpack(m.to_bytes(self.fields.size, "big"))
+
+    def degree(self, m: int) -> int:
+        """The total degree of m: one product, or the sum of the unpacked
+        fields when a field reaches 2^16."""
+        if m & self.high:
+            return sum(self.unpack(m))
+        return m * self.ones >> self.shift & 0xFFFFFFFF
 
 
 @functools.cache
@@ -236,8 +258,8 @@ class PBWElement:
 
     def degree(self) -> int:
         """Maximum total degree of a monomial (zero element: -1)."""
-        unpack = _layout(self.n).unpack
-        return max((sum(unpack(m)) for m in self.packed), default=-1)
+        degree = _layout(self.n).degree
+        return max(map(degree, self.packed), default=-1)
 
     def __repr__(self) -> str:
         return f"PBWElement({len(self.packed)} terms, n={self.n})"
@@ -370,7 +392,9 @@ def _packed_rules(spec: AlgebraSpec) -> list[list[tuple]]:
 
 class _Products:
     """Products of packed ordered monomials, memoized in one dict `pairs`;
-    the rules of the power blocks met are kept in `blocks`.
+    the rules of the power blocks met are kept in `blocks`, the Casimir
+    elements in `casimirs` and the prefix sums of the normality laws in
+    `laws`.
 
     One instance serves one spec, cached on it by _memo(spec) for every
     entry point of the engine.  It holds the spec by a weak reference, so
@@ -382,13 +406,14 @@ class _Products:
         self.n = spec.n
         self.top = 2 * spec.n - 1
         self.one = spec.lattice.one()
-        layout = _layout(spec.n)
+        self.layout = layout = _layout(spec.n)
         self.unit = layout.unit
         self.after = layout.after
         self.rules = _packed_rules(spec)
         self.pairs: dict[tuple[int, int], _Terms] = {}
         self.blocks: dict[tuple[int, int, int], tuple] = {}
         self.casimirs: dict[int, _Terms] = {}
+        self.laws: dict[tuple[int, int], _Terms] = {}
 
     def add(self, out: _Terms, m: int, c: _Coeff) -> None:
         """out[m] += c, dropping the entry if it cancels."""
@@ -497,18 +522,19 @@ class _Products:
         one-letter mg that is the dict times(mf, g) stored under this key."""
         out = self.pairs.get((mf, mg))
         if out is None:
-            unpack = _layout(self.n).unpack
-            letters = unpack(mg)
-            _check_degree(sum(unpack(mf)) + sum(letters))
+            layout = self.layout
             first = self.top - (mg.bit_length() - 1) // 32
+            single = mg == self.unit[first]
+            _check_degree(layout.degree(mf) + (1 if single else layout.degree(mg)))
             # mf has no bit after the first occupied slot of mg
             if not mf & self.after[first]:
                 out = {mf + mg: None}
             else:
                 out = self.times(mf, first)
-                for g, e in enumerate(letters):
-                    for _ in range(e - (g == first)):
-                        out = self.fold(out, g)
+                if not single:
+                    for g, e in enumerate(layout.unpack(mg)):
+                        for _ in range(e - (g == first)):
+                            out = self.fold(out, g)
             self.pairs[(mf, mg)] = out
         return out
 
@@ -547,6 +573,32 @@ class _Products:
         if z is None:
             z = self.casimirs[i] = _terms(casimir(self.spec(), i))
         return z
+
+    def law(self, g: int, i: int, lam: Scalar) -> _Terms:
+        """z_i*v - lam*v*z_i for the generator v in slot g, as terms.
+
+        With v of index j, it is the prefix sum over l <= i of the term groups
+        c_l*(y_l x_l*v - lam*v*y_l x_l), c_l the term of z_l, kept under
+        (g, i).  lam is p_j or its inverse for i < j and q_j or its inverse
+        for i >= j, so the key fixes lam, and the prefixes of one lam start
+        at i = 1 and at i = j.  A starting prefix sums z_i in one piece, as a
+        plain sum does, so the first product to pass the exponent field is
+        the same; each later one is the largest kept prefix below it plus
+        one group per step.
+        """
+        j, laws, k = g // 2 + 1, self.laws, i
+        start = j if i >= j else 1
+        while (out := laws.get((g, k))) is None and k > start:
+            k -= 1
+        v = {self.unit[g]: None}
+        if out is None:
+            out = laws[(g, k)] = self.combine(_skew(self.casimir(k), v, lam))
+        while k < i:
+            k += 1
+            mz = self.unit[2 * k - 2] + self.unit[2 * k - 1]
+            zk = {mz: self.casimir(k)[mz]}
+            out = laws[(g, k)] = self.combine(((None, out, _ONE),) + _skew(zk, v, lam))
+        return out
 
 
 def _terms(f: PBWElement) -> _Terms:
@@ -617,16 +669,17 @@ def verify_relations(spec: AlgebraSpec) -> list[dict]:
 def verify_normality(spec: AlgebraSpec, i: int) -> list[dict]:
     """Check the commutation laws of z_i and the simpler Casimir formula.
 
-    Products and Casimir elements come from the memo cached on the spec, so
-    the n calls of one `verify` build each z_j once.  The law for each y_j
-    and x_j is one sum.  The verdict of z{i}*z{j} is derived from them, not
-    summed: z_j = sum_{l<=j} (q_l - p_l) y_l x_l, and the laws of y_l and x_l
-    scale by lambda and lambda^-1 for the same lambda (p_l or q_l), so
-    z_i y_l x_l = lambda y_l z_i x_l = y_l x_l z_i.  So z{i}*z{j} passes when
-    i == j or when the laws of y_l and x_l pass for every l <= j.  Moving
-    z_i across y_l x_l regroups products, so the derivation assumes that the
-    fold is associative; the tests back that (associativity fuzz, word
-    rewriter), but no check of verify certifies it yet.
+    Products, Casimir elements and the laws come from the memo cached on the
+    spec, so the n calls of one `verify` build each z_j once and sum O(n^2)
+    term groups in all: each law is a prefix sum (_Products.law).  The
+    verdict of z{i}*z{j} is derived from them, not summed: z_j = sum_{l<=j}
+    (q_l - p_l) y_l x_l, and the laws of y_l and x_l scale by lambda and
+    lambda^-1 for the same lambda (p_l or q_l), so z_i y_l x_l = lambda y_l
+    z_i x_l = y_l x_l z_i.  So z{i}*z{j} passes when i == j or when the laws
+    of y_l and x_l pass for every l <= j.  Moving z_i across y_l x_l
+    regroups products, so the derivation assumes that the fold is
+    associative; the tests back that (associativity fuzz, word rewriter),
+    but no check of verify certifies it yet.
     """
     if not 1 <= i <= spec.n:
         raise ValueError(f"index {i} out of range 1..{spec.n}")
@@ -634,16 +687,14 @@ def verify_normality(spec: AlgebraSpec, i: int) -> list[dict]:
     checks = []
     n = spec.n
     q, p = spec.q, spec.p
-    unit, zero = products.unit, products.vanishes
+    unit, zero, law = products.unit, products.vanishes, products.law
     z = products.casimir(i)
     laws_hold = True  # the laws of y_l and x_l for every l <= j
     for j in range(1, n + 1):
-        yj = {unit[spec.y_index(j)]: None}
         lam = p[j - 1] if i < j else q[j - 1]
-        y_ok = zero(_skew(z, yj, lam))
+        y_ok = not law(spec.y_index(j), i, lam)
         checks.append(check(f"z{i}*y{j}", y_ok, "z_i y_j = (p_j or q_j) y_j z_i"))
-        xj = {unit[spec.x_index(j)]: None}
-        x_ok = zero(_skew(z, xj, lam.inverse()))
+        x_ok = not law(spec.x_index(j), i, lam.inverse())
         checks.append(check(f"z{i}*x{j}", x_ok, "z_i x_j = (p_j or q_j)^-1 x_j z_i"))
         laws_hold = laws_hold and y_ok and x_ok
         checks.append(check(f"z{i}*z{j}", i == j or laws_hold, "Casimir elements commute"))

@@ -539,12 +539,13 @@ def test_verify_folds_each_monomial_pair_once_and_sums_no_casimir_commutator(mon
     # shared pair memo, folded on its first miss only, form no sum with a
     # product z_a*z_b (those verdicts are derived from the normality laws),
     # and never build an element through multiply or normal_form; nor does
-    # the skew suite
+    # the skew suite.  The normality laws are prefix sums that call combine
+    # directly, so combine is hooked as well as vanishes.
     n = 3
     spec = build_spec(n, "generic")
     zs = [pbw._terms(casimir(spec, j)) for j in range(1, n + 1)]
     unit = pbw._layout(n).unit
-    memos, calls, misses, commutators = [], [], [], []
+    memos, calls, misses, commutators, with_z = [], [], [], [], []
 
     class Counted(pbw._Products):
         def __init__(self, spec_):
@@ -562,6 +563,13 @@ def test_verify_folds_each_monomial_pair_once_and_sums_no_casimir_commutator(mon
             commutators.extend((zs.index(f), zs.index(g)) for _, f, g in terms
                                if f in zs and g in zs)
             return super().vanishes(terms, h)
+
+        def combine(self, terms):
+            terms = list(terms)
+            commutators.extend((zs.index(f), zs.index(g)) for _, f, g in terms
+                               if f in zs and g in zs)
+            with_z.extend(f for _, f, _ in terms if f in zs)
+            return super().combine(terms)
 
     def refuse(*args, **kwargs):
         raise AssertionError("an identity check called multiply or normal_form")
@@ -586,6 +594,7 @@ def test_verify_folds_each_monomial_pair_once_and_sums_no_casimir_commutator(mon
     assert set(misses) <= set(calls) <= stored
     assert all(mg in unit for _, mg in stored - set(misses))
     assert commutators == []
+    assert all(z in with_z for z in zs)  # the hook sees every normality sum's z_i
     assert {c["name"] for c in rep.checks} >= {f"z{a}*z{b}" for a in range(1, n + 1)
                                                for b in range(1, n + 1)}
     assert all(misses.count(key) == 1 for key in new_pairs)

@@ -648,13 +648,9 @@ def test_rank_bound_and_bound_at_n16(kind, d):
     assert rep.values["bound"] == 32 - d
 
 
-def test_modular_ranks_decide_on_presets_without_integer_rank(monkeypatch):
-    # on the presets every modular rank certifies, so the exact rank is
-    # never needed: not for the bound, the witnesses or the reduction
-    def refuse(A):
-        raise AssertionError("integer_rank called")
-
-    monkeypatch.setattr(oracles, "integer_rank", refuse)
+def test_modular_ranks_decide_on_presets_without_integer_rank():
+    # every preset gets a point report; that no exact rank (or any other
+    # kernel of tests/oracles.py) is reached is test_the_program_reaches_no_oracle
     for kind in KINDS:
         if kind != "custom":
             for n in (2, 5, 8):
@@ -758,25 +754,19 @@ def test_packed_pairing_does_not_cancel_across_components():
     [({"n": 3, "kind": "generic"}, "search"), ({"n": 3, "kind": "generic-p1"}, "theorem-p1")],
 )
 def test_bound_computes_the_dimension_once(monkeypatch, config, method):
-    # bound derives 2n - d from one dimension report, and the closed form
-    # takes no rank bound
-    calls = {"torus_dimension": 0, "rank_upper_bound": 0}
+    # bound derives 2n - d from one dimension report; that the closed form
+    # takes no rank bound is test_the_program_reaches_no_oracle
+    calls = []
     original_dimension = dim.torus_dimension
-    original_bound = oracles.rank_upper_bound
 
     def counted_dimension(*args, **kwargs):
-        calls["torus_dimension"] += 1
+        calls.append(args)
         return original_dimension(*args, **kwargs)
 
-    def counted_bound(*args, **kwargs):
-        calls["rank_upper_bound"] += 1
-        return original_bound(*args, **kwargs)
-
     monkeypatch.setattr(dim, "torus_dimension", counted_dimension)
-    monkeypatch.setattr(oracles, "rank_upper_bound", counted_bound)
     rep = cli.run(config, "bound")
     assert rep.ok and rep.values["dim"]["method"] == method
-    assert calls == {"torus_dimension": 1, "rank_upper_bound": 0}
+    assert len(calls) == 1
 
 
 # -- the closed form d = n + [q_1 = 1] ----------------------------------------
@@ -804,15 +794,6 @@ def _q1_is_one(spec):
     return spec.exponents[0][0] == ()
 
 
-def _refuse_the_search(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("rank bound, search or exact rank called")
-
-    for name in ("rank_upper_bound", "isotropic_witness_search", "integer_rank",
-                 "max_isotropic_rank_single"):
-        monkeypatch.setattr(oracles, name, refuse)
-
-
 def _custom_configs(custom_config, count, ks, seed):
     """Seeded custom configs, n = 1..4; every third has q_1 = 1."""
     rng = random.Random(seed)
@@ -837,23 +818,21 @@ def test_closed_form_matches_the_search_on_presets(kind):
         assert rep.d == n + _q1_is_one(spec)
 
 
-def test_closed_form_matches_the_search_on_custom_specs(monkeypatch, custom_config):
+def test_closed_form_matches_the_search_on_custom_specs(custom_config):
     specs = [spec_from_config(cfg) for cfg in _custom_configs(custom_config, 330, (2, 3, 4), 22)]
     assert sum(map(_q1_is_one, specs)) >= 100
-    with monkeypatch.context() as patched:
-        _refuse_the_search(patched)
-        reps = [torus_dimension(spec) for spec in specs]
+    reps = [torus_dimension(spec) for spec in specs]
     for spec, rep in zip(specs, reps):
         assert rep == _search_path(spec), spec_to_config(spec)
         assert rep.d == spec.n + _q1_is_one(spec)
 
 
-def test_closed_form_needs_no_rank_bound_search_or_exact_rank(monkeypatch, custom_config):
-    # no spec reaches a kernel for raw pairings: not the presets, and not
-    # the seeded single-parameter custom specs of the reduction's test below
+def test_closed_form_needs_no_rank_bound_search_or_exact_rank(custom_config):
+    # the closed form on the presets and on the seeded single-parameter
+    # custom specs of the reduction's test below; that no spec reaches a
+    # kernel for raw pairings is test_the_program_reaches_no_oracle
     specs = [build_spec(n, kind) for kind in KINDS if kind != "custom" for n in range(1, 17)]
     specs += [spec_from_config(cfg) for cfg in _custom_configs(custom_config, 120, (1,), 7)]
-    _refuse_the_search(monkeypatch)
     for spec in specs:
         assert torus_dimension(spec).d == spec.n + _q1_is_one(spec), spec_to_config(spec)
 

@@ -4,6 +4,7 @@ import gc
 import itertools
 import math
 import random
+import re
 import sys
 import threading
 import weakref
@@ -327,6 +328,114 @@ def test_fused_checks_fail_where_the_multiply_formula_fails(key_of, scale_term, 
     assert failed == {name for name, ok in oracle.items() if not ok}
 
 
+# -- normality laws as prefix sums ---------------------------------------------
+
+def _normality_by_index(spec, order):
+    """verify_normality(spec, i) for i in order on the one memo of spec, by i;
+    a repeated i must return what its first call returned."""
+    out = {}
+    for i in order:
+        checks = verify_normality(spec, i)
+        assert out.setdefault(i, checks) == checks, i
+    return out
+
+
+def _fresh_normality(spec):
+    """verify_normality(spec, i) for every i, each on a memo of its own."""
+    out = {}
+    for i in range(1, spec.n + 1):
+        spec._products = None
+        out[i] = verify_normality(spec, i)
+    spec._products = None
+    return out
+
+
+def _orders(n, rng):
+    shuffled = list(range(1, n + 1))
+    rng.shuffle(shuffled)
+    return [shuffled, list(range(n, 0, -1)), shuffled + list(range(1, n + 1)) + shuffled]
+
+
+def test_normality_prefixes_answer_like_fresh_memos_in_every_order(custom_config):
+    rng = random.Random(41)
+    specs = [build_spec(n, kind) for kind in PRESET_KINDS for n in range(1, 6)]
+    specs += [spec_from_config(custom_config(rng, n, k)) for n in (2, 3, 4, 5) for k in (2, 3)]
+    corruptions = [((lambda s: (s.x_index(3), s.x_index(1))), 0),
+                   ((lambda s: (s.x_index(3), s.y_index(3))), 1),
+                   ((lambda s: (s.x_index(2), s.x_index(1))), 0)]
+    corrupted = [_corrupted(*c) for c in corruptions]
+    for spec in specs + corrupted:
+        expect = _fresh_normality(spec)
+        for order in _orders(spec.n, rng):
+            spec._products = None
+            assert _normality_by_index(spec, order) == expect, (spec_to_config(spec), order)
+    # a corrupted table fails some laws, so failing prefixes are kept; the
+    # x2*x1 swap fails the law of z_2 and x_1, and the law of z_3 extends
+    # that prefix.  The law verdicts match the multiply formula there.
+    for spec, corruption in zip(corrupted, corruptions):
+        engine = {c["name"]: c["status"] == "pass"
+                  for checks in _fresh_normality(spec).values() for c in checks
+                  if c["name"][3] in "xy"}
+        oracle = _oracle_verdicts(_corrupted(*corruption))
+        assert engine == {name: oracle[name] for name in engine}
+        assert not all(engine.values())
+    # engine is the x2*x1 swap's
+    assert {"z2*x1", "z3*x1"} <= {name for name, ok in engine.items() if not ok}
+
+
+def test_threads_share_the_normality_prefixes(custom_config):
+    specs = [build_spec(5, "generic"), build_spec(4, "heisenberg"),
+             spec_from_config(custom_config(random.Random(43), 4, 3)),
+             _corrupted(lambda s: (s.x_index(3), s.y_index(3)), 1)]
+    rng = random.Random(47)
+    for spec in specs:
+        expect = _fresh_normality(spec)
+        orders = _orders(spec.n, rng) + [list(range(1, spec.n + 1))]
+        results = [None] * 4
+        start = threading.Barrier(4)
+
+        def work(t):
+            start.wait()
+            results[t] = _normality_by_index(spec, orders[t])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter will
+        try:
+            threads = [threading.Thread(target=work, args=(t,)) for t in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [expect] * 4, spec_to_config(spec)
+
+
+@pytest.mark.parametrize("n", [4, 8])
+def test_normality_laws_sum_3n2_minus_n_term_groups(n):
+    # each term group c_l*(y_l x_l*v - lam*v*y_l x_l) is summed once per
+    # (v, lam): j - 1 groups under p_j and n under q_j for each v of index j,
+    # where a law per (i, v) from scratch would sum n^2(n+1)
+    spec = build_spec(n, "generic")
+    unit = _layout(n).unit
+    zmonos = {unit[2 * l] + unit[2 * l + 1] for l in range(n)}
+    groups = []
+
+    class Counted(_Products):
+        def combine(self, terms):
+            terms = list(terms)
+            groups.extend(len(f) for _, f, g in terms
+                          if len(g) == 1 and next(iter(g)) in unit and f and set(f) <= zmonos)
+            return super().combine(terms)
+
+    spec._products = Counted(spec)
+    for i in range(1, n + 1):
+        assert all_ok(verify_normality(spec, i))
+    assert sum(groups) == 3 * n * n - n
+    assert len(spec._products.laws) == 2 * n * n  # n prefixes per generator
+
+
 # -- extension steps and skew powers against the multiply formulas ------------
 
 def _oracle_step_verdicts(spec, max_k=4):
@@ -556,6 +665,40 @@ def test_spec_memo_forms_no_cycle():
         assert freed() is None
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 9])
+def test_degree_is_the_sum_of_the_fields(n, monkeypatch):
+    values = (0, 1, 2**16 - 1, 2**16, 2**31, 2**32 - 1)
+    rng = random.Random(n)
+    monos = [(v,) * (2 * n) for v in values]
+    monos += [tuple(v if g == s else 0 for g in range(2 * n)) for v in values
+              for s in range(2 * n)]
+    monos += [tuple(rng.choice(values) for _ in range(2 * n)) for _ in range(200)]
+    monos += [tuple(rng.choice(values[:3]) for _ in range(2 * n)) for _ in range(200)]
+    fast = _layout(n)
+    monkeypatch.setattr(pbw, "_FAST_DEGREE_SLOTS", 2 * n)  # the fast path off
+    slow = pbw._Layout(n)
+    for layout in (fast, slow):
+        for mono in monos:
+            m = layout.pack(mono)
+            assert layout.degree(m) == sum(layout.unpack(m)) == sum(mono), (n, mono)
+    assert slow.high == (1 << 64 * n) - 1 and fast.high != slow.high
+
+
+def test_element_degree_reads_the_layout_helper(monkeypatch):
+    seen = []
+    original = pbw._Layout.degree
+
+    def counted(layout, m):
+        seen.append(m)
+        return original(layout, m)
+
+    monkeypatch.setattr(pbw._Layout, "degree", counted)
+    one = GEN2.lattice.one()
+    f = PBWElement(2, {(2**16, 0, 3, 0): one, (1, 1, 0, 0): one})
+    assert f.degree() == 2**16 + 3 and len(seen) == 2
+    assert PBWElement(2, {}).degree() == -1
 
 
 def test_degree_bound():
@@ -890,6 +1033,34 @@ def test_a_call_that_raises_leaves_the_memo_sound():
     for text in ("x2 x1", "x2 y2 x1", "x1 y1 x2 y2", "x2 x2 y2", "y2 x2 x1"):
         assert normal_form(spec, text) == normal_form(spec_from_config(cfg), text), text
     assert _verify(spec) == _verify(spec_from_config(cfg))
+
+
+def _unit_gamma_spec(q, p):
+    return spec_from_config({"n": 2, "kind": "custom", "custom": {
+        "symbols": ["a", "b"], "q": q, "p": p, "gamma": [["1", "1"], ["1", "1"]]}})
+
+
+@pytest.mark.parametrize("q, p, vector", [
+    (["1", "a"], ["a^2147483647", "1"], "(2147483648, 0)"),
+    (["1", "a"], ["a^2147483647", "b"], "(2147483648, -1)"),
+    (["1", "a^-2147483647"], ["a", "1"], "(-4294967294, 0)"),
+])
+def test_verify_refuses_a_normality_law_past_the_exponent_field(q, p, vector):
+    # the first product of a normality law whose exponent passes
+    # ±(2^31 - 1), and so the message, is fixed by the spec
+    match = "^" + re.escape(f"exponent vector {vector} leaves ±2147483647") + "$"
+    spec = _unit_gamma_spec(q, p)
+    for _ in range(2):
+        with pytest.raises(ExponentOverflowError, match=match):
+            _verify(spec)
+    with pytest.raises(ExponentOverflowError, match=match):
+        verify_normality(spec, 2)
+
+
+def test_verify_passes_a_spec_near_the_exponent_field():
+    spec = _unit_gamma_spec(["1", "1"], ["a^2147483647", "b"])
+    checks = _verify(spec)
+    assert all_ok(checks) and len(checks) == 49
 
 
 def test_a_memo_past_its_bound_is_dropped(monkeypatch):
