@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import sys
 import time
 from dataclasses import dataclass
@@ -93,14 +94,14 @@ def _cmd_verify(spec, args, over_budget):
         checks.extend(pbw.verify_normality(spec, i))
     for m in range(1, spec.n):
         checks.extend(pbw.verify_ambiskew(spec, m))
-    # the checks of torus.check_torus_isomorphism for every choice, each
-    # distinct verdict computed once
+    # the checks of torus.check_torus_isomorphism for every choice, in name
+    # order, each distinct verdict computed once
     choices = 2**spec.n
     theta = torus.theta_sweep(spec)
-    for bits in range(choices):
+    for done in range(choices):
         if over_budget():
             checks.append(check("torus-isomorphism", None,
-                                f"budget exhausted after {bits} of {choices} choices"))
+                                f"budget exhausted after {done} of {choices} choices"))
             break
         checks.extend(next(theta))
     return checks, {}
@@ -235,7 +236,7 @@ def run(config: dict, command: str, args=(), budget=None) -> Report:
     if args and command in ("verify", "dim", "bound", "report"):
         raise UsageError(f"{command} takes no arguments, got --args {' '.join(args)}")
     checks, values = _HANDLERS[command](spec, list(args), over_budget)
-    checks.sort(key=lambda c: c["name"])
+    checks.sort(key=operator.itemgetter("name"))
     elapsed_ms = int((time.perf_counter() - started) * 1000)
     return Report(spec=spec_to_config(spec), checks=checks, values=values,
                   elapsed_ms=elapsed_ms)

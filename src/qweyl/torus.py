@@ -27,10 +27,10 @@ on demand.  Every entry is read straight from the sparse exponent vectors
 of q, p and gamma: z_i past a generator of index j scales by q_j or p_j
 (inverted for x_j), and two generators of different indices swap by the
 monomial of presentation._swap_exponents, the one formula of the scalar
-that the rewrite rules of qweyl.pbw pack too.  localized_torus and
-_entry, the one entry of a localized torus that theta_sweep and
-qweyl.dimension read, share _z_entries and _swap_exponents.  Both take the
-vectors from spec.exponents, the form in which the spec stores its
+that the rewrite rules of qweyl.pbw pack too.  localized_torus,
+theta_verdicts and _entry, the one entry of a localized torus that
+qweyl.dimension reads, share _z_entries and _swap_exponents.  They take
+the vectors from spec.exponents, the form in which the spec stores its
 parameters, so the torus neither reads a Scalar nor caches a parameter
 itself.  The standard torus is built once per spec and cached on it, like
 the rewrite rules; a pairing is immutable, so every caller may share it.
@@ -44,13 +44,26 @@ reads ch[j], and (v_i, v_j) reads ch[i] and ch[j].  So the check of (a, b)
 reads ch only at the indices of the y's among a and b: none for (z_i, z_j),
 j for (z_i, y_j) and i, j for (y_i, y_j).  Its verdict under every one of
 the 2^n choices is one of at most 4 verdicts, one per assignment of x/y to
-those indices, and theta_sweep computes each of them once:
+those indices, and theta_verdicts computes each of them once, as a table:
 C(n,2) + 2n^2 + 4 C(n,2) verdicts stand for the 2^n C(2n,2) checks.
+
+A verdict expands pair(theta(a), theta(b)) bilinearly into at most four
+localized entries, written in closed form from _z_entries and
+_swap_exponents, and compares their sum with the standard entry (a, b).
+Both sides are packed into one integer each, exponent e of symbol c in the
+64-bit field c, like the packed monomials of qweyl.scalars and qweyl.pbw.
+Every parameter exponent lies within +-(2^31 - 1), a sum reads at most five
+parameter vectors and a standard entry one, so each component of their
+difference stays below 6 * 2^31 < 2^63: no field carries, and the two
+integers are equal exactly when the vectors are.  The 32-bit fields of a
+Scalar key would not do, since a swap sum alone reaches 3 (2^31 - 1).
+theta_sweep expands the table into the records of check_torus_isomorphism
+for every choice, in the order of their names.
 """
 
 from __future__ import annotations
 
-import functools
+import itertools
 import operator
 from collections.abc import Iterator
 
@@ -168,7 +181,10 @@ def _z_entries(q, p, ch, j: int) -> tuple[SparseVector, SparseVector]:
 def _entry(n: int, q, p, gamma, ch, s: int, t: int) -> tuple[int, SparseVector]:
     """(f, v) with entry (s, t) of the rank-2n pairing localized_torus(spec,
     ch) equal to f*v, for the spec's n and exponent vectors (q, p, gamma),
-    reading ch at s and t only.  Slots 0..n-1 are z_1..z_n, which commute."""
+    reading ch at s and t only.  Slots 0..n-1 are z_1..z_n, which commute.
+
+    qweyl.dimension reads it for its witness check; theta_verdicts writes
+    the same entries in closed form, checked against localized_torus."""
     f = 1
     if s > t:
         s, t, f = t, s, -1
@@ -267,55 +283,68 @@ def check_torus_isomorphism(spec: AlgebraSpec, choice) -> list[dict]:
     return checks
 
 
-def _choice(n: int, bits: int) -> tuple[str, ...]:
-    """The choice that inverts x_i exactly where bit i - 1 of bits is set."""
-    return tuple("x" if bits >> i & 1 else "y" for i in range(n))
+def _packed(v: SparseVector) -> int:
+    """v as one integer, exponent e of symbol c in the 64-bit field c."""
+    out = 0
+    for c, e in v:
+        out += e << 64 * c
+    return out
 
 
-def _theta_image(n: int, ch, a: int) -> list[tuple[int, int]]:
-    """theta of standard generator a as (localized slot, exponent) pairs."""
-    if a >= n and ch[a - n] == "x":
-        return [(a - n, 1), (a, -1)]  # y_i -> z_i x_i^{-1}
-    return [(a, 1)]
+def theta_verdicts(spec: AlgebraSpec) -> list[tuple[str, int, dict[int, bool]]]:
+    """Every distinct verdict of the theta checks, as one row
+    (label, mask, {submask: verdict}) per standard pair a < b, by (a, b).
+
+    label is "(a,b)" in the standard generator names and mask has bit i set
+    for each y_{i+1} among a and b.  Under the choice that inverts x_{i+1}
+    exactly at the set bits i of bits, the check of (a, b) has the verdict
+    verdicts[bits & mask] (see the module docstring).
+    """
+    n = spec.n
+    q, p, gamma = spec.exponents
+    std = [{b: _packed(v) for b, v in row if b > a}
+           for a, row in enumerate(standard_torus(spec).sparse_rows())]
+    zy = [tuple(map(_packed, _z_entries(q, p, ("y",) * n, j))) for j in range(n)]
+    zx = [tuple(map(_packed, _z_entries(q, p, ("x",) * n, j))) for j in range(n)]
+    labels = torus_generator_labels(spec)
+    rows = []
+    for a in range(2 * n):
+        for b in range(a + 1, 2 * n):
+            s = std[a].get(b, 0)
+            if b < n:  # (z_i, z_j)
+                mask, verdicts = 0, {0: s == 0}
+            elif a < n:  # (z_i, y_j); theta(y_j) = e_j - e_{n+j} under x
+                i, j = a, b - n
+                mask = 1 << j
+                verdicts = {0: zy[j][i >= j] == s, mask: -zx[j][i >= j] == s}
+            else:  # (y_i, y_j), i < j: the localized (v_i, v_j) is -S(v_j, v_i)
+                i, j = a - n, b - n
+                yy, yx, xy, xx = (_packed(_swap_exponents(q, p, gamma, j, i, vj, vi))
+                                  for vj, vi in ("yy", "yx", "xy", "xx"))
+                mask = 1 << i | 1 << j
+                verdicts = {
+                    0: -yy == s,
+                    1 << i: zy[j][0] + yx == s,
+                    1 << j: -zy[i][1] + xy == s,
+                    mask: zx[i][1] - zx[j][0] - xx == s,
+                }
+            rows.append((f"({labels[a]},{labels[b]})", mask, verdicts))
+    return rows
 
 
 def theta_sweep(spec: AlgebraSpec) -> Iterator[list[dict]]:
-    """check_torus_isomorphism(spec, _choice(n, bits)) for bits = 0 .. 2^n - 1.
+    """check_torus_isomorphism(spec, choice) for every choice, in the order
+    of their check names: choices by tag ("x" before "y"), and within one
+    choice the pairs by label.
 
     Yields one list of check records per choice, equal to what
-    check_torus_isomorphism returns, but builds no localized torus: each
-    verdict is computed once per assignment of the indices its check reads
-    (see the module docstring) and is looked up by bits & mask, mask holding
-    the bits of those indices.
+    check_torus_isomorphism returns once sorted by name, but builds no
+    localized torus: each record reads its verdict from theta_verdicts.
     """
     n = spec.n
-    std = [{j: dict(nz) for j, nz in row} for row in standard_torus(spec).sparse_rows()]
-    entry = functools.partial(_entry, n, *spec.exponents)
-
-    def holds(ch, a: int, b: int) -> bool:
-        acc: dict[int, int] = {}
-        for s, es in _theta_image(n, ch, a):
-            for t, et in _theta_image(n, ch, b):
-                f, v = entry(ch, s, t)
-                f *= es * et
-                for c, e in v:
-                    acc[c] = acc.get(c, 0) + f * e
-        return {c: e for c, e in acc.items() if e} == std[a].get(b, {})
-
-    labels = torus_generator_labels(spec)
-    pairs = []
-    for a in range(2 * n):
-        for b in range(a + 1, 2 * n):
-            mask = sum(1 << (c - n) for c in (a, b) if c >= n)
-            verdicts = {}
-            local = mask
-            while True:  # every submask of mask, down to 0
-                verdicts[local] = holds(_choice(n, local), a, b)
-                if not local:
-                    break
-                local = (local - 1) & mask
-            pairs.append((f"({labels[a]},{labels[b]})", mask, verdicts))
-    for bits in range(2**n):
-        prefix = f"theta[{''.join(_choice(n, bits))}]"
-        yield [check(prefix + pair, verdicts[bits & mask], _THETA_DETAIL)
-               for pair, mask, verdicts in pairs]
+    rows = sorted(theta_verdicts(spec), key=operator.itemgetter(0))
+    for ch in itertools.product("xy", repeat=n):
+        bits = sum(1 << i for i, v in enumerate(ch) if v == "x")
+        prefix = f"theta[{''.join(ch)}]"
+        yield [check(prefix + label, verdicts[bits & mask], _THETA_DETAIL)
+               for label, mask, verdicts in rows]

@@ -405,8 +405,8 @@ def _fresh_memo_checks(spec):
         checks += pbw.verify_normality(_fresh(spec), i)
     for m in range(1, spec.n):
         checks += verify_ambiskew(_fresh(spec), m)
-    for choice in itertools.product("yx", repeat=spec.n):
-        checks += torus.check_torus_isomorphism(spec, choice[::-1])
+    for choice in itertools.product("xy", repeat=spec.n):
+        checks += sorted(torus.check_torus_isomorphism(spec, choice), key=lambda c: c["name"])
     return checks
 
 
@@ -445,6 +445,46 @@ def test_run_sorts_the_verifiers_own_records(monkeypatch):
         {"name": "torus-isomorphism", "status": "skipped",
          "detail": "budget exhausted after 0 of 8 choices"},
     ]
+
+
+def _theta(checks):
+    return [c for c in checks if c["name"].startswith("theta[")]
+
+
+def test_verify_emits_the_theta_records_in_name_order():
+    # one sorted run for the final sort: choices by tag, pairs by label text,
+    # also past n = 9, where (y1,y10) sorts before (y1,y2)
+    specs = [build_spec(n, kind) for kind in KINDS if kind != "custom" for n in (1, 2, 3, 4, 5)]
+    for spec in specs + [build_spec(10, "generic")]:
+        theta = _theta(cli._cmd_verify(spec, [], _never)[0])
+        assert len(theta) == 2**spec.n * math.comb(2 * spec.n, 2)
+        assert theta == sorted(theta, key=lambda c: c["name"]), spec
+    assert [c["name"] for c in theta[:2]] == [  # generic n = 10
+        "theta[xxxxxxxxxx](y1,y10)", "theta[xxxxxxxxxx](y1,y2)"]
+
+
+def test_a_budget_cut_keeps_the_first_choices_in_name_order():
+    spec = build_spec(3, "generic")
+    n = spec.n
+    choices = list(itertools.product("xy", repeat=n))
+    for k in range(2**n + 1):
+        calls = []
+
+        def over_budget():
+            # false at each of the n normality indices and the first k choices
+            calls.append(None)
+            return len(calls) > n + k
+
+        checks, _ = cli._cmd_verify(spec, [], over_budget)
+        kept = [c for ch in choices[:k]
+                for c in sorted(torus.check_torus_isomorphism(spec, ch), key=lambda c: c["name"])]
+        assert _theta(checks) == kept, k
+        skipped = [c for c in checks if c["status"] == "skipped"]
+        if k == 2**n:
+            assert skipped == []
+        else:
+            assert skipped == [{"name": "torus-isomorphism", "status": "skipped",
+                                "detail": f"budget exhausted after {k} of {2**n} choices"}]
 
 
 def test_verify_shares_one_memo_and_one_standard_torus(monkeypatch):

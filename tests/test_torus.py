@@ -283,9 +283,8 @@ def test_theta_fails_on_corrupted_pairing(monkeypatch):
 def _full_loop(spec):
     """check_torus_isomorphism over every choice, in the order of verify."""
     checks = []
-    for bits in range(2**spec.n):
-        choice = tuple("x" if bits >> i & 1 else "y" for i in range(spec.n))
-        checks += check_torus_isomorphism(spec, choice)
+    for choice in itertools.product("xy", repeat=spec.n):
+        checks += sorted(check_torus_isomorphism(spec, choice), key=lambda c: c["name"])
     return checks
 
 
@@ -369,6 +368,73 @@ def test_sweep_fails_where_the_full_loop_fails_on_a_corrupted_entry(monkeypatch)
             failed = _failed(_sweep(spec))
             assert failed
             assert failed == _failed(_full_loop(spec))
+
+
+# -- the packed verdicts at the edge of the exponent range --------------------
+
+_M = 2**31 - 1  # scalars.MAX_EXPONENT
+
+
+def _monomial(exps) -> str:
+    return "*".join(f"{s}^{e}" for s, e in zip("ab", exps) if e) or "1"
+
+
+def _extreme_config(n, rng):
+    """A custom spec on symbols a, b whose q, p and gamma exponents are 0 or
+    +-(2^31 - 1); its first one takes the signs under which -q_j, p_i and
+    gamma_ij all add up in the swap x_i x_j."""
+    if rng is None:
+        q = [(-_M, _M)] * n
+        p = [(_M, -_M)] * n
+        g = lambda i, j: (_M, -_M) if i > j else (-_M, _M)
+    else:
+        draw = lambda: (rng.choice((-_M, 0, _M)), rng.choice((-_M, _M)))
+        q = [draw() for _ in range(n)]
+        p = [(e, -f) for e, f in q]  # p_i != q_i: their b-exponents differ
+        upper = {(i, j): draw() for i in range(n) for j in range(i + 1, n)}
+        g = lambda i, j: upper[i, j] if i < j else tuple(-e for e in upper[j, i])
+    gamma = [[_monomial(g(i, j)) if i != j else "1" for j in range(n)] for i in range(n)]
+    return {"n": n, "kind": "custom", "custom": {
+        "symbols": ["a", "b"], "q": list(map(_monomial, q)),
+        "p": list(map(_monomial, p)), "gamma": gamma}}
+
+
+def test_sweep_matches_the_full_loop_at_the_largest_exponents():
+    # swap sums such as -q_j + p_i + gamma_ij reach 3 (2^31 - 1) in one symbol
+    rng = random.Random(29)
+    for n in (2, 3):
+        for r in (None, rng, rng, rng):
+            spec = spec_from_config(_extreme_config(n, r))
+            sweep = _sweep(spec)
+            assert sweep == _full_loop(spec), (n, r)
+            assert all_ok(sweep)
+    q, p, gamma = spec_from_config(_extreme_config(2, None)).exponents
+    assert torus._swap_exponents(q, p, gamma, 1, 0, "x", "x") == ((0, 3 * _M), (1, -3 * _M))
+
+
+@pytest.mark.parametrize("low", [0, 1])
+@pytest.mark.parametrize("pair", ["(y1,y2)", "(z1,y2)", "(z1,z2)"])
+def test_sweep_fails_where_the_full_loop_fails_past_a_32_bit_field(pair, low):
+    # one standard entry off by +2^32 in one symbol and -1 in the next: equal
+    # to the true entry when packed in 32-bit fields, with either symbol the
+    # less significant one
+    spec = build_spec(3, "generic")
+    std = standard_torus(spec)
+    n, k = spec.n, std.k
+    labels = torus_generator_labels(spec)
+    a, b = (labels.index(g) for g in pair[1:-1].split(","))
+    true = std.entries[a][b]
+    bad = list(true)
+    bad[low] += 2**32
+    bad[1 - low] -= 1
+    pack32 = lambda v: sum(e << 32 * (c if low == 0 else k - 1 - c) for c, e in enumerate(v))
+    assert pack32(bad) == pack32(true)
+    entries = [list(row) for row in std.entries]
+    entries[a][b], entries[b][a] = tuple(bad), tuple(-e for e in bad)
+    spec._standard_torus = ExponentPairing(std.m, k, entries)
+    failed = _failed(_sweep(spec))
+    assert failed == _failed(_full_loop(spec))
+    assert failed == {f"theta[{''.join(ch)}]{pair}" for ch in itertools.product("xy", repeat=n)}
 
 
 # -- the sparse torus against the dense construction ---------------------------
