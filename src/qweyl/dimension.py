@@ -53,6 +53,15 @@ class Witness:
     def __init__(self, vectors):
         self.vectors = tuple(tuple(map(int, v)) for v in vectors)
 
+    @classmethod
+    def units(cls, size: int, slots) -> Witness:
+        """The unit vectors of length size at the given slots, made as int
+        tuples, so with no coercion of their entries."""
+        w = cls.__new__(cls)
+        zero = (0,) * size
+        w.vectors = tuple(zero[:s] + (1,) + zero[s + 1:] for s in slots)
+        return w
+
     @property
     def rank(self) -> int:
         return len(self.vectors)
@@ -182,8 +191,7 @@ def torus_dimension(spec: AlgebraSpec, height: int = 3) -> DimensionReport:
     d = _z_block_dimension(spec)
     if not _verify_unit_witness(spec, range(d)):
         raise ArithmeticError("z-block closed form produced an invalid witness")
-    zero = (0,) * (2 * spec.n)
-    witness = Witness(zero[:i] + (1,) + zero[i + 1:] for i in range(d))
+    witness = Witness.units(2 * spec.n, range(d))
     if spec.kind in ("generic-p1", "graded-weyl", "generic-q1"):
         method = "theorem-q1" if spec.kind == "generic-q1" else "theorem-p1"
     else:

@@ -32,7 +32,13 @@ Tuples stay at the boundaries.  The PBWElement constructor packs exponent
 tuples and refuses a vector of the wrong length or an exponent outside
 0..MAX_DEGREE with ValueError; generator and unit make packed keys
 directly; `.terms`, render_element and the extension-step twist unpack.
-Both directions go through one struct.Struct per n.
+Both directions go through one struct.Struct per n.  Words arrive as
+generator names: parse_word and generator read each one with a single
+lookup in a table of the canonical names, {"y1": 0, "x1": 1, ...}, built
+on the first name read and cached on the spec (_slots), so the spec paths
+that read no word never build it.  A name the table lacks goes through
+AlgebraSpec.gen_index, which reads a non-canonical one such as x01 and
+refuses the others with its ConfigError.
 
 A word is brought to normal form by a left fold: starting from the unit,
 the running element is multiplied by one generator at a time and like
@@ -284,11 +290,28 @@ def _check_slots(spec: AlgebraSpec, word) -> None:
         raise ValueError(f"generator slot {bad} outside 0..{2 * spec.n - 1}")
 
 
+def _slots(spec: AlgebraSpec) -> dict[str, int]:
+    """{"y1": 0, "x1": 1, ...}: the slot of each canonical generator name;
+    built on the first name read and cached on the spec."""
+    slots = spec._slots
+    if slots is None:
+        slots = spec._slots = {spec.gen_name(g): g for g in range(2 * spec.n)}
+    return slots
+
+
+def _slot(spec: AlgebraSpec, name: str) -> int:
+    """The slot of a generator name: one lookup in the name table, or
+    spec.gen_index for a name the table lacks, which reads a non-canonical
+    name such as 'x01' and raises ConfigError for the others."""
+    slot = _slots(spec).get(name)
+    return spec.gen_index(name) if slot is None else slot
+
+
 def generator(spec: AlgebraSpec, name_or_slot) -> PBWElement:
     """The generator given by name ('x1') or by slot (0..2n-1)."""
     g = name_or_slot
     if not isinstance(g, int):
-        g = spec.gen_index(g)
+        g = _slot(spec, g)
     elif not 0 <= g < 2 * spec.n:
         _check_slots(spec, (g,))
     return _element(spec.n, {_layout(spec.n).unit[g]: spec.lattice.one()})
@@ -303,8 +326,13 @@ def word_monomial(spec: AlgebraSpec, word: Word) -> Monomial:
 
 
 def parse_word(spec: AlgebraSpec, text: str) -> Word:
-    """Whitespace-separated generator names, e.g. 'x2 y1 x1'."""
-    return tuple(spec.gen_index(tok) for tok in text.split())
+    """Whitespace-separated generator names, e.g. 'x2 y1 x1', read as by
+    generator: one lookup per canonical name."""
+    names = text.split()
+    try:
+        return tuple(map(_slots(spec).__getitem__, names))
+    except KeyError:  # a non-canonical or bad name: the first bad one raises
+        return tuple([_slot(spec, name) for name in names])
 
 
 def normal_form(spec: AlgebraSpec, word) -> PBWElement:

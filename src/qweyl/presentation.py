@@ -110,10 +110,12 @@ class AlgebraSpec:
         self.lattice = lattice
         self.exponents = _validate(n, q, p, gamma)
         # built on first use by pbw._packed_rules (the rewrite rules),
+        # pbw._slots (the generator-name table of the word readers),
         # torus.standard_torus and pbw._memo (the product memo of every
         # engine call, dropped past pbw.MEMO_MAX_PAIRS products); each entry
         # is fixed by its key, so caching changes no result
         self._packed_rules: list | None = None
+        self._slots: dict[str, int] | None = None
         self._standard_torus = None
         self._products = None
 

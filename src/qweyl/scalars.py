@@ -21,7 +21,10 @@ packed key of the zero vector is then the lattice's `bias` (2^31 in every
 field), and since no field is ever out of its range:
 
 - a monomial product is one integer addition, key(a + b) = key(a) +
-  key(b) - bias, and an inverse is key(-e) = 2*bias - key(e);
+  key(b) - bias, and an inverse is key(-e) = 2*bias - key(e); so a
+  product of two one-term Scalars, over two in five of the products that
+  normal forms and `verify` make, is one key addition and one product of
+  coefficients;
 - packed keys sort like the exponent tuples (lexicographically, symbol 0
   first), so rendering orders terms as before.
 
@@ -244,6 +247,11 @@ class Scalar:
         if degree > MAX_EXPONENT:
             return self._mul_tuples(other)
         a, b = self.packed, other.packed
+        if len(a) == 1 == len(b):
+            # two monomials: one key addition
+            (ea, ca), = a.items()
+            (eb, cb), = b.items()
+            return _scalar(lattice, {ea + eb - lattice.bias: ca * cb}, degree)
         if len(a) < len(b):
             a, b = b, a
         if len(b) == 1:

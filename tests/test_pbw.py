@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qweyl import cli, pbw
+from qweyl.dimension import torus_dimension
 from qweyl.pbw import (
     GROWTH_MAX_N,
     MAX_DEGREE,
@@ -36,6 +37,7 @@ from qweyl.pbw import (
     _Products,
 )
 from qweyl.presentation import (
+    ConfigError,
     ambiskew_step,
     build_spec,
     casimir,
@@ -954,6 +956,49 @@ def test_slot_2n_is_a_value_error():
         normal_form(GEN2, (0, 4))
     with pytest.raises(ValueError, match="slot 4 outside 0..3"):
         generator(GEN2, 4)
+
+
+# -- generator names: the name table against gen_index --------------------------
+
+def _outcome(read, name):
+    """read(name), or the field and message of the ConfigError it raises."""
+    try:
+        return read(name)
+    except ConfigError as exc:
+        return exc.field, exc.message
+
+
+def test_word_readers_answer_like_gen_index(custom_config):
+    specs = [build_spec(n, kind) for kind in PRESET_KINDS for n in (1, 2, 3)]
+    specs.append(spec_from_config(custom_config(random.Random(31), 3, 2)))
+    for spec in specs:
+        n = spec.n
+        canonical = [spec.gen_name(g) for g in range(2 * n)]
+        odd = ["x01", "y003", "x0", f"x{n + 1}", "z1", "X1", "x", "x\u00b2", "x\u0661"]
+        for name in canonical + odd:
+            slot = _outcome(spec.gen_index, name)
+            ok = isinstance(slot, int)
+            assert _outcome(lambda t: parse_word(spec, t), name) == ((slot,) if ok else slot)
+            assert _outcome(lambda t: parse_word(spec, f"x1 {t} y1"), name) == (
+                (1, slot, 0) if ok else slot)
+            assert _outcome(lambda t: generator(spec, t), name) == (
+                generator(spec, slot) if ok else slot)
+        assert parse_word(spec, " ".join(canonical)) == tuple(range(2 * n))
+
+
+def test_a_non_canonical_name_reads_as_its_generator():
+    cfg = {"n": 2, "kind": "generic"}
+    values = cli.run(cfg, "nf", ["x01 y1"]).values
+    assert values["normal_form"] == cli.run(cfg, "nf", ["x1 y1"]).values["normal_form"]
+
+
+def test_only_the_word_readers_build_the_name_table():
+    spec = build_spec(3, "generic")
+    torus_dimension(spec)
+    _verify(spec)
+    assert spec._slots is None
+    normal_form(spec, "x2 y1")
+    assert spec._slots == {"y1": 0, "x1": 1, "y2": 2, "x2": 3, "y3": 4, "x3": 5}
 
 
 # -- one product memo per spec: warm against fresh ------------------------------
