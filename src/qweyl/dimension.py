@@ -12,9 +12,9 @@ torus_dimension reads it off the z-block of the pairing on every spec,
 single-parameter ones included: the pivots of that block certify the upper
 bound in O(nk), and the unit vectors z_1..z_n (plus y_1 when q_1 = 1) are
 the witness.  _z_block_dimension gives the argument.  The pivots and the
-witness entries are read from spec.exponents through the torus's entry
-formula (qweyl.torus._z_entries), so the dimension builds no torus and no
-Scalar.
+witness entries are read from the q and p vectors alone (spec.qp) through
+the torus's entry formula (qweyl.torus._z_entries), so the dimension
+builds no torus, no Scalar and, on a preset, no gamma.
 
 bernstein_report turns a dimension report already in hand into the bound
 2n - d.
@@ -122,7 +122,7 @@ def _z_block_dimension(spec: AlgebraSpec) -> int:
     commute, and A[i][j] = (z_i, y_j) is p_j for i < j and q_j for i >= j
     (torus._z_entries; 1-based here).  Row i - row (i+1) of A, i < n,
     vanishes but for the pivot p_{i+1} - q_{i+1} in column i+1, and row n
-    is (q_1, ..., q_n).  Every pivot below is read from spec.exponents
+    is (q_1, ..., q_n).  Every pivot below is read from spec.qp
     through torus._z_entries, the entry formula of the torus, without
     building it: the entry (z_{j-1}, y_j) minus the entry (z_j, y_j) for
     j >= 2, and the entry (z_n, y_1) = q_1.  An exponent vector lists its
@@ -143,7 +143,7 @@ def _z_block_dimension(spec: AlgebraSpec) -> int:
     are q_1; torus_dimension verifies it (_verify_unit_witness).
     """
     n = spec.n
-    q, p, _ = spec.exponents
+    q, p = spec.qp
     ch = ("y",) * n
     for j in range(1, n):
         below, at = torus._z_entries(q, p, ch, j)  # (z_{j}, y_{j+1}), (z_{j+1}, y_{j+1})
@@ -160,13 +160,16 @@ def _verify_unit_witness(spec: AlgebraSpec, slots) -> bool:
 
     Distinct unit vectors are independent, so independence is a check of
     distinct slots; e_s and e_t commute exactly when the entry (s, t)
-    vanishes, read from spec.exponents through torus._entry.
+    vanishes, read from spec.qp, and from gamma only for two slots past
+    y_1, through torus._entry.  The witness of torus_dimension lies in
+    slots 0..n, so it never reads gamma.
     """
     slots = tuple(slots)
     if len(set(slots)) != len(slots):
         return False
     n = spec.n
-    entry = functools.partial(torus._entry, n, *spec.exponents, ("y",) * n)
+    gamma = spec.exponents[2] if max(slots, default=0) > n else None
+    entry = functools.partial(torus._entry, n, *spec.qp, gamma, ("y",) * n)
     return not any(entry(s, t)[1] for s, t in itertools.combinations(slots, 2))
 
 
@@ -176,8 +179,8 @@ def torus_dimension(spec: AlgebraSpec, height: int = 3) -> DimensionReport:
     Every spec gets the closed form d = n + [q_1 = 1] of _z_block_dimension,
     certified from above by the z-block pivots of the standard torus and
     from below by the unit-vector witness z_1..z_n (plus y_1 when q_1 = 1).
-    Both read the torus entries from spec.exponents through its entry
-    formula, so no torus is built and no Scalar is made.  The method labels
+    Both read the torus entries from spec.qp through its entry formula, so
+    no torus is built, no Scalar is made and a preset writes no gamma.  The method labels
     stay those of the paths this replaced: "exact-single-parameter" on a
     single-parameter lattice, "search" on the other specs, and "theorem-p1"
     or "theorem-q1" on the theorem kinds (the p_i = 1 kinds have d = n, the

@@ -2,11 +2,14 @@
 
 An AlgebraSpec fixes n, the parameter lattice, and the monomial parameter
 values q_i, p_i, gamma_ij.  It stores each parameter once, as its sparse
-exponent vector (spec.exponents): the presets write the vectors directly
-and custom configs parse each monomial string straight to one, and
-_validate checks them once.  The Scalars spec.q, spec.p and spec.gamma are
-views of the vectors, built on first read; the dimension path never reads
-them.  Generators are ordered
+exponent vector (spec.exponents): custom configs parse each monomial string
+straight to one and _validate checks them all at load.  A preset writes
+its q and p vectors directly, checked at once, and its C(n,2) gamma
+vectors on the first read of spec.exponents, where they pass the same
+gamma checks; the dimension path reads q and p only (spec.qp), so `bound`
+and `dim` never build gamma.  The Scalars spec.q, spec.p and spec.gamma
+are views of the vectors, built on first read; the dimension path never
+reads them.  Generators are ordered
 
     y1 < x1 < y2 < x2 < ... < yn < xn
 
@@ -69,11 +72,13 @@ class AlgebraSpec:
     The parameters are kept once, as the sparse exponent vectors
     `exponents` = (q, p, gamma) that _validate checked: q[i], p[i] and
     gamma[i][j] each a tuple of nonzero (symbol index, exponent) pairs, by
-    index.  spec.q, spec.p and spec.gamma are Scalar views of them, built on
-    first read and kept, so later reads are plain attribute loads.  The
-    presets and custom configs write the vectors directly (from_exponents);
-    this constructor takes Scalar parameters, converts them once and runs
-    the same checks.
+    index.  `qp` = (q, p) is set and checked at construction.  A preset's
+    gamma rows are written and checked on the first read of `exponents`
+    and kept; every other spec sets `exponents` at construction.  spec.q,
+    spec.p and spec.gamma are Scalar views of them, built on first read and
+    kept, so later reads are plain attribute loads.  The presets and custom
+    configs write the vectors directly (from_exponents); this constructor
+    takes Scalar parameters, converts them once and runs the same checks.
     """
 
     def __init__(
@@ -99,7 +104,9 @@ class AlgebraSpec:
     def from_exponents(cls, n: int, kind: str, lattice: ParameterLattice,
                        q, p, gamma) -> AlgebraSpec:
         """A spec from the sparse exponent vectors of its parameters, which
-        _validate checks."""
+        _validate checks.  gamma is the n x n matrix of vectors, or a
+        function of no arguments that writes it: then the rows are written
+        and checked on the first read of spec.exponents."""
         spec = cls.__new__(cls)
         spec._setup(n, kind, lattice, q, p, gamma)
         return spec
@@ -108,7 +115,12 @@ class AlgebraSpec:
         self.n = n
         self.kind = kind
         self.lattice = lattice
-        self.exponents = _validate(n, q, p, gamma)
+        if callable(gamma):
+            self.qp = _validate(n, q, p)[:2]
+            self._write_gamma = gamma
+        else:
+            self.exponents = _validate(n, q, p, gamma)
+            self.qp = self.exponents[:2]
         # built on first use by pbw._packed_rules (the rewrite rules),
         # pbw._slots (the generator-name table of the word readers),
         # torus.standard_torus and pbw._memo (the product memo of every
@@ -119,15 +131,22 @@ class AlgebraSpec:
         self._standard_torus = None
         self._products = None
 
+    @functools.cached_property
+    def exponents(self) -> tuple:
+        """(q, p, gamma) of a preset, its gamma rows written and checked
+        here, on first read (a spec with gamma given sets this at
+        construction)."""
+        return (*self.qp, _validate_gamma(self.n, self._write_gamma()))
+
     # -- Scalar views of the exponent vectors --------------------------------
 
     @functools.cached_property
     def q(self) -> tuple[Scalar, ...]:
-        return tuple(map(self.lattice.sparse_monomial, self.exponents[0]))
+        return tuple(map(self.lattice.sparse_monomial, self.qp[0]))
 
     @functools.cached_property
     def p(self) -> tuple[Scalar, ...]:
-        return tuple(map(self.lattice.sparse_monomial, self.exponents[1]))
+        return tuple(map(self.lattice.sparse_monomial, self.qp[1]))
 
     @functools.cached_property
     def gamma(self) -> tuple[tuple[Scalar, ...], ...]:
@@ -164,11 +183,16 @@ class AlgebraSpec:
 def _check_shape(n: int, q, p, gamma) -> None:
     if len(q) != n or len(p) != n:
         raise ConfigError("q/p", "need exactly n entries")
+    if gamma is not None:
+        _check_gamma_shape(n, gamma)
+
+
+def _check_gamma_shape(n: int, gamma) -> None:
     if len(gamma) != n or any(len(row) != n for row in gamma):
         raise ConfigError("gamma", "need a full n x n matrix")
 
 
-def _validate(n: int, q, p, gamma):
+def _validate(n: int, q, p, gamma=None):
     """The exponent vectors (q, p, gamma) as tuples, once they pass the checks.
 
     Each entry is a tuple of nonzero (symbol index, exponent) pairs, by
@@ -181,29 +205,50 @@ def _validate(n: int, q, p, gamma):
     compares sparse vectors only: gamma_ii must be (), gamma_ji the negation
     of gamma_ij, and p_i/q_i is trivial exactly when p_i and q_i have the
     same vector.
+
+    Without gamma (a preset, whose gamma rows are written on first read)
+    the scan skips the gamma entries and returns gamma None; a preset's
+    gamma is validated when first built, by _validate_gamma.
     """
     _check_shape(n, q, p, gamma)
-    q, p, gamma = tuple(q), tuple(p), tuple(map(tuple, gamma))
+    q, p = tuple(q), tuple(p)
+    if gamma is not None:
+        gamma = tuple(map(tuple, gamma))
     for i in range(n):
         for v, fld in ((q, "q"), (p, "p")):
             if v[i] is None:
                 raise ConfigError(f"{fld}[{i}]", "parameter must be a monomial")
-        if gamma[i][i] != ():
-            raise ConfigError(f"gamma[{i}][{i}]", "diagonal must be 1")
-        for j in range(i + 1, n):
-            gij = gamma[i][j]
-            if gij is None:
-                raise ConfigError(f"gamma[{i}][{j}]", "entry must be a monomial")
-            if gamma[j][i] != _neg(gij):
-                raise ConfigError(
-                    f"gamma[{i}][{j}]", "matrix must be multiplicatively antisymmetric"
-                )
+        if gamma is not None:
+            _check_gamma_row(n, gamma, i)
         if p[i] == q[i]:
             raise ConfigError(
                 f"p[{i}]",
                 "p_i must differ from q_i by a non-torsion monomial",
             )
     return q, p, gamma
+
+
+def _check_gamma_row(n: int, gamma, i: int) -> None:
+    """_validate's checks of gamma_ii and of gamma_ij, gamma_ji for j > i."""
+    if gamma[i][i] != ():
+        raise ConfigError(f"gamma[{i}][{i}]", "diagonal must be 1")
+    for j in range(i + 1, n):
+        gij = gamma[i][j]
+        if gij is None:
+            raise ConfigError(f"gamma[{i}][{j}]", "entry must be a monomial")
+        if gamma[j][i] != _neg(gij):
+            raise ConfigError(
+                f"gamma[{i}][{j}]", "matrix must be multiplicatively antisymmetric"
+            )
+
+
+def _validate_gamma(n: int, gamma):
+    """gamma as a tuple of rows, once it passes _validate's gamma checks."""
+    _check_gamma_shape(n, gamma)
+    gamma = tuple(map(tuple, gamma))
+    for i in range(n):
+        _check_gamma_row(n, gamma, i)
+    return gamma
 
 
 # (p, q, gamma_ij for i < j) of the single-parameter kinds, as powers of q
@@ -227,10 +272,11 @@ def build_spec(n: int, kind: str, custom: Mapping | None = None) -> AlgebraSpec:
     if custom is not None:
         raise ConfigError("custom", f"kind {kind!r} takes no custom assignment")
 
+    # gamma is passed as its writer: the rows are written on first read
     if kind in SINGLE_PARAMETER_KINDS:
         power = lambda e: ((0, e),) if e else ()
         p, q, g = map(power, _SINGLE_PARAMETER_POWERS[kind])
-        gamma = _antisymmetric(n, itertools.repeat((g, _neg(g))))
+        gamma = lambda: _antisymmetric(n, itertools.repeat((g, _neg(g))))
         return AlgebraSpec.from_exponents(n, kind, ParameterLattice(["q"]), (q,) * n, (p,) * n,
                                           gamma)
 
@@ -250,7 +296,8 @@ def build_spec(n: int, kind: str, custom: Mapping | None = None) -> AlgebraSpec:
         lattice = ParameterLattice(symbols)
     except ValueError:
         raise ConfigError("n", _symbol_collision(n)) from None
-    gamma = _antisymmetric(n, ((((c, 1),), ((c, -1),)) for c in range(first, len(symbols))))
+    last = len(symbols)
+    gamma = lambda: _antisymmetric(n, ((((c, 1),), ((c, -1),)) for c in range(first, last)))
     return AlgebraSpec.from_exponents(n, kind, lattice, qs, ps, gamma)
 
 

@@ -96,11 +96,18 @@ class ParameterLattice:
         self.symbols = syms
         self.index = {s: i for i, s in enumerate(syms)}
         self._fields, self.bias = _layout(len(syms))
-        self._powers = tuple(_Powers({0: "", 1: s}) for s in syms)
+        # the render tables, one _Powers per symbol, made on the first render
+        self._powers: tuple[_Powers, ...] | None = None
 
     @property
     def k(self) -> int:
         return len(self.symbols)
+
+    def _render_tables(self) -> tuple[_Powers, ...]:
+        """_powers, made on the first call."""
+        if self._powers is None:
+            self._powers = tuple(_Powers({0: "", 1: s}) for s in self.symbols)
+        return self._powers
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ParameterLattice) and self.symbols == other.symbols
@@ -411,12 +418,13 @@ _POWERS_KEPT = 256
 
 
 def render_exponents(lattice: ParameterLattice, exps: Exponents) -> str:
-    return "*".join(filter(None, map(dict.__getitem__, lattice._powers, exps))) or "1"
+    powers = lattice._powers or lattice._render_tables()
+    return "*".join(filter(None, map(dict.__getitem__, powers, exps))) or "1"
 
 
 def render_sparse(lattice: ParameterLattice, exps: Iterable[tuple[int, int]]) -> str:
     """render_exponents of the vector whose nonzero (c, e) pairs are exps, by c."""
-    powers = lattice._powers
+    powers = lattice._powers or lattice._render_tables()
     return "*".join(powers[c][e] for c, e in exps) or "1"
 
 

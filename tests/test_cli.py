@@ -263,6 +263,20 @@ def test_custom_spec_through_cli(tmp_path, capsys):
     assert "field 'custom.symbols'" in capsys.readouterr().err
 
 
+def test_a_bad_custom_gamma_is_a_config_error_for_every_command(tmp_path, capsys):
+    # a custom spec checks gamma at load, so even bound and dim, which read
+    # q and p only, refuse a bad entry
+    custom = {"symbols": ["a", "b"], "q": ["a", "a", "b"], "p": ["b", "1", "a"],
+              "gamma": [["1", "a", "b"], ["a^-1", "1", "a*b"], ["b^-1", "a^-1*b^-1", "1"]]}
+    unknown = dict(custom, gamma=[["1", "a", "b"], ["a^-1", "1", "c"], ["b^-1", "1", "1"]])
+    skewed = dict(custom, gamma=[["1", "a", "b"], ["a^-1", "1", "a*b"], ["b^-1", "a", "1"]])
+    for bad, field in ((unknown, "custom.gamma[1][2]"), (skewed, "gamma[1][2]")):
+        cfg = _write(tmp_path, {"n": 3, "kind": "custom", "custom": bad})
+        for command in cli.COMMANDS:
+            assert main(["--config", cfg, "--command", command]) == 2, (field, command)
+            assert f"config error in field '{field}'" in capsys.readouterr().err
+
+
 def test_colliding_preset_symbols_exit_2(tmp_path, capsys):
     # generic n = 112 names g_{1,112} and g_{11,12} both g1112
     cfg = _write(tmp_path, {"n": 112, "kind": "generic"})

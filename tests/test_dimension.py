@@ -295,11 +295,12 @@ def test_dimension_dispatch():
 
 
 def _with_vanishing_pivot(spec, j):
-    """The spec's exponent vectors with p_j replaced by q_j, 1-based j >= 2,
-    so that the z-block pivot p_j - q_j reads zero; _validate refuses such
-    vectors, so they are patched in after construction."""
-    q, p, gamma = spec.exponents
-    return q, p[:j - 1] + (q[j - 1],) + p[j:], gamma
+    """The spec's q and p vectors (spec.qp) with p_j replaced by q_j, 1-based
+    j >= 2, so that the z-block pivot p_j - q_j reads zero; _validate
+    refuses such vectors, so they are patched in after construction.  A
+    preset's spec.exponents, read later, is built over the patched qp."""
+    q, p = spec.qp
+    return q, p[:j - 1] + (q[j - 1],) + p[j:]
 
 
 @pytest.mark.parametrize("kind, d", [("generic-p1", 2), ("graded-weyl", 2), ("generic-q1", 3)])
@@ -311,7 +312,7 @@ def test_theorem_kinds_certify_their_dimension_by_the_z_block(monkeypatch, kind,
     rep = torus_dimension(spec)
     assert (rep.lo, rep.hi) == (d, d)
     assert list(rep.witness.vectors) == [tuple(int(i == j) for j in range(4)) for i in range(d)]
-    monkeypatch.setattr(spec, "exponents", _with_vanishing_pivot(spec, 2))
+    monkeypatch.setattr(spec, "qp", _with_vanishing_pivot(spec, 2))
     with pytest.raises(ArithmeticError, match=r"z-block pivot \(z1, y2\) - \(z2, y2\)"):
         torus_dimension(spec)
 
@@ -908,7 +909,7 @@ def test_z_block_from_the_exponents_matches_the_torus_oracle(custom_config):
     for kind in ("generic", "symplectic", "generic-q1"):
         for j in (2, 3):
             spec = build_spec(3, kind)
-            spec.exponents = _with_vanishing_pivot(spec, j)
+            spec.qp = _with_vanishing_pivot(spec, j)
             errors = []
             for read in (dim._z_block_dimension, lambda s: _z_block_oracle(standard_torus(s))):
                 with pytest.raises(ArithmeticError) as err:

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qweyl import cli, presentation
 from qweyl.dimension import torus_dimension
 from qweyl.pbw import PBWElement, _packed_rules, multiply, normal_form, word_monomial
 from qweyl.presentation import (
@@ -645,6 +646,64 @@ def test_preset_exponents_and_views_match_the_scalar_build():
             assert spec.exponents == (_sparse(qs), _sparse(ps), tuple(map(_sparse, gamma)))
             assert spec.exponents == AlgebraSpec(n, kind, lat, qs, ps, gamma).exponents
             _assert_views_are(spec, lat, qs, ps, gamma)
+
+
+def _count_gamma_writes(monkeypatch) -> list:
+    """A list that gains one entry each time a preset writes its gamma rows."""
+    written = []
+    real = presentation._antisymmetric
+    monkeypatch.setattr(presentation, "_antisymmetric",
+                        lambda *a: written.append(a) or real(*a))
+    return written
+
+
+def test_bound_and_dim_write_no_preset_gamma_and_verify_writes_it_once(monkeypatch):
+    written = _count_gamma_writes(monkeypatch)
+    for kind in KINDS:
+        if kind != "custom":
+            for n in (*range(1, 10), 64):
+                for command in ("bound", "dim"):
+                    assert cli.run({"n": n, "kind": kind}, command).ok, (kind, n, command)
+    assert written == []
+    # verify reads gamma through the rules, the tori, theta and ambiskew_step
+    assert cli.run({"n": 4, "kind": "generic"}, "verify").ok
+    assert len(written) == 1
+
+
+def test_lazy_preset_gamma_matches_the_eager_rows():
+    for kind in KINDS:
+        if kind == "custom":
+            continue
+        for n in range(1, 13):
+            spec = build_spec(n, kind)
+            assert "exponents" not in vars(spec), (kind, n)
+            # the same rows passed eagerly, as a custom spec passes its own
+            eager = AlgebraSpec.from_exponents(n, kind, spec.lattice, *spec.qp,
+                                               spec._write_gamma())
+            assert "exponents" in vars(eager)
+            lat, qs, ps, gamma = _scalar_preset(n, kind)
+            assert spec.exponents == eager.exponents, (kind, n)
+            assert spec.exponents == AlgebraSpec(n, kind, lat, qs, ps, gamma).exponents
+            assert spec.exponents[:2] == spec.qp and spec.exponents is spec.exponents
+
+
+def test_a_preset_gamma_is_validated_when_first_written():
+    # the writer of the presets never errs, so feed one that does: the spec
+    # is made, and the first read of its exponents raises _validate's error
+    lat = ParameterLattice(["q"])
+    q, p = (((0, 1),),) * 2, ((),) * 2
+    cases = [
+        ([[(), ((0, 1),)], [((0, 1),), ()]], "gamma[0][1]",
+         "matrix must be multiplicatively antisymmetric"),
+        ([[(), ()], [(), ((0, 1),)]], "gamma[1][1]", "diagonal must be 1"),
+        ([[()]], "gamma", "need a full n x n matrix"),
+    ]
+    for rows, field, message in cases:
+        spec = AlgebraSpec.from_exponents(2, "symplectic", lat, q, p, lambda: rows)
+        assert torus_dimension(spec).d == 2
+        with pytest.raises(ConfigError) as err:
+            spec.exponents
+        assert (err.value.field, err.value.message) == (field, message)
 
 
 @settings(max_examples=60, deadline=None)

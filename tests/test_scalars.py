@@ -9,6 +9,8 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qweyl import cli, scalars
+from qweyl.presentation import spec_from_config, spec_to_config
 from qweyl.scalars import (
     MAX_EXPONENT,
     ExponentOverflowError,
@@ -19,7 +21,9 @@ from qweyl.scalars import (
     parse_monomial,
     power_sum,
     render_exponents,
+    render_poly,
     render_scalar,
+    render_sparse,
 )
 
 QP = ParameterLattice(["q", "p"])
@@ -235,6 +239,36 @@ def test_render_exponents_past_the_kept_powers():
                                       "g12^-1") if t)
         assert render_exponents(lat, (e, -1)) == expect
     assert render_exponents(lat, (0, 0)) == "1"
+
+
+def test_render_tables_are_made_on_the_first_render(monkeypatch, custom_config):
+    made = []
+    real = scalars._Powers
+    monkeypatch.setattr(scalars, "_Powers", lambda d: made.append(d) or real(d))
+    # bound renders no parameter, so its 2,144 symbols get no table
+    assert cli.run({"n": 64, "kind": "generic"}, "bound").ok
+    lat = ParameterLattice(["q", "p", "r"])
+    assert made == []
+
+    def texts(lat):
+        s = (lat.monomial({"q": 2, "r": -300}) - lat.rational(3) * lat.monomial({"p": -1})
+             + lat.one())
+        return [render_poly(s), render_scalar(s), render_sparse(lat, ((0, 2), (2, -1))),
+                render_exponents(lat, (0, 1, 5))]
+
+    expected = ["q^2*r^-300 + 1 - 3*p^-1", "(q^2*r^-300 + 1 - 3*p^-1)/(1)", "q^2*r^-1", "p*r^5"]
+    assert texts(lat) == expected  # made by this first render
+    assert [d[1] for d in made] == ["q", "p", "r"]
+    assert texts(lat) == expected and len(made) == 3
+    # a custom spec renders its config alike with and without the tables
+    rng = random.Random(31)
+    for _ in range(20):
+        spec = spec_from_config(custom_config(rng, rng.randint(1, 4), rng.randint(1, 4)))
+        assert spec.lattice._powers is None
+        first = repr(spec_to_config(spec))
+        assert spec.lattice._powers is not None
+        assert repr(spec_to_config(spec)) == first
+        assert repr(spec_to_config(spec_from_config(spec_to_config(spec)))) == first
 
 
 def test_render_scalar_shape():
