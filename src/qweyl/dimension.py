@@ -180,13 +180,13 @@ def torus_dimension(spec: AlgebraSpec, height: int = 3) -> DimensionReport:
     certified from above by the z-block pivots of the standard torus and
     from below by the unit-vector witness z_1..z_n (plus y_1 when q_1 = 1).
     Both read the torus entries from spec.qp through its entry formula, so
-    no torus is built, no Scalar is made and a preset writes no gamma.  The method labels
-    stay those of the paths this replaced: "exact-single-parameter" on a
-    single-parameter lattice, "search" on the other specs, and "theorem-p1"
-    or "theorem-q1" on the theorem kinds (the p_i = 1 kinds have d = n, the
-    q_i = 1 kind n + 1).  Every report is a point.  `height` changes no
-    result; it is still accepted because the benchmark's smoke test wraps
-    torus_dimension and passes it on.
+    no torus is built, no Scalar is made and a preset writes no gamma.  The
+    method labels stay those of the paths this replaced:
+    "exact-single-parameter" on a single-parameter lattice, "search" on the
+    other specs, and "theorem-p1" or "theorem-q1" on the theorem kinds (the
+    p_i = 1 kinds have d = n, the q_i = 1 kind n + 1).  Every report is a
+    point.  `height` changes no result; it is still accepted because the
+    benchmark's smoke test wraps torus_dimension and passes it on.
 
     The witness returned has always passed _verify_unit_witness: a rejected
     one raises ArithmeticError.
