@@ -14,7 +14,11 @@ bound in O(nk), and the unit vectors z_1..z_n (plus y_1 when q_1 = 1) are
 the witness.  _z_block_dimension gives the argument.  The pivots and the
 witness entries are read from the q and p vectors alone (spec.qp) through
 the torus's entry formula (qweyl.torus._z_entries), so the dimension
-builds no torus, no Scalar and, on a preset, no gamma.
+builds no torus, no Scalar and, on a preset, no gamma and no symbol name.
+The witness check reads only the pairs with a y slot, since two z slots
+commute by the torus's definition: n entries when q_1 = 1, none otherwise.
+So the dimension does O(n) work before its report, whose dense witness
+is the one O(n^2) part.
 
 bernstein_report turns a dimension report already in hand into the bound
 2n - d.
@@ -160,17 +164,22 @@ def _verify_unit_witness(spec: AlgebraSpec, slots) -> bool:
 
     Distinct unit vectors are independent, so independence is a check of
     distinct slots; e_s and e_t commute exactly when the entry (s, t)
-    vanishes, read from spec.qp, and from gamma only for two slots past
-    y_1, through torus._entry.  The witness of torus_dimension lies in
-    slots 0..n, so it never reads gamma.
+    vanishes.  Two z slots commute by the torus's definition, so only the
+    pairs with a y slot are read, through torus._entry: from spec.qp, and
+    from gamma only for two y slots.  The witness of torus_dimension lies
+    in slots 0..n, so its check reads n entries (none without y_1) and
+    never reads gamma.
     """
     slots = tuple(slots)
     if len(set(slots)) != len(slots):
         return False
     n = spec.n
-    gamma = spec.exponents[2] if max(slots, default=0) > n else None
+    zs = [s for s in slots if s < n]
+    ys = [s for s in slots if s >= n]
+    gamma = spec.exponents[2] if len(ys) > 1 else None
     entry = functools.partial(torus._entry, n, *spec.qp, gamma, ("y",) * n)
-    return not any(entry(s, t)[1] for s, t in itertools.combinations(slots, 2))
+    pairs = itertools.chain(itertools.product(zs, ys), itertools.combinations(ys, 2))
+    return not any(entry(s, t)[1] for s, t in pairs)
 
 
 def torus_dimension(spec: AlgebraSpec, height: int = 3) -> DimensionReport:
@@ -178,9 +187,11 @@ def torus_dimension(spec: AlgebraSpec, height: int = 3) -> DimensionReport:
 
     Every spec gets the closed form d = n + [q_1 = 1] of _z_block_dimension,
     certified from above by the z-block pivots of the standard torus and
-    from below by the unit-vector witness z_1..z_n (plus y_1 when q_1 = 1).
-    Both read the torus entries from spec.qp through its entry formula, so
-    no torus is built, no Scalar is made and a preset writes no gamma.  The
+    from below by the unit-vector witness z_1..z_n (plus y_1 when q_1 = 1),
+    whose check reads the n entries (z_i, y_1) when y_1 is in it and no
+    entry otherwise.  Both read the torus entries from spec.qp through its
+    entry formula, so no torus is built, no Scalar is made and a preset
+    writes no gamma and no symbol name.  The
     method labels stay those of the paths this replaced:
     "exact-single-parameter" on a single-parameter lattice, "search" on the
     other specs, and "theorem-p1" or "theorem-q1" on the theorem kinds (the

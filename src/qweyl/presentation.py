@@ -7,7 +7,9 @@ straight to one and _validate checks them all at load.  A preset writes
 its q and p vectors directly, checked at once, and its C(n,2) gamma
 vectors on the first read of spec.exponents, where they pass the same
 gamma checks; the dimension path reads q and p only (spec.qp), so `bound`
-and `dim` never build gamma.  The Scalars spec.q, spec.p and spec.gamma
+and `dim` never build gamma.  A preset's lattice likewise names its
+symbols on their first read, which only rendering and parsing make (see
+ParameterLattice).  The Scalars spec.q, spec.p and spec.gamma
 are views of the vectors, built on first read; the dimension path never
 reads them.  Generators are ordered
 
@@ -281,33 +283,54 @@ def build_spec(n: int, kind: str, custom: Mapping | None = None) -> AlgebraSpec:
                                           gamma)
 
     # one symbol per parameter that is not 1: q1..qn, p1..pn, then the g_ij
-    # with i < j in row order
-    symbols = []
+    # with i < j in row order.  The lattice knows their number and writes
+    # the names on first read (_preset_symbols), which only rendering and
+    # parsing do; the names are distinct exactly below _FIRST_COLLISION.
+    if n >= _FIRST_COLLISION:
+        raise ConfigError("n", _symbol_collision(n))
+    prefixes = ""
     qs = ps = ((),) * n
     if kind in ("generic", "generic-p1", "graded-weyl"):
-        qs = tuple(((len(symbols) + i, 1),) for i in range(n))
-        symbols += [f"q{i}" for i in range(1, n + 1)]
+        qs = tuple(((i, 1),) for i in range(n))
+        prefixes += "q"
     if kind in ("generic", "generic-q1"):
-        ps = tuple(((len(symbols) + i, 1),) for i in range(n))
-        symbols += [f"p{i}" for i in range(1, n + 1)]
-    first = len(symbols)
-    symbols += [f"g{i}{j}" for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-    try:
-        lattice = ParameterLattice(symbols)
-    except ValueError:
-        raise ConfigError("n", _symbol_collision(n)) from None
-    last = len(symbols)
+        ps = tuple(((len(prefixes) * n + i, 1),) for i in range(n))
+        prefixes += "p"
+    first = len(prefixes) * n
+    last = first + n * (n - 1) // 2
+    lattice = ParameterLattice.lazy(last, functools.partial(_preset_symbols, n, prefixes))
     gamma = lambda: _antisymmetric(n, ((((c, 1),), ((c, -1),)) for c in range(first, last)))
     return AlgebraSpec.from_exponents(n, kind, lattice, qs, ps, gamma)
 
 
+def _preset_symbols(n: int, prefixes: str) -> list[str]:
+    """The names of a multi-parameter preset's symbols: {c}1..{c}n for each
+    letter c of prefixes, then g{i}{j} for i < j <= n in row order."""
+    names = [f"{c}{i}" for c in prefixes for i in range(1, n + 1)]
+    names += [f"g{i}{j}" for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return names
+
+
+# The least n whose preset names g{i}{j} repeat.  If g{i}{j} = g{a}{b} for
+# pairs i < j and a < b, with str(i) the shorter, then str(i) is a proper
+# prefix of str(a), and str(j) is the rest of str(a) followed by str(b); that
+# rest leads str(j), so it does not start with 0.  Hence a >= 11, b > a has
+# two digits or more, and j >= 100 + b >= 112: the first repeat is g1112, of
+# (1, 112) and (11, 12).
+_FIRST_COLLISION = 112
+
+
 def _symbol_collision(n: int) -> str:
     """The first preset name g{i}{j}, i < j <= n, that names two g_ij, with
-    both index pairs.  The names are ambiguous from n = 112 on: g1112 is
-    both g_{1,112} and g_{11,12}."""
+    both index pairs.  The names are ambiguous from n = _FIRST_COLLISION = 112
+    on: g1112 is both g_{1,112} and g_{11,12}.  The scan, by i and then j,
+    meets a repeat at the pair whose i is the longer, so i >= 11 (see
+    _FIRST_COLLISION), and meets the first at (11, 12), against (1, 112).
+    So it reads the names of i < j <= 112 only, whatever n."""
     named: dict[str, tuple[int, int]] = {}
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
+    last = min(n, _FIRST_COLLISION)
+    for i in range(1, last + 1):
+        for j in range(i + 1, last + 1):
             a, b = named.setdefault(f"g{i}{j}", (i, j))
             if (a, b) != (i, j):
                 return f"preset symbol 'g{i}{j}' names both g_{{{a},{b}}} and g_{{{i},{j}}}"

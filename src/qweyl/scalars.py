@@ -84,24 +84,58 @@ def _layout(k: int) -> tuple[struct.Struct, int]:
 
 
 class ParameterLattice:
-    """Ordered set of parameter symbols; fixes the packed exponent layout."""
+    """Ordered set of parameter symbols; fixes the packed exponent layout.
 
-    __slots__ = ("symbols", "index", "bias", "_fields", "_powers")
+    The layout needs only k, the number of symbols.  A lattice made from
+    its names (a custom config's, which are input) keeps them and their
+    index from the start and refuses duplicates.  A lazy lattice (`lazy`,
+    the presets') knows k and a writer of its names, and writes `symbols`
+    and `index` on their first read; a preset reads them only to render
+    or parse a scalar, so `bound`, `dim` and `verify` never write them.
+    Equality and hashing read the names, so a lazy lattice equals, and
+    hashes like, an eager one with the same names.
+    """
+
+    __slots__ = ("k", "bias", "_symbols", "_index", "_write_names", "_fields", "_powers")
 
     def __init__(self, symbols: Iterable[str]):
         syms = tuple(symbols)
         if len(set(syms)) != len(syms):
             repeated = [s for s, count in collections.Counter(syms).items() if count > 1]
             raise ValueError(f"duplicate parameter symbols: {repeated}")
-        self.symbols = syms
-        self.index = {s: i for i, s in enumerate(syms)}
-        self._fields, self.bias = _layout(len(syms))
+        self._setup(len(syms), None)
+        self._symbols = syms
+        self._index = {s: i for i, s in enumerate(syms)}
+
+    @classmethod
+    def lazy(cls, k: int, write_names) -> ParameterLattice:
+        """A lattice of k symbols whose names write_names() returns, k
+        distinct strings, called on the first read of `symbols` or `index`."""
+        lat = cls.__new__(cls)
+        lat._setup(k, write_names)
+        return lat
+
+    def _setup(self, k: int, write_names) -> None:
+        self.k = k
+        self._fields, self.bias = _layout(k)
+        self._symbols: tuple[str, ...] | None = None
+        self._index: dict[str, int] | None = None
+        self._write_names = write_names
         # the render tables, one _Powers per symbol, made on the first render
         self._powers: tuple[_Powers, ...] | None = None
 
     @property
-    def k(self) -> int:
-        return len(self.symbols)
+    def symbols(self) -> tuple[str, ...]:
+        if self._symbols is None:
+            self._symbols = tuple(self._write_names())
+        return self._symbols
+
+    @property
+    def index(self) -> dict[str, int]:
+        """Position of each symbol by name."""
+        if self._index is None:
+            self._index = {s: i for i, s in enumerate(self.symbols)}
+        return self._index
 
     def _render_tables(self) -> tuple[_Powers, ...]:
         """_powers, made on the first call."""
@@ -438,7 +472,9 @@ def parse_exponents(lattice: ParameterLattice, text: str) -> tuple[tuple[int, in
     text = text.strip()
     if text == "1":
         return ()
-    index = lattice.index
+    # a custom lattice's index is set at construction: read it with no
+    # property call, as parse runs once per monomial of a config
+    index = lattice._index or lattice.index
     powers: dict[int, int] = {}
     for part in text.split("*"):
         part = part.strip()

@@ -183,8 +183,10 @@ def _entry(n: int, q, p, gamma, ch, s: int, t: int) -> tuple[int, SparseVector]:
     ch) equal to f*v, for the spec's n and exponent vectors (q, p, gamma),
     reading ch at s and t only.  Slots 0..n-1 are z_1..z_n, which commute.
 
-    qweyl.dimension reads it for its witness check; theta_verdicts writes
-    the same entries in closed form, checked against localized_torus."""
+    qweyl.dimension reads it for the pairs of its witness check that hold
+    a y slot, and skips two z slots, whose entry is () before any parameter
+    is read; theta_verdicts writes the same entries in closed form, checked
+    against localized_torus."""
     f = 1
     if s > t:
         s, t, f = t, s, -1

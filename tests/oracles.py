@@ -20,14 +20,19 @@ alternating form by a fraction-free symplectic reduction, and
 isotropic_witness_search is a bounded deterministic backtracking search for
 a witness on the packed pairing.  Each kernel makes the zero tests of the
 same computation over Q; the docstrings give the arguments.
+verify_unit_witness_all_pairs is the unit-witness check of the closed form
+as it read all C(d,2) pairs of slots, before it read only those with a y.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
+from qweyl import torus
 from qweyl.dimension import IntVector, Witness
+from qweyl.presentation import AlgebraSpec
 from qweyl.torus import ExponentPairing
 
 # -- modular and exact integer rank -------------------------------------------
@@ -193,6 +198,19 @@ def verify_witness(E: ExponentPairing, witness: Witness) -> bool:
     if not vs:
         return True
     return rank_mod_p(vs) == len(vs) or integer_rank(vs) == len(vs)
+
+
+def verify_unit_witness_all_pairs(spec: AlgebraSpec, slots) -> bool:
+    """dimension._verify_unit_witness as it read every pair of slots,
+    C(d,2) entries, pairs of two z slots included.  The oracle of the
+    check that reads only the pairs with a y slot."""
+    slots = tuple(slots)
+    if len(set(slots)) != len(slots):
+        return False
+    n = spec.n
+    gamma = spec.exponents[2] if max(slots, default=0) > n else None
+    entry = functools.partial(torus._entry, n, *spec.qp, gamma, ("y",) * n)
+    return not any(entry(s, t)[1] for s, t in itertools.combinations(slots, 2))
 
 
 def _primitive(v) -> list[int]:

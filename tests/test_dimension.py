@@ -1,6 +1,7 @@
 """Integer linear algebra, isotropic witnesses, dimension and bound reports."""
 
 import bisect
+import collections
 import math
 import random
 from fractions import Fraction
@@ -458,6 +459,58 @@ def test_torus_dimension_raises_on_a_rejected_witness(monkeypatch):
     assert dim._verify_unit_witness(build_spec(3, "generic-q1"), (0, 1, 2, 3))
 
 
+def _slot_sets(rng, n, count):
+    """Slot tuples of the rank-2n torus: z_1..z_n, with y_1, all 2n slots,
+    and count random subsets of every size, past y_1 too (those read gamma),
+    one in ten with a repeated slot."""
+    m = 2 * n
+    out = [tuple(range(n)), tuple(range(n + 1)), tuple(range(m))]
+    for _ in range(count):
+        slots = rng.sample(range(m), rng.randint(0, m))
+        if slots and rng.random() < 0.1:
+            slots.insert(rng.randrange(len(slots)), rng.choice(slots))
+        out.append(tuple(slots))
+    return out
+
+
+def test_witness_check_matches_the_all_pairs_oracle(custom_config):
+    rng = random.Random(32)
+    specs = [build_spec(n, kind) for kind in KINDS if kind != "custom" for n in range(1, 7)]
+    specs += [spec_from_config(cfg) for cfg in _custom_configs(custom_config, 90, (1, 2, 3), 32)]
+    seen = collections.Counter()
+    for spec in specs:
+        for slots in _slot_sets(rng, spec.n, 16):
+            want = oracles.verify_unit_witness_all_pairs(spec, slots)
+            assert dim._verify_unit_witness(spec, slots) == want, (spec_to_config(spec), slots)
+            seen[want, max(slots, default=0) > spec.n] += 1
+    # both verdicts, each with and without a slot past y_1
+    assert len(seen) == 4 and min(seen.values()) >= 20, seen
+
+
+def test_witness_check_reads_only_the_pairs_with_a_y_slot(monkeypatch):
+    reads = []
+    real = torus._entry
+    monkeypatch.setattr(torus, "_entry", lambda *a: reads.append(a[-2:]) or real(*a))
+    for kind in KINDS:
+        if kind == "custom":
+            continue
+        for n in (1, 4, 9):
+            spec = build_spec(n, kind)
+            reads.clear()
+            assert dim._verify_unit_witness(spec, range(n))
+            assert reads == []
+            if spec.qp[0][0] == ():  # q_1 = 1: the witness takes y_1
+                assert dim._verify_unit_witness(spec, range(n + 1))
+                assert reads == [(i, n) for i in range(n)], (kind, n)
+            reads.clear()
+            d = torus_dimension(spec).d
+            assert len(reads) == n * (d - n), (kind, n)
+    # gamma is written only for two y slots
+    spec = build_spec(3, "generic-p1")
+    assert dim._verify_unit_witness(spec, (0, 4)) and "exponents" not in vars(spec)
+    assert not dim._verify_unit_witness(spec, (3, 4)) and "exponents" in vars(spec)
+
+
 # -- differential tests against the straightforward kernels -------------------
 
 def _reduction_oracle(S):
@@ -856,6 +909,7 @@ ORACLE_NAMES = (
     "smith_normal_form", "integer_rank", "PRIME", "rank_mod_p", "_weights", "verify_witness",
     "_primitive", "_canonical", "_row_times", "_dot", "max_isotropic_rank_single",
     "rank_upper_bound", "_candidate_vectors", "_Candidates", "isotropic_witness_search",
+    "verify_unit_witness_all_pairs",
 )
 
 

@@ -22,7 +22,15 @@ from qweyl.presentation import (
     spec_from_config,
     spec_to_config,
 )
-from qweyl.scalars import MAX_EXPONENT, ParameterLattice, render_exponents
+from qweyl.scalars import (
+    MAX_EXPONENT,
+    LatticeMismatchError,
+    ParameterLattice,
+    render_exponents,
+    render_sparse,
+)
+
+MULTI_PARAMETER_KINDS = ("generic", "generic-p1", "generic-q1", "graded-weyl")
 
 
 def test_symplectic_preset_values():
@@ -93,7 +101,7 @@ def test_build_errors():
         build_spec(2, "symplectic", q="2")
 
 
-@pytest.mark.parametrize("kind", ["generic", "generic-p1", "generic-q1", "graded-weyl"])
+@pytest.mark.parametrize("kind", MULTI_PARAMETER_KINDS)
 def test_preset_symbols_collide_from_n112_on(kind):
     # the multi-parameter presets name g_ij g{i}{j}, so g1112 is both
     # g_{1,112} and g_{11,12}: a config error on n, naming the two pairs
@@ -103,6 +111,102 @@ def test_preset_symbols_collide_from_n112_on(kind):
     assert err.value.field == "n"
     assert err.value.message == "preset symbol 'g1112' names both g_{1,112} and g_{11,12}"
     assert len(str(err.value)) < 200
+
+
+def _eager_preset_symbols(n, kind):
+    """The preset names as build_spec listed them when it built the lattice
+    from them: q1..qn, p1..pn, then g{i}{j} for i < j in row order."""
+    symbols = []
+    if kind in ("generic", "generic-p1", "graded-weyl"):
+        symbols += [f"q{i}" for i in range(1, n + 1)]
+    if kind in ("generic", "generic-q1"):
+        symbols += [f"p{i}" for i in range(1, n + 1)]
+    symbols += [f"g{i}{j}" for i in range(1, n + 1) for j in range(i + 1, n + 1)]
+    return symbols
+
+
+def test_preset_symbol_collision_is_a_closed_form():
+    # n = 111 builds, and its names, written in full, are distinct
+    spec = build_spec(111, "generic")
+    names = spec.lattice.symbols
+    assert len(names) == spec.lattice.k == 2 * 111 + 111 * 110 // 2 == 6327
+    assert names == tuple(_eager_preset_symbols(111, "generic"))
+    assert ParameterLattice(names) == spec.lattice  # the eager constructor refuses repeats
+    with pytest.raises(AssertionError):  # the scan of the names finds no repeat
+        presentation._symbol_collision(111)
+    for n in (112, 113, 150):
+        eager = _eager_preset_symbols(n, "generic")
+        assert len(set(eager)) < len(eager)
+        # the scan of every g name up to n finds the first repeat that the
+        # scan of the names up to 112 finds
+        assert presentation._symbol_collision(n) == _first_repeat_of_all_names(n)
+        for kind in MULTI_PARAMETER_KINDS:
+            with pytest.raises(ConfigError) as err:
+                build_spec(n, kind)
+            assert err.value.field == "n"
+            assert err.value.message == presentation._symbol_collision(n)
+        for kind in SINGLE_PARAMETER_KINDS:  # one symbol, q
+            assert build_spec(n, kind).lattice.symbols == ("q",)
+    # the error names no more than 112 rows of names at any n
+    with pytest.raises(ConfigError) as err:
+        build_spec(10**5, "generic")
+    assert err.value.message == "preset symbol 'g1112' names both g_{1,112} and g_{11,12}"
+
+
+def _first_repeat_of_all_names(n):
+    """The message of the first repeat in the scan, by i and then j, of all
+    the names g{i}{j}, i < j <= n."""
+    named = {}
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            a, b = named.setdefault(f"g{i}{j}", (i, j))
+            if (a, b) != (i, j):
+                return f"preset symbol 'g{i}{j}' names both g_{{{a},{b}}} and g_{{{i},{j}}}"
+    return None
+
+
+def test_a_preset_writes_its_symbol_names_on_first_read():
+    for kind in MULTI_PARAMETER_KINDS:
+        for n in (1, 2, 3, 7, 12):
+            spec = build_spec(n, kind)
+            lat = spec.lattice
+            eager = _eager_preset_symbols(n, kind)
+            assert lat._symbols is None and lat._index is None and lat.k == len(eager)
+            if n % 2:  # either read writes the names
+                assert lat.index == {s: i for i, s in enumerate(eager)}
+                assert lat.symbols == tuple(eager)
+            else:
+                assert lat.symbols == tuple(eager)
+                assert lat.index == {s: i for i, s in enumerate(eager)}
+            assert lat.symbols is lat.symbols and lat.index is lat.index
+            # each parameter renders as the name of its own symbol
+            q, p, gamma = spec.exponents
+            assert [render_sparse(lat, v) for v in q] == [
+                f"q{i}" if "q1" in lat.index else "1" for i in range(1, n + 1)]
+            assert [render_sparse(lat, v) for v in p] == [
+                f"p{i}" if "p1" in lat.index else "1" for i in range(1, n + 1)]
+            assert [[render_sparse(lat, v) for v in row] for row in gamma] == [
+                [f"g{i}{j}" if i < j else f"g{j}{i}^-1" if i > j else "1"
+                 for j in range(1, n + 1)] for i in range(1, n + 1)]
+
+
+def test_a_lazy_lattice_equals_and_hashes_like_the_eager_one():
+    for kind in MULTI_PARAMETER_KINDS:
+        eager = ParameterLattice(_eager_preset_symbols(3, kind))
+        a, b = build_spec(3, kind), build_spec(3, kind)
+        assert hash(a.lattice) == hash(eager) and a.lattice == eager
+        assert eager == b.lattice and a.lattice == b.lattice
+        # Scalar._check across two specs, and against the eager lattice
+        assert a.q[0] * b.gamma[0][1] == eager.monomial({"g12": 1}) * b.q[0]
+        assert a.p[1] + b.p[1] == a.p[1] * eager.rational(2)
+    # equal k does not make equal lattices: the names decide
+    a, b = build_spec(3, "generic-p1"), build_spec(3, "generic-q1")
+    assert a.lattice.k == b.lattice.k and a.lattice != b.lattice
+    with pytest.raises(LatticeMismatchError):
+        a.q[0] + b.q[0]
+    with pytest.raises(LatticeMismatchError):
+        build_spec(3, "generic").q[0] * a.q[0]
+    assert build_spec(3, "graded-weyl").gamma[0][1] == a.gamma[0][1]
 
 
 def test_duplicate_custom_symbols_are_named_once():
@@ -668,6 +772,26 @@ def test_bound_and_dim_write_no_preset_gamma_and_verify_writes_it_once(monkeypat
     # verify reads gamma through the rules, the tori, theta and ambiskew_step
     assert cli.run({"n": 4, "kind": "generic"}, "verify").ok
     assert len(written) == 1
+
+
+def test_bound_dim_and_verify_write_no_preset_symbol_name(monkeypatch):
+    written = []
+    real = presentation._preset_symbols
+    monkeypatch.setattr(presentation, "_preset_symbols",
+                        lambda *a: written.append(a) or real(*a))
+    for kind in MULTI_PARAMETER_KINDS:
+        for n in (*range(1, 10), 64, 111):
+            for command in ("bound", "dim"):
+                assert cli.run({"n": n, "kind": kind}, command).ok, (kind, n, command)
+        spec = build_spec(4, kind)
+        torus_dimension(spec)
+        assert all(c["status"] == "pass" for c in cli._cmd_verify(spec, [], lambda: False)[0])
+        assert spec.lattice._symbols is None and spec.lattice._index is None
+    assert written == []
+    # rendering a scalar writes them, once per spec
+    assert cli.run({"n": 3, "kind": "generic"}, "nf", ["x3 x1"]).values["normal_form"] == (
+        "(q1^-1*p3*g13^-1)/(1)\u00b7x1 x3")
+    assert written == [(3, "qp")]
 
 
 def test_lazy_preset_gamma_matches_the_eager_rows():
