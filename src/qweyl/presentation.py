@@ -2,8 +2,10 @@
 
 An AlgebraSpec fixes n, the parameter lattice, and the monomial parameter
 values q_i, p_i, gamma_ij.  It stores each parameter once, as its sparse
-exponent vector (spec.exponents): custom configs parse each monomial string
-straight to one and _validate checks them all at load.  A preset writes
+exponent vector (spec.exponents): a custom config parses each distinct
+monomial string once, straight to one, and _validate checks them all at
+load; the canonical strings it read are kept by vector (spec._texts), and
+spec_to_config writes them back without rendering.  A preset writes
 its q and p vectors directly, checked at once, and its C(n,2) gamma
 vectors on the first read of spec.exponents, where they pass the same
 gamma checks; the dimension path reads q and p only (spec.qp), so `bound`
@@ -104,19 +106,22 @@ class AlgebraSpec:
 
     @classmethod
     def from_exponents(cls, n: int, kind: str, lattice: ParameterLattice,
-                       q, p, gamma) -> AlgebraSpec:
+                       q, p, gamma, texts=None) -> AlgebraSpec:
         """A spec from the sparse exponent vectors of its parameters, which
         _validate checks.  gamma is the n x n matrix of vectors, or a
         function of no arguments that writes it: then the rows are written
-        and checked on the first read of spec.exponents."""
+        and checked on the first read of spec.exponents.  texts maps
+        vectors to the canonical strings a config spelled them with."""
         spec = cls.__new__(cls)
-        spec._setup(n, kind, lattice, q, p, gamma)
+        spec._setup(n, kind, lattice, q, p, gamma, texts)
         return spec
 
-    def _setup(self, n, kind, lattice, q, p, gamma) -> None:
+    def _setup(self, n, kind, lattice, q, p, gamma, texts=None) -> None:
         self.n = n
         self.kind = kind
         self.lattice = lattice
+        # {vector: canonical string} of a custom config, read by spec_to_config
+        self._texts = texts
         if callable(gamma):
             self.qp = _validate(n, q, p)[:2]
             self._write_gamma = gamma
@@ -368,26 +373,52 @@ def _build_custom(n: int, custom: Mapping) -> AlgebraSpec:
     except ValueError as exc:
         raise ConfigError("custom.symbols", str(exc)) from exc
 
-    def mono(field: str, text) -> SparseVector:
-        if not isinstance(text, str):
-            raise ConfigError(field, f"expected a monomial string, got {text!r}")
-        try:
-            return parse_exponents(lat, text)
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(field, str(exc)) from exc
+    # each distinct string is parsed once; the canonical ones are kept by
+    # vector, so that spec_to_config writes them back without rendering
+    seen: dict[str, SparseVector] = {}
+    texts: dict[SparseVector, str] = {}
+
+    def read(key: str, row, i=None) -> list[SparseVector]:
+        """The vectors of custom.q or custom.p (i None) or of row i of
+        custom.gamma; the field name of an entry is built only for a fault."""
+        out = []
+        for j, text in enumerate(row):
+            try:
+                v = seen.get(text)
+            except TypeError:  # an unhashable entry, no string
+                v = None
+            if v is None:
+                if not isinstance(text, str):
+                    raise ConfigError(_field(key, i, j),
+                                      f"expected a monomial string, got {text!r}")
+                try:
+                    v, canonical = parse_exponents(lat, text)
+                except (KeyError, ValueError) as exc:
+                    raise ConfigError(_field(key, i, j), str(exc)) from exc
+                seen[text] = v
+                if canonical:
+                    texts[v] = text
+            out.append(v)
+        return out
 
     if len(custom["q"]) != n or len(custom["p"]) != n:
         raise ConfigError("custom.q", "need exactly n entries in custom.q and custom.p")
-    qs = [mono(f"custom.q[{i}]", custom["q"][i]) for i in range(n)]
-    ps = [mono(f"custom.p[{i}]", custom["p"][i]) for i in range(n)]
+    qs = read("q", custom["q"])
+    ps = read("p", custom["p"])
     g = custom["gamma"]
     for i, row in enumerate(g):
         if not isinstance(row, list):
             raise ConfigError(f"custom.gamma[{i}]", f"expected a list, got {row!r}")
     if len(g) != n or any(len(row) != n for row in g):
         raise ConfigError("custom.gamma", "need a full n x n matrix of monomial strings")
-    gamma = [[mono(f"custom.gamma[{i}][{j}]", g[i][j]) for j in range(n)] for i in range(n)]
-    return AlgebraSpec.from_exponents(n, "custom", lat, qs, ps, gamma)
+    gamma = [read("gamma", row, i) for i, row in enumerate(g)]
+    return AlgebraSpec.from_exponents(n, "custom", lat, qs, ps, gamma, texts)
+
+
+def _field(key: str, i, j: int) -> str:
+    """The name of entry j of custom.q or custom.p (i None), or of entry
+    [i][j] of custom.gamma."""
+    return f"custom.{key}[{j}]" if i is None else f"custom.{key}[{i}][{j}]"
 
 
 # -- the swap monomial -------------------------------------------------------
@@ -487,7 +518,9 @@ def spec_to_config(spec: AlgebraSpec) -> dict:
     if spec.kind == "custom":
         lat = spec.lattice
         q, p, gamma = spec.exponents
-        render = lambda row: [render_sparse(lat, v) for v in row]
+        # a vector read from its canonical string is written back as read
+        texts = spec._texts or {}
+        render = lambda row: [texts.get(v) or render_sparse(lat, v) for v in row]
         cfg["custom"] = {
             "symbols": list(lat.symbols),
             "q": render(q),

@@ -462,40 +462,57 @@ def render_sparse(lattice: ParameterLattice, exps: Iterable[tuple[int, int]]) ->
     return "*".join(powers[c][e] for c, e in exps) or "1"
 
 
-def parse_exponents(lattice: ParameterLattice, text: str) -> tuple[tuple[int, int], ...]:
+def parse_exponents(lattice: ParameterLattice,
+                    text: str) -> tuple[tuple[tuple[int, int], ...], bool]:
     """The exponent vector of a monomial string as its nonzero (symbol
-    index, exponent) pairs, by index.  A symbol may occur in several
-    factors; its exponents add, and the sum must stay within ±MAX_EXPONENT
-    (ExponentOverflowError, checked in the order the symbols first occur).
-    An unknown symbol raises KeyError, an exponent that is no integer
-    ValueError."""
-    text = text.strip()
-    if text == "1":
-        return ()
+    index, exponent) pairs, by index, and whether the string is canonical,
+    exactly render_sparse of that vector: no spaces, each symbol once and in
+    lattice order, "^e" only for e other than 0 and 1, "1" for the unit.
+    A symbol may occur in several factors; its exponents add, and the sum
+    must stay within ±MAX_EXPONENT (ExponentOverflowError, checked in the
+    order the symbols first occur).  An unknown symbol raises KeyError, an
+    exponent that is no integer ValueError."""
+    body = text.strip()
+    if body == "1":
+        return (), text == "1"
     # a custom lattice's index is set at construction: read it with no
-    # property call, as parse runs once per monomial of a config
+    # property call, as parse runs once per distinct monomial of a config
     index = lattice._index or lattice.index
-    powers: dict[int, int] = {}
-    for part in text.split("*"):
-        part = part.strip()
-        if "^" in part:
-            name, _, exp = part.partition("^")
+    canonical = len(body) == len(text)
+    last = -1
+    pairs: list = []
+    for part in body.split("*"):
+        factor = part.strip()
+        name, caret, exp = factor.partition("^")
+        if caret:
             e = int(exp)
+            canonical = canonical and e != 0 and e != 1 and str(e) == exp
         else:
-            name, e = part, 1
-        if name not in index:
-            raise KeyError(f"unknown parameter symbol {name!r} in monomial {text!r}")
-        c = index[name]
-        powers[c] = powers.get(c, 0) + e
-    for c, e in powers.items():
+            e = 1
+        c = index.get(name)
+        if c is None:
+            raise KeyError(f"unknown parameter symbol {name!r} in monomial {body!r}")
+        canonical = canonical and c > last and len(factor) == len(part)
+        last = c
+        pairs.append((c, e))
+    if not canonical:
+        # add the exponents of each symbol, in the order symbols first occur
+        powers: dict[int, int] = {}
+        for c, e in pairs:
+            powers[c] = powers.get(c, 0) + e
+        pairs = powers.items()
+    for c, e in pairs:
         if abs(e) > MAX_EXPONENT:
             raise ExponentOverflowError(
                 f"exponent {e} of {lattice.symbols[c]!r} leaves ±{MAX_EXPONENT}")
-    return tuple(sorted((c, e) for c, e in powers.items() if e))
+    if canonical:
+        # one nonzero factor per symbol, by index: the pairs are the vector
+        return tuple(pairs), True
+    return tuple(sorted((c, e) for c, e in pairs if e)), False
 
 
 def parse_monomial(lattice: ParameterLattice, text: str) -> Scalar:
-    return lattice.sparse_monomial(parse_exponents(lattice, text))
+    return lattice.sparse_monomial(parse_exponents(lattice, text)[0])
 
 
 def render_poly(s: Scalar) -> str:

@@ -212,6 +212,18 @@ def test_main_exit_codes(tmp_path, capsys):
         assert "usage error" in err and f"{command} takes no arguments" in err
 
 
+@pytest.mark.parametrize("payload", [b'{"n": 2, "kind": "gen\xff"}', b"[" * 100_000],
+                         ids=["not-utf8", "nested-past-the-recursion-limit"])
+def test_main_reports_undecodable_config_files_as_config_errors(tmp_path, capsys, payload):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(payload)
+    assert main(["--config", str(path), "--command", "bound"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"config error: {path} is not valid JSON: ")
+    assert "Traceback" not in captured.err
+
+
 def test_main_rejects_unknown_command(tmp_path, capsys):
     cfg = _write(tmp_path, {"n": 1, "kind": "generic"})
     assert main(["--config", cfg, "--command", "bogus"]) == 2

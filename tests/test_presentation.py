@@ -26,6 +26,7 @@ from qweyl.scalars import (
     MAX_EXPONENT,
     LatticeMismatchError,
     ParameterLattice,
+    parse_exponents,
     render_exponents,
     render_sparse,
 )
@@ -591,9 +592,12 @@ def test_config_round_trip():
 
 
 @st.composite
-def _custom_configs(draw):
+def _custom_configs(draw, canonical=False):
     """A valid random `custom` config, its monomials spelled in random ways:
-    factors in any order, a symbol split over several factors, explicit ^1."""
+    factors in any order, a symbol split over several factors, explicit ^1.
+    With canonical, each is spelled as spec_to_config writes it: the
+    symbols in declared order, "^e" only for e other than 1, "1" for the
+    unit."""
     n = draw(st.integers(1, 4))
     k = draw(st.integers(1, 3))
     names = st.from_regex(r"[a-z][a-z0-9_]{0,3}", fullmatch=True)
@@ -601,6 +605,8 @@ def _custom_configs(draw):
     exps = st.lists(st.integers(-3, 3), min_size=k, max_size=k)
 
     def spell(e):
+        if canonical:
+            return "*".join(s if v == 1 else f"{s}^{v}" for s, v in zip(symbols, e) if v) or "1"
         factors = []
         for s, v in zip(symbols, e):
             if v and draw(st.booleans()):
@@ -635,6 +641,138 @@ def test_config_round_trip_on_random_custom_specs(cfg):
     assert again.lattice == spec.lattice
     assert again.q == spec.q and again.p == spec.p and again.gamma == spec.gamma
     assert canonical["custom"]["symbols"] == cfg["custom"]["symbols"]
+
+
+def _entries(custom):
+    """The monomial entries of a custom assignment in reading order: q, p,
+    then gamma by rows."""
+    return [*custom["q"], *custom["p"], *(t for row in custom["gamma"] for t in row)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_custom_configs(), _custom_configs(canonical=True))
+def test_spec_to_config_writes_each_vector_as_render_sparse(cfg, canonical_cfg):
+    for c in (cfg, canonical_cfg):
+        spec = spec_from_config(c)
+        written = spec_to_config(spec)
+        lat = spec.lattice
+        q, p, gamma = spec.exponents
+        render = lambda row: [render_sparse(lat, v) for v in row]
+        assert written == {"n": spec.n, "kind": "custom", "custom": {
+            "symbols": list(lat.symbols), "q": render(q), "p": render(p),
+            "gamma": [render(row) for row in gamma]}}
+    # a canonical config comes back as it was read
+    assert written == canonical_cfg
+
+
+def test_each_distinct_monomial_string_is_parsed_once(monkeypatch, custom_config):
+    parsed = []
+    real = presentation.parse_exponents
+    monkeypatch.setattr(presentation, "parse_exponents",
+                        lambda lat, text: parsed.append(text) or real(lat, text))
+    rng = random.Random(33)
+    for n in (1, 2, 4, 16, 64):
+        cfg = custom_config(rng, n, 3)
+        parsed.clear()
+        spec = spec_from_config(cfg)
+        # in the order each string first occurs
+        assert parsed == list(dict.fromkeys(_entries(cfg["custom"])))
+        assert spec_to_config(spec) == cfg
+        assert len(parsed) == len(set(parsed))
+    assert len(parsed) <= 2 * 64 + 27  # of 64 * 66 entries; 27 gamma values on 3 symbols
+
+
+def test_a_repeated_bad_entry_reports_its_first_field():
+    base = {
+        "symbols": ["a", "b"],
+        "q": ["a", "a", "b"],
+        "p": ["b", "1", "a"],
+        "gamma": [["1", "a", "b"], ["a^-1", "1", "a*b"], ["b^-1", "a^-1*b^-1", "1"]],
+    }
+    unknown = str(KeyError("unknown parameter symbol 'c' in monomial 'c'"))
+    bad_int = "invalid literal for int() with base 10: 'x'"
+    cases = [
+        ({("q", 2), ("p", 0), ("gamma", 1, 2)}, "c", "custom.q[2]", unknown),
+        ({("gamma", 0, 1), ("p", 1)}, "c", "custom.p[1]", unknown),
+        ({("gamma", 2, 0), ("gamma", 0, 2)}, "a^x", "custom.gamma[0][2]", bad_int),
+        ({("gamma", 1, 0), ("gamma", 0, 1), ("gamma", 2, 2)}, "a^x", "custom.gamma[0][1]",
+         bad_int),
+        ({("gamma", 0, 1), ("p", 2)}, 3, "custom.p[2]", "expected a monomial string, got 3"),
+        ({("gamma", 0, 0), ("q", 1)}, ["a"], "custom.q[1]",
+         "expected a monomial string, got ['a']"),
+    ]
+    for cells, value, field, message in cases:
+        custom = copy.deepcopy(base)
+        for key, *at in cells:
+            row = custom[key][at[0]] if key == "gamma" else custom[key]
+            row[at[-1]] = value
+        errors = []
+        for build in (lambda: build_spec(3, "custom", custom=custom),
+                      lambda: AlgebraSpec(3, "custom", *_scalar_custom(3, custom))):
+            with pytest.raises(ConfigError) as err:
+                build()
+            errors.append((err.value.field, err.value.message))
+        assert errors == [(field, message)] * 2, cells
+
+
+@pytest.mark.parametrize("value", [["a"], {"a": 1}, {"a"}, None, 1.0])
+@pytest.mark.parametrize("key", ["q", "p", "gamma"])
+def test_a_non_string_entry_is_no_monomial_string(key, value):
+    custom = {"symbols": ["a", "b"], "q": ["a", "a"], "p": ["b", "b"],
+              "gamma": [["1", "a"], ["a^-1", "1"]]}
+    row = custom[key][1] if key == "gamma" else custom[key]
+    row[0] = value
+    field = "custom.gamma[1][0]" if key == "gamma" else f"custom.{key}[0]"
+    with pytest.raises(ConfigError) as err:
+        build_spec(2, "custom", custom=custom)
+    assert (err.value.field, err.value.message) == (
+        field, f"expected a monomial string, got {value!r}")
+
+
+def test_parse_exponents_tells_canonical_strings():
+    lat = ParameterLattice(["a", "b", "ab"])
+    a, b, ab = 0, 1, 2
+    cases = {
+        "1": ((), True),
+        "a": (((a, 1),), True),
+        "a*b": (((a, 1), (b, 1)), True),
+        "a^2*b^-3": (((a, 2), (b, -3)), True),
+        "ab": (((ab, 1),), True),
+        "a*ab": (((a, 1), (ab, 1)), True),
+        "b^-1*ab^12": (((b, -1), (ab, 12)), True),
+        "a^1": (((a, 1),), False),
+        "a^0*b": (((b, 1),), False),
+        "a^+2": (((a, 2),), False),
+        "a^02": (((a, 2),), False),
+        "a^-0": ((), False),
+        " a": (((a, 1),), False),
+        "a ": (((a, 1),), False),
+        " 1": ((), False),
+        "a *b": (((a, 1), (b, 1)), False),
+        "a* b": (((a, 1), (b, 1)), False),
+        "b*a": (((a, 1), (b, 1)), False),
+        "ab*a": (((a, 1), (ab, 1)), False),
+        "a*a": (((a, 2),), False),
+        "a*a^-1": ((), False),
+        "b*b^-1*a": (((a, 1),), False),
+    }
+    for text, expected in cases.items():
+        assert parse_exponents(lat, text) == expected, text
+        # canonical means exactly what render_sparse writes for the vector
+        vector, canonical = expected
+        assert (render_sparse(lat, vector) == text) == canonical, text
+
+
+def test_only_a_custom_config_keeps_its_strings():
+    cfg = {"n": 2, "kind": "custom", "custom": {
+        "symbols": ["q", "r"], "q": ["q^2", "q*q"], "p": ["1", "r"],
+        "gamma": [["1", "r^-1"], ["r", "1"]]}}
+    spec = spec_from_config(cfg)
+    # "q*q" is no canonical string: its vector is the one of "q^2", read first
+    assert spec._texts == {((0, 2),): "q^2", (): "1", ((1, 1),): "r", ((1, -1),): "r^-1"}
+    assert spec_to_config(spec)["custom"]["q"] == ["q^2", "q^2"]
+    assert build_spec(3, "generic")._texts is None
+    assert AlgebraSpec(2, "custom", spec.lattice, spec.q, spec.p, spec.gamma)._texts is None
 
 
 # -- the exponent vectors against the Scalar build they replaced --------------

@@ -260,15 +260,31 @@ def test_render_tables_are_made_on_the_first_render(monkeypatch, custom_config):
     assert texts(lat) == expected  # made by this first render
     assert [d[1] for d in made] == ["q", "p", "r"]
     assert texts(lat) == expected and len(made) == 3
-    # a custom spec renders its config alike with and without the tables
+    # a custom spec renders its config alike with and without the tables; a
+    # canonical config (the generator's spelling) writes back what it read
+    # and renders nothing, so reversing its factors makes it render
     rng = random.Random(31)
+    rendered = 0
     for _ in range(20):
-        spec = spec_from_config(custom_config(rng, rng.randint(1, 4), rng.randint(1, 4)))
+        cfg = custom_config(rng, rng.randint(1, 4), rng.randint(1, 4))
+        spec = spec_from_config(cfg)
+        assert spec_to_config(spec) == cfg
+        assert spec.lattice._powers is None
+        custom = cfg["custom"]
+        texts = [*custom["q"], *custom["p"], *(t for row in custom["gamma"] for t in row)]
+        reverse = lambda row: ["*".join(reversed(t.split("*"))) for t in row]
+        spec = spec_from_config(dict(cfg, custom=dict(
+            custom, q=reverse(custom["q"]), p=reverse(custom["p"]),
+            gamma=[reverse(row) for row in custom["gamma"]])))
         assert spec.lattice._powers is None
         first = repr(spec_to_config(spec))
-        assert spec.lattice._powers is not None
+        assert first == repr(cfg)
+        # a monomial of two factors or more is spelled out of order
+        assert (spec.lattice._powers is not None) == any("*" in t for t in texts)
+        rendered += spec.lattice._powers is not None
         assert repr(spec_to_config(spec)) == first
         assert repr(spec_to_config(spec_from_config(spec_to_config(spec)))) == first
+    assert rendered >= 10
 
 
 def test_render_scalar_shape():
