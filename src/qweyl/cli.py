@@ -254,8 +254,10 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"config error: cannot read {opts.config}: {exc}", file=sys.stderr)
         return 2
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
-        # a file that is not UTF-8, or nested past the decoder's recursion limit
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, UnicodeDecodeError (a file that is not UTF-8) and an
+        # integer past int's digit limit are ValueErrors; RecursionError is
+        # nesting past the decoder's recursion limit
         print(f"config error: {opts.config} is not valid JSON: {exc}", file=sys.stderr)
         return 2
     try:

@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import random
+import sys
 
 import pytest
 
@@ -212,8 +213,14 @@ def test_main_exit_codes(tmp_path, capsys):
         assert "usage error" in err and f"{command} takes no arguments" in err
 
 
-@pytest.mark.parametrize("payload", [b'{"n": 2, "kind": "gen\xff"}', b"[" * 100_000],
-                         ids=["not-utf8", "nested-past-the-recursion-limit"])
+@pytest.mark.parametrize("payload", [
+    pytest.param(b'{"n": 2, "kind": "gen\xff"}', id="not-utf8"),
+    pytest.param(b"[" * 100_000, id="nested-past-the-recursion-limit"),
+    pytest.param(b'{"n": 1' + b"0" * 5000 + b', "kind": "generic"}',
+                 id="integer-past-the-digit-limit",
+                 marks=pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                                          reason="Python before 3.10.7 reads any integer")),
+])
 def test_main_reports_undecodable_config_files_as_config_errors(tmp_path, capsys, payload):
     path = tmp_path / "cfg.json"
     path.write_bytes(payload)
