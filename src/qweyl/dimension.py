@@ -17,8 +17,9 @@ the torus's entry formula (qweyl.torus._z_entries), so the dimension
 builds no torus, no Scalar and, on a preset, no gamma and no symbol name.
 The witness check reads only the pairs with a y slot, since two z slots
 commute by the torus's definition: n entries when q_1 = 1, none otherwise.
-So the dimension does O(n) work before its report, whose dense witness
-is the one O(n^2) part.
+So the dimension does O(n) work.  The witness is its slots (Witness.units);
+its dense rows, d unit vectors of length 2n, are written once, as the JSON
+lists of the report, which is the one O(n^2) part of bound and dim.
 
 bernstein_report turns a dimension report already in hand into the bound
 2n - d.
@@ -26,8 +27,6 @@ bernstein_report turns a dimension report already in hand into the bound
 
 from __future__ import annotations
 
-import functools
-import itertools
 from dataclasses import dataclass
 
 from . import torus
@@ -50,28 +49,56 @@ def pairing_from_matrix(E: ExponentPairing) -> ExponentPairing:
 
 # -- witnesses ----------------------------------------------------------------
 
-@dataclass
 class Witness:
-    vectors: tuple[IntVector, ...]
+    """Independent commuting vectors of the torus, one row each.
+
+    Witness(vectors) keeps its rows as int tuples.  Witness.units(size,
+    slots), the unit vectors of length size at the given slots, keeps only
+    its size and slots: its rows are written once, by to_json as the JSON
+    lists, and `vectors` is derived from the slots on first read.  rank,
+    == and repr read the same either way.
+    """
+
+    slots = None  # the slots of a unit witness; None for explicit rows
 
     def __init__(self, vectors):
-        self.vectors = tuple(tuple(map(int, v)) for v in vectors)
+        self._vectors = tuple(tuple(map(int, v)) for v in vectors)
 
     @classmethod
     def units(cls, size: int, slots) -> Witness:
-        """The unit vectors of length size at the given slots, made as int
-        tuples, so with no coercion of their entries."""
         w = cls.__new__(cls)
-        zero = (0,) * size
-        w.vectors = tuple(zero[:s] + (1,) + zero[s + 1:] for s in slots)
+        w.size, w.slots, w._vectors = size, tuple(slots), None
         return w
 
     @property
+    def vectors(self) -> tuple[IntVector, ...]:
+        if self._vectors is None:
+            zero = (0,) * self.size
+            self._vectors = tuple(zero[:s] + (1,) + zero[s + 1:] for s in self.slots)
+        return self._vectors
+
+    @property
     def rank(self) -> int:
-        return len(self.vectors)
+        return len(self.vectors if self.slots is None else self.slots)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.vectors == other.vectors
+
+    def __repr__(self) -> str:
+        return f"Witness(vectors={self.vectors!r})"
 
     def to_json(self) -> list[list[int]]:
-        return [list(v) for v in self.vectors]
+        if self.slots is None:
+            return [list(v) for v in self.vectors]
+        size = self.size
+        rows = []
+        for s in self.slots:
+            row = [0] * size
+            row[s] = 1
+            rows.append(row)
+        return rows
 
 
 # -- reports ------------------------------------------------------------------
@@ -168,18 +195,30 @@ def _verify_unit_witness(spec: AlgebraSpec, slots) -> bool:
     pairs with a y slot are read, through torus._entry: from spec.qp, and
     from gamma only for two y slots.  The witness of torus_dimension lies
     in slots 0..n, so its check reads n entries (none without y_1) and
-    never reads gamma.
+    never reads gamma; with no y slot it reads nothing.
     """
     slots = tuple(slots)
     if len(set(slots)) != len(slots):
         return False
     n = spec.n
-    zs = [s for s in slots if s < n]
     ys = [s for s in slots if s >= n]
+    if not ys:
+        return True
+    zs = [s for s in slots if s < n]
+    q, p = spec.qp
     gamma = spec.exponents[2] if len(ys) > 1 else None
-    entry = functools.partial(torus._entry, n, *spec.qp, gamma, ("y",) * n)
-    pairs = itertools.chain(itertools.product(zs, ys), itertools.combinations(ys, 2))
-    return not any(entry(s, t)[1] for s, t in pairs)
+    ch = ("y",) * n
+    entry = torus._entry
+    # every (z, y) pair, then every pair of two y slots, in slot order
+    for s in zs:
+        for t in ys:
+            if entry(n, q, p, gamma, ch, s, t)[1]:
+                return False
+    for a, s in enumerate(ys):
+        for t in ys[a + 1:]:
+            if entry(n, q, p, gamma, ch, s, t)[1]:
+                return False
+    return True
 
 
 def torus_dimension(spec: AlgebraSpec, height: int = 3) -> DimensionReport:
@@ -203,9 +242,10 @@ def torus_dimension(spec: AlgebraSpec, height: int = 3) -> DimensionReport:
     one raises ArithmeticError.
     """
     d = _z_block_dimension(spec)
-    if not _verify_unit_witness(spec, range(d)):
+    slots = tuple(range(d))
+    if not _verify_unit_witness(spec, slots):
         raise ArithmeticError("z-block closed form produced an invalid witness")
-    witness = Witness.units(2 * spec.n, range(d))
+    witness = Witness.units(2 * spec.n, slots)
     if spec.kind in ("generic-p1", "graded-weyl", "generic-q1"):
         method = "theorem-q1" if spec.kind == "generic-q1" else "theorem-p1"
     else:

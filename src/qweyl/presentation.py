@@ -33,8 +33,8 @@ from __future__ import annotations
 
 import functools
 import itertools
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Mapping, Sequence
 
 from .scalars import ParameterLattice, Scalar, parse_exponents, render_sparse
 
@@ -221,12 +221,13 @@ def _validate(n: int, q, p, gamma=None):
     q, p = tuple(q), tuple(p)
     if gamma is not None:
         gamma = tuple(map(tuple, gamma))
+    negs = {}
     for i in range(n):
         for v, fld in ((q, "q"), (p, "p")):
             if v[i] is None:
                 raise ConfigError(f"{fld}[{i}]", "parameter must be a monomial")
         if gamma is not None:
-            _check_gamma_row(n, gamma, i)
+            _check_gamma_row(n, gamma, i, negs)
         if p[i] == q[i]:
             raise ConfigError(
                 f"p[{i}]",
@@ -235,15 +236,22 @@ def _validate(n: int, q, p, gamma=None):
     return q, p, gamma
 
 
-def _check_gamma_row(n: int, gamma, i: int) -> None:
-    """_validate's checks of gamma_ii and of gamma_ij, gamma_ji for j > i."""
-    if gamma[i][i] != ():
+def _check_gamma_row(n: int, gamma, i: int, negs: dict) -> None:
+    """_validate's checks of gamma_ii and of gamma_ij, gamma_ji for j > i.
+
+    negs maps each gamma_ij already negated in this scan to its negation,
+    so that a scan negates each distinct vector once."""
+    row = gamma[i]
+    if row[i] != ():
         raise ConfigError(f"gamma[{i}][{i}]", "diagonal must be 1")
     for j in range(i + 1, n):
-        gij = gamma[i][j]
+        gij = row[j]
         if gij is None:
             raise ConfigError(f"gamma[{i}][{j}]", "entry must be a monomial")
-        if gamma[j][i] != _neg(gij):
+        neg = negs.get(gij)
+        if neg is None:
+            neg = negs[gij] = _neg(gij)
+        if gamma[j][i] != neg:
             raise ConfigError(
                 f"gamma[{i}][{j}]", "matrix must be multiplicatively antisymmetric"
             )
@@ -253,8 +261,9 @@ def _validate_gamma(n: int, gamma):
     """gamma as a tuple of rows, once it passes _validate's gamma checks."""
     _check_gamma_shape(n, gamma)
     gamma = tuple(map(tuple, gamma))
+    negs = {}
     for i in range(n):
-        _check_gamma_row(n, gamma, i)
+        _check_gamma_row(n, gamma, i, negs)
     return gamma
 
 

@@ -52,8 +52,8 @@ import collections
 import functools
 import operator
 import struct
+from collections.abc import Iterable, Mapping
 from fractions import Fraction
-from typing import Iterable, Mapping
 
 Exponents = tuple[int, ...]
 

@@ -21,7 +21,9 @@ isotropic_witness_search is a bounded deterministic backtracking search for
 a witness on the packed pairing.  Each kernel makes the zero tests of the
 same computation over Q; the docstrings give the arguments.
 verify_unit_witness_all_pairs is the unit-witness check of the closed form
-as it read all C(d,2) pairs of slots, before it read only those with a y.
+as it read all C(d,2) pairs of slots, before it read only those with a y,
+and dense_unit_rows the witness's JSON rows as they were built before a unit
+witness kept only its slots.
 """
 
 from __future__ import annotations
@@ -211,6 +213,16 @@ def verify_unit_witness_all_pairs(spec: AlgebraSpec, slots) -> bool:
     gamma = spec.exponents[2] if max(slots, default=0) > n else None
     entry = functools.partial(torus._entry, n, *spec.qp, gamma, ("y",) * n)
     return not any(entry(s, t)[1] for s, t in itertools.combinations(slots, 2))
+
+
+def dense_unit_rows(size: int, slots) -> list[list[int]]:
+    """The JSON rows of the unit vectors of length size at the given
+    slots, built as Witness.units and Witness.to_json built them before a
+    unit witness kept its slots: an int tuple from three slices per slot,
+    then each tuple copied into a list."""
+    zero = (0,) * size
+    vectors = tuple(zero[:s] + (1,) + zero[s + 1:] for s in slots)
+    return [list(v) for v in vectors]
 
 
 def _primitive(v) -> list[int]:

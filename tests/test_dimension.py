@@ -848,12 +848,12 @@ def _q1_is_one(spec):
     return spec.exponents[0][0] == ()
 
 
-def _custom_configs(custom_config, count, ks, seed):
-    """Seeded custom configs, n = 1..4; every third has q_1 = 1."""
+def _custom_configs(custom_config, count, ks, seed, ns=(1, 4)):
+    """Seeded custom configs, n = ns[0]..ns[1]; every third has q_1 = 1."""
     rng = random.Random(seed)
     configs = []
     for t in range(count):
-        cfg = custom_config(rng, rng.randint(1, 4), rng.choice(ks))
+        cfg = custom_config(rng, rng.randint(*ns), rng.choice(ks))
         if t % 3 == 0:
             custom = cfg["custom"]
             custom["q"][0] = "1"
@@ -909,7 +909,7 @@ ORACLE_NAMES = (
     "smith_normal_form", "integer_rank", "PRIME", "rank_mod_p", "_weights", "verify_witness",
     "_primitive", "_canonical", "_row_times", "_dot", "max_isotropic_rank_single",
     "rank_upper_bound", "_candidate_vectors", "_Candidates", "isotropic_witness_search",
-    "verify_unit_witness_all_pairs",
+    "verify_unit_witness_all_pairs", "dense_unit_rows",
 )
 
 
@@ -993,3 +993,65 @@ def test_bound_and_dim_make_no_scalar_and_build_no_torus(monkeypatch, custom_con
     # the counters see the Scalar views that other commands read
     cli.run({"n": 2, "kind": "generic"}, "nf", ["x2 y2"])
     assert made
+
+
+# -- the unit witness as its slots ----------------------------------------------
+
+def test_unit_witness_json_is_the_dense_rows(custom_config):
+    specs = [build_spec(n, kind) for kind in KINDS if kind != "custom"
+             for n in (*range(1, 13), 64, 111)]
+    specs += [spec_from_config(cfg)
+              for cfg in _custom_configs(custom_config, 40, (1, 2, 3), 34, ns=(2, 6))]
+    assert sum(spec.kind == "custom" and _q1_is_one(spec) for spec in specs) >= 10
+    for spec in specs:
+        rep = torus_dimension(spec)
+        want = oracles.dense_unit_rows(2 * spec.n, range(rep.d))
+        assert rep.to_json()["witness"] == want, (spec.kind, spec.n)
+
+
+def test_unit_witness_json_rows_are_fresh():
+    spec = build_spec(3, "generic-q1")
+    rep = torus_dimension(spec)
+    want = oracles.dense_unit_rows(6, range(4))
+    first, second = rep.to_json(), rep.to_json()
+    first["witness"][0][0] = 7
+    first["witness"][1].append(1)
+    assert second["witness"] == rep.to_json()["witness"] == want
+    rows = rep.witness.to_json()
+    rows[0][1] = 1
+    assert rows[1:] == want[1:]
+    # and so are the reports of two runs
+    reports = [cli.run({"n": 3, "kind": "generic-q1"}, command) for command in ("dim", "bound")]
+    dim_rows, bound_rows = reports[0].values["witness"], reports[1].values["dim"]["witness"]
+    dim_rows[2][2] = 0
+    assert bound_rows == want
+    assert cli.run({"n": 3, "kind": "generic-q1"}, "dim").values["witness"] == want
+
+
+def test_slots_witness_reads_as_its_dense_rows():
+    for size, slots in ((4, (0, 1, 2)), (6, (5, 0, 3)), (2, ()), (222, range(112))):
+        rows = oracles.dense_unit_rows(size, slots)
+        units, dense = Witness.units(size, slots), Witness(rows)
+        assert units.rank == dense.rank == len(rows)
+        assert units == dense and dense == units
+        assert units.vectors == dense.vectors == tuple(map(tuple, rows))
+        assert repr(units) == repr(dense)
+        assert units.to_json() == dense.to_json() == rows
+    assert Witness.units(4, (0, 1)) != Witness.units(4, (0, 2))
+    assert Witness.units(4, (0,)) != Witness.units(6, (0,))
+    assert Witness.units(4, (0,)) != [[1, 0, 0, 0]]
+
+
+def test_bound_and_dim_never_read_the_dense_witness(monkeypatch, custom_config):
+    reads = []
+    real = Witness.vectors
+    monkeypatch.setattr(Witness, "vectors", property(lambda w: reads.append(w) or real.fget(w)))
+    configs = [{"n": n, "kind": kind} for kind in KINDS if kind != "custom" for n in (1, 4, 9)]
+    configs += _custom_configs(custom_config, 6, (1, 2), 35)
+    for cfg in configs:
+        for command in ("bound", "dim"):
+            assert cli.run(cfg, command).ok, (cfg, command)
+    assert reads == []
+    # the counter sees a read
+    assert torus_dimension(build_spec(2, "generic")).witness.vectors == ((1, 0, 0, 0), (0, 1, 0, 0))
+    assert len(reads) == 1

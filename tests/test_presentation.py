@@ -1056,6 +1056,29 @@ def test_bad_custom_configs_fail_like_the_scalar_build():
     assert spec.q[0] == _scalar_parse(spec.lattice, "a^2147483648*a^-1")
 
 
+
+def test_validate_negates_each_distinct_gamma_vector_once(monkeypatch, custom_config):
+    # the benchmark's n=64 custom config, whose C(64,2) gamma_ij above the
+    # diagonal share few distinct vectors
+    cfg = custom_config(random.Random(5), 64, 3)
+    spec = spec_from_config(cfg)
+    n, (q, p), gamma = spec.n, spec.qp, spec.exponents[2]
+    upper = [gamma[i][j] for i in range(n) for j in range(i + 1, n)]
+    negated = []
+    real = presentation._neg
+    monkeypatch.setattr(presentation, "_neg", lambda v: negated.append(v) or real(v))
+    assert presentation._validate(n, q, p, gamma) == (q, p, gamma)
+    assert sorted(negated) == sorted(set(upper)) and len(negated) < n
+    # a fault deep in the scan is still found, on a vector first negated in row 0
+    i, j = 60, 62
+    assert gamma[i][j] in gamma[0][1:]
+    cfg["custom"]["gamma"][j][i] = "a^2"
+    with pytest.raises(ConfigError) as err:
+        spec_from_config(cfg)
+    assert (err.value.field, err.value.message) == (
+        f"gamma[{i}][{j}]", "matrix must be multiplicatively antisymmetric"
+    )
+
 def test_config_field_errors():
     with pytest.raises(ConfigError) as err:
         spec_from_config({"kind": "generic"})
