@@ -1056,7 +1056,6 @@ def test_bad_custom_configs_fail_like_the_scalar_build():
     assert spec.q[0] == _scalar_parse(spec.lattice, "a^2147483648*a^-1")
 
 
-
 def test_validate_negates_each_distinct_gamma_vector_once(monkeypatch, custom_config):
     # the benchmark's n=64 custom config, whose C(64,2) gamma_ij above the
     # diagonal share few distinct vectors
@@ -1078,6 +1077,7 @@ def test_validate_negates_each_distinct_gamma_vector_once(monkeypatch, custom_co
     assert (err.value.field, err.value.message) == (
         f"gamma[{i}][{j}]", "matrix must be multiplicatively antisymmetric"
     )
+
 
 def test_config_field_errors():
     with pytest.raises(ConfigError) as err:
