@@ -78,11 +78,19 @@ a spec need no lock: two that miss the same key store equal entries, and
 of two memos built at once one is dropped, which costs only its folds.
 
 Every product of elements goes through one kernel, _Products.combine: it
-adds up sum c*f*g, reading each monomial product from the pair memo, into
-one dict, with no intermediate element.  multiply is one such sum.  Every
-identity in the algebra that the verifiers and skew_power_identity check
-is one sum minus h, decided by _Products.vanishes, so the checks of one
-spec fold each monomial pair once and build each z_i once.  A normality
+sums signed terms c*f*g, reading each monomial product from the pair memo,
+into one dict, with no intermediate element.  multiply is one such sum.
+Every identity in the algebra that the verifiers and skew_power_identity
+check is one such sum minus h, decided by _Products.vanishes.  Its other
+side (the lam*g*f of a skew relation, a subtracted term of an extension
+step, h) is subtracted term by term (_Products.sub), so no coefficient is
+negated: an entry whose packed terms equal the subtracted ones is dropped,
+a cancellation that builds no scalar, and any other difference is one
+Scalar.__sub__.  The terms are summed in the order that the identity
+states them, so the products formed, and the first to pass the exponent
+field, are those of the sum with negated coefficients.  The checks of one
+spec fold each monomial pair once, and the memo builds each z_i once, as
+z_{i-1} and one more term (q_i - p_i) y_i x_i.  A normality
 law z_i*v - lam*v*z_i is a running sum over the terms c_l*y_l x_l of z_i,
 and the memo keeps each prefix, so the law of z_i extends that of z_{i-1}
 by one term group: all laws of a spec sum 3n^2 - n groups, not n^2(n+1)
@@ -121,7 +129,7 @@ import struct
 import weakref
 from dataclasses import dataclass
 
-from .presentation import AlgebraSpec, _swap_exponents, ambiskew_step, casimir
+from .presentation import AlgebraSpec, _swap_exponents, ambiskew_step
 from .reporting import check
 from .scalars import Scalar, power_sum, render_scalar
 
@@ -368,7 +376,7 @@ def multiply(spec: AlgebraSpec, f: PBWElement, g: PBWElement) -> PBWElement:
         raise ValueError(f"factors of n={f.n} and n={g.n} in a spec of n={spec.n}")
     products = _memo(spec)
     try:
-        return products.element(products.combine([(None, _terms(f), _terms(g))]))
+        return products.element(products.combine([(None, _terms(f), _terms(g), False)]))
     finally:
         _bound(spec, products)
 
@@ -434,13 +442,14 @@ class _Products:
         self.n = spec.n
         self.top = 2 * spec.n - 1
         self.one = spec.lattice.one()
+        self.zero = spec.lattice.zero()
         self.layout = layout = _layout(spec.n)
         self.unit = layout.unit
         self.after = layout.after
         self.rules = _packed_rules(spec)
         self.pairs: dict[tuple[int, int], _Terms] = {}
         self.blocks: dict[tuple[int, int, int], tuple] = {}
-        self.casimirs: dict[int, _Terms] = {}
+        self.casimirs: dict[int, _Terms] = {0: {}}
         self.laws: dict[tuple[int, int], _Terms] = {}
 
     def add(self, out: _Terms, m: int, c: _Coeff) -> None:
@@ -453,6 +462,23 @@ class _Products:
             del out[m]
         else:
             out[m] = total
+
+    def sub(self, out: _Terms, m: int, c: _Coeff) -> None:
+        """out[m] -= c, an absent entry read as zero.  The entry is dropped
+        when its packed terms equal those of c, a cancellation that builds
+        no scalar; otherwise it is set to the difference (Scalar.__sub__,
+        which negates no operand)."""
+        one = self.one
+        c = one if c is None else c
+        if m not in out:
+            out[m] = self.zero - c
+            return
+        cur = out[m]
+        cur = one if cur is None else cur
+        if cur.packed == c.packed:
+            del out[m]
+        else:
+            out[m] = cur - c
 
     def fold(self, acc: _Terms, g: int) -> _Terms:
         """The element acc*g, merging like terms."""
@@ -567,39 +593,56 @@ class _Products:
         return out
 
     def combine(self, terms) -> _Terms:
-        """The sum of c*f*g over terms (c, f, g), as terms.
+        """The signed sum of the c*f*g over terms (c, f, g, minus), as terms.
 
-        c is a scalar or None for 1.  Every contribution goes into one dict:
-        a monomial product is read from the pair memo, or added directly when
-        its right factor is the unit.
+        c is a scalar or None for 1, and a term with minus set is
+        subtracted (sub), so no coefficient is negated to subtract it.  The
+        terms are summed in their order, into one dict: a monomial product
+        is read from the pair memo, or put in directly when its right
+        factor is the unit.
         """
-        pair, add = self.pair, self.add
+        pair, add, sub = self.pair, self.add, self.sub
         out: _Terms = {}
-        for c, f, g in terms:
+        for c, f, g, minus in terms:
+            put = sub if minus else add
             for mf, cf in f.items():
                 cf = _mul(c, cf)
                 for mg, cg in g.items():
                     cfg = _mul(cf, cg)
                     if not mg:
-                        add(out, mf, cfg)
+                        put(out, mf, cfg)
                         continue
                     for r, cr in pair(mf, mg).items():
-                        add(out, r, _mul(cfg, cr))
+                        put(out, r, _mul(cfg, cr))
         return out
 
     def vanishes(self, terms, h: _Terms | None = None) -> bool:
-        """Whether combine(terms) - h is zero; h is subtracted by adding -c,
-        with no scalar product by -1."""
-        out, add, one = self.combine(terms), self.add, self.one
-        for m, c in (h or {}).items():
-            add(out, m, -(one if c is None else c))
+        """Whether combine(terms) - h is zero; each term of h is subtracted
+        by sub, so a term that cancels builds no scalar."""
+        out, sub = self.combine(terms), self.sub
+        if h:
+            for m, c in h.items():
+                sub(out, m, c)
         return not out
 
     def casimir(self, i: int) -> _Terms:
-        """z_i as terms, built once per memo."""
-        z = self.casimirs.get(i)
+        """z_i as terms, built once per memo: z_0 is empty, and z_i is
+        z_{i-1} and one more term (q_i - p_i) y_i x_i, read from spec.q and
+        spec.p (never from the rules, which the weyl checks test against
+        it).  q_i - p_i of two unit monomials is zero or two terms, never 1."""
+        casimirs = self.casimirs
+        z = casimirs.get(i)
         if z is None:
-            z = self.casimirs[i] = _terms(casimir(self.spec(), i))
+            start = i
+            while start - 1 not in casimirs:
+                start -= 1
+            spec, unit = self.spec(), self.unit
+            for k in range(start, i + 1):
+                z = dict(casimirs[k - 1])
+                c = spec.q[k - 1] - spec.p[k - 1]
+                if not c.is_zero():
+                    z[unit[2 * k - 2] + unit[2 * k - 1]] = c
+                casimirs[k] = z
         return z
 
     def law(self, g: int, i: int, lam: Scalar) -> _Terms:
@@ -625,7 +668,7 @@ class _Products:
             k += 1
             mz = self.unit[2 * k - 2] + self.unit[2 * k - 1]
             zk = {mz: self.casimir(k)[mz]}
-            out = laws[(g, k)] = self.combine(((None, out, _ONE),) + _skew(zk, v, lam))
+            out = laws[(g, k)] = self.combine(((None, out, _ONE, False),) + _skew(zk, v, lam))
         return out
 
 
@@ -634,8 +677,8 @@ def _terms(f: PBWElement) -> _Terms:
 
 
 def _skew(f: _Terms, g: _Terms, lam: Scalar) -> tuple:
-    """The terms of f*g - lam*g*f."""
-    return (None, f, g), (-lam, g, f)
+    """The signed terms of f*g - lam*g*f: lam*g*f is subtracted."""
+    return (None, f, g, False), (lam, g, f, True)
 
 
 def _memo(spec: AlgebraSpec) -> _Products:
@@ -686,9 +729,8 @@ def verify_relations(spec: AlgebraSpec) -> list[dict]:
             ok = zero(_skew(x(j), y(i), q[i - 1] * gji.inverse()))
             checks.append(check(f"xy({j},{i})", ok, "x_i y_j, i > j"))
     for i in range(1, n + 1):
-        zprev = products.casimir(i - 1) if i > 1 else None
         checks.append(
-            check(f"weyl({i})", zero(_skew(x(i), y(i), q[i - 1]), zprev),
+            check(f"weyl({i})", zero(_skew(x(i), y(i), q[i - 1]), products.casimir(i - 1)),
                   "x_i y_i - q_i y_i x_i = z_{i-1}")
         )
     return checks
@@ -756,17 +798,17 @@ def verify_ambiskew(spec: AlgebraSpec, m: int) -> list[dict]:
     twist = {unit[y] + unit[x]: step.alpha[y] * step.alpha[x]
              for y, x in ((spec.y_index(l), spec.x_index(l)) for l in range(1, m + 1))}
     az = {mz: _mul(c, twist[mz]) for mz, c in z.items()}
-    checks = [check(f"ambiskew-alpha-u({m})", zero([(p[m], z, _ONE)], az),
+    checks = [check(f"ambiskew-alpha-u({m})", zero([(p[m], z, _ONE, False)], az),
                     "alpha(u) = p_{m+1} u")]
     # u - rho*alpha(u) matches the engine commutator y x - rho*x y of the
     # new pair
     y_new, x_new = unit[spec.y_index(m + 1)], unit[spec.x_index(m + 1)]
     yx = {y_new + x_new: None}
-    comm = [(step.c, yx, _ONE), (-step.rho * step.c, {x_new: None}, {y_new: None})]
-    ok = zero(comm + [(step.rho, az, _ONE)], z)
+    comm = [(step.c, yx, _ONE, False), (step.rho * step.c, {x_new: None}, {y_new: None}, True)]
+    ok = zero(comm + [(step.rho, az, _ONE, False)], z)
     checks.append(check(f"ambiskew-delta({m})", ok, "u - rho*alpha(u) = -q_{m+1}^{-1} z_m"))
     # the next Casimir element; q_{m+1} - p_{m+1} = -c
-    ok = zero([(None, z, _ONE), (-step.c, yx, _ONE)], products.casimir(m + 1))
+    ok = zero([(None, z, _ONE, False), (step.c, yx, _ONE, True)], products.casimir(m + 1))
     checks.append(check(f"ambiskew-casimir({m})", ok,
                         "z_{m+1} = (q_{m+1} - p_{m+1})(y_{m+1} x_{m+1} - u)"))
     # beta = (conjugation by u) * alpha^{-1} matches the closed multipliers
@@ -810,8 +852,8 @@ def skew_power_identity(spec: AlgebraSpec, i: int, k: int, form: str) -> dict:
     x, y = products.unit[spec.x_index(i)], products.unit[spec.y_index(i)]
     zero, pair = products.vanishes, products.pair
     if form == "k1_base":
-        ok = (zero([(qk, {k * y + x: None}, _ONE)], pair(x, k * y))
-              and zero([(qk, {y + k * x: None}, _ONE)], pair(k * x, y)))
+        ok = (zero([(qk, {k * y + x: None}, _ONE, False)], pair(x, k * y))
+              and zero([(qk, {y + k * x: None}, _ONE, False)], pair(k * x, y)))
         return check(f"skew-base(k={k})", ok, "x1 y1^k and x1^k y1 pure q-powers")
 
     qi, pi = spec.q[i - 1], spec.p[i - 1]
@@ -819,11 +861,13 @@ def skew_power_identity(spec: AlgebraSpec, i: int, k: int, form: str) -> dict:
     coeff = sum((qi**j * pi ** (k - 1 - j) for j in range(k)), spec.lattice.zero())
     zprev = products.casimir(i - 1)
     if form == "xk_y":
-        terms = [(qk, {y + k * x: None}, _ONE), (coeff, zprev, {(k - 1) * x: None})]
+        terms = [(qk, {y + k * x: None}, _ONE, False),
+                 (coeff, zprev, {(k - 1) * x: None}, False)]
         ok = zero(terms, pair(k * x, y))
         name = f"skew-xk_y(i={i},k={k})"
     else:
-        terms = [(qk, {k * y + x: None}, _ONE), (coeff, {(k - 1) * y: None}, zprev)]
+        terms = [(qk, {k * y + x: None}, _ONE, False),
+                 (coeff, {(k - 1) * y: None}, zprev, False)]
         ok = zero(terms, pair(x, k * y))
         name = f"skew-x_yk(i={i},k={k})"
     return check(name, ok, "power formula with (q^k-p^k)/(q-p) coefficient")

@@ -4,8 +4,9 @@ An AlgebraSpec fixes n, the parameter lattice, and the monomial parameter
 values q_i, p_i, gamma_ij.  It stores each parameter once, as its sparse
 exponent vector (spec.exponents): a custom config parses each distinct
 monomial string once, straight to one, and _validate checks them all at
-load; the canonical strings it read are kept by vector (spec._texts), and
-spec_to_config writes them back without rendering.  A preset writes
+load; the strings of each row it read are kept (spec._texts), and
+spec_to_config writes a row back as one copy of them, rendering only the
+strings that were not canonical.  A preset writes
 its q and p vectors directly, checked at once, and its C(n,2) gamma
 vectors on the first read of spec.exponents, where they pass the same
 gamma checks; the dimension path reads q and p only (spec.qp), so `bound`
@@ -110,8 +111,9 @@ class AlgebraSpec:
         """A spec from the sparse exponent vectors of its parameters, which
         _validate checks.  gamma is the n x n matrix of vectors, or a
         function of no arguments that writes it: then the rows are written
-        and checked on the first read of spec.exponents.  texts maps
-        vectors to the canonical strings a config spelled them with."""
+        and checked on the first read of spec.exponents.  texts holds, for
+        q, p and each gamma row in that order, the strings a config spelled
+        the row with and the places of those that are not canonical."""
         spec = cls.__new__(cls)
         spec._setup(n, kind, lattice, q, p, gamma, texts)
         return spec
@@ -120,7 +122,7 @@ class AlgebraSpec:
         self.n = n
         self.kind = kind
         self.lattice = lattice
-        # {vector: canonical string} of a custom config, read by spec_to_config
+        # the rows of strings of a custom config, read by spec_to_config
         self._texts = texts
         if callable(gamma):
             self.qp = _validate(n, q, p)[:2]
@@ -382,10 +384,12 @@ def _build_custom(n: int, custom: Mapping) -> AlgebraSpec:
     except ValueError as exc:
         raise ConfigError("custom.symbols", str(exc)) from exc
 
-    # each distinct string is parsed once; the canonical ones are kept by
-    # vector, so that spec_to_config writes them back without rendering
+    # each distinct string is parsed once; each row's strings are kept, with
+    # the places of those that are not canonical, so that spec_to_config
+    # writes a row back as read and renders only those places
     seen: dict[str, SparseVector] = {}
-    texts: dict[SparseVector, str] = {}
+    odd: set[str] = set()
+    texts: list[tuple[tuple[str, ...], tuple[int, ...]]] = []
 
     def read(key: str, row, i=None) -> list[SparseVector]:
         """The vectors of custom.q or custom.p (i None) or of row i of
@@ -405,9 +409,12 @@ def _build_custom(n: int, custom: Mapping) -> AlgebraSpec:
                 except (KeyError, ValueError) as exc:
                     raise ConfigError(_field(key, i, j), str(exc)) from exc
                 seen[text] = v
-                if canonical:
-                    texts[v] = text
+                if not canonical:
+                    odd.add(text)
             out.append(v)
+        places = () if not odd or odd.isdisjoint(row) else tuple(
+            j for j, text in enumerate(row) if text in odd)
+        texts.append((tuple(row), places))
         return out
 
     if len(custom["q"]) != n or len(custom["p"]) != n:
@@ -421,7 +428,7 @@ def _build_custom(n: int, custom: Mapping) -> AlgebraSpec:
     if len(g) != n or any(len(row) != n for row in g):
         raise ConfigError("custom.gamma", "need a full n x n matrix of monomial strings")
     gamma = [read("gamma", row, i) for i, row in enumerate(g)]
-    return AlgebraSpec.from_exponents(n, "custom", lat, qs, ps, gamma, texts)
+    return AlgebraSpec.from_exponents(n, "custom", lat, qs, ps, gamma, tuple(texts))
 
 
 def _field(key: str, i, j: int) -> str:
@@ -527,16 +534,26 @@ def spec_to_config(spec: AlgebraSpec) -> dict:
     if spec.kind == "custom":
         lat = spec.lattice
         q, p, gamma = spec.exponents
-        # a vector read from its canonical string is written back as read
-        texts = spec._texts or {}
-        render = lambda row: [texts.get(v) or render_sparse(lat, v) for v in row]
-        cfg["custom"] = {
-            "symbols": list(lat.symbols),
-            "q": render(q),
-            "p": render(p),
-            "gamma": [render(row) for row in gamma],
-        }
+        rows = (q, p, *gamma)
+        if spec._texts is None:
+            q, p, *gamma = ([render_sparse(lat, v) for v in row] for row in rows)
+        else:
+            # a row is written back as read, but for the places whose
+            # string was not canonical
+            q, p, *gamma = (_write_back(lat, row, read) for row, read in zip(rows, spec._texts))
+        cfg["custom"] = {"symbols": list(lat.symbols), "q": q, "p": p, "gamma": gamma}
     return cfg
+
+
+def _write_back(lat: ParameterLattice, row, read) -> list[str]:
+    """A row of vectors as the strings it was read from, read = (strings,
+    places), with render_sparse at the places whose string was not
+    canonical."""
+    strings, places = read
+    out = list(strings)
+    for j in places:
+        out[j] = render_sparse(lat, row[j])
+    return out
 
 
 def spec_from_config(cfg: Mapping) -> AlgebraSpec:

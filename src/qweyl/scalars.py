@@ -278,7 +278,16 @@ class Scalar:
         return _scalar(self.lattice, {e: -c for e, c in self.packed.items()}, self.degree)
 
     def __sub__(self, other: "Scalar") -> "Scalar":
-        return self + (-other)
+        """self + (-other), with no negated copy of other."""
+        self._check(other)
+        out = dict(self.packed)
+        for e, c in other.packed.items():
+            total = out.get(e, 0) - c
+            if total:
+                out[e] = total
+            else:
+                del out[e]
+        return _scalar(self.lattice, out, max(self.degree, other.degree))
 
     def __mul__(self, other: "Scalar") -> "Scalar":
         lattice = self.lattice

@@ -341,12 +341,14 @@ def theta_sweep(spec: AlgebraSpec) -> Iterator[list[dict]]:
 
     Yields one list of check records per choice, equal to what
     check_torus_isomorphism returns once sorted by name, but builds no
-    localized torus: each record reads its verdict from theta_verdicts.
+    localized torus: each record reads its status from theta_verdicts,
+    written once per verdict.
     """
     n = spec.n
-    rows = sorted(theta_verdicts(spec), key=operator.itemgetter(0))
+    rows = [(label, mask, {sub: "pass" if ok else "fail" for sub, ok in verdicts.items()})
+            for label, mask, verdicts in sorted(theta_verdicts(spec), key=operator.itemgetter(0))]
     for ch in itertools.product("xy", repeat=n):
         bits = sum(1 << i for i, v in enumerate(ch) if v == "x")
         prefix = f"theta[{''.join(ch)}]"
-        yield [check(prefix + label, verdicts[bits & mask], _THETA_DETAIL)
-               for label, mask, verdicts in rows]
+        yield [{"name": prefix + label, "status": status[bits & mask], "detail": _THETA_DETAIL}
+               for label, mask, status in rows]

@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from qweyl import cli, pbw, presentation, torus
+from qweyl import cli, pbw, presentation, scalars, torus
 from qweyl.cli import main, run
 from qweyl.pbw import verify_ambiskew
 from qweyl.presentation import KINDS, build_spec, casimir, spec_from_config
@@ -557,29 +557,53 @@ def test_verify_shares_one_memo_and_one_standard_torus(monkeypatch):
     assert memos == [spec]
 
 
-def test_report_shares_one_memo_across_its_identity_checks(monkeypatch):
-    # verify and the skew suite of one report read the memo cached on the
-    # spec, and growth folds nothing: one _Products, and each z_i built once
-    memos, calls = [], []
-    original = presentation.casimir
+def _count_casimir_misses(monkeypatch):
+    """Patch pbw._Products so that each memo logs itself in `memos` and the
+    index i of each casimir(i) call that misses its z_i memo in `misses`;
+    the memo builds z_i and every prefix below it that it lacks, each with
+    one subtraction q_l - p_l.  Returns (memos, misses)."""
+    memos, misses = [], []
 
     class Counted(pbw._Products):
         def __init__(self, spec):
-            memos.append(spec)
+            memos.append(self)
             super().__init__(spec)
 
-    def counted(spec, i):
-        calls.append(i)
-        return original(spec, i)
+        def casimir(self, i):
+            if i not in self.casimirs:
+                misses.append(i)
+            return super().casimir(i)
 
     monkeypatch.setattr(pbw, "_Products", Counted)
-    monkeypatch.setattr(pbw, "casimir", counted)
+    return memos, misses
+
+
+def test_report_shares_one_memo_across_its_identity_checks(monkeypatch):
+    # verify and the skew suite of one report read the memo cached on the
+    # spec, and growth folds nothing: one _Products, and each z_i built once
+    memos, calls = _count_casimir_misses(monkeypatch)
     for n in (2, 3, 4):
         memos.clear(), calls.clear()
         rep = run({"n": n, "kind": "generic"}, "report")
         assert rep.ok and len(memos) == 1
         assert rep.values["growth_counts"] == [math.comb(m + 2 * n, 2 * n) for m in range(5)]
         assert sorted(calls) == list(range(1, n + 1))
+        assert sorted(memos[0].casimirs) == list(range(n + 1))
+
+
+def test_verify_allocates_few_scalars_and_negates_none_of_its_sides(monkeypatch):
+    # every identity subtracts its other side term by term (pbw._Products.sub),
+    # and a cancellation builds no Scalar; the code that negated lambda, c
+    # and each subtracted term made 648 Scalars at n=4 and 2,712 at n=8
+    made, negated = [], []
+    make, negate = scalars._scalar, scalars.Scalar.__neg__
+    monkeypatch.setattr(scalars, "_scalar", lambda *a: made.append(1) or make(*a))
+    monkeypatch.setattr(scalars.Scalar, "__neg__",
+                        lambda self: negated.append(1) or negate(self))
+    for n, most in ((4, 450), (8, 1900)):
+        made.clear(), negated.clear()
+        assert run({"n": n, "kind": "generic"}, "verify").ok
+        assert len(made) <= most and len(negated) <= n
 
 
 def test_shared_memo_checks_match_fresh_memo_checks(custom_config):
@@ -633,15 +657,15 @@ def test_verify_folds_each_monomial_pair_once_and_sums_no_casimir_commutator(mon
 
         def vanishes(self, terms, h=None):
             terms = list(terms)
-            commutators.extend((zs.index(f), zs.index(g)) for _, f, g in terms
+            commutators.extend((zs.index(f), zs.index(g)) for _, f, g, _ in terms
                                if f in zs and g in zs)
             return super().vanishes(terms, h)
 
         def combine(self, terms):
             terms = list(terms)
-            commutators.extend((zs.index(f), zs.index(g)) for _, f, g in terms
+            commutators.extend((zs.index(f), zs.index(g)) for _, f, g, _ in terms
                                if f in zs and g in zs)
-            with_z.extend(f for _, f, _ in terms if f in zs)
+            with_z.extend(f for _, f, _, _ in terms if f in zs)
             return super().combine(terms)
 
     def refuse(*args, **kwargs):
@@ -677,42 +701,33 @@ def test_verify_folds_each_monomial_pair_once_and_sums_no_casimir_commutator(mon
 
 def test_verify_builds_each_casimir_once(monkeypatch):
     # every z_i of one verify comes from the shared memo: n builds, where the
-    # relation and extension-step checks once built their own
-    calls = []
-    original = presentation.casimir
-
-    def counted(spec, i):
-        calls.append(i)
-        return original(spec, i)
-
-    monkeypatch.setattr(presentation, "casimir", counted)
-    monkeypatch.setattr(pbw, "casimir", counted)
+    # relation and extension-step checks once built their own, and none
+    # through presentation.casimir, the oracle of the memo's z_i
+    memos, calls = _count_casimir_misses(monkeypatch)
+    oracle = []
+    monkeypatch.setattr(presentation, "casimir", lambda spec, i: oracle.append(i))
     for n in (3, 5, 7):
-        calls.clear()
+        memos.clear(), calls.clear()
         rep = run({"n": n, "kind": "generic"}, "verify")
         assert rep.ok
         assert sorted(calls) == list(range(1, n + 1))
+        assert sorted(memos[0].casimirs) == list(range(n + 1))
+    assert oracle == []
 
 
 def test_skew_builds_each_casimir_once(monkeypatch):
     # the skew suite and a single skew command each share one memo, so every
     # z_{i-1} is built once: n - 1 builds, where each identity built its own
-    calls = []
-    original = presentation.casimir
-
-    def counted(spec, i):
-        calls.append(i)
-        return original(spec, i)
-
-    monkeypatch.setattr(presentation, "casimir", counted)
-    monkeypatch.setattr(pbw, "casimir", counted)
+    memos, calls = _count_casimir_misses(monkeypatch)
     for n in (3, 5):
-        calls.clear()
+        memos.clear(), calls.clear()
         rep = run({"n": n, "kind": "generic"}, "skew")
         assert rep.ok
         assert sorted(calls) == list(range(1, n))
-    calls.clear()
+    memos.clear(), calls.clear()
     rep = run({"n": 3, "kind": "generic"}, "skew", ["3", "2"])
     assert rep.ok and [c["name"] for c in rep.checks] == ["skew-x_yk(i=3,k=2)",
                                                           "skew-xk_y(i=3,k=2)"]
     assert calls == [2]
+    # the one miss of z_2 stores its prefix z_1 on the way
+    assert sorted(memos[0].casimirs) == [0, 1, 2]

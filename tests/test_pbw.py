@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qweyl import cli, pbw
+from qweyl import cli, pbw, scalars
 from qweyl.dimension import torus_dimension
 from qweyl.pbw import (
     GROWTH_MAX_N,
@@ -414,6 +414,22 @@ def test_threads_share_the_normality_prefixes(custom_config):
         assert results == [expect] * 4, spec_to_config(spec)
 
 
+def test_memo_casimirs_are_the_presentation_casimirs(custom_config):
+    # the memo extends z_{i-1} by (q_i - p_i) y_i x_i; presentation.casimir
+    # sums z_i in one piece, and both keep the terms in the order of l
+    specs = [build_spec(n, kind) for kind in PRESET_KINDS for n in (1, 2, 5)]
+    rng = random.Random(35)
+    specs += [spec_from_config(custom_config(rng, n, 3)) for n in (2, 3, 4, 6)]
+    for spec in specs:
+        products = _Products(spec)
+        order = list(range(spec.n, 0, -1)) if spec.n % 2 else list(range(1, spec.n + 1))
+        for i in order:  # from the top down and from the bottom up
+            z = products.casimir(i)
+            assert list(z.items()) == list(pbw._terms(casimir(spec, i)).items())
+        assert products.casimir(0) == {}
+        assert sorted(products.casimirs) == list(range(spec.n + 1))
+
+
 @pytest.mark.parametrize("n", [4, 8])
 def test_normality_laws_sum_3n2_minus_n_term_groups(n):
     # each term group c_l*(y_l x_l*v - lam*v*y_l x_l) is summed once per
@@ -427,7 +443,7 @@ def test_normality_laws_sum_3n2_minus_n_term_groups(n):
     class Counted(_Products):
         def combine(self, terms):
             terms = list(terms)
-            groups.extend(len(f) for _, f, g in terms
+            groups.extend(len(f) for _, f, g, _ in terms
                           if len(g) == 1 and next(iter(g)) in unit and f and set(f) <= zmonos)
             return super().combine(terms)
 
@@ -1100,6 +1116,92 @@ def test_verify_refuses_a_normality_law_past_the_exponent_field(q, p, vector):
             _verify(spec)
     with pytest.raises(ExponentOverflowError, match=match):
         verify_normality(spec, 2)
+
+
+def _two_symbol_spec(q, p, g12="1", g21="1"):
+    return spec_from_config({"n": 2, "kind": "custom", "custom": {
+        "symbols": ["a", "b"], "q": q, "p": p, "gamma": [["1", g12], [g21, "1"]]}})
+
+
+def _replace_swap(spec, h, g, symbol):
+    """A copy of the rules of spec with the swap h*g -> c*g*h scaled to the
+    coefficient `symbol`."""
+    rules = [list(row) for row in pbw._packed_rules(spec)]
+    (_, a, b), = rules[h][g]
+    rules[h][g] = ((spec.lattice.symbol(symbol), a, b),)
+    spec._packed_rules = rules
+
+
+def _raises_exactly(vector, call):
+    match = "^" + re.escape(f"exponent vector {vector} leaves ±2147483647") + "$"
+    with pytest.raises(ExponentOverflowError, match=match):
+        call()
+
+
+def test_verify_refuses_a_relation_whose_lambda_side_passes_the_exponent_field():
+    # the messages are those of the code that negated lambda: the same
+    # products, in the same order, pass the field.  xx(1,2) forms
+    # lambda = q_1 p_2^-1 gamma_12 = a^-M, whose partial product q_1 p_2^-1
+    # = a^-2M does not fit, though every swap coefficient does
+    m = 2**31 - 1
+    spec = _two_symbol_spec([f"a^-{m}", "b"], ["b", f"a^{m}"], f"a^{m}", f"a^-{m}")
+    for _ in range(2):
+        _raises_exactly("(-4294967294, 0)", lambda: _verify(spec))
+    _raises_exactly("(-4294967294, 0)", lambda: verify_relations(spec))
+    # xy(1,2) sums x1 y2 - lambda y2 x1 with lambda = p_2 = a^M; a table whose
+    # swap y2*x1 -> a x1 y2 makes the lambda side a^(M+1) inside the sum
+    spec = _two_symbol_spec(["a", "b"], ["b", f"a^{m}"])
+    _replace_swap(spec, spec.y_index(2), spec.x_index(1), "a")
+    for _ in range(2):
+        _raises_exactly("(2147483648, 0)", lambda: _verify(spec))
+
+
+def test_verify_refuses_an_ambiskew_delta_sum_past_the_exponent_field():
+    # with rho = q_2^-1 = b^M and c = p_2 - q_2 = a - b^-M, rho*c = a b^M - 1
+    # fits, alpha(z_1) and the alpha-u sum fit, and the delta sum passes the
+    # field at rho*c times the z_1 term (b^M - 1) y1 x1 of x2 y2; verify
+    # itself stops earlier, at a normality law
+    m = 2**31 - 1
+    spec = _two_symbol_spec([f"b^{m}", f"b^-{m}"], ["1", "a"])
+    for _ in range(2):
+        _raises_exactly("(1, 4294967294)", lambda: verify_ambiskew(spec, 1))
+    _raises_exactly("(0, 4294967294)", lambda: _verify(spec))
+
+
+def test_products_sub_matches_scalar_arithmetic(monkeypatch):
+    # out[m] -= c for absent, present, cancelling and unit (None) entries and
+    # coefficients; a cancellation builds no Scalar, and nothing is negated
+    spec = build_spec(2, "generic")
+    products = _Products(spec)
+    one, q1, p1 = spec.lattice.one(), spec.q[0], spec.p[0]
+    # (entries, c, entries after out[5] -= c), the oracle a + (-b)
+    cases = [
+        ({}, q1, {5: -q1}),
+        ({}, None, {5: -one}),
+        ({5: q1}, p1, {5: q1 + -p1}),
+        ({5: None}, q1, {5: one + -q1}),
+        ({5: q1}, None, {5: q1 + -one}),
+        ({5: q1 + p1}, q1, {5: p1}),
+        ({6: q1}, q1, {6: q1, 5: -q1}),
+    ]
+    cancelling = [({5: q1}, q1 * one), ({5: None}, None), ({5: one}, None),
+                  ({5: None}, one), ({5: q1, 6: p1}, q1)]
+    made, negated = [], []
+    real = scalars._scalar
+    monkeypatch.setattr(scalars, "_scalar", lambda *a: made.append(a) or real(*a))
+    monkeypatch.setattr(scalars.Scalar, "__neg__", lambda self: negated.append(self))
+    for before, c, after in cases:
+        out = dict(before)
+        products.sub(out, 5, c)
+        assert out == after, (before, c)
+        assert out[5].degree == after[5].degree
+    for before, c in cancelling:
+        out = dict(before)
+        made.clear()
+        products.sub(out, 5, c)
+        assert 5 not in out and made == []
+        assert {k: v for k, v in before.items() if k != 5} == out
+    assert negated == []
 
 
 def test_verify_passes_a_spec_near_the_exponent_field():

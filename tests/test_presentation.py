@@ -665,6 +665,24 @@ def test_spec_to_config_writes_each_vector_as_render_sparse(cfg, canonical_cfg):
     assert written == canonical_cfg
 
 
+def test_the_written_spec_does_not_follow_a_later_edit_of_its_config(custom_config):
+    rng = random.Random(35)
+    odd = {"n": 2, "kind": "custom", "custom": {
+        "symbols": ["q", "r"], "q": ["q*q", "r"], "p": ["1", "r*r"],
+        "gamma": [["1", "r^-1"], ["r", "1"]]}}
+    for cfg in [custom_config(rng, n, 3) for n in (1, 2, 4, 16)] + [odd]:
+        spec = spec_from_config(cfg)
+        written = spec_to_config(spec)
+        custom = cfg["custom"]
+        for row in (custom["q"], custom["p"], *custom["gamma"]):
+            row[0] = "1"
+            row.append("1")
+        custom["gamma"].clear()
+        assert spec_to_config(spec) == written
+        assert spec_to_config(spec) is not written
+    assert written["custom"]["q"] == ["q^2", "r"] and written["custom"]["p"] == ["1", "r^2"]
+
+
 def test_each_distinct_monomial_string_is_parsed_once(monkeypatch, custom_config):
     parsed = []
     real = presentation.parse_exponents
@@ -767,8 +785,10 @@ def test_only_a_custom_config_keeps_its_strings():
         "symbols": ["q", "r"], "q": ["q^2", "q*q"], "p": ["1", "r"],
         "gamma": [["1", "r^-1"], ["r", "1"]]}}
     spec = spec_from_config(cfg)
-    # "q*q" is no canonical string: its vector is the one of "q^2", read first
-    assert spec._texts == {((0, 2),): "q^2", (): "1", ((1, 1),): "r", ((1, -1),): "r^-1"}
+    # each row keeps the strings read and the places of those that are not
+    # canonical, such as "q*q", whose vector is the one of "q^2"
+    assert spec._texts == ((("q^2", "q*q"), (1,)), (("1", "r"), ()),
+                           (("1", "r^-1"), ()), (("r", "1"), ()))
     assert spec_to_config(spec)["custom"]["q"] == ["q^2", "q^2"]
     assert build_spec(3, "generic")._texts is None
     assert AlgebraSpec(2, "custom", spec.lattice, spec.q, spec.p, spec.gamma)._texts is None

@@ -402,6 +402,30 @@ def test_packed_ring_matches_tuple_oracle(data):
 
 @settings(max_examples=300, deadline=None)
 @given(st.data())
+def test_difference_is_the_sum_with_the_negation(data):
+    # a - b is formed directly, with no -b; its oracle is a + (-b)
+    k = data.draw(st.integers(1, 9), label="k")
+    names = [f"s{i}" for i in range(k)]
+    lat = ParameterLattice(names)
+    ta = data.draw(_terms(k), label="a")
+    tb = data.draw(st.one_of(_terms(k), st.just(ta)), label="b")
+    a, b = Scalar(lat, ta), Scalar(lat, tb)
+    twin = Scalar(ParameterLattice(names), tb)  # an equal lattice, another object
+    for x, y in ((a, b), (b, a), (a, twin)):
+        diff, oracle = x - y, x + (-y)
+        assert (diff.packed, diff.degree) == (oracle.packed, oracle.degree)
+    assert (a - a).is_zero() and (a - a).degree == a.degree
+    foreign = Scalar(ParameterLattice([f"t{i}" for i in range(k)]), tb)
+    for x, y in ((a, foreign), (foreign, a)):
+        with pytest.raises(LatticeMismatchError) as got:
+            x - y
+        with pytest.raises(LatticeMismatchError) as want:
+            x + (-y)
+        assert str(got.value) == str(want.value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
 def test_monomial_packs_like_the_dense_constructor(data):
     # monomial packs its key from the powers it names; the oracle is the
     # dense exponent tuple through the Scalar constructor
