@@ -95,7 +95,11 @@ law z_i*v - lam*v*z_i is a running sum over the terms c_l*y_l x_l of z_i,
 and the memo keeps each prefix, so the law of z_i extends that of z_{i-1}
 by one term group: all laws of a spec sum 3n^2 - n groups, not n^2(n+1)
 (_Products.law).  The commutators [z_a, z_b] are no sum at all:
-verify_normality reads them off the normality verdicts.
+verify_normality reads them off the normality verdicts.  The relation
+checks take their products of two generators from the rule table:
+verify_relations first stores in the memo each one that is an append or a
+one-term swap, the entry pair would fold, so their sums read memo hits;
+only x_i*y_i, whose rule holds z_{i-1}, is folded through pair.
 
 The recursion terminates.  Order words by length, then by their multiset
 of generators (compared largest first), then by inversion count.
@@ -108,6 +112,21 @@ product m'*a is shorter than that of m*g, and the word of each (r, b) with
 r a term of m'*a is at most m'*a*b, which is below m*g = m'*h^e*g, as
 m'*a*b*h^(e-1) is.  Words of one length are finitely many, so every chain
 of products ends.
+
+The checks specialize.  The generic kind at size n has one free symbol
+per q_i, p_i and gamma_ij (i < j), with gamma_ji = gamma_ij^-1, and a spec
+S of size n is its image under the ring map Phi that sends each of them to
+S's monomial.  S's rule table is Phi of the generic table, entry by entry:
+a swap coefficient is the monomial of _swap_exponents, linear in the
+exponent vectors, and the x_i*y_i rule reads q_i and q_l - p_l, with no
+branch on the kind (the tests check this premise on every preset and on
+seeded custom specs).  Every check of verify asks whether a sum vanishes,
+and the engine forms each sum by ring operations that branch on no
+coefficient value, except to drop a zero entry (a unit one is only
+written None), so Phi commutes with the sum: a check that passes on the
+generic kind at n passes on S.  Outside the lemma are ExponentOverflowError,
+which depends on the size of S's exponents, and the dimension, whose
+pivots are non-vanishing conditions, not identities.
 
 Confluence is not proved from critical pairs; it is validated by the
 associativity fuzz in the test suite and by the comparison of the fold with
@@ -592,6 +611,24 @@ class _Products:
             self.pairs[(mf, mg)] = out
         return out
 
+    def store_generator_pairs(self) -> None:
+        """Store v*w for every two generator slots v != w but the pairs
+        x_i*y_i, read from the rule table: v*w is the append v w for v < w
+        and the swap c*w*v of the one-term rule rules[v][w] = ((c, w, v),)
+        for v > w of different indices, the entry that pair would fold.
+        These are the products the relation checks read besides x_i*y_i,
+        whose rule holds z_{i-1} and which pair folds."""
+        unit, rules, pairs = self.unit, self.rules, self.pairs
+        size = 2 * self.n
+        for v in range(size):
+            uv = unit[v]
+            for w in range(size):
+                if w > v:
+                    pairs[(uv, unit[w])] = {uv + unit[w]: None}
+                elif w // 2 < v // 2:
+                    (c, _, _), = rules[v][w]
+                    pairs[(uv, unit[w])] = {uv + unit[w]: c}
+
     def combine(self, terms) -> _Terms:
         """The signed sum of the c*f*g over terms (c, f, g, minus), as terms.
 
@@ -703,9 +740,11 @@ def verify_relations(spec: AlgebraSpec) -> list[dict]:
     One entry per relation instance: xx/yy/xy for each index pair, the
     inhomogeneous x_i y_i relation for each i, and gamma_ij * gamma_ji = 1
     for each unordered pair.  Products and Casimir elements come from the
-    memo cached on the spec.
+    memo cached on the spec; the products of two generators but x_i*y_i
+    are stored in it from the rule table first (store_generator_pairs).
     """
     products = _memo(spec)
+    products.store_generator_pairs()
     checks = []
     n = spec.n
     one = spec.lattice.one()
