@@ -330,6 +330,76 @@ def test_fused_checks_fail_where_the_multiply_formula_fails(key_of, scale_term, 
     assert failed == {name for name, ok in oracle.items() if not ok}
 
 
+# -- the relation checks' generator products, read from the rule table ----------
+
+def test_stored_generator_pairs_match_pair_on_a_fresh_memo(custom_config):
+    """verify_relations stores every product of two generators but x_i*y_i
+    (slot 2i-1 times slot 2i-2), and each product it stores equals pair on a
+    fresh memo of the same spec, which folds it from the same rules."""
+    specs = [build_spec(n, kind) for kind in PRESET_KINDS for n in range(1, 6)]
+    rng = random.Random(17)
+    specs += [spec_from_config(custom_config(rng, n, k)) for n in range(1, 6) for k in (1, 2, 3)]
+    specs.append(_corrupted(lambda s: (s.x_index(3), s.x_index(1)), 0))
+    specs.append(_corrupted(lambda s: (s.x_index(3), s.y_index(3)), 1))
+    spec = _two_symbol_spec(["a", "b"], ["b", "a"])
+    _replace_swap(spec, spec.y_index(2), spec.x_index(1), "a")
+    specs.append(spec)
+    for spec in specs:
+        spec._products = None
+        verify_relations(spec)
+        stored = spec._products.pairs
+        unit, size = _layout(spec.n).unit, 2 * spec.n
+        assert {(unit[v], unit[w]) for v in range(size) for w in range(size)
+                if v != w and not (v % 2 and w == v - 1)} <= set(stored)
+        fresh = _Products(spec)
+        for (mf, mg), terms in stored.items():
+            assert terms == fresh.pair(mf, mg), (spec.kind, spec.n, mf, mg)
+
+
+# -- the specialization lemma's premise: a rule table is Phi of the generic one --
+
+def _specialization(spec, generic):
+    """Phi for spec: a function from the scalars of the generic spec of
+    size spec.n (None for 1) to spec's scalars, the ring map that sends
+    each generic symbol q_i, p_i and g_ij (i < j) to spec's monomial."""
+    n, lattice = spec.n, spec.lattice
+    image = {f"q{i}": spec.q[i - 1] for i in range(1, n + 1)}
+    image.update({f"p{i}": spec.p[i - 1] for i in range(1, n + 1)})
+    image.update({f"g{i}{j}": spec.gamma[i - 1][j - 1]
+                  for i, j in itertools.combinations(range(1, n + 1), 2)})
+    images = [image[name] for name in generic.lattice.symbols]
+
+    def phi(c):
+        if c is None:
+            return lattice.one()
+        out = lattice.zero()
+        for exps, coeff in c.terms.items():
+            term = lattice.rational(coeff)
+            for v, e in zip(images, exps):
+                if e:
+                    term = term * v**e
+            out = out + term
+        return out
+
+    return phi
+
+
+def test_rule_table_is_the_specialization_of_the_generic_table(custom_config):
+    specs = [build_spec(n, kind) for kind in PRESET_KINDS for n in range(1, 6)]
+    rng = random.Random(19)
+    specs += [spec_from_config(custom_config(rng, n, k)) for n in range(1, 6) for k in (1, 2, 3)
+              for _ in range(2)]
+    for spec in specs:
+        generic = build_spec(spec.n, "generic")
+        phi, one = _specialization(spec, generic), spec.lattice.one()
+        rules, generic_rules = pbw._packed_rules(spec), pbw._packed_rules(generic)
+        for h, g in itertools.product(range(2 * spec.n), repeat=2):
+            assert len(rules[h][g]) == len(generic_rules[h][g]), (spec.kind, spec.n, h, g)
+            for (c, a, b), (gc, ga, gb) in zip(rules[h][g], generic_rules[h][g]):
+                assert (a, b) == (ga, gb)
+                assert phi(gc) == (one if c is None else c), (spec.kind, spec.n, h, g)
+
+
 # -- normality laws as prefix sums ---------------------------------------------
 
 def _normality_by_index(spec, order):
