@@ -24,7 +24,6 @@ from .pbw import (
     parse_word,
     render_element,
     skew_power_identity,
-    unit,
     verify_ambiskew,
     verify_normality,
     verify_relations,

@@ -225,6 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(config: dict, command: str, args=(), budget=None) -> Report:
     """Execute one command against a parsed config; raises ConfigError/UsageError."""
+    if budget is not None and not budget >= 0:  # NaN compares false
+        raise UsageError(f"budget must be a number of seconds >= 0, got {budget!r}")
     spec = spec_from_config(config)
     started = time.perf_counter()
 

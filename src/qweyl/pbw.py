@@ -30,8 +30,8 @@ key by sum(unit) while every field stays below 2^16 (_Layout.degree).
 
 Tuples stay at the boundaries.  The PBWElement constructor packs exponent
 tuples and refuses a vector of the wrong length or an exponent outside
-0..MAX_DEGREE with ValueError; generator and unit make packed keys
-directly; `.terms`, render_element and the extension-step twist unpack.
+0..MAX_DEGREE with ValueError; generator makes packed keys directly;
+`.terms`, render_element and the extension-step twist unpack.
 Both directions go through one struct.Struct per n.  Words arrive as
 generator names: parse_word and generator read each one with a single
 lookup in a table of the canonical names, {"y1": 0, "x1": 1, ...}, built
@@ -304,10 +304,6 @@ def _element(n: int, packed: dict[int, Scalar]) -> PBWElement:
     f.n = n
     f.packed = packed
     return f
-
-
-def unit(spec: AlgebraSpec) -> PBWElement:
-    return _element(spec.n, {0: spec.lattice.one()})
 
 
 def _check_slots(spec: AlgebraSpec, word) -> None:

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from collections.abc import Mapping, Sequence
+from collections.abc import Mapping
 from dataclasses import dataclass
 
 from .scalars import ParameterLattice, Scalar, parse_exponents, render_sparse
@@ -81,44 +81,17 @@ class AlgebraSpec:
     gamma rows are written and checked on the first read of `exponents`
     and kept; every other spec sets `exponents` at construction.  spec.q,
     spec.p and spec.gamma are Scalar views of them, built on first read and
-    kept, so later reads are plain attribute loads.  The presets and custom
-    configs write the vectors directly (from_exponents); this constructor
-    takes Scalar parameters, converts them once and runs the same checks.
+    kept, so later reads are plain attribute loads.
     """
 
-    def __init__(
-        self,
-        n: int,
-        kind: str,
-        lattice: ParameterLattice,
-        q: Sequence[Scalar],
-        p: Sequence[Scalar],
-        gamma: Sequence[Sequence[Scalar]],
-    ):
-        q, p, gamma = tuple(q), tuple(p), tuple(map(tuple, gamma))
-        _check_shape(n, q, p, gamma)
-        rows = [(f"gamma[{i}]", row) for i, row in enumerate(gamma)]
-        for fld, row in [("q", q), ("p", p)] + rows:
-            for j, s in enumerate(row):
-                if s.lattice is not lattice and s.lattice != lattice:
-                    raise ConfigError(f"{fld}[{j}]", "parameter must lie in the spec's lattice")
-        sparse = lambda row: tuple(s.as_sparse_monomial() for s in row)
-        self._setup(n, kind, lattice, sparse(q), sparse(p), tuple(map(sparse, gamma)))
-
-    @classmethod
-    def from_exponents(cls, n: int, kind: str, lattice: ParameterLattice,
-                       q, p, gamma, texts=None) -> AlgebraSpec:
+    def __init__(self, n: int, kind: str, lattice: ParameterLattice,
+                 q, p, gamma, texts=None):
         """A spec from the sparse exponent vectors of its parameters, which
         _validate checks.  gamma is the n x n matrix of vectors, or a
         function of no arguments that writes it: then the rows are written
         and checked on the first read of spec.exponents.  texts holds, for
         q, p and each gamma row in that order, the strings a config spelled
         the row with and the places of those that are not canonical."""
-        spec = cls.__new__(cls)
-        spec._setup(n, kind, lattice, q, p, gamma, texts)
-        return spec
-
-    def _setup(self, n, kind, lattice, q, p, gamma, texts=None) -> None:
         self.n = n
         self.kind = kind
         self.lattice = lattice
@@ -205,12 +178,10 @@ def _validate(n: int, q, p, gamma=None):
     """The exponent vectors (q, p, gamma) as tuples, once they pass the checks.
 
     Each entry is a tuple of nonzero (symbol index, exponent) pairs, by
-    index, or None for a parameter that is not a coefficient-1 monomial
-    (only the Scalar constructor of AlgebraSpec makes those).  Refuses
-    vectors of the wrong shape, a non-monomial, a gamma that is not
+    index.  Refuses vectors of the wrong shape, a gamma that is not
     multiplicatively antisymmetric with unit diagonal, and some p_i = q_i,
-    the other errors in the order of a scan of (q_i, p_i, gamma_ii, then
-    gamma_ij and gamma_ji for each j > i, p_i/q_i) over i.  The scan
+    the other errors in the order of a scan of (gamma_ii, then gamma_ij
+    and gamma_ji for each j > i, p_i/q_i) over i.  The scan
     compares sparse vectors only: gamma_ii must be (), gamma_ji the negation
     of gamma_ij, and p_i/q_i is trivial exactly when p_i and q_i have the
     same vector.
@@ -225,9 +196,6 @@ def _validate(n: int, q, p, gamma=None):
         gamma = tuple(map(tuple, gamma))
     negs = {}
     for i in range(n):
-        for v, fld in ((q, "q"), (p, "p")):
-            if v[i] is None:
-                raise ConfigError(f"{fld}[{i}]", "parameter must be a monomial")
         if gamma is not None:
             _check_gamma_row(n, gamma, i, negs)
         if p[i] == q[i]:
@@ -248,8 +216,6 @@ def _check_gamma_row(n: int, gamma, i: int, negs: dict) -> None:
         raise ConfigError(f"gamma[{i}][{i}]", "diagonal must be 1")
     for j in range(i + 1, n):
         gij = row[j]
-        if gij is None:
-            raise ConfigError(f"gamma[{i}][{j}]", "entry must be a monomial")
         neg = negs.get(gij)
         if neg is None:
             neg = negs[gij] = _neg(gij)
@@ -295,15 +261,14 @@ def build_spec(n: int, kind: str, custom: Mapping | None = None) -> AlgebraSpec:
         power = lambda e: ((0, e),) if e else ()
         p, q, g = map(power, _SINGLE_PARAMETER_POWERS[kind])
         gamma = lambda: _antisymmetric(n, itertools.repeat((g, _neg(g))))
-        return AlgebraSpec.from_exponents(n, kind, ParameterLattice(["q"]), (q,) * n, (p,) * n,
-                                          gamma)
+        return AlgebraSpec(n, kind, ParameterLattice(["q"]), (q,) * n, (p,) * n, gamma)
 
     # one symbol per parameter that is not 1: q1..qn, p1..pn, then the g_ij
     # with i < j in row order.  The lattice knows their number and writes
     # the names on first read (_preset_symbols), which only rendering and
     # parsing do; the names are distinct exactly below _FIRST_COLLISION.
     if n >= _FIRST_COLLISION:
-        raise ConfigError("n", _symbol_collision(n))
+        raise ConfigError("n", _COLLISION)
     prefixes = ""
     qs = ps = ((),) * n
     if kind in ("generic", "generic-p1", "graded-weyl"):
@@ -316,7 +281,7 @@ def build_spec(n: int, kind: str, custom: Mapping | None = None) -> AlgebraSpec:
     last = first + n * (n - 1) // 2
     lattice = ParameterLattice.lazy(last, functools.partial(_preset_symbols, n, prefixes))
     gamma = lambda: _antisymmetric(n, ((((c, 1),), ((c, -1),)) for c in range(first, last)))
-    return AlgebraSpec.from_exponents(n, kind, lattice, qs, ps, gamma)
+    return AlgebraSpec(n, kind, lattice, qs, ps, gamma)
 
 
 def _preset_symbols(n: int, prefixes: str) -> list[str]:
@@ -332,25 +297,11 @@ def _preset_symbols(n: int, prefixes: str) -> list[str]:
 # prefix of str(a), and str(j) is the rest of str(a) followed by str(b); that
 # rest leads str(j), so it does not start with 0.  Hence a >= 11, b > a has
 # two digits or more, and j >= 100 + b >= 112: the first repeat is g1112, of
-# (1, 112) and (11, 12).
+# (1, 112) and (11, 12).  A scan of the names by i and then j meets a repeat
+# at the pair whose i is the longer, so it meets this one first at every
+# n >= 112, and the message is one constant.
 _FIRST_COLLISION = 112
-
-
-def _symbol_collision(n: int) -> str:
-    """The first preset name g{i}{j}, i < j <= n, that names two g_ij, with
-    both index pairs.  The names are ambiguous from n = _FIRST_COLLISION = 112
-    on: g1112 is both g_{1,112} and g_{11,12}.  The scan, by i and then j,
-    meets a repeat at the pair whose i is the longer, so i >= 11 (see
-    _FIRST_COLLISION), and meets the first at (11, 12), against (1, 112).
-    So it reads the names of i < j <= 112 only, whatever n."""
-    named: dict[str, tuple[int, int]] = {}
-    last = min(n, _FIRST_COLLISION)
-    for i in range(1, last + 1):
-        for j in range(i + 1, last + 1):
-            a, b = named.setdefault(f"g{i}{j}", (i, j))
-            if (a, b) != (i, j):
-                return f"preset symbol 'g{i}{j}' names both g_{{{a},{b}}} and g_{{{i},{j}}}"
-    raise AssertionError(f"the preset names of n = {n} are distinct")
+_COLLISION = "preset symbol 'g1112' names both g_{1,112} and g_{11,12}"
 
 
 def _antisymmetric(n: int, pairs) -> list[list[SparseVector]]:
@@ -428,7 +379,7 @@ def _build_custom(n: int, custom: Mapping) -> AlgebraSpec:
     if len(g) != n or any(len(row) != n for row in g):
         raise ConfigError("custom.gamma", "need a full n x n matrix of monomial strings")
     gamma = [read("gamma", row, i) for i, row in enumerate(g)]
-    return AlgebraSpec.from_exponents(n, "custom", lat, qs, ps, gamma, tuple(texts))
+    return AlgebraSpec(n, "custom", lat, qs, ps, gamma, tuple(texts))
 
 
 def _field(key: str, i, j: int) -> str:
@@ -496,12 +447,6 @@ class AmbiskewStep:
     alpha: tuple[Scalar, ...]
     beta: tuple[Scalar, ...]
     c: Scalar
-
-    def alpha_on_x(self, i: int) -> Scalar:
-        return self.alpha[2 * (i - 1) + 1]
-
-    def alpha_on_y(self, i: int) -> Scalar:
-        return self.alpha[2 * (i - 1)]
 
     def beta_on_x(self, i: int) -> Scalar:
         return self.beta[2 * (i - 1) + 1]

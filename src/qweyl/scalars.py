@@ -40,8 +40,7 @@ Tuples stay at the boundaries: the Scalar constructor packs them (and
 checks their length and range), while `.terms`, `as_monomial`,
 `substitute` and rendering unpack.  `sparse_monomial` packs its key
 straight from (symbol index, exponent) pairs, one shifted field per pair,
-`monomial` hands it the indices of the symbols it names, and
-`as_sparse_monomial` reads only the nonzero fields of a key, so their cost
+and `monomial` hands it the indices of the symbols it names, so their cost
 follows the number of symbols a monomial uses, not k.  Results
 made inside the class skip the constructor.
 """
@@ -170,24 +169,6 @@ class ParameterLattice:
     def unpack(self, key: int) -> Exponents:
         """Exponent vector of a packed key."""
         return self._fields.unpack((key ^ self.bias).to_bytes(self._fields.size, "big"))
-
-    def unpack_sparse(self, key: int) -> tuple[tuple[int, int], ...]:
-        """The nonzero (symbol index, exponent) pairs of a packed key, by index.
-
-        key ^ bias holds the two's-complement fields, and a zero exponent is
-        an all-zero field, so each step finds the lowest nonzero field from
-        the lowest set bit and clears it.
-        """
-        x = key ^ self.bias
-        last = self.k - 1
-        out = []
-        while x:
-            shift = ((x & -x).bit_length() - 1) & ~31
-            f = x >> shift & 0xFFFFFFFF
-            x ^= f << shift
-            out.append((last - (shift >> 5), f - (f >> 31 << 32)))
-        out.reverse()
-        return tuple(out)
 
     # -- constructors ------------------------------------------------------
 
@@ -378,14 +359,6 @@ class Scalar:
             return None
         (e, c), = self.packed.items()
         return self.lattice.unpack(e) if c == 1 else None
-
-    def as_sparse_monomial(self) -> tuple[tuple[int, int], ...] | None:
-        """The nonzero (symbol index, exponent) pairs of the exponent vector,
-        by index, if this is exactly 1 * monomial, else None."""
-        if len(self.packed) != 1:
-            return None
-        (e, c), = self.packed.items()
-        return self.lattice.unpack_sparse(e) if c == 1 else None
 
     def substitute(self, values: Mapping[str, Fraction]) -> Fraction:
         """Evaluate at exact nonzero rational parameter values (all symbols required)."""

@@ -251,10 +251,9 @@ def localized_torus(spec: AlgebraSpec, choice) -> ExponentPairing:
     return ExponentPairing._from_rows(2 * n, spec.lattice.k, rows)
 
 
-def torus_generator_labels(spec: AlgebraSpec, choice=None) -> list[str]:
-    ch = ("y",) * spec.n if choice is None else validate_choice(spec, choice)
+def torus_generator_labels(spec: AlgebraSpec) -> list[str]:
     return [f"z{i}" for i in range(1, spec.n + 1)] + [
-        f"{ch[i - 1]}{i}" for i in range(1, spec.n + 1)
+        f"y{i}" for i in range(1, spec.n + 1)
     ]
 
 

@@ -142,6 +142,29 @@ def test_verify_budget_cuts_normality_and_the_torus_loop():
     assert a == b
 
 
+@pytest.mark.parametrize("budget", [math.nan, -1, -1e-9, -math.inf])
+def test_a_nan_or_negative_budget_is_a_usage_error(tmp_path, capsys, budget):
+    # NaN compares false with every time, so it would turn the budget off
+    with pytest.raises(cli.UsageError, match="budget must be a number of seconds >= 0"):
+        run({"n": 2, "kind": "generic"}, "verify", budget=budget)
+    cfg = _write(tmp_path, {"n": 2, "kind": "generic"})
+    # "--budget=-inf": a separate "-inf" would read as an option
+    assert main(["--config", cfg, "--command", "verify", f"--budget={budget}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("usage error: budget must be")
+
+
+def test_a_zero_or_infinite_budget_is_accepted(tmp_path, capsys):
+    cfg = _write(tmp_path, {"n": 2, "kind": "generic"})
+    # a zero budget skips the slow sections, and a skipped check fails no run
+    assert main(["--config", cfg, "--command", "verify", "--budget", "0"]) == 0
+    assert "skipped" in capsys.readouterr().out
+    a = run({"n": 2, "kind": "generic"}, "verify", budget=math.inf).to_json()
+    b = run({"n": 2, "kind": "generic"}, "verify").to_json()
+    a.pop("elapsed_ms"), b.pop("elapsed_ms")
+    assert a == b
+
+
 def test_report_round_trip():
     rep = run({"n": 1, "kind": "heisenberg"}, "report")
     assert rep.ok
